@@ -266,38 +266,29 @@ class _MarkovGrid:
         self.a1 = np.concatenate(a1s)
         self.ai = np.concatenate(ais)
         self.size = len(self.m)
-        self.descbase = np.array(
-            [nat_code_len(m) + 3 * m for m in self.m.tolist()], dtype=np.int64
-        )
-        log1 = {}  # (m, a) -> m - log2(a)      = -log2(a / 2^m)
-        log0 = {}  # (m, a) -> m - log2(2^m - a) = -log2(1 - a / 2^m)
-        hof = {}  # (m, a) -> binary entropy of a / 2^m
+        per_m_desc = [0] + [nat_code_len(m) + 3 * m for m in range(1, m_max + 1)]
+        self.descbase = np.array(per_m_desc, dtype=np.int64)[self.m]
+        # one row per (m, a), m ascending then a; row of (m, a) is 2^m - m - 2 + a
+        log1, log0, hof, prob = [], [], [], []
         for m in range(1, m_max + 1):
             for a in range(1, 1 << m):
-                log1[(m, a)] = m - math.log2(a)
-                log0[(m, a)] = m - math.log2((1 << m) - a)
-                hof[(m, a)] = binary_entropy(a / (1 << m))
-        pairs0 = list(zip(self.m.tolist(), self.a0.tolist()))
-        pairs1 = list(zip(self.m.tolist(), self.a1.tolist()))
-        pairsi = list(zip(self.m.tolist(), self.ai.tolist()))
-        self.c01 = np.array([log1[p] for p in pairs0])
-        self.c00 = np.array([log0[p] for p in pairs0])
-        self.c10 = np.array([log1[p] for p in pairs1])
-        self.c11 = np.array([log0[p] for p in pairs1])
-        self.li1 = np.array([log1[p] for p in pairsi])
-        self.li0 = np.array([log0[p] for p in pairsi])
-        self.h0 = np.array([hof[p] for p in pairs0])
-        self.h1 = np.array([hof[p] for p in pairs1])
-        self.hinit = np.array([hof[p] for p in pairsi])
-        self.q0 = np.array([a / (1 << m) for m, a in pairs0])
-        self.q1 = np.array([a / (1 << m) for m, a in pairs1])
-        self.pinit = np.array([a / (1 << m) for m, a in pairsi])
+                log1.append(m - math.log2(a))  # -log2(a / 2^m)
+                log0.append(m - math.log2((1 << m) - a))  # -log2(1 - a / 2^m)
+                hof.append(binary_entropy(a / (1 << m)))
+                prob.append(a / (1 << m))
+        log1, log0, hof, prob = (np.array(t) for t in (log1, log0, hof, prob))
+        row_base = (1 << self.m) - self.m - 2
+        r0, r1, ri = row_base + self.a0, row_base + self.a1, row_base + self.ai
+        self.c01, self.c00, self.h0, self.q0 = log1[r0], log0[r0], hof[r0], prob[r0]
+        self.c10, self.c11, self.h1, self.q1 = log1[r1], log0[r1], hof[r1], prob[r1]
+        self.li1, self.li0, self.hinit, self.pinit = log1[ri], log0[ri], hof[ri], prob[ri]
         self.m_slices: dict[int, slice] = {}
         start = 0
         for m in range(1, m_max + 1):
             k = ((1 << m) - 1) ** 3
             self.m_slices[m] = slice(start, start + k)
             start += k
+        self._closed: dict[int, np.ndarray] = {}
 
     def entropies(self, n: int) -> np.ndarray:
         """H over the grid by the same forward recursion as ensembles.entropy."""
@@ -310,7 +301,13 @@ class _MarkovGrid:
         return total
 
     def entropies_closed(self, n: int) -> np.ndarray:
-        """Closed form of the same chain-rule sum, for large-n prefiltering."""
+        """Closed form of the same chain-rule sum, for large-n prefiltering.
+
+        Cached per length and returned read-only.
+        """
+        cached = self._closed.get(n)
+        if cached is not None:
+            return cached
         q0, q1 = self.q0, self.q1
         pi1 = q0 / (q0 + q1)
         lam = 1.0 - q0 - q1
@@ -318,7 +315,10 @@ class _MarkovGrid:
         with np.errstate(divide="ignore", invalid="ignore"):
             geo = np.where(lam == 1.0, float(n - 1), (1.0 - lam ** (n - 1)) / (1.0 - lam))
         sum_p1 = (n - 1) * pi1 + d1 * geo
-        return self.hinit + self.h0 * ((n - 1) - sum_p1) + self.h1 * sum_p1
+        H = self.hinit + self.h0 * ((n - 1) - sum_p1) + self.h1 * sum_p1
+        H.flags.writeable = False
+        self._closed[n] = H
+        return H
 
 
 class _IIDEntry:
@@ -362,7 +362,9 @@ def _markov_tables(m_max: int, n: int) -> dict:
     The sort keys replicate the tie-break comparator: description length,
     then total information desc + H, then parameter order (equal desc
     forces equal m within the tag, where serialization order is just the
-    numeric order of (a0, a1, ai))."""
+    numeric order of (a0, a1, ai)). desc is strictly increasing in m and
+    each m's slice is already in (a0, a1, ai) order, so stable sorts give
+    the ec order per slice and the coarse order from the ec order."""
     key = (m_max, n)
     cached = _MARKOV_PER_N.get(key)
     if cached is not None:
@@ -373,8 +375,10 @@ def _markov_tables(m_max: int, n: int) -> dict:
     desc = base + grid.descbase
     sig = H + desc  # same expression as ensembles.total_info: entropy + desc_len
     obj = 2 * desc + H
-    ec_order = np.lexsort((grid.ai, grid.a1, grid.a0, sig, desc))
-    coarse_order = np.lexsort((grid.ai, grid.a1, grid.a0, sig, desc, obj))
+    ec_order = np.concatenate(
+        [sl.start + np.argsort(sig[sl], kind="stable") for sl in grid.m_slices.values()]
+    )
+    coarse_order = ec_order[np.argsort(obj[ec_order], kind="stable")]
     tables = {
         "H": H,
         "desc": desc,

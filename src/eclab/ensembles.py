@@ -487,18 +487,28 @@ def parse_ensemble_spec(text: str) -> Ensemble:
             raise ValueError(f"expected key=value, got {item!r}")
         kv[k.strip()] = v.strip()
     kind = kind.strip().lower()
+
+    def get(key: str) -> str:
+        if key not in kv:
+            raise ValueError(f"{kind}: missing key {key!r}")
+        return kv[key]
+
     if kind == "singleton-raw":
-        return SingletonRaw(kv["x"])
+        return SingletonRaw(get("x"))
     if kind == "singleton-lz":
-        return SingletonLZ(kv["x"])
+        return SingletonLZ(get("x"))
     if kind == "uniform-all":
-        return UniformAll(int(kv["n"]))
+        return UniformAll(int(get("n")))
     if kind == "uniform-typ":
-        return UniformTypical(Fraction(kv["r"]), int(kv["n"]))
+        try:
+            r = Fraction(get("r"))
+        except ZeroDivisionError as exc:
+            raise ValueError(f"uniform-typ: invalid rate {kv['r']!r}") from exc
+        return UniformTypical(r, int(get("n")))
     if kind == "iid":
-        return IIDQuantized(int(kv["n"]), int(kv["m"]), int(kv["a"]))
+        return IIDQuantized(int(get("n")), int(get("m")), int(get("a")))
     if kind == "markov-q":
         return MarkovQuantized(
-            int(kv["n"]), int(kv["m"]), int(kv["a0"]), int(kv["a1"]), int(kv["ai"])
+            int(get("n")), int(get("m")), int(get("a0")), int(get("a1")), int(get("ai"))
         )
     raise ValueError(f"unknown ensemble tag {kind!r}")

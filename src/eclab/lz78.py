@@ -15,7 +15,7 @@ code of the input length, which makes the full stream self-delimiting.
 
 from __future__ import annotations
 
-import sys
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -34,8 +34,6 @@ __all__ = [
     "iter_with_code_len",
     "kraft_sum",
 ]
-
-sys.setrecursionlimit(100_000)
 
 
 @dataclass(frozen=True)
@@ -180,47 +178,105 @@ def decode(bits: str) -> str:
     return x
 
 
-# --- exhaustive enumeration over {0,1}^n ---------------------------------
+# --- code-length histogram ------------------------------------------------
 #
-# A depth-first walk over the binary tree of depth n advances the parser
-# by one symbol per edge and undoes it on backtrack, so visiting all 2^n
-# strings costs about 2^(n+1) parser steps instead of n * 2^n.
+# code_len(x) depends only on the number c of complete phrases and on
+# whether a partial phrase follows: S(c) + [partial] * bitlen(c), with
+# S(c) = sum_{j<c} (bitlen(j) + 1). The phrase dictionary of a string is an
+# increasing binary trie (a digital search tree, Jacquet & Szpankowski
+# 1995): nodes numbered in insertion order, a partial phrase marks one node,
+# and n is the trie's path length plus the marked node's depth. So the
+# histogram is counted from increasing-tree generating functions (Flajolet
+# & Sedgewick, Analytic Combinatorics), with z marking path length:
+#
+#   G_0 = 1,  G_k = z^k sum_{k1+k2=k-1} C(k-1,k1) G_k1 G_k2
+#   P_k = z^(k+1) sum C(k-1,k1) (G_k1 G_k2 + P_k1 G_k2 + G_k1 P_k2)
+#   F_c = sum_{k1+k2=c} C(c,k1) G_k1 G_k2,  FP_c = sum C(c,k1) (P_k1 G_k2 + G_k1 P_k2)
+#
+# [z^n] F_c strings have c complete phrases and no partial phrase, [z^n] FP_c
+# have one. G_k counts tries with root at depth 1; P_k also marks a node.
+# Polynomials are truncated at degree n and held as coefficient lists of
+# Python ints; the subtree sums are symmetric in (k1, k2), so the mixed
+# terms are taken once and doubled. A k-node trie has path length at least
+# k, so only k <= n matters; the cost is polynomial in n.
 
 _HIST_CACHE: dict[int, dict[int, int]] = {}
 
 
+def _low(p: list[int]) -> int:
+    """Index of the first nonzero coefficient (len(p) for the zero polynomial)."""
+    for i, v in enumerate(p):
+        if v:
+            return i
+    return len(p)
+
+
+def _mul_add(acc: list[int], scale: int, a: list[int], b: list[int]) -> None:
+    """acc += scale * a * b, truncated at the length of acc."""
+    top = len(acc) - 1
+    lb = _low(b)
+    for i in range(_low(a), top - lb + 1):
+        x = a[i]
+        if x:
+            x *= scale
+            for j in range(lb, top - i + 1):
+                y = b[j]
+                if y:
+                    acc[i + j] += x * y
+
+
+def _coeff(a: list[int], b: list[int], n: int) -> int:
+    """[z^n] of a * b."""
+    return sum(a[i] * b[n - i] for i in range(n + 1) if a[i] and b[n - i])
+
+
 def code_length_counts(n: int) -> dict[int, int]:
-    """Histogram {code_len: count} over all strings of length n (cached)."""
+    """Histogram {code_len: count} over all strings of length n (cached).
+
+    Keys are in increasing order; the counts sum to 2^n.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     cached = _HIST_CACHE.get(n)
     if cached is not None:
         return cached
+    G: list[list[int]] = [[1] + [0] * n]
+    P: list[list[int]] = [[0] * (n + 1)]
+    for k in range(1, n + 1):
+        gg = [0] * (n + 1 - k)  # sum C(k-1,k1) G_k1 G_k2, to degree n - k
+        pg = [0] * (n + 1 - k)  # sum C(k-1,k1) P_k1 G_k2
+        for k1 in range(k):
+            w = math.comb(k - 1, k1)
+            _mul_add(gg, w, G[k1], G[k - 1 - k1])
+            _mul_add(pg, w, P[k1], G[k - 1 - k1])
+        G.append([0] * k + gg)
+        P.append([0] * (k + 1) + [x + 2 * y for x, y in zip(gg, pg)][: n - k])
     hist: dict[int, int] = {}
-    trie: dict[int, int] = {}
-
-    def go(depth: int, node: int, nxt: int, total: int) -> None:
-        if depth == n:
-            t = total + ((nxt - 1).bit_length() if node else 0)
-            hist[t] = hist.get(t, 0) + 1
-            return
-        for bit in (0, 1):
-            key = (node << 1) | bit
-            t = trie.get(key)
-            if t is not None:
-                go(depth + 1, t, nxt, total)
-            else:
-                trie[key] = nxt
-                go(depth + 1, 0, nxt + 1, total + (nxt - 1).bit_length() + 1)
-                del trie[key]
-
-    go(0, 0, 1, 0)
+    s = 0  # S(c)
+    for c in range(n + 1):
+        full = partial = 0
+        for k1 in range(c + 1):
+            w = math.comb(c, k1)
+            full += w * _coeff(G[k1], G[c - k1], n)
+            partial += 2 * w * _coeff(P[k1], G[c - k1], n)
+        if full:
+            hist[s] = hist.get(s, 0) + full
+        if partial:
+            t = s + c.bit_length()
+            hist[t] = hist.get(t, 0) + partial
+        s += c.bit_length() + 1
+    hist = dict(sorted(hist.items()))
     _HIST_CACHE[n] = hist
     return hist
 
 
 def iter_with_code_len(n: int) -> Iterator[tuple[str, int]]:
-    """Yield (x, code_len(x)) for every x in {0,1}^n in lexicographic order."""
+    """Yield (x, code_len(x)) for every x in {0,1}^n in lexicographic order.
+
+    A depth-first walk advances the parser by one symbol per edge and
+    undoes it on backtrack, about 2^(n+1) parser steps in all; the
+    recursion is n deep.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     trie: dict[int, int] = {}

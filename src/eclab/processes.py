@@ -319,30 +319,43 @@ def _markov_from_rows(text: str) -> Markov:
     return Markov(rows[0][1], rows[1][0])
 
 
+def _take(kv: dict[str, str], key: str, what: str) -> Fraction:
+    """Pop and parse a required rational key."""
+    if key not in kv:
+        raise ValueError(f"{what}: missing key {key!r}")
+    return _parse_fraction(kv.pop(key), key)
+
+
+def _no_extra_keys(kv: dict[str, str], what: str) -> None:
+    if kv:
+        raise ValueError(f"{what}: unknown keys {sorted(kv)}")
+
+
+def _bernoulli_from_kv(kv: dict[str, str]) -> Bernoulli:
+    model = Bernoulli(_take(kv, "p", "bernoulli"))
+    _no_extra_keys(kv, "bernoulli")
+    return model
+
+
 def _markov_from_kv(kv: dict[str, str]) -> Markov:
     if "flip" in kv:
-        f = _parse_fraction(kv.pop("flip"), "flip")
-        return Markov(f, f)
-    if "rows" in kv:
-        return _markov_from_rows(kv.pop("rows"))
-    return Markov(
-        _parse_fraction(kv.pop("a01"), "a01"),
-        _parse_fraction(kv.pop("a10"), "a10"),
-    )
+        f = _take(kv, "flip", "markov")
+        model = Markov(f, f)
+    elif "rows" in kv:
+        model = _markov_from_rows(kv.pop("rows"))
+    else:
+        model = Markov(_take(kv, "a01", "markov"), _take(kv, "a10", "markov"))
+    _no_extra_keys(kv, "markov")
+    return model
 
 
 def _parse_compact(spec: str) -> ProcessModel:
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
     if kind == "bernoulli":
-        kv = _kv_pairs(rest, "bernoulli")
-        return Bernoulli(_parse_fraction(kv.pop("p"), "p"))
+        return _bernoulli_from_kv(_kv_pairs(rest, "bernoulli"))
     if kind == "markov":
-        kv = _kv_pairs(rest, "markov")
-        model = _markov_from_kv(kv)
-        if kv:
-            raise ValueError(f"markov: unknown keys {sorted(kv)}")
-        return model
+        return _markov_from_kv(_kv_pairs(rest, "markov"))
     if kind == "mixture":
         parts = []
         for item in rest.split("+"):
@@ -396,7 +409,7 @@ def parse_model_spec(text: str) -> ProcessModel:
             kv[k.strip()] = v.strip()
     variant = kv.pop("variant", "").lower()
     if variant == "bernoulli":
-        return Bernoulli(_parse_fraction(kv["p"], "p"))
+        return _bernoulli_from_kv(kv)
     if variant == "markov":
         return _markov_from_kv(kv)
     if variant == "mixture":

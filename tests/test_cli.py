@@ -161,6 +161,9 @@ def test_usage_errors_exit_1(capsys):
     assert run(["frobnicate"], capsys)[0] == 1
     assert run(["lz"], capsys)[0] == 1
     assert run(["ec", "--x", "0", "--delta", "0.5", "--Delta", "2"], capsys)[0] == 1  # decimal
+    for model in ("bernoulli:", "bernoulli:p=1/2,q=9", "markov:", "markov:flip=1/2,x=1"):
+        code, out, err = run(["gen", "--model", model, "--n", "4", "--seed", "1"], capsys)
+        assert code == 1 and out == "" and err.startswith("usage error: --model:")
 
 
 def test_domain_errors_exit_2(capsys):

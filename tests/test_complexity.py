@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from eclab import complexity as C, ensembles as E, lz78, processes
+from eclab.codec import nat_code_len
 from eclab.complexity import ComplexityQuery, Constraint, FamilyConfig
 from eclab.errors import ResourceLimitError
 
@@ -54,6 +56,70 @@ def test_markov_entropy_tables_match_scalar():
             assert H[j] == E.entropy(e)
         closed = grid.entropies_closed(n)
         assert max(abs(closed - H)) < 1e-9 * max(1, n)
+
+
+_GRID_ARRAYS = (
+    "m", "a0", "a1", "ai", "descbase", "c01", "c00", "c10", "c11",
+    "li1", "li0", "h0", "h1", "hinit", "q0", "q1", "pinit",
+)
+
+
+def _scalar_grid_reference(grid) -> dict:
+    """The grid's per-entry arrays built entry by entry with scalar math calls."""
+    log1, log0, hof = {}, {}, {}
+    for m in range(1, max(grid.m_slices) + 1):
+        for a in range(1, 1 << m):
+            log1[(m, a)] = m - math.log2(a)
+            log0[(m, a)] = m - math.log2((1 << m) - a)
+            hof[(m, a)] = processes.binary_entropy(a / (1 << m))
+    ms = grid.m.tolist()
+    pairs0 = list(zip(ms, grid.a0.tolist()))
+    pairs1 = list(zip(ms, grid.a1.tolist()))
+    pairsi = list(zip(ms, grid.ai.tolist()))
+    ref = {"m": grid.m, "a0": grid.a0, "a1": grid.a1, "ai": grid.ai}
+    ref["descbase"] = np.array([nat_code_len(m) + 3 * m for m in ms], dtype=np.int64)
+    for name, table, pairs in [
+        ("c01", log1, pairs0), ("c00", log0, pairs0), ("c10", log1, pairs1),
+        ("c11", log0, pairs1), ("li1", log1, pairsi), ("li0", log0, pairsi),
+        ("h0", hof, pairs0), ("h1", hof, pairs1), ("hinit", hof, pairsi),
+    ]:
+        ref[name] = np.array([table[p] for p in pairs])
+    for name, pairs in [("q0", pairs0), ("q1", pairs1), ("pinit", pairsi)]:
+        ref[name] = np.array([a / (1 << m) for m, a in pairs])
+    return ref
+
+
+def test_markov_grid_matches_scalar_build():
+    grid = C._markov_grid(6)
+    assert grid.size == sum(((1 << m) - 1) ** 3 for m in range(1, 7))
+    k = np.arange(1, 64)
+    m6 = grid.m_slices[6]
+    assert np.array_equal(grid.a0[m6], np.repeat(k, 63 * 63))
+    assert np.array_equal(grid.ai[m6], np.tile(k, 63 * 63))
+    ref = _scalar_grid_reference(grid)
+    for name in _GRID_ARRAYS:
+        arr = getattr(grid, name)
+        assert arr.dtype == ref[name].dtype and arr.tobytes() == ref[name].tobytes(), name
+
+
+def test_markov_orders_match_lexsort():
+    grid = C._markov_grid(6)
+    for n in (1, 2, 9, 20, 24):
+        t = C._markov_tables(6, n)
+        desc, sig, obj = t["desc"], t["sig"], t["obj"]
+        ec_ref = np.lexsort((grid.ai, grid.a1, grid.a0, sig, desc))
+        coarse_ref = np.lexsort((grid.ai, grid.a1, grid.a0, sig, desc, obj))
+        assert np.array_equal(t["ec_order"], ec_ref), n
+        assert np.array_equal(t["coarse_order"], coarse_ref), n
+
+
+def test_closed_entropies_cached_read_only():
+    grid = C._markov_grid(3)
+    for n in (2, 100, 1 << 15):
+        H = grid.entropies_closed(n)
+        assert grid.entropies_closed(n) is H
+        assert not H.flags.writeable
+        assert H.tobytes() == C._MarkovGrid(3).entropies_closed(n).tobytes()
 
 
 def test_ec_example_small_budget():

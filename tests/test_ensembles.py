@@ -1,9 +1,10 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
-from eclab import ensembles as E, typical_sets
+from eclab import ensembles as E, lz78, typical_sets
 from eclab.errors import DecodeError
 
 
@@ -195,3 +196,29 @@ def test_text_form_roundtrip():
         assert E.parse_ensemble_spec(f"{tag}:{params}") == e
     tag, params = E.format_ensemble(E.SingletonRaw("01" * 64))
     assert "x=" not in params  # long payloads are elided from text form
+
+
+def test_parse_ensemble_spec_rejects_missing_keys():
+    for text in (
+        "iid:n=3",
+        "markov-q:n=2,m=1",
+        "uniform-typ:n=3",
+        "uniform-typ:r=1/0,n=3",
+        "singleton-raw:",
+    ):
+        with pytest.raises(ValueError):
+            E.parse_ensemble_spec(text)
+
+
+def test_decode_uniform_typical_bounded_cost():
+    # a 17-bit stream names T(2, 24); validating it needs the n = 24 histogram
+    bits = E.serialize(E.UniformTypical(Fraction(2), 24))
+    assert len(bits) == 17
+    saved = lz78._HIST_CACHE.pop(24, None)
+    try:
+        t0 = time.perf_counter()
+        assert E.decode_ensemble(bits) == E.UniformTypical(Fraction(2), 24)
+        assert time.perf_counter() - t0 < 1.0
+    finally:
+        if saved is not None:
+            lz78._HIST_CACHE[24] = saved

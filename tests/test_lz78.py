@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -103,3 +105,27 @@ def test_iter_lexicographic_order_and_values():
 def test_kraft_sums_bounded():
     for n in range(1, 15):
         assert lz78.kraft_sum(n) <= 1
+
+
+def test_histogram_matches_walk():
+    for n in range(1, 19):
+        walk = Counter(length for _, length in lz78.iter_with_code_len(n))
+        assert lz78.code_length_counts(n) == dict(walk)
+
+
+def test_histogram_totals_and_kraft_up_to_64():
+    for n in range(1, 65):
+        assert sum(lz78.code_length_counts(n).values()) == 1 << n
+        assert lz78.kraft_sum(n) <= 1
+
+
+def test_import_leaves_recursion_limit_unchanged():
+    code = (
+        "import sys; before = sys.getrecursionlimit(); "
+        "import eclab, eclab.cli, eclab.selftest; "
+        "print(before == sys.getrecursionlimit())"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "True"

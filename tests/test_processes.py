@@ -184,3 +184,13 @@ def test_model_document_form():
         P.parse_model_spec("bernoulli:p=0.5")  # decimals are rejected
     with pytest.raises(ValueError):
         P.parse_model_spec("weibull:k=2")
+    for text in (
+        "bernoulli:",
+        "bernoulli:p=1/2,q=9",
+        "markov:a01=1/5",
+        "variant=bernoulli\n",
+        "variant=bernoulli\np=1/2\nq=9\n",
+        "variant=markov\nflip=1/10\nrows=1,0;0,1\n",
+    ):
+        with pytest.raises(ValueError):
+            P.parse_model_spec(text)

@@ -57,6 +57,14 @@ def test_size_bound_exact_small():
             assert T.size_bound_holds(s, T.cardinality(s))
 
 
+def test_size_bound_eighth_grid_beyond_walk():
+    # lengths the exhaustive walk could not reach; the histogram is polynomial
+    for n in range(19, 65):
+        for k in range(1, 17):
+            s = spec(Fraction(k, 8), n)
+            assert T.size_bound_holds(s, T.cardinality(s, n_max=64))
+
+
 def test_monotone_in_rate():
     for n in range(1, 15):
         cards = [T.cardinality(spec(Fraction(k, 16), n)) for k in range(1, 33)]
