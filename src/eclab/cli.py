@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -18,6 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import complexity, ensembles as ens, lz78, processes, selftest, typical_sets
+from .codec import nat_code_len
 from .complexity import ComplexityQuery, ComplexityReport, Constraint
 from .errors import DecodeError, ResourceLimitError
 
@@ -157,7 +159,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parse_args leaves it unchanged."""
     parser = _Parser(prog="eclab", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -248,16 +252,17 @@ def _cmd_lz(args) -> int:
         return 0
     x = _bits_arg(args.x, "--x")
     parsed = lz78.parse(x)
+    encoded = lz78.encode(x, parsed)
     row = {
         "n": len(x),
-        "lz_len": lz78.code_len(x),
+        "lz_len": len(encoded) - nat_code_len(len(x)),
         "complete_phrases": parsed.complete_count,
         "has_partial": int(parsed.has_partial),
-        "encoded_len": len(lz78.encode(x)),
+        "encoded_len": len(encoded),
     }
     columns = ["n", "lz_len", "complete_phrases", "has_partial", "encoded_len"]
     if args.emit_bits:
-        row["encoded"] = lz78.encode(x)
+        row["encoded"] = encoded
         columns.append("encoded")
     _emit([row], columns, args)
     return 0

@@ -62,6 +62,7 @@ __all__ = [
 _FLOAT_GUARD = 1e-6  # floats this close to a decision boundary get an exact recheck
 _BIG_N_FLOAT = 64  # above this length, grid log-likelihoods are evaluated in floats
 _WALK_CHUNK = 512
+_STRAGGLER_CAP = 256  # large-n Markov entries retried per m before giving up on m
 
 
 @dataclass(frozen=True)
@@ -624,15 +625,7 @@ def _khat_markov_champion(
     for m in range(1, cfg.m_max + 1):
         desc = base + nat_code_len(m) + 3 * m
         sl = grid.m_slices[m]
-        li = grid.li1[sl] if stats.first else grid.li0[sl]
-        v = (
-            li
-            + stats.n00 * grid.c00[sl]
-            + stats.n01 * grid.c01[sl]
-            + stats.n10 * grid.c10[sl]
-            + stats.n11 * grid.c11[sl]
-        )
-        lg = m * n - v  # log2 of the integer numerator, per combo of this m
+        lg = m * n - _markov_neglogp(stats, grid, sl)  # log2 of the numerators
         lgmax = float(lg.max())
         cand_value = desc + m * n - math.floor(lgmax) - 1
         if cand_value - 1 > best_cut and (best is None or cand_value - 1 > best[0]):
@@ -732,6 +725,64 @@ def budget_fits(sigma, T: Fraction) -> bool:
 
 def _typical_fast(neglogp: float, H: float, delta_f: float) -> bool:
     return neglogp <= H * (1.0 + delta_f) + ens.TYPICALITY_SLACK
+
+
+def _markov_neglogp(stats: StringStats, grid: _MarkovGrid, sl: slice) -> np.ndarray:
+    """-log2 p(x) for the Markov entries in sl, from the transition counts of x."""
+    return (
+        (grid.li1 if stats.first else grid.li0)[sl]
+        + stats.n00 * grid.c00[sl]
+        + stats.n01 * grid.c01[sl]
+        + stats.n10 * grid.c10[sl]
+        + stats.n11 * grid.c11[sl]
+    )
+
+
+def _markov_stragglers(
+    stats: StringStats,
+    grid: _MarkovGrid,
+    m: int,
+    delta_f: float,
+    budget: Optional[tuple[int, float]] = None,
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Large-n prefilter of the order-m Markov entries, in confirmation order.
+
+    Keeps the entries whose closed-form entropy H makes x typical and, with
+    budget = (desc, T), satisfies desc + H <= T, both with a margin for the
+    closed form's rounding. Returns the slice start, -log2 p(x) over the
+    slice, and the kept slice indices ordered by (H, a0, a1, ai): the slice
+    is stored in (a0, a1, ai) order and flatnonzero ascends, so a stable
+    sort on H alone breaks its ties the same way.
+    """
+    margin = 1e-6 + 1e-12 * stats.n
+    sl = grid.m_slices[m]
+    Hcf = grid.entropies_closed(stats.n)[sl]
+    v = _markov_neglogp(stats, grid, sl)
+    keep = v <= Hcf * (1.0 + delta_f) + ens.TYPICALITY_SLACK + margin
+    if budget is not None:
+        desc, T_f = budget
+        keep &= (desc + Hcf) <= T_f + margin
+    idxs = np.flatnonzero(keep)
+    return sl.start, v, idxs[np.argsort(Hcf[idxs], kind="stable")]
+
+
+def _markov_confirmed(
+    stats: StringStats,
+    grid: _MarkovGrid,
+    m: int,
+    delta_f: float,
+    budget: Optional[tuple[int, float]] = None,
+):
+    """Yield (ensemble, H), in order, for the prefiltered entries that stay
+    typical when H comes from the defining recursion. Every yielded entry is
+    confirmed; the cap only bounds how many boundary stragglers are retried."""
+    start, v, order = _markov_stragglers(stats, grid, m, delta_f, budget)
+    for i in order[:_STRAGGLER_CAP].tolist():
+        j = start + i
+        e = ens.MarkovQuantized(stats.n, m, int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j]))
+        H = ens.entropy(e)
+        if _typical_fast(float(v[i]), H, delta_f):
+            yield e, H
 
 
 # --- candidate walks -----------------------------------------------------------
@@ -869,57 +920,19 @@ def _walk_markov_ec_big(
     constraint: Optional[Constraint],
     cfg: FamilyConfig,
 ) -> Optional[_Candidate]:
-    """Desc-ordered Markov feasibility for n beyond the exact bound.
-
-    Entropies come from the closed form of the chain-rule sum; entries
-    near a feasibility boundary are confirmed with the defining forward
-    recursion before being accepted.
-    """
-    n = stats.n
+    """Desc-ordered Markov feasibility for n beyond the exact bound."""
     grid = _markov_grid(cfg.m_max)
-    base = 3 + nat_code_len(n)
-    margin = 1e-6 + 1e-12 * n
+    base = 3 + nat_code_len(stats.n)
     T_f = float(T)
-    Hcf_all = grid.entropies_closed(n)
     for m in range(1, cfg.m_max + 1):
         if constraint and not constraint.allows_m(m):
             continue
         desc = base + nat_code_len(m) + 3 * m
         if desc > T:
             break
-        sl = grid.m_slices[m]
-        Hcf = Hcf_all[sl]
-        li = (grid.li1 if stats.first else grid.li0)[sl]
-        v = (
-            li
-            + stats.n00 * grid.c00[sl]
-            + stats.n01 * grid.c01[sl]
-            + stats.n10 * grid.c10[sl]
-            + stats.n11 * grid.c11[sl]
-        )
-        fits = (desc + Hcf) <= T_f + margin
-        typ = v <= Hcf * (1.0 + delta_f) + ens.TYPICALITY_SLACK + margin
-        idxs = np.flatnonzero(fits & typ)
-        if idxs.size == 0:
-            continue
-        sub = sorted(
-            idxs.tolist(),
-            key=lambda i: (
-                Hcf[i],
-                int(grid.a0[sl.start + i]),
-                int(grid.a1[sl.start + i]),
-                int(grid.ai[sl.start + i]),
-            ),
-        )
-        # every returned candidate is confirmed with the defining recursion;
-        # the cap only bounds how many boundary stragglers get retried
-        for i in sub[:256]:
-            j = sl.start + i
-            e = ens.MarkovQuantized(n, m, int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j]))
-            Hj = ens.entropy(e)
-            sigma = Hj + desc
-            if sigma <= T_f and _typical_fast(float(v[i]), Hj, delta_f):
-                return _Candidate(desc, desc, sigma, e)
+        for e, H in _markov_confirmed(stats, grid, m, delta_f, (desc, T_f)):
+            if H + desc <= T_f:
+                return _Candidate(desc, desc, H + desc, e)
     return None
 
 
@@ -1035,54 +1048,24 @@ def _walk_markov_coarse(
 def _walk_markov_coarse_big(
     stats: StringStats, delta_f: float, constraint: Optional[Constraint], cfg: FamilyConfig
 ) -> Optional[_Candidate]:
-    n = stats.n
     grid = _markov_grid(cfg.m_max)
-    base = 3 + nat_code_len(n)
-    margin = 1e-6 + 1e-12 * n
+    base = 3 + nat_code_len(stats.n)
     best: Optional[_Candidate] = None
-    Hcf_all = grid.entropies_closed(n)
     for m in range(1, cfg.m_max + 1):
         if constraint and not constraint.allows_m(m):
             continue
         desc = base + nat_code_len(m) + 3 * m
         if best is not None and 2 * desc > best.objective:
             continue
-        sl = grid.m_slices[m]
-        Hcf = Hcf_all[sl]
-        li = (grid.li1 if stats.first else grid.li0)[sl]
-        v = (
-            li
-            + stats.n00 * grid.c00[sl]
-            + stats.n01 * grid.c01[sl]
-            + stats.n10 * grid.c10[sl]
-            + stats.n11 * grid.c11[sl]
-        )
-        typ = v <= Hcf * (1.0 + delta_f) + ens.TYPICALITY_SLACK + margin
-        idxs = np.flatnonzero(typ)
-        if idxs.size == 0:
-            continue
-        sub = sorted(
-            idxs.tolist(),
-            key=lambda i: (
-                Hcf[i],
-                int(grid.a0[sl.start + i]),
-                int(grid.a1[sl.start + i]),
-                int(grid.ai[sl.start + i]),
-            ),
-        )
-        for i in sub[:256]:
-            j = sl.start + i
-            e = ens.MarkovQuantized(n, m, int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j]))
-            Hj = ens.entropy(e)
-            if _typical_fast(float(v[i]), Hj, delta_f):
-                cand = _Candidate(2 * desc + Hj, desc, Hj + desc, e)
-                if best is None or (cand.objective, cand.desc, cand.sigma) < (
-                    best.objective,
-                    best.desc,
-                    best.sigma,
-                ):
-                    best = cand
-                break
+        for e, H in _markov_confirmed(stats, grid, m, delta_f):
+            cand = _Candidate(2 * desc + H, desc, H + desc, e)
+            if best is None or (cand.objective, cand.desc, cand.sigma) < (
+                best.objective,
+                best.desc,
+                best.sigma,
+            ):
+                best = cand
+            break
     return best
 
 

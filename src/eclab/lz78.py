@@ -111,9 +111,12 @@ def code_len(x: str) -> int:
     return total
 
 
-def phrase_stream(x: str) -> str:
-    """The raw phrase stream of x (exactly code_len(x) bits, no header)."""
-    p = parse(x)
+def phrase_stream(x: str, parsed: LZParse | None = None) -> str:
+    """The raw phrase stream of x (exactly code_len(x) bits, no header).
+
+    `parsed`, when given, must be parse(x); it saves parsing x again.
+    """
+    p = parse(x) if parsed is None else parsed
     parts: list[str] = []
     for j, (parent, bit) in enumerate(p.phrases, start=1):
         width = (j - 1).bit_length()
@@ -124,9 +127,9 @@ def phrase_stream(x: str) -> str:
     return "".join(parts)
 
 
-def encode(x: str) -> str:
-    """Self-delimiting code: delta(length) ++ phrase stream."""
-    return encode_nat(len(x)) + phrase_stream(x)
+def encode(x: str, parsed: LZParse | None = None) -> str:
+    """Self-delimiting code: delta(length) ++ phrase stream (see phrase_stream)."""
+    return encode_nat(len(x)) + phrase_stream(x, parsed)
 
 
 def decode_phrases(bits: str, start: int, n: int) -> tuple[str, int]:

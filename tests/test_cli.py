@@ -219,3 +219,26 @@ def test_selftest_catches_corrupted_codec(capsys, monkeypatch):
     code, out, _ = run(["selftest", "--suite", "codec-roundtrip", "--fast"], capsys)
     assert code == 1
     assert "FAILED" in out
+
+
+def test_cached_parser_matches_fresh_parsers(capsys):
+    # the parser is built once per process; reusing it, also after a usage
+    # error and an appended flag, must give what a freshly built one gives
+    argvs = [
+        ["khat", "--x", "0110"],
+        ["ec", "--x", "0110", "--bogus", "1"],
+        ["ec", "--x", "0110", "--delta", "0", "--eps", "1/10"],
+        ["lz", "--x", "0110100", "--emit-bits"],
+        ["selftest", "--suite", "codec-kraft", "--fast"],
+        ["selftest", "--suite", "codec-kraft", "--fast"],
+    ]
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv, capsys))
+    cli._build_parser.cache_clear()
+    parser = cli._build_parser()
+    cached = [run(argv, capsys) for argv in argvs]
+    assert cli._build_parser() is parser
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 1, 0, 0, 0, 0]

@@ -375,60 +375,120 @@ def test_khat_float_path_matches_exact_integers_at_large_n():
 
 
 def test_upper_mode_walks_match_direct_scan_beyond_nmax():
-    # n = 30 sits past the exact bound, so the closed-form Markov walk runs;
-    # compare against a direct scan that uses only the defining recursion
+    # n = 30 sits past the exact bound, so the closed-form Markov walks run;
+    # compare ec and coarse_ec against a direct scan that uses only the
+    # defining recursion
     cfg = FamilyConfig(m_max=3)
     from eclab.codec import nat_code_len, rational_code_len
 
-    def direct_ec_upper(x, delta, Delta):
+    def typical_family(x, delta):
+        # (desc, H, sigma, serialization, ensemble) for every member x is typical for
         st = C.string_stats(x)
-        khv = C.khat_value(st, cfg, "upper")
-        T = khv + Delta
         n = st.n
         base = 3 + nat_code_len(n)
-        cands = []
-        for e in (E.SingletonRaw(x), E.SingletonLZ(x), E.UniformAll(n)):
-            d = E.desc_len(e)
-            sig = E.total_info(e)
-            if E.is_delta_typical(e, x, delta) and C.budget_fits(sig, T):
-                cands.append((d, d, sig, E.serialize(e), e))
-        for r in cfg.r_grid:
-            if st.lz_len * r.denominator < r.numerator * n:  # member => typical
-                d = base + rational_code_len(r)
-                sig = d + r * n
-                if C.budget_fits(sig, T):
-                    cands.append((d, d, sig, E.serialize(E.UniformTypical(r, n)),
-                                  E.UniformTypical(r, n)))
+        members = [E.SingletonRaw(x), E.SingletonLZ(x), E.UniformAll(n)]
         for m in range(1, cfg.m_max + 1):
             for a in range(1, 1 << m):
-                e = E.IIDQuantized(n, m, a)
-                d = E.desc_len(e)
-                sig = E.total_info(e)
-                if E.is_delta_typical(e, x, delta) and C.budget_fits(sig, T):
-                    cands.append((d, d, sig, E.serialize(e), e))
+                members.append(E.IIDQuantized(n, m, a))
             for a0 in range(1, 1 << m):
                 for a1 in range(1, 1 << m):
                     for ai in range(1, 1 << m):
-                        e = E.MarkovQuantized(n, m, a0, a1, ai)
-                        d = E.desc_len(e)
-                        sig = E.total_info(e)
-                        if E.is_delta_typical(e, x, delta) and C.budget_fits(sig, T):
-                            cands.append((d, d, sig, E.serialize(e), e))
-        if not cands:
-            return None, None
-        best = min(cands, key=lambda t: (t[0], t[2], t[3]))
-        return best[0], best[4]
+                        members.append(E.MarkovQuantized(n, m, a0, a1, ai))
+        out = [
+            (E.desc_len(e), E.entropy(e), E.total_info(e), E.serialize(e), e)
+            for e in members
+            if E.is_delta_typical(e, x, delta)
+        ]
+        for r in cfg.r_grid:
+            if st.lz_len * r.denominator < r.numerator * n:  # member => typical
+                d = base + rational_code_len(r)
+                e = E.UniformTypical(r, n)
+                out.append((d, r * n, d + r * n, E.serialize(e), e))
+        return out
 
     model = processes.Bernoulli(Fraction(1, 5))
     for seed in range(6):
         x = processes.sample(model, 30, seed)
+        khv = C.khat_value(C.string_stats(x), cfg, "upper")
         for delta in (Fraction(0), Fraction(1, 4)):
+            family = typical_family(x, delta)
             for D in (Fraction(0), Fraction(6), Fraction(18)):
                 rep = C.ec(x, ComplexityQuery(delta=delta, Delta=D, mode="upper"), cfg)
-                val, wit = direct_ec_upper(x, delta, D)
-                assert rep.ec == val
-                if wit is not None:
-                    assert E.serialize(rep.witness) == E.serialize(wit)
+                cands = [c for c in family if C.budget_fits(c[2], khv + D)]
+                if not cands:
+                    assert rep.ec is None
+                    continue
+                best = min(cands, key=lambda t: (t[0], t[2], t[3]))
+                assert rep.ec == best[0]
+                assert E.serialize(rep.witness) == best[3]
+            rep = C.coarse_ec(x, delta, mode="upper", cfg=cfg)
+            best = min(family, key=lambda t: (2 * t[0] + t[1], t[0], t[2], t[3]))
+            assert rep.coarse_ec == float(2 * best[0] + best[1]) - khv
+            assert E.serialize(rep.witness) == best[3]
+
+
+def test_upper_mode_straggler_order_and_cap(monkeypatch):
+    # the large-n walks confirm Markov stragglers in (closed-form H, a0, a1, ai)
+    # order; the reference is the tuple-key sort over the prefiltered entries
+    cfg = C.DEFAULT_CONFIG
+    grid = C._markov_grid(cfg.m_max)
+    cases = []
+    for spec in ("markov:flip=1/10", "bernoulli:p=3/10"):
+        model = processes.parse_model_spec(spec)
+        for n in (1 << 10, 1 << 12):
+            for seed in (1, 2):
+                cases.append(processes.sample(model, n, seed))
+    for x in cases:
+        st = C.string_stats(x)
+        n = st.n
+        base = 3 + nat_code_len(n)
+        margin = 1e-6 + 1e-12 * n
+        Hcf_all = grid.entropies_closed(n)
+        eps_query = ComplexityQuery(delta=Fraction(0), eps=Fraction(1, 10), mode="upper")
+        T_f = float(C.khat_value(st, cfg, "upper") + eps_query.resolve_Delta(n))
+        for delta_f in (0.0, 0.25):
+            for m in range(1, cfg.m_max + 1):
+                desc = base + nat_code_len(m) + 3 * m
+                sl = grid.m_slices[m]
+                Hcf = Hcf_all[sl]
+                v = (
+                    (grid.li1 if st.first else grid.li0)[sl]
+                    + st.n00 * grid.c00[sl]
+                    + st.n01 * grid.c01[sl]
+                    + st.n10 * grid.c10[sl]
+                    + st.n11 * grid.c11[sl]
+                )
+                typ = v <= Hcf * (1.0 + delta_f) + E.TYPICALITY_SLACK + margin
+                fits = (desc + Hcf) <= T_f + margin
+                for budget, mask in ((None, typ), ((desc, T_f), typ & fits)):
+                    ref = sorted(
+                        np.flatnonzero(mask).tolist(),
+                        key=lambda i: (
+                            Hcf[i],
+                            int(grid.a0[sl.start + i]),
+                            int(grid.a1[sl.start + i]),
+                            int(grid.ai[sl.start + i]),
+                        ),
+                    )
+                    start, v_out, order = C._markov_stragglers(st, grid, m, delta_f, budget)
+                    assert start == sl.start
+                    assert np.array_equal(v_out, v)
+                    assert order.tolist() == ref
+
+    def results():
+        out = []
+        for x in cases:
+            for delta in (Fraction(0), Fraction(1, 4)):
+                q = ComplexityQuery(delta=delta, eps=Fraction(1, 10), mode="upper")
+                r = C.ec(x, q, cfg)
+                out.append((r.ec, r.ec_empty, E.serialize(r.witness) if r.witness else None))
+                r = C.coarse_ec(x, delta, mode="upper", cfg=cfg)
+                out.append((r.coarse_ec, E.serialize(r.witness)))
+        return out
+
+    capped = results()
+    monkeypatch.setattr(C, "_STRAGGLER_CAP", None)
+    assert results() == capped
 
 
 def test_string_stats_counts():

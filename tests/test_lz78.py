@@ -58,6 +58,7 @@ def test_encode_structure():
     assert len(lz78.encode("00")) == 6
     for x in ("1", "0110", "1011010100010"):
         assert len(lz78.encode(x)) == codec.nat_code_len(len(x)) + lz78.code_len(x)
+        assert lz78.encode(x, lz78.parse(x)) == lz78.encode(x)
 
 
 def test_roundtrip_exhaustive_small():
