@@ -11,6 +11,14 @@ followed by one literal bit; a final partial phrase after c complete
 phrases is an index in ceil(log2 (c+1)) bits with no literal. `code_len`
 is the phrase-stream length alone; `encode` prepends the Elias delta
 code of the input length, which makes the full stream self-delimiting.
+
+`parse` and `code_len` keep the phrase dictionary as a binary trie in one
+flat list: the children of the node stored at offset i sit at i and i + 1
+(one per bit), each holding its child's offset, with 0 for no child, and
+every new phrase appends a pair of zeros. Since the code length depends
+only on the number c of complete phrases and on whether a partial phrase
+follows, `code_len` counts c in the loop and adds the bits up once at the
+end. `iter_with_code_len` keeps a dict-keyed trie of its own.
 """
 
 from __future__ import annotations
@@ -65,50 +73,57 @@ def _check_input(x: str) -> None:
         raise ValueError("input string must consist of '0'/'1' only")
 
 
+_BITS = bytes.maketrans(b"01", b"\x00\x01")  # '0'/'1' bytes -> bit values
+
+
 def parse(x: str) -> LZParse:
     """Run the LZ78 parse of a nonempty binary string."""
     _check_input(x)
-    trie: dict[int, int] = {}
+    kids = [0, 0]  # flat trie, see the module docstring; node offset = 2 * index
     node = 0
-    nxt = 1
     phrases: list[tuple[int, str | None]] = []
-    for b in x.encode():
-        key = (node << 1) | (b & 1)
-        t = trie.get(key)
-        if t is None:
-            trie[key] = nxt
-            phrases.append((node, chr(b)))
-            nxt += 1
-            node = 0
-        else:
+    for b in x.encode().translate(_BITS):
+        i = node + b
+        t = kids[i]
+        if t:
             node = t
+        else:
+            kids[i] = len(kids)
+            kids += (0, 0)
+            phrases.append((node >> 1, "01"[b]))
+            node = 0
     has_partial = node != 0
     if has_partial:
-        phrases.append((node, None))
-    return LZParse(tuple(phrases), nxt - 1, has_partial)
+        phrases.append((node >> 1, None))
+    return LZParse(tuple(phrases), (len(kids) >> 1) - 1, has_partial)
 
 
 def code_len(x: str) -> int:
     """Phrase-stream length of the LZ78 code of x, in bits."""
     _check_input(x)
-    trie: dict[int, int] = {}
+    kids = [0, 0]  # as in parse
     node = 0
-    nxt = 1
-    total = 0
-    get = trie.get
-    for b in x.encode():
-        key = (node << 1) | (b & 1)
-        t = get(key)
-        if t is None:
-            trie[key] = nxt
-            total += (nxt - 1).bit_length() + 1
-            nxt += 1
-            node = 0
-        else:
+    for b in x.encode().translate(_BITS):
+        i = node + b
+        t = kids[i]
+        if t:
             node = t
-    if node:
-        total += (nxt - 1).bit_length()
-    return total
+        else:
+            kids[i] = len(kids)
+            kids += (0, 0)
+            node = 0
+    c = (len(kids) >> 1) - 1
+    return _phrase_bits(c) + (c.bit_length() if node else 0)
+
+
+def _phrase_bits(c: int) -> int:
+    """S(c) = sum_{j<c} (bitlen(j) + 1): the bits of c complete phrases."""
+    if c <= 1:
+        return c
+    # bitlen(j) = k for the 2^(k-1) values j in [2^(k-1), 2^k); over k < top
+    # that sums to (top - 2) * 2^(top-1) + 1, and each j in [2^(top-1), c) adds top
+    top = (c - 1).bit_length()
+    return c + ((top - 2) << (top - 1)) + 1 + top * (c - (1 << (top - 1)))
 
 
 def phrase_stream(x: str, parsed: LZParse | None = None) -> str:
@@ -255,19 +270,18 @@ def code_length_counts(n: int) -> dict[int, int]:
         G.append([0] * k + gg)
         P.append([0] * (k + 1) + [x + 2 * y for x, y in zip(gg, pg)][: n - k])
     hist: dict[int, int] = {}
-    s = 0  # S(c)
     for c in range(n + 1):
         full = partial = 0
         for k1 in range(c + 1):
             w = math.comb(c, k1)
             full += w * _coeff(G[k1], G[c - k1], n)
             partial += 2 * w * _coeff(P[k1], G[c - k1], n)
+        s = _phrase_bits(c)
         if full:
             hist[s] = hist.get(s, 0) + full
         if partial:
             t = s + c.bit_length()
             hist[t] = hist.get(t, 0) + partial
-        s += c.bit_length() + 1
     hist = dict(sorted(hist.items()))
     _HIST_CACHE[n] = hist
     return hist

@@ -12,9 +12,13 @@ and safe to generate in parallel. A uniform u in [0, 2^64) realizes an
 event of probability p via u < floor(p * 2^64).
 
 Markov transitions use the flip rule: given the previous symbol b, the
-next symbol is b XOR [u < flip_prob(b)]. For symmetric chains the flip
-indicators do not depend on the state, which lets the sampler vectorize
-the whole path as a cumulative XOR.
+next symbol is b XOR [u < flip_prob(b)]. With f0 = [u < a01] and
+f1 = [u < a10], each step maps the previous state through a function on
+{0, 1}: a reset to f0 when f0 != f1, a negation when both fire, the
+identity when neither does. The state at step j is therefore the value of
+the last reset at or before j (the initial symbol counts as one) XOR the
+parity of the negations since, which the sampler computes for the whole
+path with a cumulative XOR and a gather. Symmetric chains never reset.
 """
 
 from __future__ import annotations
@@ -76,6 +80,17 @@ def _path_seed(seed: int, index: int) -> int:
 def _threshold(p: Fraction) -> int:
     """floor(p * 2^64); u < threshold happens with probability ~p."""
     return (p.numerator << 64) // p.denominator
+
+
+def _events(u: np.ndarray, p: Fraction) -> np.ndarray:
+    """Elementwise u < floor(p * 2^64), as a fresh bool array.
+
+    The threshold of p = 1 is 2^64, beyond uint64, so that event is
+    always true without a comparison.
+    """
+    if p >= 1:
+        return np.ones(u.shape, dtype=bool)
+    return u < np.uint64(_threshold(p))
 
 
 def _as_prob(value, name: str) -> Fraction:
@@ -231,47 +246,32 @@ def _bits_to_str(arr: np.ndarray) -> str:
 def _sample_ergodic(model: Union[Bernoulli, Markov], path_seed: int, n: int) -> str:
     u = _stream(path_seed, n)
     if isinstance(model, Bernoulli):
-        thr = np.uint64(min(_threshold(model.p), _MASK64)) if model.p < 1 else None
-        if model.p == 1:
-            bits = np.ones(n, dtype=np.uint8)
-        elif model.p == 0:
-            bits = np.zeros(n, dtype=np.uint8)
-        else:
-            bits = (u < thr).astype(np.uint8)
-        return _bits_to_str(bits)
-    init = bool(int(u[0]) < _threshold(model.pi1))
-    out = np.empty(n, dtype=np.uint8)
-    out[0] = init
-    if n == 1:
-        return _bits_to_str(out)
-    if model.a01 == model.a10:
-        flips = u[1:] < np.uint64(_threshold(model.a01))
-        np.logical_xor.accumulate(flips, out=flips)
-        out[1:] = np.uint8(init) ^ flips.view(np.uint8)
-        return _bits_to_str(out)
-    t0 = _threshold(model.a01)
-    t1 = _threshold(model.a10)
-    state = init
-    rest = u[1:].tolist()
-    for j, uv in enumerate(rest, start=1):
-        state ^= uv < (t1 if state else t0)
-        out[j] = state
-    return _bits_to_str(out)
+        return _bits_to_str(_events(u, model.p).view(np.uint8))
+    f0 = _events(u, model.a01)
+    f1 = _events(u, model.a10)
+    # step 0 is a reset to the initial symbol, drawn from the stationary law
+    f0[0] = _events(u[:1], model.pi1)[0]
+    f1[0] = not f0[0]
+    neg = f0 & f1
+    np.logical_xor.accumulate(neg, out=neg)  # parity of the negations in [0, j]
+    resets = np.flatnonzero(f0 ^ f1)
+    # the value after the last reset k <= j, carried to j by the parity in (k, j]
+    after = f0[resets] ^ neg[resets]
+    state = np.repeat(after, np.diff(resets, append=n)) ^ neg
+    return _bits_to_str(state.view(np.uint8))
 
 
 def _sample_one(model: ProcessModel, path_seed: int, n: int) -> tuple[str, int]:
     """One path plus the index of the ergodic component that produced it."""
     if isinstance(model, Mixture):
-        u0 = int(_stream(path_seed, 1)[0])
+        u0 = _stream(path_seed, 1)
         cum = Fraction(0)
-        idx = len(model.parts) - 1
-        for i, (w, _) in enumerate(model.parts):
+        for idx, (w, comp) in enumerate(model.parts):
             cum += w
-            if u0 < _threshold(cum):
-                idx = i
+            if _events(u0, cum)[0]:  # the weights sum to 1, so the last part always hits
                 break
         child_seed = mix64(path_seed + 2 * _GAMMA)
-        return _sample_ergodic(model.parts[idx][1], child_seed, n), idx
+        return _sample_ergodic(comp, child_seed, n), idx
     return _sample_ergodic(model, path_seed, n), 0
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -50,6 +51,41 @@ def test_gen_threads_do_not_change_output(capsys):
     _, out1, _ = run(base + ["--threads", "1"], capsys)
     _, out2, _ = run(base + ["--threads", "4"], capsys)
     assert out1 == out2
+
+
+# sha256 of `gen --count 3 --n 4096` stdout for the benchmark's models, as
+# the step-by-step flip-rule sampler printed it
+_GEN_DIGESTS = {
+    ("markov:flip=1/10", 1): "391ee4f7e6dd62851a8f197af20cf16b49d7b51a1c5ccdbb643d67ef3caf162b",
+    ("markov:flip=1/10", 2): "86b9f388ebd0b6123d660e3cf81bfaa614ace6f0bb58a18aa0224ed2da469524",
+    ("bernoulli:p=3/10", 1): "5c399f43447755d44ff05915bfbe5c82c2404a874f407b74797a8b0d086bb228",
+    ("bernoulli:p=3/10", 2): "f656e026be42ba5dc1fb90776997d3cdaac3491a7db637a3580f55475930419d",
+    ("markov:a01=1/5,a10=3/5", 1): "f67af433d67ec5fb1d2a23bfbf573814ef26d5359f9aff166b03b14dc969eb01",
+    ("markov:a01=1/5,a10=3/5", 2): "fab26f3b2d0874c998213e8334497cf1f332758260d6180a35431fe80750bc08",
+}
+
+
+def test_gen_output_pinned(capsys):
+    for (model, seed), digest in _GEN_DIGESTS.items():
+        argv = ["gen", "--model", model, "--n", "4096", "--seed", str(seed), "--count", "3"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (model, seed)
+
+
+def test_certain_flips_do_not_overflow(capsys):
+    # a flip probability of 1 has threshold 2^64, one past the uint64 range
+    code, out, _ = run(["gen", "--model", "markov:flip=1", "--n", "8", "--seed", "1",
+                        "--count", "6"], capsys)
+    assert code == 0
+    rows = parse_csv(out)
+    assert {r["bits"] for r in rows} == {"01010101", "10101010"}
+    code, out, _ = run(["typical", "--r-list", "3/4", "--n-list", "64", "--model",
+                        "markov:flip=1", "--samples", "4", "--seed", "1"], capsys)
+    assert code == 0 and parse_csv(out)[0]["method"] == "monte-carlo"
+    code, out, _ = run(["sweep-theorem1", "--model", "markov:flip=1", "--eps", "1/10",
+                        "--n-list", "64", "--samples", "2", "--seed", "1"], capsys)
+    assert code == 0 and parse_csv(out)[0]["n"] == "64"
 
 
 def test_lz_roundtrip_via_cli(capsys):

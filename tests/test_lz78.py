@@ -99,8 +99,56 @@ def test_histogram_matches_direct_enumeration():
 def test_iter_lexicographic_order_and_values():
     seen = list(lz78.iter_with_code_len(6))
     assert [x for x, _ in seen] == sorted(format(v, "06b") for v in range(64))
-    for x, length in seen:
-        assert length == lz78.code_len(x)
+    for n in range(1, 15):
+        for x, length in lz78.iter_with_code_len(n):
+            p = lz78.parse(x)
+            c = p.complete_count
+            assert length == lz78.code_len(x) == _phrase_sum(c) + p.has_partial * c.bit_length()
+
+
+def _dict_trie_parse(x):
+    """LZ78 parse with a dict-keyed trie: the reference for the flat-list trie."""
+    trie = {}
+    node = 0
+    phrases = []
+    for bit in x:
+        t = trie.get((node, bit))
+        if t is None:
+            trie[(node, bit)] = len(trie) + 1
+            phrases.append((node, bit))
+            node = 0
+        else:
+            node = t
+    if node:
+        phrases.append((node, None))
+    return tuple(phrases), len(trie), node != 0
+
+
+def _phrase_sum(c):
+    return sum(j.bit_length() + 1 for j in range(c))
+
+
+def test_flat_trie_matches_dict_trie():
+    models = ["markov:flip=1/10", "bernoulli:p=3/10", "markov:a01=1/5,a10=3/5",
+              "markov:flip=1/8", "bernoulli:p=1/2"]
+    xs = [
+        processes.sample(processes.parse_model_spec(spec), 1 << k, seed=k)
+        for spec in models
+        for k in (12, 14, 16)
+    ]
+    for n in (1, 2, 5, 4096, 65536):
+        xs += ["0" * n, "1" * n, ("01" * n)[:n]]
+    for x in xs:
+        phrases, complete, partial = _dict_trie_parse(x)
+        p = lz78.parse(x)
+        assert (p.phrases, p.complete_count, p.has_partial) == (phrases, complete, partial)
+        expected = _phrase_sum(complete) + (complete.bit_length() if partial else 0)
+        assert lz78.code_len(x) == expected == len(lz78.phrase_stream(x, p))
+
+
+def test_phrase_bits_closed_form():
+    for c in list(range(300)) + [1023, 1024, 1025, 4095, 4096, 4097, 65537]:
+        assert lz78._phrase_bits(c) == _phrase_sum(c)
 
 
 def test_kraft_sums_bounded():

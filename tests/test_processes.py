@@ -23,22 +23,49 @@ def test_sampling_is_deterministic():
     assert P.sample_paths(mix, 10, 3, 5) == P.sample_paths(mix, 10, 3, 5)
 
 
-def test_symmetric_markov_matches_generic_rule():
-    # the vectorized cumulative-XOR path must equal the stated flip rule
-    m = P.Markov(Fraction(1, 10), Fraction(1, 10))
-    from eclab.processes import _path_seed, _sample_ergodic, _stream, _threshold
+def _flip_rule(m: P.Markov, path_seed: int, n: int) -> str:
+    """The scalar flip rule, one step at a time: the sampler's reference."""
+    from eclab.processes import _stream, _threshold
 
-    for seed in range(5):
-        ps = _path_seed(seed, 0)
-        fast = _sample_ergodic(m, ps, 64)
-        u = _stream(ps, 64).tolist()
-        state = int(u[0] < _threshold(m.pi1))
-        slow = [state]
-        for j in range(1, 64):
-            thr = _threshold(m.a10 if state else m.a01)
-            state ^= u[j] < thr
-            slow.append(int(state))
-        assert fast == "".join(map(str, slow))
+    u = _stream(path_seed, n).tolist()
+    state = int(u[0] < _threshold(m.pi1))
+    bits = [state]
+    for j in range(1, n):
+        state ^= u[j] < _threshold(m.a10 if state else m.a01)
+        bits.append(int(state))
+    return "".join(map(str, bits))
+
+
+def test_symmetric_markov_matches_generic_rule():
+    # the vectorized reset/negation composition must equal the stated flip rule
+    # for every chain, symmetric or not, including flip probabilities of 1
+    from eclab.processes import _GAMMA, _path_seed, _sample_ergodic, _stream, _threshold
+
+    F = Fraction
+    chains = [
+        (F(1, 10), F(1, 10)),
+        (F(1, 5), F(3, 5)),
+        (F(1, 2), F(1, 3)),
+        (F(1, 100), F(99, 100)),
+        (F(9, 10), F(1, 10)),
+        (F(1), F(1, 2)),
+        (F(1, 3), F(1)),
+        (F(1), F(1)),
+        (F(1, 2**20), F(1, 3)),
+    ]
+    for a01, a10 in chains:
+        m = P.Markov(a01, a10)
+        for n in (1, 2, 3, 64, 4097):
+            for seed in range(5):
+                ps = _path_seed(seed, 0)
+                assert _sample_ergodic(m, ps, n) == _flip_rule(m, ps, n), (a01, a10, n, seed)
+    parts = ((F(1, 3), P.Markov(F(1, 5), F(3, 5))), (F(2, 3), P.Markov(F(1), F(1, 4))))
+    paths = P.sample_paths(P.Mixture(parts), 4097, 11, 16)
+    for i, (bits, comp) in enumerate(paths):
+        ps = _path_seed(11, i)
+        assert comp == (0 if int(_stream(ps, 1)[0]) < _threshold(F(1, 3)) else 1)
+        assert bits == _flip_rule(parts[comp][1], P.mix64(ps + 2 * _GAMMA), 4097)
+    assert {comp for _, comp in paths} == {0, 1}
 
 
 def test_entropy_rates():
