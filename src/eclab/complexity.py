@@ -289,33 +289,51 @@ class _MarkovGrid:
             k = ((1 << m) - 1) ** 3
             self.m_slices[m] = slice(start, start + k)
             start += k
+        # q0, q1 per (m, a0, a1) block; ai varies fastest, so blocks are runs
+        first = np.flatnonzero(self.ai == 1)
+        self._block_q0, self._block_q1 = self.q0[first], self.q1[first]
+        self._block_len = np.diff(first, append=self.size)
         self._closed: dict[int, np.ndarray] = {}
 
     def entropies(self, n: int) -> np.ndarray:
-        """H over the grid by the same forward recursion as ensembles.entropy."""
+        """H over the grid by the same forward recursion as ensembles.entropy.
+
+        Each step is the scalar step's expressions, in order, into
+        preallocated buffers.
+        """
         p1 = self.pinit.copy()
         total = self.hinit.copy()
+        p0, a, b = np.empty_like(p1), np.empty_like(p1), np.empty_like(p1)
+        stay1 = 1.0 - self.q1
         for _ in range(n - 1):
-            p0 = 1.0 - p1
-            total = total + (p0 * self.h0 + p1 * self.h1)
-            p1 = p0 * self.q0 + p1 * (1.0 - self.q1)
+            np.subtract(1.0, p1, out=p0)
+            np.multiply(p0, self.h0, out=a)
+            np.multiply(p1, self.h1, out=b)
+            np.add(a, b, out=a)
+            np.add(total, a, out=total)
+            np.multiply(p0, self.q0, out=a)
+            np.multiply(p1, stay1, out=p1)
+            np.add(a, p1, out=p1)
         return total
 
     def entropies_closed(self, n: int) -> np.ndarray:
         """Closed form of the same chain-rule sum, for large-n prefiltering.
 
-        Cached per length and returned read-only.
+        The stationary mean and the geometric factor depend on (m, a0, a1)
+        only, so they are computed once per block and repeated over its ai
+        entries. Cached per length and returned read-only.
         """
         cached = self._closed.get(n)
         if cached is not None:
             return cached
-        q0, q1 = self.q0, self.q1
+        q0, q1 = self._block_q0, self._block_q1
         pi1 = q0 / (q0 + q1)
         lam = 1.0 - q0 - q1
-        d1 = self.pinit - pi1
         with np.errstate(divide="ignore", invalid="ignore"):
             geo = np.where(lam == 1.0, float(n - 1), (1.0 - lam ** (n - 1)) / (1.0 - lam))
-        sum_p1 = (n - 1) * pi1 + d1 * geo
+        pi1 = np.repeat(pi1, self._block_len)
+        geo = np.repeat(geo, self._block_len)
+        sum_p1 = (n - 1) * pi1 + (self.pinit - pi1) * geo
         H = self.hinit + self.h0 * ((n - 1) - sum_p1) + self.h1 * sum_p1
         H.flags.writeable = False
         self._closed[n] = H

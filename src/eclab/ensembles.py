@@ -21,6 +21,7 @@ Markov tag by a forward marginal recursion with absolute error below
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -247,6 +248,19 @@ def entropy(e: Ensemble) -> float:
 
 @lru_cache(maxsize=1 << 18)
 def _markov_entropy(n: int, m: int, a0: int, a1: int, ai: int) -> float:
+    """The chain-rule sum H(X_1) + sum_t H(X_t+1 | X_t), added in order.
+
+    Each step's increment and next marginal depend only on the current
+    float p1, so once p1 repeats exactly the increments repeat with it.
+    The loop marks p1 after steps 0, 32, 96, 224, ... (Brent's cycle
+    detection with a first window of 32 steps, so that short lengths pay
+    little for the outer loop) and compares each new p1 with the mark; on
+    a repeat it collects one period of increments and _add_cyclic adds the
+    remaining steps bitwise as this loop would (inside one binade a
+    tie-free period adds an exact multiple of the ulp). On the m <= 6 grid
+    every entry repeats within about a thousand steps, with period at
+    most 4.
+    """
     top = 1 << m
     q0 = a0 / top
     q1 = a1 / top
@@ -254,10 +268,59 @@ def _markov_entropy(n: int, m: int, a0: int, a1: int, ai: int) -> float:
     h1 = binary_entropy(q1)
     p1 = ai / top
     total = binary_entropy(p1)
-    for _ in range(n - 1):
-        p0 = 1.0 - p1
-        total = total + (p0 * h0 + p1 * h1)
-        p1 = p0 * q0 + p1 * (1.0 - q1)
+    done, span = 0, 32
+    while done < n - 1:
+        mark = p1
+        for i in range(min(span, n - 1 - done)):
+            p0 = 1.0 - p1
+            total = total + (p0 * h0 + p1 * h1)
+            p1 = p0 * q0 + p1 * (1.0 - q1)
+            if p1 == mark:  # the marginals repeat with period i + 1 from here
+                incs = []
+                for _ in range(i + 1):
+                    p0 = 1.0 - p1
+                    incs.append(p0 * h0 + p1 * h1)
+                    p1 = p0 * q0 + p1 * (1.0 - q1)
+                return _add_cyclic(total, incs, n - 2 - done - i)
+        done += span
+        span *= 2
+    return total
+
+
+def _add_cyclic(total: float, incs: list[float], k: int) -> float:
+    """total + incs[0] + incs[1] + ... for k terms taken cyclically, each
+    added in double precision: bitwise the float of the plain loop.
+
+    While total stays in one binade [2^(e-1), 2^e), floats there are the
+    multiples of u = 2^(e-53), so fl(total + inc) = total + u*round(inc/u)
+    unless inc/u ends in exactly .5 (a tie, rounded to even by total's own
+    parity). A tie-free cycle of non-negative increments therefore moves
+    total by one fixed multiple of u, and whole cycles are jumped at once
+    as long as every partial sum stays at or below 2^e - u. The binade
+    boundary, ties, non-normal totals, increments as wide as the binade
+    and the tail go one step at a time.
+    """
+    period = len(incs)
+    jumpable = all(0.0 <= inc < math.inf for inc in incs)
+    while k >= period:
+        if jumpable and total >= sys.float_info.min:
+            e = math.frexp(total)[1]
+            u = math.ldexp(1.0, e - 53)
+            units = [inc / u for inc in incs]
+            # an increment of 2^52 units or more leaves the binade in one step
+            if all(r < 2.0**52 and r % 1.0 != 0.5 for r in units):
+                gain = sum(round(r) for r in units)  # per period, in units of u
+                room = int((math.ldexp(1.0, e) - total) / u) - 1
+                cycles = k // period if gain == 0 else min(k // period, room // gain)
+                total += float(cycles * gain) * u
+                k -= cycles * period
+                if k < period:
+                    break
+        for inc in incs:
+            total = total + inc
+        k -= period
+    for inc in incs[:k]:
+        total = total + inc
     return total
 
 

@@ -97,10 +97,10 @@ def naive_khat(x: str, cfg: complexity.FamilyConfig) -> tuple[int, ens.Ensemble]
 
 
 def naive_ec(
-    x: str, delta, Delta, cfg: complexity.FamilyConfig
+    x: str, delta, Delta, cfg: complexity.FamilyConfig, khat: int
 ) -> tuple[Optional[int], Optional[ens.Ensemble]]:
-    khv, _ = naive_khat(x, cfg)
-    T = khv + Fraction(Delta)
+    """Naive ec; `khat` is naive_khat(x, cfg)[0], scored once per x by the caller."""
+    T = khat + Fraction(Delta)
     scored = []
     for e in naive_family(x, cfg):
         # the typicality test already rejects strings outside the support
@@ -116,8 +116,10 @@ def naive_ec(
     return best[0][0], best[1]
 
 
-def naive_coarse_ec(x: str, delta, cfg: complexity.FamilyConfig) -> tuple[float, ens.Ensemble]:
-    khv, _ = naive_khat(x, cfg)
+def naive_coarse_ec(
+    x: str, delta, cfg: complexity.FamilyConfig, khat: int
+) -> tuple[float, ens.Ensemble]:
+    """Naive coarse ec; `khat` is naive_khat(x, cfg)[0], scored once per x by the caller."""
     scored = []
     for e in naive_family(x, cfg):
         if not ens.is_delta_typical(e, x, delta):
@@ -126,7 +128,7 @@ def naive_coarse_ec(x: str, delta, cfg: complexity.FamilyConfig) -> tuple[float,
         obj = 2 * d + ens.entropy(e)
         scored.append(((obj, d, ens.total_info(e)), e))
     best = _naive_min(scored)
-    return float(best[0][0]) - khv, best[1]
+    return float(best[0][0]) - khat, best[1]
 
 
 # --- suites --------------------------------------------------------------------
@@ -330,7 +332,7 @@ def _suite_oracle(fast: bool) -> SuiteResult:
                 failures.append(f"khat x={x}: {kv}/{kw} vs {nkv}/{nkw}")
             for d in deltas:
                 rep = complexity.coarse_ec(x, d, "exact", cfg)
-                nval, nwit = naive_coarse_ec(x, d, cfg)
+                nval, nwit = naive_coarse_ec(x, d, cfg, khat=nkv)
                 cases += 1
                 if rep.coarse_ec != nval or ens.serialize(rep.witness) != ens.serialize(nwit):
                     failures.append(f"coarse x={x} d={d}")
@@ -338,7 +340,7 @@ def _suite_oracle(fast: bool) -> SuiteResult:
                     rep = complexity.ec(
                         x, complexity.ComplexityQuery(delta=d, Delta=D, mode="exact"), cfg
                     )
-                    nv, nw = naive_ec(x, d, D, cfg)
+                    nv, nw = naive_ec(x, d, D, cfg, khat=nkv)
                     cases += 1
                     if (rep.ec, rep.ec_empty) != (nv, nv is None):
                         failures.append(f"ec x={x} d={d} D={D}: {rep.ec} vs {nv}")

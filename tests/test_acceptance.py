@@ -225,9 +225,9 @@ def test_criterion_8_theorem4_and_antimonotonicity():
 
 
 def test_criterion_9_oracle_equivalence():
-    # family reduced to m_max=3 so the deliberately naive reference (which
-    # re-derives khat inside every query by full-family scans in exact
-    # rational arithmetic) finishes in minutes; both sides see the same family
+    # family reduced to m_max=3 so the deliberately naive reference (full-family
+    # scans in exact rational arithmetic, with naive_khat scored once per x and
+    # passed to every query on x) finishes in minutes; both sides see the same family
     cfg = FamilyConfig(m_max=3)
     deltas = (Fraction(0), Fraction(1, 4), Fraction(1))
     Deltas = [Fraction(v) for v in range(0, 33, 2)]
@@ -243,13 +243,13 @@ def test_criterion_9_oracle_equivalence():
                 mismatches.append(("khat", x))
             for d in deltas:
                 rep = C.coarse_ec(x, d, "exact", cfg)
-                nval, nwit = naive_coarse_ec(x, d, cfg)
+                nval, nwit = naive_coarse_ec(x, d, cfg, khat=nkv)
                 cases += 1
                 if rep.coarse_ec != nval or E.serialize(rep.witness) != E.serialize(nwit):
                     mismatches.append(("coarse", x, d))
                 for D in Deltas:
                     rep = C.ec(x, ComplexityQuery(delta=d, Delta=D, mode="exact"), cfg)
-                    nv, nw = naive_ec(x, d, D, cfg)
+                    nv, nw = naive_ec(x, d, D, cfg, khat=nkv)
                     cases += 1
                     if rep.ec != nv or rep.ec_empty != (nv is None):
                         mismatches.append(("ec", x, d, D))

@@ -56,6 +56,11 @@ def test_markov_entropy_tables_match_scalar():
             assert H[j] == E.entropy(e)
         closed = grid.entropies_closed(n)
         assert max(abs(closed - H)) < 1e-9 * max(1, n)
+    # lengths called in descending, then ascending order on one grid give a
+    # fresh grid's bytes: no call leaves state behind for the next
+    grid = C._MarkovGrid(6)
+    for n in (20, 13, 8, 7, 1, 2, 8, 9, 24):
+        assert grid.entropies(n).tobytes() == C._MarkovGrid(6).entropies(n).tobytes(), n
 
 
 _GRID_ARRAYS = (
@@ -113,13 +118,26 @@ def test_markov_orders_match_lexsort():
         assert np.array_equal(t["coarse_order"], coarse_ref), n
 
 
+def _closed_whole_grid(grid, n):
+    """The closed form evaluated entry by entry over the whole grid."""
+    q0, q1 = grid.q0, grid.q1
+    pi1 = q0 / (q0 + q1)
+    lam = 1.0 - q0 - q1
+    d1 = grid.pinit - pi1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        geo = np.where(lam == 1.0, float(n - 1), (1.0 - lam ** (n - 1)) / (1.0 - lam))
+    sum_p1 = (n - 1) * pi1 + d1 * geo
+    return grid.hinit + grid.h0 * ((n - 1) - sum_p1) + grid.h1 * sum_p1
+
+
 def test_closed_entropies_cached_read_only():
-    grid = C._markov_grid(3)
-    for n in (2, 100, 1 << 15):
+    grid = C._MarkovGrid(6)
+    for n in (1, 2, 25, 100, 1 << 12, 1 << 15, 1 << 18, 1 << 20):
         H = grid.entropies_closed(n)
         assert grid.entropies_closed(n) is H
         assert not H.flags.writeable
-        assert H.tobytes() == C._MarkovGrid(3).entropies_closed(n).tobytes()
+        # per-(m, a0, a1) factors repeated over ai: the same bytes
+        assert H.tobytes() == _closed_whole_grid(grid, n).tobytes(), n
 
 
 def test_ec_example_small_budget():

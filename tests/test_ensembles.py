@@ -1,11 +1,14 @@
 import math
+import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from eclab import ensembles as E, lz78, typical_sets
 from eclab.errors import DecodeError
+from eclab.processes import binary_entropy
 
 
 def all_small_ensembles(n: int, m_max: int = 2, r_grid=None):
@@ -222,3 +225,129 @@ def test_decode_uniform_typical_bounded_cost():
     finally:
         if saved is not None:
             lz78._HIST_CACHE[24] = saved
+
+
+def _loop_entropy(n, m, a0, a1, ai):
+    """The defining chain-rule loop, one step at a time (reference)."""
+    top = 1 << m
+    q0, q1 = a0 / top, a1 / top
+    h0, h1 = binary_entropy(q0), binary_entropy(q1)
+    p1 = ai / top
+    total = binary_entropy(p1)
+    for _ in range(n - 1):
+        p0 = 1.0 - p1
+        total = total + (p0 * h0 + p1 * h1)
+        p1 = p0 * q0 + p1 * (1.0 - q1)
+    return total
+
+
+def _entry_probs(entries):
+    """q0, q1 and the initial p1 of (m, a0, a1, ai) entries, one array each."""
+    return [np.array([e[j] / (1 << e[0]) for e in entries]) for j in (1, 2, 3)]
+
+
+def _loop_entropies(n, entries):
+    """The same loop for many entries at once: each numpy step performs the
+    scalar loop's float operations elementwise, in the same order."""
+    q0, q1, p1 = _entry_probs(entries)
+    h0, h1, total = (np.array([binary_entropy(v) for v in q.tolist()]) for q in (q0, q1, p1))
+    for _ in range(n - 1):
+        p0 = 1.0 - p1
+        total = total + (p0 * h0 + p1 * h1)
+        p1 = p0 * q0 + p1 * (1.0 - q1)
+    return total.tolist()
+
+
+def _plain_sum(total, incs, k):
+    for j in range(k):
+        total = total + incs[j % len(incs)]
+    return total
+
+
+def test_add_cyclic_matches_plain_loop():
+    u = 2.0**-52  # spacing of the binade [1, 2)
+    cases = [
+        (1.0, [0.5 * u], 999),  # ties: a half spacing, rounded to even
+        (1.0, [2.5 * u, 0.3], 1001),
+        (1.0 + u, [(3 + 0.5) * u, 7 * u], 4000),
+        (1.0, [0.25], 4),  # lands exactly on 2
+        (1.0, [0.25], 11),  # ... and carries on in [2, 4)
+        (2.0 - 8 * u, [u, u], 20),  # lands on 2, then every inc is a tie
+        (2.0 - 9 * u, [u, 2 * u, u], 30),
+        (2.0**20, [1e-20, 3e-21], 10**5),  # every increment rounds to 0
+        (2.0**20, [1e-20, 0.0, 0.75], 3 * 10**4 + 2),
+        (0.0, [5e-324], 500),  # subnormal totals
+        (1e-300, [1.0], 5),  # increments wider than the binade (inc / u overflows)
+        (2.0**-1000, [0.5, 1e-310], 40),
+        (1.0, [0.1, -0.2], 1000),  # a negative increment: no jumps
+        (1.0, [float("nan")], 5),
+        (1.0, [0.1, 0.2, 0.3], 2),  # fewer steps than one period
+    ]
+    for period in (1, 2, 3, 4):
+        for total in (0.7, 1.0, 3.999999, 12345.678):
+            incs = [0.1 * (j + 1) / 3 + 1e-17 * j for j in range(period)]
+            cases.append((total, incs, 50_000 + period))
+            cases.append((total, [x * 1e-13 for x in incs], 9_999))
+    rng = random.Random(5)
+    for _ in range(200):
+        period = rng.randint(1, 4)
+        total = rng.choice([0.0, 1.0, 2.0**rng.randint(-60, 60)]) * rng.uniform(0.5, 1.5)
+        incs = [rng.choice([0.0, 1e-18, 1.0]) * rng.random() for _ in range(period)]
+        cases.append((total, incs, rng.randint(0, 3000)))
+    for total, incs, k in cases:
+        assert E._add_cyclic(total, incs, k).hex() == _plain_sum(total, incs, k).hex(), (
+            total, incs, k,
+        )
+
+
+def _grid_entries(ms):
+    return [
+        (m, a0, a1, ai)
+        for m in ms
+        for a0 in range(1, 1 << m)
+        for a1 in range(1, 1 << m)
+        for ai in range(1, 1 << m)
+    ]
+
+
+def test_markov_entropy_matches_loop():
+    fast = E._markov_entropy.__wrapped__  # no cache
+    small = _grid_entries(range(1, 5))
+    # the vectorised reference is the scalar loop's float, entry by entry
+    assert _loop_entropies(300, small[::97]) == [_loop_entropy(300, *e) for e in small[::97]]
+    for n in (1, 2, 3, 24, 1043, 1044, 4097, (1 << 15) + 3):
+        ref = _loop_entropies(n, small)
+        assert [fast(n, *e) for e in small] == ref, n
+    # every entry of m <= 6 whose increments cycle with period 3 or 4
+    entries = _grid_entries(range(1, 7))
+    q0, q1, p1 = _entry_probs(entries)
+    stay1, p0 = 1.0 - q1, np.empty_like(p1)
+
+    def step():  # p1 <- p0 * q0 + p1 * (1 - q1), in place
+        np.subtract(1.0, p1, out=p0)
+        np.multiply(p0, q0, out=p0)
+        np.multiply(p1, stay1, out=p1)
+        np.add(p1, p0, out=p1)
+
+    for _ in range(1100):
+        step()
+    start = p1.copy()
+    period = np.zeros(len(entries), dtype=np.int64)
+    for L in (1, 2, 3, 4):
+        step()
+        period[(period == 0) & (p1 == start)] = L
+    assert period.min() >= 1  # every entry repeats within 1100 steps, period <= 4
+    long_cycles = [e for e, L in zip(entries, period.tolist()) if L >= 3]
+    assert len(long_cycles) > 1000
+    assert [fast(5000, *e) for e in long_cycles] == _loop_entropies(5000, long_cycles)
+    for n in (1 << 18, 1 << 20):
+        for e in ((6, 1, 1, 1), (3, 5, 7, 1), (6, 63, 63, 5), (5, 1, 30, 17)):
+            assert fast(n, *e) == _loop_entropy(n, *e), (n, e)
+
+
+def test_markov_entropy_cold_cost_bounded():
+    # the plain loop takes 0.15-0.18 s per call at this length
+    for args in ((1 << 20, 6, 1, 1, 1), (1 << 20, 3, 5, 7, 1)):
+        t0 = time.perf_counter()
+        E._markov_entropy.__wrapped__(*args)  # bypasses the cache
+        assert time.perf_counter() - t0 < 0.05, args
