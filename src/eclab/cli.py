@@ -303,8 +303,8 @@ def _cmd_typical(args) -> int:
 
 def _cmd_khat(args) -> int:
     x = _bits_arg(args.x, "--x")
-    value, witness = complexity.khat(x, mode=args.mode)
     stats = complexity.string_stats(x)
+    value, witness = complexity.khat(x, mode=args.mode, stats=stats)
     report = ComplexityReport(
         n=len(x),
         lz_len=stats.lz_len,

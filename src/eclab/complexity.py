@@ -12,18 +12,27 @@ Exact mode (n <= n_max) evaluates every quantity exactly: code-length
 ceilings use integer bit-length identities (the family's probabilities
 are dyadic, so ceil(-log2 A/2^s) = s - bitlen(A) + 1) and typical-set
 entropies use exhaustive cardinalities. Upper mode replaces the
-uniform-typical entropy with the certified surrogate r*n >= log2 |T(r,n)|,
-making every returned value a sound upper bound at any length.
+uniform-typical entropy with the surrogate r*n >= log2 |T(r,n)|. That is
+meant to make every returned value an upper bound, but beyond n_max the
+same surrogate raises khat and with it the ec budget, so upper-mode ec can
+fall below the exact value (an open item in ROADMAP.md).
 
 Ties among minimizers break on (description length, total information,
 lexicographic serialization). The searches walk per-tag candidate lists
 presorted in exactly that order and merge the per-tag champions with the
 same comparator, so results are deterministic and agree bit for bit with
 a direct scan of the whole family.
+
+In exact mode the Markov tag's ec walk goes m by m: desc is constant on an
+m-slice, so the budget H + desc <= khat + Delta keeps a prefix of the
+slice's total-information order, found by bisection, and the first typical
+entry of that prefix is found by a vectorised scan. The coarse walk runs
+the same scan once over the whole objective order.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import statistics
 from dataclasses import dataclass, field
@@ -61,7 +70,6 @@ __all__ = [
 
 _FLOAT_GUARD = 1e-6  # floats this close to a decision boundary get an exact recheck
 _BIG_N_FLOAT = 64  # above this length, grid log-likelihoods are evaluated in floats
-_WALK_CHUNK = 512
 _STRAGGLER_CAP = 256  # large-n Markov entries retried per m before giving up on m
 
 
@@ -383,7 +391,13 @@ def _markov_tables(m_max: int, n: int) -> dict:
     forces equal m within the tag, where serialization order is just the
     numeric order of (a0, a1, ai)). desc is strictly increasing in m and
     each m's slice is already in (a0, a1, ai) order, so stable sorts give
-    the ec order per slice and the coarse order from the ec order."""
+    the ec order per slice and the coarse order from the ec order.
+
+    Only what depends on n is kept: H and the two orders, as int32 (the
+    grid has fewer than 2^31 entries). The walks rebuild desc, desc + H and
+    2 desc + H for the entries they read, with the same float operations as
+    the sort keys here. Within each m-slice of ec_order desc is constant
+    and desc + H nondecreasing, which lets the ec walk bisect its budget."""
     key = (m_max, n)
     cached = _MARKOV_PER_N.get(key)
     if cached is not None:
@@ -396,16 +410,9 @@ def _markov_tables(m_max: int, n: int) -> dict:
     obj = 2 * desc + H
     ec_order = np.concatenate(
         [sl.start + np.argsort(sig[sl], kind="stable") for sl in grid.m_slices.values()]
-    )
+    ).astype(np.int32)
     coarse_order = ec_order[np.argsort(obj[ec_order], kind="stable")]
-    tables = {
-        "H": H,
-        "desc": desc,
-        "sig": sig,
-        "obj": obj,
-        "ec_order": ec_order,
-        "coarse_order": coarse_order,
-    }
+    tables = {"H": H, "ec_order": ec_order, "coarse_order": coarse_order}
     _MARKOV_PER_N[key] = tables
     return tables
 
@@ -591,10 +598,17 @@ def khat_value(stats: StringStats, cfg: FamilyConfig = DEFAULT_CONFIG, mode: str
 
 
 def khat(
-    x: str, cfg: FamilyConfig = DEFAULT_CONFIG, mode: str = "auto"
+    x: str,
+    cfg: FamilyConfig = DEFAULT_CONFIG,
+    mode: str = "auto",
+    stats: Optional[StringStats] = None,
 ) -> tuple[int, ens.Ensemble]:
-    """Two-part-code minimum together with its canonical witness ensemble."""
-    stats = string_stats(x)
+    """Two-part-code minimum together with its canonical witness ensemble.
+
+    `stats`, when given, must be string_stats(x); it saves parsing x again.
+    """
+    if stats is None:
+        stats = string_stats(x)
     n = stats.n
     mode = _resolve_mode(mode, n, cfg)
     base = 3 + nat_code_len(n)
@@ -642,6 +656,10 @@ def _khat_markov_champion(
     best: Optional[tuple[int, int, float, tuple[int, int, int, int]]] = None
     for m in range(1, cfg.m_max + 1):
         desc = base + nat_code_len(m) + 3 * m
+        # -log2 p(x) >= 0 on every entry, so lg <= m n and cand_value >= desc - 1:
+        # skip, before building lg, any m the test below would skip after it
+        if desc - 2 > best_cut and (best is None or desc - 2 > best[0]):
+            continue
         sl = grid.m_slices[m]
         lg = m * n - _markov_neglogp(stats, grid, sl)  # log2 of the numerators
         lgmax = float(lg.max())
@@ -745,8 +763,9 @@ def _typical_fast(neglogp: float, H: float, delta_f: float) -> bool:
     return neglogp <= H * (1.0 + delta_f) + ens.TYPICALITY_SLACK
 
 
-def _markov_neglogp(stats: StringStats, grid: _MarkovGrid, sl: slice) -> np.ndarray:
-    """-log2 p(x) for the Markov entries in sl, from the transition counts of x."""
+def _markov_neglogp(stats: StringStats, grid: _MarkovGrid, sl) -> np.ndarray:
+    """-log2 p(x) for the Markov entries in sl (a slice or an index array),
+    from the transition counts of x."""
     return (
         (grid.li1 if stats.first else grid.li0)[sl]
         + stats.n00 * grid.c00[sl]
@@ -754,6 +773,10 @@ def _markov_neglogp(stats: StringStats, grid: _MarkovGrid, sl: slice) -> np.ndar
         + stats.n10 * grid.c10[sl]
         + stats.n11 * grid.c11[sl]
     )
+
+
+def _markov_ensemble(grid: _MarkovGrid, n: int, j: int) -> ens.MarkovQuantized:
+    return ens.MarkovQuantized(n, int(grid.m[j]), int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j]))
 
 
 def _markov_stragglers(
@@ -797,7 +820,7 @@ def _markov_confirmed(
     start, v, order = _markov_stragglers(stats, grid, m, delta_f, budget)
     for i in order[:_STRAGGLER_CAP].tolist():
         j = start + i
-        e = ens.MarkovQuantized(stats.n, m, int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j]))
+        e = _markov_ensemble(grid, stats.n, j)
         H = ens.entropy(e)
         if _typical_fast(float(v[i]), H, delta_f):
             yield e, H
@@ -896,6 +919,39 @@ def _ec_candidates(
     return out
 
 
+def _first_typical(
+    stats: StringStats,
+    grid: _MarkovGrid,
+    H: np.ndarray,
+    order: np.ndarray,
+    start: int,
+    stop: int,
+    delta_f: float,
+    allowed: Optional[np.ndarray] = None,
+) -> Optional[int]:
+    """First grid index j in order[start:stop] that makes x delta-typical.
+
+    allowed, when given, is a boolean mask over m (indexed by grid.m) and
+    restricts the entries considered. The test is _markov_neglogp and
+    _typical_fast evaluated elementwise, so each decision is the scalar
+    one bit for bit. Entries are gathered in chunks that grow 4x: most
+    walks stop within the first few entries, a few scan a whole slice.
+    """
+    chunk = 32
+    while start < stop:
+        end = min(start + chunk, stop)
+        js = order[start:end]
+        ok = _markov_neglogp(stats, grid, js) <= H[js] * (1.0 + delta_f) + ens.TYPICALITY_SLACK
+        if allowed is not None:
+            ok &= allowed[grid.m[js]]
+        k = int(ok.argmax())
+        if ok[k]:
+            return int(js[k])
+        start = end
+        chunk *= 4
+    return None
+
+
 def _walk_markov_ec(
     stats: StringStats,
     delta_f: float,
@@ -906,28 +962,20 @@ def _walk_markov_ec(
     n = stats.n
     grid = _markov_grid(cfg.m_max)
     tables = _markov_tables(cfg.m_max, n)
-    H, desc_arr, sig_arr, order = tables["H"], tables["desc"], tables["sig"], tables["ec_order"]
-    li = grid.li1 if stats.first else grid.li0
-    n00, n01, n10, n11 = stats.n00, stats.n01, stats.n10, stats.n11
-    c00, c01, c10, c11 = grid.c00, grid.c01, grid.c10, grid.c11
+    H, order = tables["H"], tables["ec_order"]
+    base = 3 + nat_code_len(n)
     T_f = float(T)
-    for start in range(0, grid.size, _WALK_CHUNK):
-        chunk = order[start : start + _WALK_CHUNK].tolist()
-        for j in chunk:
-            desc = int(desc_arr[j])
-            if desc > T:
-                return None
-            if constraint and not constraint.allows_m(int(grid.m[j])):
-                continue
-            sigma = float(sig_arr[j])
-            if sigma > T_f:
-                continue
-            neglogp = li[j] + n00 * c00[j] + n01 * c01[j] + n10 * c10[j] + n11 * c11[j]
-            if _typical_fast(neglogp, float(H[j]), delta_f):
-                e = ens.MarkovQuantized(
-                    n, int(grid.m[j]), int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j])
-                )
-                return _Candidate(desc, desc, sigma, e)
+    for m, sl in grid.m_slices.items():
+        desc = base + nat_code_len(m) + 3 * m
+        if desc > T:
+            return None
+        if constraint and not constraint.allows_m(m):
+            continue
+        # desc + H is nondecreasing along the slice: the budget keeps a prefix
+        stop = bisect.bisect_right(order, T_f, sl.start, sl.stop, key=lambda j: H[j] + desc)
+        j = _first_typical(stats, grid, H, order, sl.start, stop, delta_f)
+        if j is not None:
+            return _Candidate(desc, desc, float(H[j]) + desc, _markov_ensemble(grid, n, j))
     return None
 
 
@@ -1044,23 +1092,16 @@ def _walk_markov_coarse(
     n = stats.n
     grid = _markov_grid(cfg.m_max)
     tables = _markov_tables(cfg.m_max, n)
-    H, desc_arr, sig_arr, obj_arr = tables["H"], tables["desc"], tables["sig"], tables["obj"]
-    order = tables["coarse_order"]
-    li = grid.li1 if stats.first else grid.li0
-    n00, n01, n10, n11 = stats.n00, stats.n01, stats.n10, stats.n11
-    c00, c01, c10, c11 = grid.c00, grid.c01, grid.c10, grid.c11
-    for start in range(0, grid.size, _WALK_CHUNK):
-        chunk = order[start : start + _WALK_CHUNK].tolist()
-        for j in chunk:
-            if constraint and not constraint.allows_m(int(grid.m[j])):
-                continue
-            neglogp = li[j] + n00 * c00[j] + n01 * c01[j] + n10 * c10[j] + n11 * c11[j]
-            if _typical_fast(neglogp, float(H[j]), delta_f):
-                e = ens.MarkovQuantized(
-                    n, int(grid.m[j]), int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j])
-                )
-                return _Candidate(float(obj_arr[j]), int(desc_arr[j]), float(sig_arr[j]), e)
-    return None
+    H = tables["H"]
+    allowed = None
+    if constraint and constraint.m_max is not None:
+        allowed = np.arange(cfg.m_max + 1) <= constraint.m_max
+    j = _first_typical(stats, grid, H, tables["coarse_order"], 0, grid.size, delta_f, allowed)
+    if j is None:
+        return None
+    desc = 3 + nat_code_len(n) + int(grid.descbase[j])
+    h = float(H[j])
+    return _Candidate(2 * desc + h, desc, h + desc, _markov_ensemble(grid, n, j))
 
 
 def _walk_markov_coarse_big(

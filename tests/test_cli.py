@@ -138,6 +138,17 @@ def test_khat_and_coarse_commands(capsys):
     assert parse_csv(out)[0]["coarse_ec"] == "4.0"
 
 
+def test_khat_parses_x_once(capsys, monkeypatch):
+    from eclab import lz78
+
+    parsed = []
+    code_len = lz78.code_len
+    monkeypatch.setattr(lz78, "code_len", lambda x: parsed.append(x) or code_len(x))
+    code, out, _ = run(["khat", "--x", "0110100110"], capsys)
+    assert code == 0 and parse_csv(out)[0]["lz_len"] == str(code_len("0110100110"))
+    assert parsed == ["0110100110"]
+
+
 def test_sweep_outputs_aggregates_and_constant(capsys):
     argv = [
         "sweep-theorem1",

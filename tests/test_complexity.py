@@ -111,9 +111,15 @@ def test_markov_orders_match_lexsort():
     grid = C._markov_grid(6)
     for n in (1, 2, 9, 20, 24):
         t = C._markov_tables(6, n)
-        desc, sig, obj = t["desc"], t["sig"], t["obj"]
+        # the tables keep only H; the sort keys are rebuilt here from the grid
+        H = t["H"]
+        desc = 3 + nat_code_len(n) + grid.descbase
+        sig = H + desc
+        obj = 2 * desc + H
         ec_ref = np.lexsort((grid.ai, grid.a1, grid.a0, sig, desc))
         coarse_ref = np.lexsort((grid.ai, grid.a1, grid.a0, sig, desc, obj))
+        assert sorted(t) == ["H", "coarse_order", "ec_order"]
+        assert t["ec_order"].dtype == np.int32 and t["coarse_order"].dtype == np.int32
         assert np.array_equal(t["ec_order"], ec_ref), n
         assert np.array_equal(t["coarse_order"], coarse_ref), n
 
@@ -223,6 +229,25 @@ def test_ec_upper_mode_is_sound_upper_bound():
                 cu = C.coarse_ec(x, 0, "upper", SMALL_CFG).coarse_ec
                 ce = C.coarse_ec(x, 0, "exact", SMALL_CFG).coarse_ec
                 assert cu >= ce - 1e-12
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="upper mode is unsound beyond n_max (open item in ROADMAP.md): its ceil(r n) "
+    "surrogate over-estimates khat, so the budget admits uniform-all here",
+)
+def test_ec_upper_mode_not_below_exact_at_n25():
+    # `eclab ec --x 0000000001000100000000010 --delta 0 --Delta 4` prints ec = 12
+    # (upper mode); exact mode with the enumeration bound raised gives 14
+    x = "0000000001000100000000010"
+    upper = C.ec(x, ComplexityQuery(delta=Fraction(0), Delta=Fraction(4), mode="upper"))
+    exact = C.ec(
+        x,
+        ComplexityQuery(delta=Fraction(0), Delta=Fraction(4), mode="exact"),
+        FamilyConfig(n_max=128),
+    )
+    assert upper.mode == "upper" and exact.ec == 14
+    assert upper.ec is None or upper.ec >= exact.ec
 
 
 def test_ec_exact_mode_resource_bound():

@@ -1,0 +1,299 @@
+"""Differential tests of the exact-mode Markov searches at the default m_max = 6.
+
+The references are the per-entry scalar loops that the bisect-and-scan
+walks and the pruned khat champion replaced. They read the sort keys from
+arrays rebuilt here (desc from grid.descbase, total information and
+objective from H) and the orders from np.lexsort, so they share nothing
+with the code under test but the grid and its entropies, which
+test_complexity checks against the scalar definitions.
+"""
+
+import functools
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+
+from eclab import complexity as C, ensembles as E
+from eclab.codec import nat_code_len
+from eclab.complexity import Constraint
+
+CFG = C.DEFAULT_CONFIG
+DELTAS = (Fraction(0), Fraction(1, 4), Fraction(1))
+BUDGETS = (Fraction(0), Fraction(1), Fraction(4), Fraction(16))
+EPS = Fraction(1, 8)
+CONSTRAINTS = (
+    None,
+    Constraint(m_max=1),
+    Constraint(m_max=3),
+    Constraint(tags=frozenset({"markov-q"})),
+)
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_lists() -> dict:
+    grid = C._markov_grid(CFG.m_max)
+    lists = {k: getattr(grid, k).tolist() for k in ("m", "c00", "c01", "c10", "c11")}
+    lists["li"] = (grid.li0.tolist(), grid.li1.tolist())
+    return lists
+
+
+@functools.lru_cache(maxsize=1)
+def _ref_tables(n: int) -> dict:
+    grid = C._markov_grid(CFG.m_max)
+    H = C._markov_tables(CFG.m_max, n)["H"].copy()
+    desc = 3 + nat_code_len(n) + grid.descbase
+    sig = H + desc
+    obj = 2 * desc + H
+    t = {
+        "H": H,
+        "desc": desc,
+        "sig": sig,
+        "obj": obj,
+        "ec_order": np.lexsort((grid.ai, grid.a1, grid.a0, sig, desc)),
+        "coarse_order": np.lexsort((grid.ai, grid.a1, grid.a0, sig, desc, obj)),
+    }
+    # the scalar walks read Python numbers: the same float64 values, read faster
+    t["lists"] = {k: v.tolist() for k, v in t.items()} | _grid_lists()
+    return t
+
+
+def _ensemble(grid, n, j):
+    return E.MarkovQuantized(n, int(grid.m[j]), int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j]))
+
+
+def _ref_walk_ec(stats, delta_f, T, constraint):
+    n = stats.n
+    grid = C._markov_grid(CFG.m_max)
+    t = _ref_tables(n)["lists"]
+    H, desc_arr, sig_arr, ms = t["H"], t["desc"], t["sig"], t["m"]
+    li = t["li"][stats.first]
+    n00, n01, n10, n11 = stats.n00, stats.n01, stats.n10, stats.n11
+    c00, c01, c10, c11 = t["c00"], t["c01"], t["c10"], t["c11"]
+    T_f = float(T)
+    T_floor = math.floor(T)  # desc is an int: desc > T exactly when desc > floor(T)
+    for j in t["ec_order"]:
+        desc = desc_arr[j]
+        if desc > T_floor:
+            return None
+        if constraint and not constraint.allows_m(ms[j]):
+            continue
+        sigma = sig_arr[j]
+        if sigma > T_f:
+            continue
+        neglogp = li[j] + n00 * c00[j] + n01 * c01[j] + n10 * c10[j] + n11 * c11[j]
+        if C._typical_fast(neglogp, float(H[j]), delta_f):
+            return (desc, desc, sigma, _ensemble(grid, n, j))
+    return None
+
+
+def _ref_walk_coarse(stats, delta_f, constraint):
+    n = stats.n
+    grid = C._markov_grid(CFG.m_max)
+    t = _ref_tables(n)["lists"]
+    H, desc_arr, sig_arr, obj_arr, ms = t["H"], t["desc"], t["sig"], t["obj"], t["m"]
+    li = t["li"][stats.first]
+    n00, n01, n10, n11 = stats.n00, stats.n01, stats.n10, stats.n11
+    c00, c01, c10, c11 = t["c00"], t["c01"], t["c10"], t["c11"]
+    for j in t["coarse_order"]:
+        if constraint and not constraint.allows_m(ms[j]):
+            continue
+        neglogp = li[j] + n00 * c00[j] + n01 * c01[j] + n10 * c10[j] + n11 * c11[j]
+        if C._typical_fast(neglogp, float(H[j]), delta_f):
+            return (float(obj_arr[j]), int(desc_arr[j]), float(sig_arr[j]), _ensemble(grid, n, j))
+    return None
+
+
+def _ref_khat_champion(stats, best_cut):
+    """The champion search without the desc-only skip."""
+    n = stats.n
+    grid = C._markov_grid(CFG.m_max)
+    base = 3 + nat_code_len(n)
+    H = _ref_tables(n)["H"]
+    best = None
+    for m in range(1, CFG.m_max + 1):
+        desc = base + nat_code_len(m) + 3 * m
+        sl = grid.m_slices[m]
+        lg = m * n - C._markov_neglogp(stats, grid, sl)
+        lgmax = float(lg.max())
+        cand_value = desc + m * n - math.floor(lgmax) - 1
+        if cand_value - 1 > best_cut and (best is None or cand_value - 1 > best[0]):
+            continue
+        band = math.floor(lgmax) - 1 - C._FLOAT_GUARD
+        near = np.flatnonzero(lg >= band)
+        best_bl = -1
+        tied = []
+        top = 1 << m
+        for idx in near.tolist():
+            j = sl.start + idx
+            num = (
+                (int(grid.ai[j]) if stats.first else top - int(grid.ai[j]))
+                * int(grid.a0[j]) ** stats.n01
+                * (top - int(grid.a0[j])) ** stats.n00
+                * int(grid.a1[j]) ** stats.n10
+                * (top - int(grid.a1[j])) ** stats.n11
+            )
+            bl = num.bit_length()
+            if bl > best_bl:
+                best_bl, tied = bl, [j]
+            elif bl == best_bl:
+                tied.append(j)
+        value = desc + m * n - best_bl + 1
+        tied.sort(
+            key=lambda j: (float(H[j]) + desc, int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j]))
+        )
+        j = tied[0]
+        params = (m, int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j]))
+        cand = (value, desc, float(H[j]) + desc, params)
+        if best is None or (cand[0], cand[1], cand[2], cand[3][1:]) < (
+            best[0], best[1], best[2], best[3][1:],
+        ):
+            best = cand
+    if best is None:
+        return None
+    value, desc, sigma, params = best
+    return value, desc, sigma, E.MarkovQuantized(n, *params)
+
+
+def _as_tuple(c):
+    return None if c is None else (c.objective, c.desc, c.sigma, c.ensemble)
+
+
+def _seeded_strings(seed: str, lengths) -> list[str]:
+    """Low-entropy, Markov-like, fair-coin and run-heavy strings per length."""
+    rng = random.Random(seed)
+    out = []
+    for n in lengths:
+        low = [int(rng.random() < 1 / 16) for _ in range(n)]
+        if rng.random() < 0.5:
+            low = [1 - b for b in low]
+        state, markov = rng.getrandbits(1), []
+        for _ in range(n):
+            markov.append(state)
+            state ^= rng.random() < 1 / 5
+        fair = [rng.getrandbits(1) for _ in range(n)]
+        cuts = set(rng.sample(range(1, n), rng.randint(1, 3)))
+        state, runs = rng.getrandbits(1), []
+        for i in range(n):
+            state ^= i in cuts
+            runs.append(state)
+        out += ["".join(map(str, b)) for b in (low, markov, fair, runs)]
+    return out
+
+
+def _distinct_stats(xs):
+    """One (x, stats) per StringStats: the Markov searches read nothing else of x."""
+    seen = {}
+    for x in xs:
+        st = C.string_stats(x)
+        seen.setdefault(st.key, (x, st))
+    return sorted(seen.values(), key=lambda p: p[1].key)
+
+
+def _check_walks(stats):
+    n = stats.n
+    khv = C.khat_value(stats, CFG, "auto")  # beyond n_max any budget will do
+    Ts = [khv + D for D in BUDGETS] + [khv + EPS * n]
+    for delta in DELTAS:
+        delta_f = float(delta)
+        for constraint in CONSTRAINTS:
+            got = _as_tuple(C._walk_markov_coarse(stats, delta_f, constraint, CFG))
+            assert got == _ref_walk_coarse(stats, delta_f, constraint), (stats, delta, constraint)
+            for T in Ts:
+                got = _as_tuple(C._walk_markov_ec(stats, delta_f, T, constraint, CFG))
+                want = _ref_walk_ec(stats, delta_f, T, constraint)
+                assert got == want, (stats, delta, T, constraint)
+
+
+def _check_khat(x, stats, monkeypatch):
+    """The champion at khat's own cut (seen through khat), a few bits above
+    it, and at a cut that prunes every m."""
+    champion = C._khat_markov_champion
+    seen = []
+
+    def both(st, cfg, best_cut):
+        got = champion(st, cfg, best_cut)
+        assert got == _ref_khat_champion(st, best_cut), (st, best_cut)
+        seen.append(best_cut)
+        return got
+
+    with monkeypatch.context() as mp:
+        mp.setattr(C, "_khat_markov_champion", both)
+        C.khat(x, CFG, "exact", stats=stats)
+    assert len(seen) == 1
+    for best_cut in (0, seen[0] + 4):
+        assert champion(stats, CFG, best_cut) == _ref_khat_champion(stats, best_cut), best_cut
+    assert champion(stats, CFG, 0) is None
+
+
+def test_walks_match_scalar_reference_all_short_strings(monkeypatch):
+    xs = (format(v, f"0{n}b") for n in range(1, 10) for v in range(1 << n))
+    for x, stats in _distinct_stats(xs):
+        _check_walks(stats)
+        _check_khat(x, stats, monkeypatch)
+
+
+def test_walks_match_scalar_reference_seeded_strings(monkeypatch):
+    for x, stats in _distinct_stats(_seeded_strings("exact-walks", range(10, 25))):
+        _check_walks(stats)
+        _check_khat(x, stats, monkeypatch)
+
+
+def test_walks_match_scalar_reference_beyond_nmax():
+    """At n = 32-64 higher orders win the coarse walk, so mmax binds there."""
+    bound = 0
+    for _x, stats in _distinct_stats(_seeded_strings("longer", (32, 48, 64))):
+        _check_walks(stats)
+        free = C._walk_markov_coarse(stats, 1.0, None, CFG)
+        bound += free.ensemble.m > 1
+    assert bound > 0
+
+
+def test_first_typical_across_chunk_boundaries():
+    """Windows starting up to 700 entries before an isolated typical entry,
+    so it lies at every offset through the first three chunks, with the
+    window's stop just past it and at it."""
+    grid = C._markov_grid(CFG.m_max)
+    isolated = 0
+    for x in ("000000000000000000001", "0110100110010110"):
+        stats = C.string_stats(x)
+        t = _ref_tables(stats.n)
+        H, order = t["H"], t["ec_order"]
+        v = C._markov_neglogp(stats, grid, order)
+        hits = np.flatnonzero(v <= H[order] + E.TYPICALITY_SLACK)
+        for prev, hit in zip(hits.tolist(), hits[1:].tolist()):
+            if hit - prev <= 700:
+                continue
+            isolated += 1
+            for start in range(hit - 700, hit + 1):
+                got = C._first_typical(stats, grid, H, order, start, hit + 1, 0.0)
+                assert got == order[hit], (x, hit, start)
+                assert C._first_typical(stats, grid, H, order, start, hit, 0.0) is None
+    assert isolated >= 4
+
+
+def test_walks_match_at_budget_edges():
+    """Budgets below every Markov desc, exactly at per-m minima of desc + H
+    and one ulp either side: the bisection's boundary cases, including an
+    m whose budget prefix is empty while a later m's is not."""
+    grid = C._markov_grid(CFG.m_max)
+    below_all = skipped_then_found = 0
+    for _x, stats in _distinct_stats(_seeded_strings("budget-edges", (12, 20, 24))):
+        t = _ref_tables(stats.n)
+        mins = [float(t["sig"][sl].min()) for sl in grid.m_slices.values()]
+        extra = [Fraction(0), Fraction(t["desc"].min() - 1)]
+        for v in mins:
+            extra += [Fraction(v), Fraction(math.nextafter(v, -math.inf)),
+                      Fraction(math.nextafter(v, math.inf))]
+        for T in extra:
+            for delta in DELTAS:
+                got = _as_tuple(C._walk_markov_ec(stats, float(delta), T, None, CFG))
+                assert got == _ref_walk_ec(stats, float(delta), T, None), (stats, delta, T)
+            found = C._walk_markov_ec(stats, 1.0, T, None, CFG)
+            if T < t["desc"].min():
+                below_all += 1
+                assert found is None
+            if found is not None and any(v > float(T) for v in mins[: found.ensemble.m - 1]):
+                skipped_then_found += 1
+    assert below_all > 0 and skipped_then_found > 0

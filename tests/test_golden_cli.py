@@ -1,0 +1,124 @@
+"""Pinned stdout of the exact-mode CLI surface at n = 21-24.
+
+Each argv's stdout SHA-256 was recorded before the exact Markov walks were
+vectorised; any change to a printed byte of `khat`, `ec` or `coarse-ec`
+in exact mode fails here. The strings are low-entropy, Markov-like,
+fair-coin and run-heavy, four per length.
+"""
+
+import hashlib
+
+import pytest
+
+from eclab import cli
+
+_STRINGS = {
+    21: ["111111111101101111111", "111110001101111111111",
+         "100100000011010001100", "000000000111111000000"],
+    22: ["1110111111111110111111", "0000000000001111110000",
+         "1000000111010000110101", "1111000000000000000000"],
+    23: ["00000000010000000000000", "11001111111111100011111",
+         "01010110100010100101101", "00000000000001111111111"],
+    24: ["000000010000000000000000", "000000111000000001111000",
+         "101101011000110010110011", "000000000000111111111111"],
+}
+_DELTAS = ("0", "1/4", "1")
+_BUDGETS = ("0", "1", "4", "16")
+_CONSTRAINTS = (
+    "tags=markov-q;mmax=3",
+    "tags=markov-q,iid;mmax=1",
+    "tags=uniform-typ;rmin=1/2",
+    "mmax=2;rmin=1/4;rmax=3/4",
+)
+
+
+def _golden_argv() -> list[list[str]]:
+    out = []
+    i = 0
+    for n, xs in _STRINGS.items():
+        for k, x in enumerate(xs):
+            out.append(["khat", "--x", x])
+            out.append(["coarse-ec", "--x", x, "--delta", _DELTAS[i % 3]])
+            out.append(["ec", "--x", x, "--delta", _DELTAS[(i + 1) % 3],
+                        "--Delta", _BUDGETS[i % 4], "--mode", "exact"])
+            if k == 0:
+                out.append(["ec", "--x", x, "--delta", "0", "--eps", "1/8"])
+            if k < 2:
+                c = _CONSTRAINTS[(i // 4 + k) % 4]
+                out.append(["ec", "--x", x, "--delta", _DELTAS[i % 3], "--Delta", "4",
+                            "--constraint", c])
+            i += 1
+    for j in range(0, len(out), 10):
+        out[j] = out[j] + ["--format", "json"]
+    return out
+
+
+_DIGESTS = {
+    'khat --x 111111111101101111111 --format json': "53fc64fdb18c86fa335e1a3b18c45771230aae626e940f501a3521bf769d4045",
+    'coarse-ec --x 111111111101101111111 --delta 0': "143568136caeb2bbc3862c5d0b0ef62a9866168d825d5a8398394a2047b7f004",
+    'ec --x 111111111101101111111 --delta 1/4 --Delta 0 --mode exact': "22cc8003bec9631370b1b1a78fd0600348bceb034e022b906d5c7f778b29d8e3",
+    'ec --x 111111111101101111111 --delta 0 --eps 1/8': "30e1f4270f5947454c9dcdaad740ef231e3aa215301ce0c2d290bba5e1c20f0d",
+    'ec --x 111111111101101111111 --delta 0 --Delta 4 --constraint tags=markov-q;mmax=3': "09f2ed8c3e587a24199ac193cce6b9f36c6e00408b3542d9f763afb42cd0307b",
+    'khat --x 111110001101111111111': "617c155604449cb4376858e0a87cde94b1df893c69f93930b0d634d02cd1c9b0",
+    'coarse-ec --x 111110001101111111111 --delta 1/4': "4ecdead4f7ab8ab1321d2d261f37cb8ea0486ea496f9ae2d0615cbd4dd5fb6df",
+    'ec --x 111110001101111111111 --delta 1 --Delta 1 --mode exact': "dcccca0453bd2f54a0ab2fd21fc137f554e78d8676771e6d99bd1f31dcdea4bf",
+    'ec --x 111110001101111111111 --delta 1/4 --Delta 4 --constraint tags=markov-q,iid;mmax=1': "57674a47f6fa912bcb6d5570de90450b03c46b72575562460f9a2f525cb6e178",
+    'khat --x 100100000011010001100': "c88d5a6b90af6380dfb486985a0732d06ddfad1106866a697c99b15b0c407276",
+    'coarse-ec --x 100100000011010001100 --delta 1 --format json': "3521d9e36c090ad63f1ab2464b411aa807211b0726ef9f621fa423a2a47b3460",
+    'ec --x 100100000011010001100 --delta 0 --Delta 4 --mode exact': "13b67eef861bd7ee3cccc316065e184b9579f37d8fa612d7b0aa37dcf7197d1f",
+    'khat --x 000000000111111000000': "617c155604449cb4376858e0a87cde94b1df893c69f93930b0d634d02cd1c9b0",
+    'coarse-ec --x 000000000111111000000 --delta 0': "e6361825f81095905e2b1c8c2f215b1564492a7b75233ef864aafd1d313c2ce3",
+    'ec --x 000000000111111000000 --delta 1/4 --Delta 16 --mode exact': "7c013980fb1ac460062654fd9f638aabef4c17bb4de666949ec072661b3cfdcc",
+    'khat --x 1110111111111110111111': "21207483906b3daf0e15a1743db5143ade38666e7ccd88fd5594ea9d27b18984",
+    'coarse-ec --x 1110111111111110111111 --delta 1/4': "699ea5dbec465102512ede8e0c0842e2f9c213cd9c7fd233d5183e41d7a6708e",
+    'ec --x 1110111111111110111111 --delta 1 --Delta 0 --mode exact': "dccc6474d4fc01f95d6842378459dc5287a0910f47f697d591e7b041c241b256",
+    'ec --x 1110111111111110111111 --delta 0 --eps 1/8': "4c0f9ff0a0aa64984aece1b1be9bcfc4e784fc14ff71c2de0429a18d149b9c87",
+    'ec --x 1110111111111110111111 --delta 1/4 --Delta 4 --constraint tags=markov-q,iid;mmax=1': "1599b4dc9e28dc266f74eb0bb8954b4badf527d3c5d99010d5e4dc65ecd4f98c",
+    'khat --x 0000000000001111110000 --format json': "648a488de8a08dada48aba947c2d1137811234804b8b5aada2e03545b1a2148a",
+    'coarse-ec --x 0000000000001111110000 --delta 1': "d66c0badcac0b476121e6b14fb8c8f80cba837dc8719f23139f96addc6082be5",
+    'ec --x 0000000000001111110000 --delta 0 --Delta 1 --mode exact': "538e6d9e8fdf82adf5b501514016f167ea5824cd2deceb4396bdd7dd235b8982",
+    'ec --x 0000000000001111110000 --delta 1 --Delta 4 --constraint tags=uniform-typ;rmin=1/2': "10870dcf3a4635a44c936ac84d3ce9489055b8e5e4f4d57b50e3b97e20026a14",
+    'khat --x 1000000111010000110101': "23098ed27988b4976e8f6eed1bc81d97b6a870689c953e55b44f497a5b733b19",
+    'coarse-ec --x 1000000111010000110101 --delta 0': "0c7c0aef64eda6ee112ec8dfaeaeccd01d381ebe2e3d6c36a6c03d75c210db94",
+    'ec --x 1000000111010000110101 --delta 1/4 --Delta 4 --mode exact': "fc162c5a0ef2c8471f6ca0155760a42b4e8bef44c35a6ee3550d0f26ae92a6bc",
+    'khat --x 1111000000000000000000': "4cc635cd7ea7a61211b0d11fc4fdebe023d25e71c0b5285251b0342dd2040940",
+    'coarse-ec --x 1111000000000000000000 --delta 1/4': "6d22b3051a04c1ca8b2340f570c48d194b6bea02e304ad2948ace8497aa4ce21",
+    'ec --x 1111000000000000000000 --delta 1 --Delta 16 --mode exact': "a7842e023c6b6e62f62745b1dc05e71b09990ffadff82fdec2bba81460e6da55",
+    'khat --x 00000000010000000000000 --format json': "8bda014ab284cbc1beea8b3623f3153674cfdfcb6c51d33b2d423d2a59f7262c",
+    'coarse-ec --x 00000000010000000000000 --delta 1': "b60dad1807ab14bac7ef471ee323453acb2b035d7661cb7fc5f09f3d43549bff",
+    'ec --x 00000000010000000000000 --delta 0 --Delta 0 --mode exact': "221cceb6edb20097844bd721da98345cdbc87c9f01144fc2d9db215a0bb0fcf4",
+    'ec --x 00000000010000000000000 --delta 0 --eps 1/8': "04520e19c2a725d1fecd7fd3d904a959ba7d445b7051ed633e1945264edb4ccd",
+    'ec --x 00000000010000000000000 --delta 1 --Delta 4 --constraint tags=uniform-typ;rmin=1/2': "9eb6f2dc6374a5c1333457a251c62237eaec0ce16276252682541e71a911b3bd",
+    'khat --x 11001111111111100011111': "f0b1441faefa5597364f81d22e1a114a575a7b0e6a97536cea8cdb7fe3df5f1c",
+    'coarse-ec --x 11001111111111100011111 --delta 0': "17c699a6ddb64221e848d8d0761da5812ac3204e4176c8ba2c5f0e2a1be11159",
+    'ec --x 11001111111111100011111 --delta 1/4 --Delta 1 --mode exact': "0efaa34355a2af5edc4c0b3f0dad6f5a3229d5e9e7b2376bb7b62a850442a33b",
+    'ec --x 11001111111111100011111 --delta 0 --Delta 4 --constraint mmax=2;rmin=1/4;rmax=3/4': "7a17d7efa07e2fe399c10c8a61d27a809530ba4dc23b52389fe715f8dc907998",
+    'khat --x 01010110100010100101101': "ee4874a4580370e89a8804fae3006f31c6d308925e0b93a87cbe57b8797a4ea5",
+    'coarse-ec --x 01010110100010100101101 --delta 1/4 --format json': "bd0409fbfde32c51dfbc3d881a627c90c08eb35dafb8a6da7f2a8c38fabecdcd",
+    'ec --x 01010110100010100101101 --delta 1 --Delta 4 --mode exact': "eb0294a43f27f577d2f3513349fe807a7ac526658713fae519edca4c9848d9b3",
+    'khat --x 00000000000001111111111': "eda95233a6196c04223d622221b2fd5abc4c90e6b821f19c74570839926bc4f8",
+    'coarse-ec --x 00000000000001111111111 --delta 1': "bbb49e3fa15112d9982ece9b71abbb2ca7f11f88eeb4feb560b24267725bc261",
+    'ec --x 00000000000001111111111 --delta 0 --Delta 16 --mode exact': "9c634e47d0df1442dffc0874183383e03e344fe6904fc78b99ba647981b2ee4e",
+    'khat --x 000000010000000000000000': "4c84e1f159c51cf733be619c1f5faa77319add6b0b2b9742cd0fc19a63d8fb9d",
+    'coarse-ec --x 000000010000000000000000 --delta 0': "f149acc4bb939d5764619c31000eec220e8451504d45797a7fd1d53287633532",
+    'ec --x 000000010000000000000000 --delta 1/4 --Delta 0 --mode exact': "698122aee44565cb036e6260135c1358d461593b3698f85147c8bc426858af3b",
+    'ec --x 000000010000000000000000 --delta 0 --eps 1/8': "d0cf959d008a5ec8d709e1507bd42575fb5872312fbe05c327019f18457e85e1",
+    'ec --x 000000010000000000000000 --delta 0 --Delta 4 --constraint mmax=2;rmin=1/4;rmax=3/4': "f5a09654ae7af91643be287cde5d9eab0d4fe8c9de40aed02c247534a92a5e17",
+    'khat --x 000000111000000001111000 --format json': "37681271727364bb010d907723322917e969d6f5ddf85380b1c7537564c3b996",
+    'coarse-ec --x 000000111000000001111000 --delta 1/4': "3d7371d9eec4ac80c1d3990a371e0c6cd10ac01d67beab96f9e1b4ea1a22adad",
+    'ec --x 000000111000000001111000 --delta 1 --Delta 1 --mode exact': "5eed500d443f979110c0e9e88d90a9696769db7a854afd669e4c2bfd98c6d3f5",
+    'ec --x 000000111000000001111000 --delta 1/4 --Delta 4 --constraint tags=markov-q;mmax=3': "4517f29db2ab619e6abca1a8ff4ddecb26294dd402bb2e911bcf1a6b4d6e54a5",
+    'khat --x 101101011000110010110011': "6d24b2820b634b548ef41ea3273c5cf7ab412c2fdb368e52df9ab154d2328453",
+    'coarse-ec --x 101101011000110010110011 --delta 1': "e75fdb9bd6aef97bf9e73d7fa2cb8fb556549ac9366f337dac402aad1db751d7",
+    'ec --x 101101011000110010110011 --delta 0 --Delta 4 --mode exact': "00835ca4521823bc7674e00edf1a2a61f3dcc6f007edf8a246dee7199fc54db6",
+    'khat --x 000000000000111111111111': "1140857fb456ee2cbd2be290af1aac754dec20a16ac3175494010ca842a04488",
+    'coarse-ec --x 000000000000111111111111 --delta 0': "3b081e2129636b9735bc8f2a11650598424cc3ca3cf659689200dcf682126f81",
+    'ec --x 000000000000111111111111 --delta 1/4 --Delta 16 --mode exact': "a1a19e1b5582e520e38b4967cb3e25738f0fd075131a72d5cc973c52942f8e09",
+}
+
+
+@pytest.mark.parametrize("argv", _golden_argv(), ids=" ".join)
+def test_golden_cli_stdout(argv, capsys):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _DIGESTS[" ".join(argv)]
