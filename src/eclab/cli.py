@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import complexity, ensembles as ens, lz78, processes, selftest, typical_sets
-from .codec import nat_code_len
+from .codec import is_bits, nat_code_len
 from .complexity import ComplexityQuery, ComplexityReport, Constraint
 from .errors import DecodeError, ResourceLimitError
 
@@ -79,7 +79,7 @@ def _fraction(flag: str):
 def _bits_arg(text: str, flag: str) -> str:
     if not text:
         raise ValueError(f"{flag}: string must be nonempty")
-    if text.count("0") + text.count("1") != len(text):
+    if not is_bits(text):
         raise ValueError(f"{flag}: string must consist of '0'/'1'")
     return text
 
@@ -136,7 +136,7 @@ def _report_row(report: ComplexityReport, kind: str, sample=0, seed="") -> dict:
     if kind == "ec":
         ec_field = "EMPTY-DOMAIN" if report.ec_empty else report.ec
     if kind == "coarse":
-        coarse_field = report.coarse_ec
+        coarse_field = "EMPTY-DOMAIN" if report.ec_empty else report.coarse_ec
     return {
         "n": report.n,
         "sample": sample,
@@ -196,6 +196,7 @@ def _build_parser() -> _Parser:
         if name == "ec":
             p.add_argument("--Delta", default=None)
             p.add_argument("--eps", default=None)
+        if name != "khat":
             p.add_argument("--constraint", default=None)
         _add_common(p)
 
@@ -338,7 +339,10 @@ def _cmd_ec(args) -> int:
 
 def _cmd_coarse(args) -> int:
     x = _bits_arg(args.x, "--x")
-    report = complexity.coarse_ec(x, _fraction("--delta")(args.delta), mode=args.mode)
+    constraint = Constraint.parse(args.constraint) if args.constraint else None
+    report = complexity.coarse_ec(
+        x, _fraction("--delta")(args.delta), mode=args.mode, constraint=constraint
+    )
     _emit([_report_row(report, "coarse")], REPORT_COLUMNS, args)
     return 0
 

@@ -16,6 +16,7 @@ from math import gcd
 from .errors import DecodeError
 
 __all__ = [
+    "is_bits",
     "encode_nat",
     "decode_nat",
     "nat_code_len",
@@ -25,6 +26,16 @@ __all__ = [
     "pack_bits",
     "unpack_bits",
 ]
+
+
+def is_bits(x: str) -> bool:
+    """True when every character of x is ASCII '0' or '1' (so also for "").
+
+    Equal to `x.count("0") + x.count("1") == len(x)`, at C speed: isascii()
+    goes first, so a lone surrogate or any other non-ASCII text is rejected
+    before it can reach encode().
+    """
+    return x.isascii() and not x.encode("ascii").translate(None, b"01")
 
 
 def encode_nat(n: int) -> str:

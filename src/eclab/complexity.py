@@ -37,7 +37,7 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -68,9 +68,14 @@ __all__ = [
     "budget_fits",
 ]
 
-_FLOAT_GUARD = 1e-6  # floats this close to a decision boundary get an exact recheck
+# a float log2 this close to an integer is rechecked exactly: _floor_log2_guarded
+# then takes the floor from the integer factors, with powers of two as shifts
+_FLOAT_GUARD = 1e-6
 _BIG_N_FLOAT = 64  # above this length, grid log-likelihoods are evaluated in floats
 _STRAGGLER_CAP = 256  # large-n Markov entries retried per m before giving up on m
+
+
+_R_GRID_IDS: dict[tuple[Fraction, ...], int] = {}
 
 
 @dataclass(frozen=True)
@@ -80,6 +85,12 @@ class FamilyConfig:
     r_grid: tuple[Fraction, ...] = typical_sets.DEFAULT_R_GRID
     m_max: int = 6
     n_max: int = typical_sets.DEFAULT_N_MAX
+    # a small int naming r_grid, assigned once per instance, so the table
+    # caches do not hash the grid's Fractions on every lookup
+    grid_id: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "grid_id", _R_GRID_IDS.setdefault(self.r_grid, len(_R_GRID_IDS)))
 
     def echo(self) -> dict:
         return {
@@ -173,7 +184,7 @@ class ComplexityReport:
     lz_len: int
     khat: int
     ec: Optional[int] = None
-    ec_empty: bool = False
+    ec_empty: bool = False  # the (constrained) domain of ec or coarse_ec was empty
     ec_is_upper_bound: bool = False
     coarse_ec: Optional[float] = None
     witness: Optional[ens.Ensemble] = None
@@ -443,7 +454,7 @@ def _ut_tables(cfg: FamilyConfig, n: int, exact: bool) -> dict:
     Entries are (desc, H_or_surrogate, sig, obj, r, member threshold,
     serialization payload); exact entries exist only for nonempty sets.
     """
-    key = (cfg.r_grid, cfg.n_max, n, exact)
+    key = (cfg.grid_id, cfg.n_max, n, exact)
     cached = _UT_PER_N.get(key)
     if cached is not None:
         return cached
@@ -509,11 +520,32 @@ def _best_factor_log(m: int, e1: int, e0: int) -> tuple[int, float]:
     return best_a, best_v
 
 
-def _floor_log2_guarded(lg: float, exact_value: Callable[[], int]) -> int:
-    """floor of a log2 evaluated in floats, with an exact integer fallback."""
+def _floor_log2_product(factors: Iterable[tuple[int, int]]) -> int:
+    """floor(log2 of the product of base**exp), exactly, for bases >= 1.
+
+    Each base is 2^k * odd: its power of two becomes a shift of k * exp and
+    only the odd parts are multiplied, so a product of powers of two costs
+    no big-integer arithmetic at all.
+    """
+    shift = 0
+    odd = 1
+    for base, exp in factors:
+        k = (base & -base).bit_length() - 1
+        shift += k * exp
+        if base >> k != 1:
+            odd *= _ipow(base >> k, exp)
+    return shift + odd.bit_length() - 1
+
+
+def _floor_log2_guarded(lg: float, factors: Iterable[tuple[int, int]]) -> int:
+    """floor(lg), where lg is the float log2 of the product of base**exp.
+
+    When lg lies within _FLOAT_GUARD of an integer, the floor comes from
+    the exact _floor_log2_product(factors) instead.
+    """
     f = math.floor(lg)
     if min(lg - f, f + 1 - lg) < _FLOAT_GUARD:
-        return exact_value().bit_length() - 1
+        return _floor_log2_product(factors)
     return f
 
 
@@ -559,9 +591,7 @@ def khat_value(stats: StringStats, cfg: FamilyConfig = DEFAULT_CONFIG, mode: str
                 bl = _best_factor_exact(m, ones, zeros).bit_length() - 1
             else:
                 a_star, lg = _best_factor_log(m, ones, zeros)
-                bl = _floor_log2_guarded(
-                    lg, lambda a=a_star, mm=m: _ipow(a, ones) * _ipow((1 << mm) - a, zeros)
-                )
+                bl = _floor_log2_guarded(lg, ((a_star, ones), ((1 << m) - a_star, zeros)))
             cand = desc_iid + m * n - bl
             if cand < best:
                 best = cand
@@ -579,18 +609,16 @@ def khat_value(stats: StringStats, cfg: FamilyConfig = DEFAULT_CONFIG, mode: str
                 a0s, lg0 = _best_factor_log(m, stats.n01, stats.n00)
                 a1s, lg1 = _best_factor_log(m, stats.n10, stats.n11)
                 lg = math.log2(top - 1) + lg0 + lg1
-
-                def exact_num(a0=a0s, a1=a1s, mm=m):
-                    t = 1 << mm
-                    return (
-                        (t - 1)
-                        * _ipow(a0, stats.n01)
-                        * _ipow(t - a0, stats.n00)
-                        * _ipow(a1, stats.n10)
-                        * _ipow(t - a1, stats.n11)
-                    )
-
-                bl = _floor_log2_guarded(lg, exact_num)
+                bl = _floor_log2_guarded(
+                    lg,
+                    (
+                        (top - 1, 1),
+                        (a0s, stats.n01),
+                        (top - a0s, stats.n00),
+                        (a1s, stats.n10),
+                        (top - a1s, stats.n11),
+                    ),
+                )
             cand = desc_mk + m * n - bl
             if cand < best:
                 best = cand
@@ -633,9 +661,7 @@ def khat(
             bl = (_ipow(e.a, ones) * _ipow((1 << e.m) - e.a, zeros)).bit_length() - 1
         else:
             lg = ones * math.log2(e.a) + zeros * math.log2((1 << e.m) - e.a)
-            bl = _floor_log2_guarded(
-                lg, lambda aa=e.a, mm=e.m: _ipow(aa, ones) * _ipow((1 << mm) - aa, zeros)
-            )
+            bl = _floor_log2_guarded(lg, ((e.a, ones), ((1 << e.m) - e.a, zeros)))
         finalists.append((desc + e.m * n - bl, desc, sig, ens.IIDQuantized(n, e.m, e.a)))
     best_cut = min(f[0] for f in finalists)
     mk = _khat_markov_champion(stats, cfg, best_cut)
@@ -675,14 +701,16 @@ def _khat_markov_champion(
         top = 1 << m
         for idx in near.tolist():
             j = sl.start + idx
-            num = (
-                (int(grid.ai[j]) if stats.first else top - int(grid.ai[j]))
-                * _ipow(int(grid.a0[j]), stats.n01)
-                * _ipow(top - int(grid.a0[j]), stats.n00)
-                * _ipow(int(grid.a1[j]), stats.n10)
-                * _ipow(top - int(grid.a1[j]), stats.n11)
+            a0, a1, ai = int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j])
+            bl = 1 + _floor_log2_product(  # bit length of the numerator
+                (
+                    (ai if stats.first else top - ai, 1),
+                    (a0, stats.n01),
+                    (top - a0, stats.n00),
+                    (a1, stats.n10),
+                    (top - a1, stats.n11),
+                )
             )
-            bl = num.bit_length()
             if bl > best_bl:
                 best_bl = bl
                 tied = [j]
@@ -1145,18 +1173,21 @@ def coarse_ec(
     khv = khat_value(stats, cfg, mode)
     cands = _coarse_candidates(x, stats, delta_f, mode, constraint, cfg)
     best = _pick_canonical(cands)
-    value = float(best.objective) - khv
-    return ComplexityReport(
+    report = ComplexityReport(
         n=n,
         lz_len=stats.lz_len,
         khat=khv,
         mode=mode,
         ec_is_upper_bound=(mode == "upper"),
-        coarse_ec=value,
-        witness=best.ensemble,
         delta_text=str(Fraction(delta)),
         config=cfg.echo(),
     )
+    if best is None:
+        report.ec_empty = True
+    else:
+        report.coarse_ec = float(best.objective) - khv
+        report.witness = best.ensemble
+    return report
 
 
 # --- exhaustive scan -------------------------------------------------------------

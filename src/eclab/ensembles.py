@@ -32,6 +32,7 @@ from .codec import (
     decode_rational,
     encode_nat,
     encode_rational,
+    is_bits,
     nat_code_len,
     rational_code_len,
 )
@@ -70,7 +71,7 @@ TYPICALITY_SLACK = 1e-9  # absolute slack toward acceptance in the typicality te
 def _check_bits(x: str) -> None:
     if not x:
         raise ValueError("string must be nonempty")
-    if x.count("0") + x.count("1") != len(x):
+    if not is_bits(x):
         raise ValueError("string must consist of '0'/'1' only")
 
 
@@ -212,7 +213,7 @@ def prob(e: Ensemble, x: str) -> Fraction:
     """Exact probability E(x); zero off the support (including wrong length)."""
     if isinstance(e, (SingletonRaw, SingletonLZ)):
         return Fraction(1) if x == e.x else Fraction(0)
-    if len(x) != e.n or x.count("0") + x.count("1") != len(x):
+    if len(x) != e.n or not is_bits(x):
         return Fraction(0)
     if isinstance(e, UniformAll):
         return Fraction(1, 1 << e.n)

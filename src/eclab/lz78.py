@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .codec import encode_nat, decode_nat
+from .codec import decode_nat, encode_nat, is_bits
 from .errors import DecodeError
 
 __all__ = [
@@ -69,7 +69,7 @@ class LZParse:
 def _check_input(x: str) -> None:
     if not x:
         raise ValueError("input string must be nonempty")
-    if x.count("0") + x.count("1") != len(x):
+    if not is_bits(x):
         raise ValueError("input string must consist of '0'/'1' only")
 
 

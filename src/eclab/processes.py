@@ -30,6 +30,8 @@ from typing import Iterable, Union
 
 import numpy as np
 
+from .codec import is_bits
+
 __all__ = [
     "Bernoulli",
     "Markov",
@@ -215,7 +217,7 @@ def block_prob(model: ProcessModel, x: str) -> Fraction:
     """Exact probability of the length-n cylinder [x] under the model."""
     if not x:
         raise ValueError("block must be nonempty")
-    if x.count("0") + x.count("1") != len(x):
+    if not is_bits(x):
         raise ValueError("block must consist of '0'/'1' only")
     if isinstance(model, Bernoulli):
         ones = x.count("1")

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -136,6 +137,37 @@ def test_khat_and_coarse_commands(capsys):
     code, out, _ = run(["coarse-ec", "--x", "0", "--delta", "0"], capsys)
     assert code == 0
     assert parse_csv(out)[0]["coarse_ec"] == "4.0"
+
+
+@pytest.mark.parametrize("x", ["0110", "00000000000000000000000001", "0" * 40 + "1" * 30])
+@pytest.mark.parametrize("text", ["mmax=1", "tags=markov-q", "tags=uniform-typ;rmax=1/64"])
+def test_coarse_constraint_matches_python_api(x, text, capsys):
+    from eclab import complexity, ensembles as ens
+
+    code, out, _ = run(["coarse-ec", "--x", x, "--delta", "1/4", "--constraint", text], capsys)
+    assert code == 0
+    row = parse_csv(out)[0]
+    rep = complexity.coarse_ec(
+        x, Fraction(1, 4), mode="auto", constraint=complexity.Constraint.parse(text)
+    )
+    if rep.ec_empty:
+        assert row["coarse_ec"] == "EMPTY-DOMAIN" and row["witness_tag"] == ""
+    else:
+        assert row["coarse_ec"] == repr(rep.coarse_ec)
+        assert (row["witness_tag"], row["witness_params"]) == ens.format_ensemble(rep.witness)
+    assert (row["khat"], row["ec_mode"]) == (str(rep.khat), rep.mode)
+    # the empty-domain constraint empties it at every length
+    assert rep.ec_empty == text.startswith("tags=uniform-typ")
+
+
+def test_coarse_constraint_errors_and_default(capsys):
+    base = ["coarse-ec", "--x", "0110", "--delta", "0"]
+    assert run(base + ["--constraint", "tags=bogus"], capsys)[0] == 2
+    assert run(base + ["--constraint", "mmax"], capsys)[0] == 2
+    assert run(base + ["--constraint", ""], capsys)[1] == run(base, capsys)[1]
+    code, out, _ = run(base + ["--format", "json", "--constraint", "tags=uniform-typ;rmax=1/64"],
+                       capsys)
+    assert code == 0 and json.loads(out)["rows"][0]["coarse_ec"] == "EMPTY-DOMAIN"
 
 
 def test_khat_parses_x_once(capsys, monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as hst
 
 from eclab import complexity as C, ensembles as E, lz78, processes
 from eclab.codec import nat_code_len
@@ -415,6 +416,71 @@ def test_khat_float_path_matches_exact_integers_at_large_n():
     for x in ("0" * 100, "1" * 100, "01" * 50):
         st = C.string_stats(x)
         assert C.khat_value(st, cfg, "upper") == _brute_khat_value_any_n(x, cfg)
+
+
+_FACTOR = hst.tuples(
+    hst.one_of(
+        hst.just(1),
+        hst.integers(0, 80).map(lambda k: 1 << k),  # powers of two
+        hst.integers(0, 1 << 20).map(lambda v: 2 * v + 1),  # odd bases
+        hst.integers(1, 1 << 70),
+    ),
+    hst.one_of(hst.just(0), hst.integers(0, 300)),
+)
+
+
+@given(hst.lists(_FACTOR, max_size=6))
+@example([])
+@example([(1, 0)])
+@example([(1, 5), (1, 0)])
+@example([(2, 0), (3, 0)])
+@example([(32, 131072), (32, 131072)])
+@example([(63, 1), (7, 9), (57, 3)])
+def test_floor_log2_product_is_exact(factors):
+    product = 1
+    for base, exp in factors:
+        product *= base**exp
+    assert C._floor_log2_product(factors) == product.bit_length() - 1
+
+
+def test_floor_log2_guarded_rechecks_only_near_integers(monkeypatch):
+    calls = []
+    real = C._floor_log2_product
+    monkeypatch.setattr(C, "_floor_log2_product", lambda f: calls.append(f) or real(f))
+    assert C._floor_log2_guarded(3.5, [(3, 2)]) == 3  # far from an integer: the float floor
+    assert calls == []
+    factors = [(2, 5), (4, 3)]  # log2 = 11 exactly
+    assert C._floor_log2_guarded(11.0, factors) == 11
+    assert C._floor_log2_guarded(11.0 - 1e-9, factors) == 11  # float just below: exact wins
+    assert calls == [factors, factors]
+    # a float within the guard above an integer the product does not reach
+    assert C._floor_log2_guarded(10 + 5e-7, [(1023, 1)]) == 9
+    assert len(calls) == 3
+
+
+_EMPTYING = Constraint.parse("tags=uniform-typ;rmax=1/64")
+
+
+def test_coarse_ec_empty_domain_is_reported_not_raised():
+    rep = C.coarse_ec("0110", 0, constraint=_EMPTYING)
+    assert rep.ec_empty
+    assert rep.coarse_ec is None and rep.witness is None
+    assert rep.khat == C.khat("0110")[0]
+    rep = C.coarse_ec("0110", 0, mode="upper", constraint=_EMPTYING)
+    assert rep.ec_empty and rep.coarse_ec is None
+
+
+def test_coarse_ec_constraint_restricts_the_witness():
+    for x in ("0110", "0000000011", "01101001100101101001"):
+        free = C.coarse_ec(x, 0)
+        for text, ok in (
+            ("mmax=1", lambda w: getattr(w, "m", 1) <= 1),
+            ("tags=markov-q", lambda w: isinstance(w, E.MarkovQuantized)),
+            ("tags=iid,uniform-all", lambda w: isinstance(w, (E.IIDQuantized, E.UniformAll))),
+        ):
+            rep = C.coarse_ec(x, 0, constraint=Constraint.parse(text))
+            assert not rep.ec_empty and ok(rep.witness), (x, text)
+            assert rep.coarse_ec >= free.coarse_ec
 
 
 def test_upper_mode_walks_match_direct_scan_beyond_nmax():

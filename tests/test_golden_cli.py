@@ -1,16 +1,19 @@
-"""Pinned stdout of the exact-mode CLI surface at n = 21-24.
+"""Pinned stdout of the `khat`, `ec` and `coarse-ec` CLI surface.
 
-Each argv's stdout SHA-256 was recorded before the exact Markov walks were
-vectorised; any change to a printed byte of `khat`, `ec` or `coarse-ec`
-in exact mode fails here. The strings are low-entropy, Markov-like,
-fair-coin and run-heavy, four per length.
+Exact mode at n = 21-24: each argv's stdout SHA-256 was recorded before the
+exact Markov walks were vectorised. The strings are low-entropy,
+Markov-like, fair-coin and run-heavy, four per length.
+
+Upper mode at n = 2^12 and 2^15: seeded paths of the two benchmark models,
+recorded before the exact log2 rechecks moved powers of two into shifts.
+Any change to a printed byte fails here.
 """
 
 import hashlib
 
 import pytest
 
-from eclab import cli
+from eclab import cli, complexity, processes
 
 _STRINGS = {
     21: ["111111111101101111111", "111110001101111111111",
@@ -122,3 +125,73 @@ def test_golden_cli_stdout(argv, capsys):
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == _DIGESTS[" ".join(argv)]
+
+
+_UPPER_MODELS = ("markov:flip=1/10", "bernoulli:p=3/10")
+_UPPER_LENGTHS = (1 << 12, 1 << 15)
+_UPPER_SEED = 2024
+
+
+def _upper_argv() -> list[tuple[str, list[str]]]:
+    out = []
+    for model in _UPPER_MODELS:
+        for n in _UPPER_LENGTHS:
+            spec = processes.parse_model_spec(model)
+            ((x, _),) = processes.sample_paths(spec, n, _UPPER_SEED, 1)
+            key = f"{model} n={n}"
+            out.append((f"{key} ec", ["ec", "--x", x, "--delta", "0", "--eps", "1/10"]))
+            out.append((f"{key} coarse-ec", ["coarse-ec", "--x", x, "--delta", "0"]))
+            out.append((f"{key} khat", ["khat", "--x", x]))
+    return out
+
+
+_UPPER_DIGESTS = {
+    'markov:flip=1/10 n=4096 ec': "760d48b3b375c9c29e9232c208b0ca90caca77a3acad5f0f3cd3d3562f8eb747",
+    'markov:flip=1/10 n=4096 coarse-ec': "d18507098a238222847ec4c2e89efe892e12084c0fc80e904a95022eecde2ed9",
+    'markov:flip=1/10 n=4096 khat': "67e921afc5860b116f5538fd9cb150d71ab4582f6e98d6a06695658919e4c93d",
+    'markov:flip=1/10 n=32768 ec': "eddafaf1e3844e7be016838cc96c90aefc47c6230e3dd04bda2b0c3f2bfa209b",
+    'markov:flip=1/10 n=32768 coarse-ec': "a47a6fc6652f6c01ec8442899144659321a5104bfbfff5fac1742393d845c699",
+    'markov:flip=1/10 n=32768 khat': "ddf271fab24f7e493dd5f21bc86273da1c1bc933877a8ec3e0d15df25cebee28",
+    'bernoulli:p=3/10 n=4096 ec': "f8162a3eff71c743d934d210821a4209bc8e80d32cc300aa104c829230364092",
+    'bernoulli:p=3/10 n=4096 coarse-ec': "d5c8a386727217ea2bedd8d54befc67abc7cb2492dce9f46843227778e28b485",
+    'bernoulli:p=3/10 n=4096 khat': "e1a1a95ec492fcc0a0a3142315e5b9cdbe3ee3cbad37eb3a5ad12a305da61492",
+    'bernoulli:p=3/10 n=32768 ec': "dbcd392ef06476c28e04fc7859168cb047144e983c1f00916f754cc00071e7c2",
+    'bernoulli:p=3/10 n=32768 coarse-ec': "30e7f9ee0066674658cc4756e1e87979c1ed731e59ab6863a019524f0d577586",
+    'bernoulli:p=3/10 n=32768 khat': "ac0fed27cded0b9d864e1db2559e644a5e800dd3fc7773dd670671cd921e77b6",
+}
+
+
+@pytest.mark.parametrize("key,argv", _upper_argv(), ids=[k for k, _ in _upper_argv()])
+def test_golden_upper_cli_stdout(key, argv, capsys):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _UPPER_DIGESTS[key]
+
+
+def test_golden_upper_argv_take_the_power_of_two_recheck(monkeypatch, capsys):
+    # the pins above cover the exact fallback of _floor_log2_guarded, in the
+    # case that dominates symmetric paths: every base a power of two
+    guarded, product = complexity._floor_log2_guarded, complexity._floor_log2_product
+    inside, rechecks = [], []
+
+    def spy_guarded(lg, factors):
+        inside.append(True)
+        try:
+            return guarded(lg, factors)
+        finally:
+            inside.pop()
+
+    def spy_product(factors):
+        if inside:
+            rechecks.append(tuple(factors))
+        return product(factors)
+
+    monkeypatch.setattr(complexity, "_floor_log2_guarded", spy_guarded)
+    monkeypatch.setattr(complexity, "_floor_log2_product", spy_product)
+    for _key, argv in _upper_argv():
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert any(
+        all(b & (b - 1) == 0 for b, _e in f) and any(b > 1 and e > 0 for b, e in f)
+        for f in rechecks
+    )
