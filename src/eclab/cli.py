@@ -1,7 +1,8 @@
 """Deterministic command-line front end.
 
 Every stochastic subcommand requires an explicit --seed; identical argv
-produce byte-identical output regardless of --threads. Exit codes:
+produce byte-identical output. --threads is accepted and ignored, so older
+argv stay valid. Exit codes:
 0 success, 1 usage error or failed selftest, 2 domain/decode error,
 3 resource-bound error. Rationals cross the boundary as "a/b" text and
 strings as ASCII '0'/'1'.
@@ -14,7 +15,6 @@ import csv
 import functools
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -156,7 +156,7 @@ def _report_row(report: ComplexityReport, kind: str, sample=0, seed="") -> dict:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    sub.add_argument("--threads", type=int, default=1, help="accepted and ignored")
 
 
 @functools.cache
@@ -285,9 +285,7 @@ def _cmd_typical(args) -> int:
                 value = typical_sets.cardinality(spec)
                 method = "exact"
             else:
-                value = typical_sets.empirical_prob(
-                    spec, model, args.samples, args.seed, threads=args.threads
-                )
+                value = typical_sets.empirical_prob(spec, model, args.samples, args.seed)
                 method = "monte-carlo"
             rows.append(
                 {
@@ -356,7 +354,6 @@ def _cmd_sweep(args) -> int:
         n_list=_int_list(args.n_list, "--n-list"),
         samples=args.samples,
         seed=args.seed,
-        threads=args.threads,
     )
     print(f"C_scheme = {rows[0].c_scheme} bits", file=sys.stderr)
     _emit(

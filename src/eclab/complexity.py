@@ -4,9 +4,11 @@
 the finite candidate family F(x): both singleton tags for x, the uniform
 distribution on {0,1}^n, uniform-typical ensembles for every grid rate r
 with x a member, and all quantized i.i.d./Markov ensembles with m up to
-m_max. `ec` minimizes D(E) over the candidates that are delta-typical
-for x and whose total information stays within Delta of khat(x);
-`coarse_ec` folds the budget into the objective 2 D(E) + H(E) - khat(x).
+m_max. `ec` and `coarse_ec` are one search over the candidates that are
+delta-typical for x, which takes the budget as data: `ec` minimizes D(E)
+subject to the budget H(E) + D(E) <= khat(x) + Delta, and `coarse_ec` folds
+the budget into the objective, minimizing 2 D(E) + H(E) and reporting that
+minimum minus khat(x).
 
 Exact mode (n <= n_max) evaluates every quantity exactly: code-length
 ceilings use integer bit-length identities (the family's probabilities
@@ -17,17 +19,19 @@ meant to make every returned value an upper bound, but beyond n_max the
 same surrogate raises khat and with it the ec budget, so upper-mode ec can
 fall below the exact value (an open item in ROADMAP.md).
 
-Ties among minimizers break on (description length, total information,
-lexicographic serialization). The searches walk per-tag candidate lists
-presorted in exactly that order and merge the per-tag champions with the
-same comparator, so results are deterministic and agree bit for bit with
-a direct scan of the whole family.
+Ties among minimizers break on (objective, description length, total
+information, lexicographic serialization). Each tag's candidates are
+presorted in that order, so the search takes the first feasible one per
+tag and merges the per-tag champions with the same comparator; results
+are deterministic and agree bit for bit with a direct scan of the family.
 
-In exact mode the Markov tag's ec walk goes m by m: desc is constant on an
-m-slice, so the budget H + desc <= khat + Delta keeps a prefix of the
-slice's total-information order, found by bisection, and the first typical
-entry of that prefix is found by a vectorised scan. The coarse walk runs
-the same scan once over the whole objective order.
+The Markov tag has one walk per regime. In exact mode, under a budget, the
+walk goes m by m: desc is constant on an m-slice, so the budget keeps a
+prefix of the slice's total-information order, found by bisection, and the
+first typical entry of that prefix is found by a vectorised scan; without a
+budget the same scan runs once over the whole objective order. Beyond
+n_max, closed-form entropies prefilter each m and the survivors are
+confirmed with the defining recursion.
 """
 
 from __future__ import annotations
@@ -43,9 +47,16 @@ import numpy as np
 
 from . import ensembles as ens
 from . import lz78, typical_sets
-from .codec import encode_rational, nat_code_len, rational_code_len
+from .codec import encode_rational, is_bits, nat_code_len, rational_code_len
 from .errors import ResourceLimitError
-from .processes import ProcessModel, binary_entropy, components, entropy_rate, sample_paths
+from .processes import (
+    ProcessModel,
+    _parse_fraction,
+    binary_entropy,
+    components,
+    entropy_rate,
+    sample_paths,
+)
 
 __all__ = [
     "FamilyConfig",
@@ -146,9 +157,9 @@ class Constraint:
             elif key == "mmax":
                 m_max = int(value)
             elif key == "rmin":
-                r_min = Fraction(value)
+                r_min = _parse_fraction(value, "constraint: rmin")
             elif key == "rmax":
-                r_max = Fraction(value)
+                r_max = _parse_fraction(value, "constraint: rmax")
             else:
                 raise ValueError(f"constraint: unknown key {key!r}")
         return Constraint(tags, m_max, r_min, r_max)
@@ -218,6 +229,10 @@ def string_stats(x: str, lz_len: Optional[int] = None) -> StringStats:
     n = len(x)
     if n < 1:
         raise ValueError("x must be nonempty")
+    if not is_bits(x):
+        raise ValueError("x must consist of '0'/'1' only")
+    if lz_len is None:
+        lz_len = lz78.code_len(x)
     v = int(x, 2)
     ones = v.bit_count()
     if n > 1:
@@ -228,8 +243,6 @@ def string_stats(x: str, lz_len: Optional[int] = None) -> StringStats:
         n00 = (n - 1) - n01 - n10 - n11
     else:
         n00 = n01 = n10 = n11 = 0
-    if lz_len is None:
-        lz_len = lz78.code_len(x)
     return StringStats(n, (v >> (n - 1)) & 1, ones, n00, n01, n10, n11, lz_len)
 
 
@@ -625,6 +638,58 @@ def khat_value(stats: StringStats, cfg: FamilyConfig = DEFAULT_CONFIG, mode: str
     return best
 
 
+# --- candidates and the canonical pick -------------------------------------------
+
+class _Candidate:
+    __slots__ = ("objective", "desc", "sigma", "ensemble")
+
+    def __init__(self, objective, desc, sigma, ensemble):
+        self.objective = objective
+        self.desc = desc
+        self.sigma = sigma
+        self.ensemble = ensemble
+
+
+def _pick_canonical(cands: Iterable[Optional[_Candidate]]) -> Optional[_Candidate]:
+    """Minimum by (objective, desc, sigma, serialization); None entries are skipped."""
+    best = None
+    best_serial = None
+    for c in cands:
+        if c is None:
+            continue
+        if best is None:
+            best = c
+            continue
+        key_new = (c.objective, c.desc, c.sigma)
+        key_old = (best.objective, best.desc, best.sigma)
+        if key_new < key_old:
+            best, best_serial = c, None
+        elif key_new == key_old:
+            if best_serial is None:
+                best_serial = ens.serialize(best.ensemble)
+            s = ens.serialize(c.ensemble)
+            if s < best_serial:
+                best, best_serial = c, s
+    return best
+
+
+def _scored(desc: int, H, ensemble, T: Optional[Fraction]) -> _Candidate:
+    """A candidate under the search's objective: desc when the budget T is a
+    constraint, 2 desc + H when it is folded in (T is None)."""
+    return _Candidate(desc if T is not None else 2 * desc + H, desc, H + desc, ensemble)
+
+
+def _fixed_rows(x: str, stats: StringStats) -> tuple:
+    """(desc, H, class, argument) of uniform-all and both singletons: each has
+    -log2 p(x) = H, an integer, so x is always typical for them."""
+    base = 3 + nat_code_len(stats.n)
+    return (
+        (base, stats.n, ens.UniformAll, stats.n),
+        (base + stats.n, 0, ens.SingletonRaw, x),
+        (base + stats.lz_len, 0, ens.SingletonLZ, x),
+    )
+
+
 def khat(
     x: str,
     cfg: FamilyConfig = DEFAULT_CONFIG,
@@ -639,11 +704,9 @@ def khat(
         stats = string_stats(x)
     n = stats.n
     mode = _resolve_mode(mode, n, cfg)
-    base = 3 + nat_code_len(n)
-    finalists: list[tuple[int, int, float, ens.Ensemble]] = [
-        (base + n, base, float(n) + base, ens.UniformAll(n)),
-        (base + n, base + n, 0.0 + (base + n), ens.SingletonRaw(x)),
-        (base + stats.lz_len, base + stats.lz_len, 0.0 + (base + stats.lz_len), ens.SingletonLZ(x)),
+    finalists = [
+        _Candidate(desc + H, desc, float(H) + desc, cls(arg))
+        for desc, H, cls, arg in _fixed_rows(x, stats)
     ]
     exact = n <= cfg.n_max  # same convention as khat_value
     for desc, H, sig, _obj, r, thresh, _payload in _ut_tables(cfg, n, exact)["ec"]:
@@ -653,44 +716,48 @@ def khat(
                 term = (card - 1).bit_length()
             else:
                 term = -((-thresh) // r.denominator)
-            finalists.append((desc + term, desc, sig, ens.UniformTypical(r, n)))
+            finalists.append(_Candidate(desc + term, desc, sig, ens.UniformTypical(r, n)))
     ones, zeros = stats.ones, n - stats.ones
     exact_ints = n <= _BIG_N_FLOAT
+    cut = min(c.objective for c in finalists)
     for desc, H, sig, _obj, e in _iid_tables(cfg.m_max, n)["ec"]:
+        if desc >= cut:  # p(x) < 1 puts each value above its desc: no later row wins
+            break
         if exact_ints:
             bl = (_ipow(e.a, ones) * _ipow((1 << e.m) - e.a, zeros)).bit_length() - 1
         else:
             lg = ones * math.log2(e.a) + zeros * math.log2((1 << e.m) - e.a)
             bl = _floor_log2_guarded(lg, ((e.a, ones), ((1 << e.m) - e.a, zeros)))
-        finalists.append((desc + e.m * n - bl, desc, sig, ens.IIDQuantized(n, e.m, e.a)))
-    best_cut = min(f[0] for f in finalists)
-    mk = _khat_markov_champion(stats, cfg, best_cut)
-    if mk is not None:
-        finalists.append(mk)
-    return _pick_canonical_khat(finalists)
+        value = desc + e.m * n - bl
+        finalists.append(_Candidate(value, desc, sig, ens.IIDQuantized(n, e.m, e.a)))
+        cut = min(cut, value)
+    finalists.append(_khat_markov_champion(stats, cfg, cut))
+    best = _pick_canonical(finalists)
+    return best.objective, best.ensemble
 
 
 def _khat_markov_champion(
     stats: StringStats, cfg: FamilyConfig, best_cut: int
-) -> Optional[tuple[int, int, float, ens.Ensemble]]:
+) -> Optional[_Candidate]:
     """Canonical best Markov candidate, or None when it cannot reach best_cut."""
     n = stats.n
     grid = _markov_grid(cfg.m_max)
     base = 3 + nat_code_len(n)
     small = n <= _BIG_N_FLOAT
     H = _markov_tables(cfg.m_max, n)["H"] if small else None
-    best: Optional[tuple[int, int, float, tuple[int, int, int, int]]] = None
+    best: Optional[_Candidate] = None
     for m in range(1, cfg.m_max + 1):
+        cut = best_cut if best is None else min(best_cut, best.objective)
         desc = base + nat_code_len(m) + 3 * m
         # -log2 p(x) >= 0 on every entry, so lg <= m n and cand_value >= desc - 1:
         # skip, before building lg, any m the test below would skip after it
-        if desc - 2 > best_cut and (best is None or desc - 2 > best[0]):
+        if desc - 2 > cut:
             continue
         sl = grid.m_slices[m]
         lg = m * n - _markov_neglogp(stats, grid, sl)  # log2 of the numerators
         lgmax = float(lg.max())
         cand_value = desc + m * n - math.floor(lgmax) - 1
-        if cand_value - 1 > best_cut and (best is None or cand_value - 1 > best[0]):
+        if cand_value - 1 > cut:
             continue
         # equal two-part values mean equal numerator bit lengths, so at small n
         # the tie band is the whole top unit interval (minus one for float safety)
@@ -716,63 +783,23 @@ def _khat_markov_champion(
                 tied = [j]
             elif bl == best_bl:
                 tied.append(j)
-        value = desc + m * n - best_bl + 1
-        if H is not None:
-            # compare by total information H + desc (not bare H): adding desc
-            # in floats can merge neighboring H values, and serialization
-            # order must break exactly those ties
-            tied.sort(
-                key=lambda j: (
-                    float(H[j]) + desc,
-                    int(grid.a0[j]),
-                    int(grid.a1[j]),
-                    int(grid.ai[j]),
-                )
-            )
-        else:
-            tied.sort(key=lambda j: (int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j])))
-        j = tied[0]
-        params = (m, int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j]))
-        if H is not None:
-            sigma = float(H[j]) + desc
-        else:
-            sigma = ens.entropy(ens.MarkovQuantized(n, *params)) + desc
-        cand = (value, desc, sigma, params)
-        if best is None or (cand[0], cand[1], cand[2], cand[3][1:]) < (
-            best[0],
-            best[1],
-            best[2],
-            best[3][1:],
-        ):
-            best = cand
-    if best is None:
-        return None
-    value, desc, sigma, params = best
-    return value, desc, sigma, ens.MarkovQuantized(n, *params)
-
-
-def _pick_canonical_khat(
-    finalists: list[tuple[int, int, float, ens.Ensemble]]
-) -> tuple[int, ens.Ensemble]:
-    best = None
-    best_serial = None
-    for value, desc, sigma, e in finalists:
-        if best is None:
-            best = (value, desc, sigma, e)
-            continue
-        key_new = (value, desc, sigma)
-        key_old = (best[0], best[1], best[2])
-        if key_new < key_old:
-            best = (value, desc, sigma, e)
-            best_serial = None
-        elif key_new == key_old:
-            if best_serial is None:
-                best_serial = ens.serialize(best[3])
-            s = ens.serialize(e)
-            if s < best_serial:
-                best = (value, desc, sigma, e)
-                best_serial = s
-    return best[0], best[3]
+        # equal desc within m: ties go to total information H + desc (not bare
+        # H: adding desc in floats can merge neighboring H values), then to
+        # (a0, a1, ai), which is serialization order within one m
+        j = min(
+            tied,
+            key=lambda j: (
+                float(H[j]) + desc if H is not None else 0.0,
+                int(grid.a0[j]),
+                int(grid.a1[j]),
+                int(grid.ai[j]),
+            ),
+        )
+        e = _markov_ensemble(grid, n, j)
+        sigma = (float(H[j]) if H is not None else ens.entropy(e)) + desc
+        # desc differs across m, so the comparator never reaches serializations
+        best = _pick_canonical((best, _Candidate(desc + m * n - best_bl + 1, desc, sigma, e)))
+    return best
 
 
 # --- feasibility predicates ---------------------------------------------------
@@ -854,96 +881,65 @@ def _markov_confirmed(
             yield e, H
 
 
-# --- candidate walks -----------------------------------------------------------
+# --- the candidate search -------------------------------------------------------
 
-class _Candidate:
-    __slots__ = ("objective", "desc", "sigma", "ensemble")
-
-    def __init__(self, objective, desc, sigma, ensemble):
-        self.objective = objective
-        self.desc = desc
-        self.sigma = sigma
-        self.ensemble = ensemble
-
-
-def _pick_canonical(cands: list[Optional[_Candidate]]) -> Optional[_Candidate]:
-    """Minimum by (objective, desc, sigma, serialization)."""
-    best = None
-    best_serial = None
-    for c in cands:
-        if c is None:
-            continue
-        if best is None:
-            best = c
-            continue
-        key_new = (c.objective, c.desc, c.sigma)
-        key_old = (best.objective, best.desc, best.sigma)
-        if key_new < key_old:
-            best, best_serial = c, None
-        elif key_new == key_old:
-            if best_serial is None:
-                best_serial = ens.serialize(best.ensemble)
-            s = ens.serialize(c.ensemble)
-            if s < best_serial:
-                best, best_serial = c, s
-    return best
+def _first_feasible(rows: list, T: Optional[Fraction], ok) -> Optional[tuple]:
+    """First row (desc, H, sigma, objective, ...) of a presorted table that
+    passes ok and, with a budget T, has sigma <= T. Under a budget the rows are
+    in desc order, so the walk stops at the first desc above T."""
+    for row in rows:
+        if T is not None and row[0] > T:
+            break
+        if ok(row) and (T is None or budget_fits(row[2], T)):
+            return row
+    return None
 
 
-def _ec_candidates(
+def _candidates(
     x: str,
     stats: StringStats,
     delta_f: float,
-    T: Fraction,
+    T: Optional[Fraction],
     mode: str,
     constraint: Optional[Constraint],
     cfg: FamilyConfig,
 ) -> list[Optional[_Candidate]]:
-    """Per-tag first-feasible candidates for the budgeted minimization."""
+    """Per-tag first-feasible candidates of the minimization.
+
+    With a budget T: minimize desc subject to desc + H <= T (ec). With
+    T = None: minimize 2 desc + H (coarse_ec). Each tag's table is presorted
+    by the objective and the tie-break, so its first feasible row is its
+    champion; _pick_canonical merges the champions.
+    """
     n = stats.n
-    base = 3 + nat_code_len(n)
     allow = constraint.allows_tag if constraint else (lambda _t: True)
+    order = "ec" if T is not None else "coarse"
     out: list[Optional[_Candidate]] = []
-
-    if allow("uniform-all") and budget_fits(base + n, T):
-        out.append(_Candidate(base, base, float(n) + base, ens.UniformAll(n)))
-    if allow("singleton-raw") and budget_fits(base + n, T):
-        out.append(_Candidate(base + n, base + n, 0.0 + (base + n), ens.SingletonRaw(x)))
-    d_sl = base + stats.lz_len
-    if allow("singleton-lz") and budget_fits(d_sl, T):
-        out.append(_Candidate(d_sl, d_sl, 0.0 + d_sl, ens.SingletonLZ(x)))
-
+    for desc, H, cls, arg in _fixed_rows(x, stats):
+        if allow(ens.TAG_NAMES[cls]) and (T is None or budget_fits(desc + H, T)):
+            out.append(_scored(desc, float(H), cls(arg), T))
     if allow("uniform-typ"):
-        for desc, H, sig, _obj, r, thresh, _payload in _ut_tables(cfg, n, mode == "exact")["ec"]:
-            if desc > T:
-                break
-            if constraint and not constraint.allows_r(r):
-                continue
-            if stats.lz_len * r.denominator >= thresh:
-                continue
-            if budget_fits(sig, T):
-                out.append(_Candidate(desc, desc, sig, ens.UniformTypical(r, n)))
-                break
-
-    ones, zeros = stats.ones, n - stats.ones
-    if allow("iid"):
-        for desc, H, sig, _obj, e in _iid_tables(cfg.m_max, n)["ec"]:
-            if desc > T:
-                break
-            if constraint and not constraint.allows_m(e.m):
-                continue
-            if not budget_fits(sig, T):
-                continue
-            neglogp = ones * e.c1 + zeros * e.c0
-            if _typical_fast(neglogp, H, delta_f):
-                out.append(_Candidate(desc, desc, sig, ens.IIDQuantized(n, e.m, e.a)))
-                break
-
-    if allow("markov-q"):
-        out.append(
-            _walk_markov_ec(stats, delta_f, T, constraint, cfg)
-            if n <= cfg.n_max
-            else _walk_markov_ec_big(stats, delta_f, T, constraint, cfg)
+        row = _first_feasible(
+            _ut_tables(cfg, n, mode == "exact")[order],
+            T,
+            lambda row: (not constraint or constraint.allows_r(row[4]))
+            and stats.lz_len * row[4].denominator < row[5],  # member => typical
         )
+        if row is not None:
+            out.append(_scored(row[0], row[1], ens.UniformTypical(row[4], n), T))
+    if allow("iid"):
+        ones, zeros = stats.ones, n - stats.ones
+        row = _first_feasible(
+            _iid_tables(cfg.m_max, n)[order],
+            T,
+            lambda row: (not constraint or constraint.allows_m(row[4].m))
+            and _typical_fast(ones * row[4].c1 + zeros * row[4].c0, row[1], delta_f),
+        )
+        if row is not None:
+            out.append(_scored(row[0], row[1], ens.IIDQuantized(n, row[4].m, row[4].a), T))
+    if allow("markov-q"):
+        walk = _walk_markov_exact if n <= cfg.n_max else _walk_markov_big
+        out.append(walk(stats, delta_f, T, constraint, cfg))
     return out
 
 
@@ -980,54 +976,119 @@ def _first_typical(
     return None
 
 
-def _walk_markov_ec(
+def _walk_markov_exact(
     stats: StringStats,
     delta_f: float,
-    T: Fraction,
+    T: Optional[Fraction],
     constraint: Optional[Constraint],
     cfg: FamilyConfig,
 ) -> Optional[_Candidate]:
+    """The Markov champion from the exact per-length tables.
+
+    Under a budget the walk goes m by m through ec_order: desc is constant
+    on an m-slice and desc + H nondecreasing, so the budget keeps a prefix,
+    found by bisection, and the first m with a typical entry in its prefix
+    wins. Without one, a single scan of coarse_order finds the champion.
+    """
     n = stats.n
     grid = _markov_grid(cfg.m_max)
     tables = _markov_tables(cfg.m_max, n)
-    H, order = tables["H"], tables["ec_order"]
+    H = tables["H"]
     base = 3 + nat_code_len(n)
-    T_f = float(T)
-    for m, sl in grid.m_slices.items():
-        desc = base + nat_code_len(m) + 3 * m
-        if desc > T:
-            return None
-        if constraint and not constraint.allows_m(m):
-            continue
-        # desc + H is nondecreasing along the slice: the budget keeps a prefix
-        stop = bisect.bisect_right(order, T_f, sl.start, sl.stop, key=lambda j: H[j] + desc)
-        j = _first_typical(stats, grid, H, order, sl.start, stop, delta_f)
-        if j is not None:
-            return _Candidate(desc, desc, float(H[j]) + desc, _markov_ensemble(grid, n, j))
-    return None
+    j = None
+    if T is None:
+        allowed = None
+        if constraint and constraint.m_max is not None:
+            allowed = np.arange(cfg.m_max + 1) <= constraint.m_max
+        j = _first_typical(stats, grid, H, tables["coarse_order"], 0, grid.size, delta_f, allowed)
+    else:
+        order, T_f = tables["ec_order"], float(T)
+        for m, sl in grid.m_slices.items():
+            desc = base + nat_code_len(m) + 3 * m
+            if desc > T:
+                break
+            if constraint and not constraint.allows_m(m):
+                continue
+            stop = bisect.bisect_right(order, T_f, sl.start, sl.stop, key=lambda j: H[j] + desc)
+            j = _first_typical(stats, grid, H, order, sl.start, stop, delta_f)
+            if j is not None:
+                break
+    if j is None:
+        return None
+    desc = base + int(grid.descbase[j])
+    return _scored(desc, float(H[j]), _markov_ensemble(grid, n, j), T)
 
 
-def _walk_markov_ec_big(
+def _walk_markov_big(
     stats: StringStats,
     delta_f: float,
-    T: Fraction,
+    T: Optional[Fraction],
     constraint: Optional[Constraint],
     cfg: FamilyConfig,
 ) -> Optional[_Candidate]:
-    """Desc-ordered Markov feasibility for n beyond the exact bound."""
+    """The Markov champion beyond the exact bound: per m, the first confirmed
+    straggler that fits the budget. desc grows with m, so once the objective's
+    lower bound (desc under a budget, 2 desc without) exceeds the best so far,
+    no later m can win."""
     grid = _markov_grid(cfg.m_max)
     base = 3 + nat_code_len(stats.n)
-    T_f = float(T)
+    T_f = None if T is None else float(T)
+    best: Optional[_Candidate] = None
     for m in range(1, cfg.m_max + 1):
         if constraint and not constraint.allows_m(m):
             continue
         desc = base + nat_code_len(m) + 3 * m
-        if desc > T:
+        if T is not None and desc > T:
             break
-        for e, H in _markov_confirmed(stats, grid, m, delta_f, (desc, T_f)):
-            if H + desc <= T_f:
-                return _Candidate(desc, desc, H + desc, e)
-    return None
+        if best is not None and (desc if T is not None else 2 * desc) > best.objective:
+            break
+        budget = None if T is None else (desc, T_f)
+        for e, H in _markov_confirmed(stats, grid, m, delta_f, budget):
+            if T is None or H + desc <= T_f:
+                best = _pick_canonical((best, _scored(desc, H, e, T)))
+                break
+    return best
+
+
+def _search(
+    x: str,
+    delta,
+    mode: str,
+    constraint: Optional[Constraint],
+    cfg: FamilyConfig,
+    resolve_Delta=None,
+) -> ComplexityReport:
+    """The report of ec (resolve_Delta maps n to the budget slack Delta) or,
+    with resolve_Delta None, of coarse_ec."""
+    stats = string_stats(x)
+    n = stats.n
+    mode = _resolve_mode(mode, n, cfg)
+    delta_f = float(delta)
+    if delta_f < 0:
+        raise ValueError("delta must be >= 0")
+    Delta = None if resolve_Delta is None else resolve_Delta(n)
+    khv = khat_value(stats, cfg, mode)
+    T = None if Delta is None else khv + Delta
+    best = _pick_canonical(_candidates(x, stats, delta_f, T, mode, constraint, cfg))
+    report = ComplexityReport(
+        n=n,
+        lz_len=stats.lz_len,
+        khat=khv,
+        mode=mode,
+        ec_is_upper_bound=(mode == "upper"),
+        delta_text=str(Fraction(delta)),
+        Delta_text="" if Delta is None else str(Delta),
+        config=cfg.echo(),
+    )
+    if best is None:
+        report.ec_empty = True
+        return report
+    if T is None:
+        report.coarse_ec = float(best.objective) - khv
+    else:
+        report.ec = best.objective
+    report.witness = best.ensemble
+    return report
 
 
 def ec(
@@ -1036,124 +1097,7 @@ def ec(
     cfg: FamilyConfig = DEFAULT_CONFIG,
 ) -> ComplexityReport:
     """Budgeted effective complexity of x under the family scheme."""
-    stats = string_stats(x)
-    n = stats.n
-    mode = _resolve_mode(query.mode, n, cfg)
-    delta_f = float(query.delta)
-    if delta_f < 0:
-        raise ValueError("delta must be >= 0")
-    Delta = query.resolve_Delta(n)
-    khv = khat_value(stats, cfg, mode)
-    T = khv + Delta
-    cands = _ec_candidates(x, stats, delta_f, T, mode, query.constraint, cfg)
-    best = _pick_canonical(cands)
-    report = ComplexityReport(
-        n=n,
-        lz_len=stats.lz_len,
-        khat=khv,
-        mode=mode,
-        ec_is_upper_bound=(mode == "upper"),
-        delta_text=str(Fraction(query.delta)),
-        Delta_text=str(Delta),
-        config=cfg.echo(),
-    )
-    if best is None:
-        report.ec_empty = True
-    else:
-        report.ec = best.objective
-        report.witness = best.ensemble
-    return report
-
-
-# --- coarse effective complexity -----------------------------------------------
-
-def _coarse_candidates(
-    x: str,
-    stats: StringStats,
-    delta_f: float,
-    mode: str,
-    constraint: Optional[Constraint],
-    cfg: FamilyConfig,
-) -> list[Optional[_Candidate]]:
-    """Per-tag first-typical candidates for the objective 2 D(E) + H(E)."""
-    n = stats.n
-    base = 3 + nat_code_len(n)
-    allow = constraint.allows_tag if constraint else (lambda _t: True)
-    out: list[Optional[_Candidate]] = []
-    if allow("uniform-all"):
-        out.append(_Candidate(2 * base + float(n), base, float(n) + base, ens.UniformAll(n)))
-    if allow("singleton-raw"):
-        d = base + n
-        out.append(_Candidate(2 * d + 0.0, d, 0.0 + d, ens.SingletonRaw(x)))
-    if allow("singleton-lz"):
-        d = base + stats.lz_len
-        out.append(_Candidate(2 * d + 0.0, d, 0.0 + d, ens.SingletonLZ(x)))
-    if allow("uniform-typ"):
-        for desc, H, sig, obj, r, thresh, _payload in _ut_tables(cfg, n, mode == "exact")["coarse"]:
-            if constraint and not constraint.allows_r(r):
-                continue
-            if stats.lz_len * r.denominator >= thresh:
-                continue
-            out.append(_Candidate(obj, desc, sig, ens.UniformTypical(r, n)))
-            break
-    ones, zeros = stats.ones, n - stats.ones
-    if allow("iid"):
-        for desc, H, sig, obj, e in _iid_tables(cfg.m_max, n)["coarse"]:
-            if constraint and not constraint.allows_m(e.m):
-                continue
-            neglogp = ones * e.c1 + zeros * e.c0
-            if _typical_fast(neglogp, H, delta_f):
-                out.append(_Candidate(obj, desc, sig, ens.IIDQuantized(n, e.m, e.a)))
-                break
-    if allow("markov-q"):
-        out.append(
-            _walk_markov_coarse(stats, delta_f, constraint, cfg)
-            if n <= cfg.n_max
-            else _walk_markov_coarse_big(stats, delta_f, constraint, cfg)
-        )
-    return out
-
-
-def _walk_markov_coarse(
-    stats: StringStats, delta_f: float, constraint: Optional[Constraint], cfg: FamilyConfig
-) -> Optional[_Candidate]:
-    n = stats.n
-    grid = _markov_grid(cfg.m_max)
-    tables = _markov_tables(cfg.m_max, n)
-    H = tables["H"]
-    allowed = None
-    if constraint and constraint.m_max is not None:
-        allowed = np.arange(cfg.m_max + 1) <= constraint.m_max
-    j = _first_typical(stats, grid, H, tables["coarse_order"], 0, grid.size, delta_f, allowed)
-    if j is None:
-        return None
-    desc = 3 + nat_code_len(n) + int(grid.descbase[j])
-    h = float(H[j])
-    return _Candidate(2 * desc + h, desc, h + desc, _markov_ensemble(grid, n, j))
-
-
-def _walk_markov_coarse_big(
-    stats: StringStats, delta_f: float, constraint: Optional[Constraint], cfg: FamilyConfig
-) -> Optional[_Candidate]:
-    grid = _markov_grid(cfg.m_max)
-    base = 3 + nat_code_len(stats.n)
-    best: Optional[_Candidate] = None
-    for m in range(1, cfg.m_max + 1):
-        if constraint and not constraint.allows_m(m):
-            continue
-        desc = base + nat_code_len(m) + 3 * m
-        if best is not None and 2 * desc > best.objective:
-            continue
-        for e, H in _markov_confirmed(stats, grid, m, delta_f):
-            cand = _Candidate(2 * desc + H, desc, H + desc, e)
-            if best is None or (cand.objective, cand.desc, cand.sigma) < (
-                best.objective,
-                best.desc,
-                best.sigma,
-            ):
-                best = cand
-            break
-    return best
+    return _search(x, query.delta, query.mode, query.constraint, cfg, query.resolve_Delta)
 
 
 def coarse_ec(
@@ -1164,30 +1108,7 @@ def coarse_ec(
     constraint: Optional[Constraint] = None,
 ) -> ComplexityReport:
     """Coarse effective complexity min_typical [2 D(E) + H(E)] - khat(x)."""
-    stats = string_stats(x)
-    n = stats.n
-    mode = _resolve_mode(mode, n, cfg)
-    delta_f = float(delta)
-    if delta_f < 0:
-        raise ValueError("delta must be >= 0")
-    khv = khat_value(stats, cfg, mode)
-    cands = _coarse_candidates(x, stats, delta_f, mode, constraint, cfg)
-    best = _pick_canonical(cands)
-    report = ComplexityReport(
-        n=n,
-        lz_len=stats.lz_len,
-        khat=khv,
-        mode=mode,
-        ec_is_upper_bound=(mode == "upper"),
-        delta_text=str(Fraction(delta)),
-        config=cfg.echo(),
-    )
-    if best is None:
-        report.ec_empty = True
-    else:
-        report.coarse_ec = float(best.objective) - khv
-        report.witness = best.ensemble
-    return report
+    return _search(x, delta, mode, constraint, cfg)
 
 
 # --- exhaustive scan -------------------------------------------------------------
@@ -1218,7 +1139,7 @@ def max_coarse_scan(n: int, delta, cfg: FamilyConfig = DEFAULT_CONFIG) -> ScanRe
         val = value_cache.get(key)
         if val is None:
             khv = khat_value(stats, cfg, "exact")
-            best = _pick_canonical(_coarse_candidates(x, stats, delta_f, "exact", None, cfg))
+            best = _pick_canonical(_candidates(x, stats, delta_f, None, "exact", None, cfg))
             val = float(best.objective) - khv
             value_cache[key] = val
         hist[val] = hist.get(val, 0) + 1
@@ -1265,7 +1186,6 @@ def theorem1_sweep(
     samples: int,
     seed: int,
     cfg: FamilyConfig = DEFAULT_CONFIG,
-    threads: int | None = None,
 ) -> list[SweepRow]:
     """Budget check and certified upper bounds along growing block lengths.
 
@@ -1294,30 +1214,16 @@ def theorem1_sweep(
     c_scheme = sweep_scheme_constant(cfg)
     delta_f = float(delta)
     rows: list[SweepRow] = []
-
-    def run_sample(args) -> tuple[bool, Optional[int]]:
-        n, bits, comp_idx = args
-        stats = string_stats(bits)
-        khv = khat_value(stats, cfg, "upper")
-        r_star = r_by_comp[comp_idx]
-        sigma_hat = (3 + nat_code_len(n) + rational_code_len(r_star)) + r_star * n
-        ok = sigma_hat <= khv + eps * n
-        T = khv + eps * n
-        best = _pick_canonical(_ec_candidates(bits, stats, delta_f, T, "upper", None, cfg))
-        return ok, (best.objective if best is not None else None)
-
     for idx_n, n in enumerate(n_list):
-        paths = sample_paths(model, n, seed + idx_n, samples)
-        tasks = [(n, bits, comp) for bits, comp in paths]
-        if threads and threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(run_sample, tasks))
-        else:
-            results = [run_sample(t) for t in tasks]
-        oks = sum(1 for ok, _ in results if ok)
-        values = [v for _, v in results if v is not None]
+        oks, values = 0, []
+        for bits, comp in sample_paths(model, n, seed + idx_n, samples):
+            stats = string_stats(bits)
+            T = khat_value(stats, cfg, "upper") + eps * n
+            r_star = r_by_comp[comp]
+            oks += (3 + nat_code_len(n) + rational_code_len(r_star)) + r_star * n <= T
+            best = _pick_canonical(_candidates(bits, stats, delta_f, T, "upper", None, cfg))
+            if best is not None:
+                values.append(best.objective)
         rows.append(
             SweepRow(
                 n=n,

@@ -144,6 +144,7 @@ def phrase_stream(x: str, parsed: LZParse | None = None) -> str:
 
 def encode(x: str, parsed: LZParse | None = None) -> str:
     """Self-delimiting code: delta(length) ++ phrase stream (see phrase_stream)."""
+    _check_input(x)
     return encode_nat(len(x)) + phrase_stream(x, parsed)
 
 

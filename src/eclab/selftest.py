@@ -356,12 +356,7 @@ def _suite_determinism(fast: bool) -> SuiteResult:
     b = processes.sample(model, 4096, seed=42)
     if a != b:
         failures.append("sample not reproducible")
-    spec = typical_sets.TypicalSetSpec(Fraction(3, 4), 4096)
-    p1 = typical_sets.empirical_prob(spec, model, samples=20, seed=7)
-    p2 = typical_sets.empirical_prob(spec, model, samples=20, seed=7, threads=3)
-    if p1 != p2:
-        failures.append("empirical_prob depends on thread count")
-    return SuiteResult("determinism", 2, failures)
+    return SuiteResult("determinism", 1, failures)
 
 
 ALL_SUITES = {

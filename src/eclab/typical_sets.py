@@ -94,7 +94,6 @@ def empirical_prob(
     model: ProcessModel,
     samples: int,
     seed: int,
-    threads: int | None = None,
 ) -> Fraction:
     """Fraction of `samples` seeded paths that land in T(r, n)."""
     if samples < 1:
@@ -102,12 +101,5 @@ def empirical_prob(
     paths = sample_paths(model, spec.n, seed, samples)
     num, den = spec.r.numerator, spec.r.denominator
     bound = num * spec.n
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            lens = list(pool.map(lz78.code_len, (bits for bits, _ in paths)))
-    else:
-        lens = [lz78.code_len(bits) for bits, _ in paths]
-    hits = sum(1 for length in lens if length * den < bound)
+    hits = sum(1 for bits, _ in paths if lz78.code_len(bits) * den < bound)
     return Fraction(hits, samples)

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from eclab import cli, ensembles as E, lz78, processes
+from eclab import cli, complexity, ensembles as E, lz78, processes
 from eclab.codec import is_bits
 
 
@@ -41,12 +41,16 @@ _API = [
      f"input string must {_NOT_01} only"),
     ("lz78.code_len", lz78.code_len, "input string must be nonempty",
      f"input string must {_NOT_01} only"),
-    ("lz78.encode", lz78.encode, "encode_nat requires n >= 1 (shift inputs by +1 to code 0)",
+    ("lz78.encode", lz78.encode, "input string must be nonempty",
      f"input string must {_NOT_01} only"),
     ("SingletonRaw", E.SingletonRaw, "string must be nonempty", f"string must {_NOT_01} only"),
     ("SingletonLZ", E.SingletonLZ, "string must be nonempty", f"string must {_NOT_01} only"),
     ("block_prob", lambda x: processes.block_prob(processes.Bernoulli(Fraction(1, 2)), x),
      "block must be nonempty", f"block must {_NOT_01} only"),
+    ("string_stats", complexity.string_stats, "x must be nonempty", f"x must {_NOT_01} only"),
+    # the caller-supplied LZ length skips the parse, not the check
+    ("string_stats lz_len", lambda x: complexity.string_stats(x, 5), "x must be nonempty",
+     f"x must {_NOT_01} only"),
 ]
 
 

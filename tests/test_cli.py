@@ -249,6 +249,13 @@ def test_domain_errors_exit_2(capsys):
     assert run(["lz", "--x", "01a"], capsys)[0] == 2
     assert run(["lz", "--decode", "1111111"], capsys)[0] == 2
     assert run(["khat", "--x", ""], capsys)[0] == 2
+    # malformed constraint rationals: a zero denominator or a decimal
+    for cmd in (["ec", "--x", "0110", "--delta", "0", "--Delta", "4"],
+                ["coarse-ec", "--x", "0110", "--delta", "0"]):
+        for text in ("rmin=1/0", "rmax=3/0", "rmin=0.5", "rmax=1/2;rmin=x"):
+            code, out, err = run(cmd + ["--constraint", text], capsys)
+            assert (code, out) == (2, ""), (cmd, text)
+            assert err.startswith("error: constraint: r"), (cmd, text, err)
 
 
 def test_resource_errors_exit_3(capsys):

@@ -198,10 +198,10 @@ def _check_walks(stats):
     for delta in DELTAS:
         delta_f = float(delta)
         for constraint in CONSTRAINTS:
-            got = _as_tuple(C._walk_markov_coarse(stats, delta_f, constraint, CFG))
+            got = _as_tuple(C._walk_markov_exact(stats, delta_f, None, constraint, CFG))
             assert got == _ref_walk_coarse(stats, delta_f, constraint), (stats, delta, constraint)
             for T in Ts:
-                got = _as_tuple(C._walk_markov_ec(stats, delta_f, T, constraint, CFG))
+                got = _as_tuple(C._walk_markov_exact(stats, delta_f, T, constraint, CFG))
                 want = _ref_walk_ec(stats, delta_f, T, constraint)
                 assert got == want, (stats, delta, T, constraint)
 
@@ -214,7 +214,7 @@ def _check_khat(x, stats, monkeypatch):
 
     def both(st, cfg, best_cut):
         got = champion(st, cfg, best_cut)
-        assert got == _ref_khat_champion(st, best_cut), (st, best_cut)
+        assert _as_tuple(got) == _ref_khat_champion(st, best_cut), (st, best_cut)
         seen.append(best_cut)
         return got
 
@@ -223,7 +223,8 @@ def _check_khat(x, stats, monkeypatch):
         C.khat(x, CFG, "exact", stats=stats)
     assert len(seen) == 1
     for best_cut in (0, seen[0] + 4):
-        assert champion(stats, CFG, best_cut) == _ref_khat_champion(stats, best_cut), best_cut
+        got = _as_tuple(champion(stats, CFG, best_cut))
+        assert got == _ref_khat_champion(stats, best_cut), best_cut
     assert champion(stats, CFG, 0) is None
 
 
@@ -245,7 +246,7 @@ def test_walks_match_scalar_reference_beyond_nmax():
     bound = 0
     for _x, stats in _distinct_stats(_seeded_strings("longer", (32, 48, 64))):
         _check_walks(stats)
-        free = C._walk_markov_coarse(stats, 1.0, None, CFG)
+        free = C._walk_markov_exact(stats, 1.0, None, None, CFG)
         bound += free.ensemble.m > 1
     assert bound > 0
 
@@ -288,9 +289,9 @@ def test_walks_match_at_budget_edges():
                       Fraction(math.nextafter(v, math.inf))]
         for T in extra:
             for delta in DELTAS:
-                got = _as_tuple(C._walk_markov_ec(stats, float(delta), T, None, CFG))
+                got = _as_tuple(C._walk_markov_exact(stats, float(delta), T, None, CFG))
                 assert got == _ref_walk_ec(stats, float(delta), T, None), (stats, delta, T)
-            found = C._walk_markov_ec(stats, 1.0, T, None, CFG)
+            found = C._walk_markov_exact(stats, 1.0, T, None, CFG)
             if T < t["desc"].min():
                 below_all += 1
                 assert found is None

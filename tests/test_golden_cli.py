@@ -1,4 +1,4 @@
-"""Pinned stdout of the `khat`, `ec` and `coarse-ec` CLI surface.
+"""Pinned stdout of the CLI commands that run the candidate search.
 
 Exact mode at n = 21-24: each argv's stdout SHA-256 was recorded before the
 exact Markov walks were vectorised. The strings are low-entropy,
@@ -6,7 +6,12 @@ Markov-like, fair-coin and run-heavy, four per length.
 
 Upper mode at n = 2^12 and 2^15: seeded paths of the two benchmark models,
 recorded before the exact log2 rechecks moved powers of two into shifts.
-Any change to a printed byte fails here.
+
+The rest of the search surface: `scan-max-coarse` (the coarse candidate
+search over every string of a length), `sweep-theorem1` (the ec search in
+upper mode) and constrained upper-mode `ec`/`coarse-ec` at n = 2^12 (the
+large-n Markov walk with an m bound), recorded before ec and coarse_ec
+shared one search. Any change to a printed byte fails here.
 """
 
 import hashlib
@@ -195,3 +200,58 @@ def test_golden_upper_argv_take_the_power_of_two_recheck(monkeypatch, capsys):
         all(b & (b - 1) == 0 for b, _e in f) and any(b > 1 and e > 0 for b, e in f)
         for f in rechecks
     )
+
+
+_SEARCH_CONSTRAINTS = ("mmax=1", "tags=markov-q;mmax=2", "tags=markov-q;mmax=4",
+                       "tags=uniform-typ;rmin=1/2")
+
+
+def _search_argv() -> list[tuple[str, list[str]]]:
+    out = [
+        ("scan n=10 delta=0", ["scan-max-coarse", "--n", "10", "--delta", "0"]),
+        ("scan n=12 delta=1/4", ["scan-max-coarse", "--n", "12", "--delta", "1/4"]),
+    ]
+    for model in _UPPER_MODELS:
+        out.append((f"sweep {model}", ["sweep-theorem1", "--model", model, "--eps", "1/10",
+                                       "--n-list", "64,4096", "--samples", "4", "--seed", "1"]))
+    for model in _UPPER_MODELS:
+        spec = processes.parse_model_spec(model)
+        ((x, _),) = processes.sample_paths(spec, 1 << 12, _UPPER_SEED, 1)
+        for c in _SEARCH_CONSTRAINTS:
+            key = f"{model} n=4096"
+            out.append((f"{key} ec {c}",
+                        ["ec", "--x", x, "--delta", "0", "--eps", "1/10", "--constraint", c]))
+            out.append((f"{key} coarse-ec {c}",
+                        ["coarse-ec", "--x", x, "--delta", "0", "--constraint", c]))
+    return out
+
+
+_SEARCH_DIGESTS = {
+    'scan n=10 delta=0': "f8fcc436d3a94370b34d8c65214091fe6296e7f099e60d77b15557d7b486d141",
+    'scan n=12 delta=1/4': "3d1ef9644e0e4acf5607ce332b59c9bea2ce11c14997555ebe60d303e488baaf",
+    'sweep markov:flip=1/10': "2d4e5f8344291d657eb5575769d71417f41f6c553b18b4a41b5da4d1415d2c4a",
+    'sweep bernoulli:p=3/10': "706a17e9bf0dcc5c8db07a2bf8df0f2383f236ffdfe8c4737160623ecf364961",
+    'markov:flip=1/10 n=4096 ec mmax=1': "dfb37a5aa96ac0b30411732f1934511aff861cf72bfbf7c1ef71d5670adaf437",
+    'markov:flip=1/10 n=4096 coarse-ec mmax=1': "0d4532bdf76afcde9234ca75fe4c71bdfcb6be81bf49527caf31d51737467a31",
+    'markov:flip=1/10 n=4096 ec tags=markov-q;mmax=2': "dfb37a5aa96ac0b30411732f1934511aff861cf72bfbf7c1ef71d5670adaf437",
+    'markov:flip=1/10 n=4096 coarse-ec tags=markov-q;mmax=2': "9e68e60eab5eb3d9cb31651d09b7ff5ebe4a1fae8e8d90b2b7ccfe81cfcd354f",
+    'markov:flip=1/10 n=4096 ec tags=markov-q;mmax=4': "760d48b3b375c9c29e9232c208b0ca90caca77a3acad5f0f3cd3d3562f8eb747",
+    'markov:flip=1/10 n=4096 coarse-ec tags=markov-q;mmax=4': "655d94cc41b9010f4f6e540391cabe3b81c44ac14a8121acefcf96d95c91df3a",
+    'markov:flip=1/10 n=4096 ec tags=uniform-typ;rmin=1/2': "dfb37a5aa96ac0b30411732f1934511aff861cf72bfbf7c1ef71d5670adaf437",
+    'markov:flip=1/10 n=4096 coarse-ec tags=uniform-typ;rmin=1/2': "0d4532bdf76afcde9234ca75fe4c71bdfcb6be81bf49527caf31d51737467a31",
+    'bernoulli:p=3/10 n=4096 ec mmax=1': "ca9777eb833aa907c79db267cf2ccf493b6352e35ea4d865dc7424ed32731a1b",
+    'bernoulli:p=3/10 n=4096 coarse-ec mmax=1': "bf77d7177d29108badfb368fbc38c83ad85ed64f40a40350fb4df307bebc0097",
+    'bernoulli:p=3/10 n=4096 ec tags=markov-q;mmax=2': "ca9777eb833aa907c79db267cf2ccf493b6352e35ea4d865dc7424ed32731a1b",
+    'bernoulli:p=3/10 n=4096 coarse-ec tags=markov-q;mmax=2': "91c252cf26ef9e1414d6ba93d5f00dc19c61630f3f68c9c343afcac0ea0be647",
+    'bernoulli:p=3/10 n=4096 ec tags=markov-q;mmax=4': "e6336aab57932f2c7f43246f2ab04e9d941c6282674cd83ce8d7ab161c4844e8",
+    'bernoulli:p=3/10 n=4096 coarse-ec tags=markov-q;mmax=4': "59af7b09a01fd3f18ffcd9fcba33cd7895446d2577fe887459e821e57d477bc3",
+    'bernoulli:p=3/10 n=4096 ec tags=uniform-typ;rmin=1/2': "ca9777eb833aa907c79db267cf2ccf493b6352e35ea4d865dc7424ed32731a1b",
+    'bernoulli:p=3/10 n=4096 coarse-ec tags=uniform-typ;rmin=1/2': "2a950bba7724321a0374efc6676cb72175d171f0d1dd01a41150d05a4d4d9bad",
+}
+
+
+@pytest.mark.parametrize("key,argv", _search_argv(), ids=[k for k, _ in _search_argv()])
+def test_golden_search_cli_stdout(key, argv, capsys):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _SEARCH_DIGESTS[key]

@@ -97,12 +97,6 @@ def test_empirical_prob_single_sample():
     assert v in (0, 1)
 
 
-def test_empirical_prob_thread_independent():
-    m = processes.Markov(Fraction(1, 10), Fraction(1, 10))
-    s = spec("3/4", 2048)
-    assert T.empirical_prob(s, m, 40, 11) == T.empirical_prob(s, m, 40, 11, threads=4)
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         T.TypicalSetSpec(Fraction(0), 4)
