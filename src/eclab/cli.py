@@ -63,15 +63,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _fraction(flag: str):
     def parse(text: str) -> Fraction:
-        if "." in text:
-            raise UsageError(f"{flag}: rationals must be a/b text, not decimals")
         try:
-            if "/" in text:
-                a, b = text.split("/")
-                return Fraction(int(a), int(b))
-            return Fraction(int(text))
-        except (ValueError, ZeroDivisionError):
-            raise UsageError(f"{flag}: cannot parse rational {text!r}")
+            return processes._parse_fraction(text, flag)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
 
     return parse
 
@@ -325,9 +320,7 @@ def _cmd_ec(args) -> int:
         delta=_fraction("--delta")(args.delta),
         Delta=_fraction("--Delta")(args.Delta) if args.Delta is not None else None,
         eps=_fraction("--eps")(args.eps) if args.eps is not None else None,
-        mode=args.mode if args.mode != "auto" else (
-            "exact" if len(x) <= complexity.DEFAULT_CONFIG.n_max else "upper"
-        ),
+        mode=args.mode,
         constraint=constraint,
     )
     report = complexity.ec(x, query)

@@ -87,6 +87,7 @@ _STRAGGLER_CAP = 256  # large-n Markov entries retried per m before giving up on
 
 
 _R_GRID_IDS: dict[tuple[Fraction, ...], int] = {}
+_R_GRID_TEXTS: list[str] = []  # the echoed text of each r_grid, indexed by grid_id
 
 
 @dataclass(frozen=True)
@@ -97,15 +98,19 @@ class FamilyConfig:
     m_max: int = 6
     n_max: int = typical_sets.DEFAULT_N_MAX
     # a small int naming r_grid, assigned once per instance, so the table
-    # caches do not hash the grid's Fractions on every lookup
+    # caches do not hash the grid's Fractions and reports do not format them
+    # on every call
     grid_id: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "grid_id", _R_GRID_IDS.setdefault(self.r_grid, len(_R_GRID_IDS)))
+        if self.r_grid not in _R_GRID_IDS:
+            _R_GRID_IDS[self.r_grid] = len(_R_GRID_TEXTS)
+            _R_GRID_TEXTS.append(",".join(str(r) for r in self.r_grid))
+        object.__setattr__(self, "grid_id", _R_GRID_IDS[self.r_grid])
 
     def echo(self) -> dict:
         return {
-            "r_grid": ",".join(str(r) for r in self.r_grid),
+            "r_grid": _R_GRID_TEXTS[self.grid_id],
             "m_max": self.m_max,
             "n_max": self.n_max,
         }

@@ -37,7 +37,7 @@ from .codec import (
     rational_code_len,
 )
 from .errors import DecodeError
-from .processes import binary_entropy
+from .processes import _parse_fraction, binary_entropy
 
 __all__ = [
     "SingletonRaw",
@@ -564,11 +564,7 @@ def parse_ensemble_spec(text: str) -> Ensemble:
     if kind == "uniform-all":
         return UniformAll(int(get("n")))
     if kind == "uniform-typ":
-        try:
-            r = Fraction(get("r"))
-        except ZeroDivisionError as exc:
-            raise ValueError(f"uniform-typ: invalid rate {kv['r']!r}") from exc
-        return UniformTypical(r, int(get("n")))
+        return UniformTypical(_parse_fraction(get("r"), "uniform-typ: r"), int(get("n")))
     if kind == "iid":
         return IIDQuantized(int(get("n")), int(get("m")), int(get("a")))
     if kind == "markov-q":

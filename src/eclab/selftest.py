@@ -1,20 +1,26 @@
-"""Invariant suites and a naive reference implementation of the minimizers.
+"""Invariant checks and a naive reference implementation of the minimizers.
 
 The reference functions below transcribe the defining minimizations
 directly: they enumerate the whole candidate family, evaluate exact
 rational probabilities by brute force, and take minima with the
 documented tie-break (description length, total information,
 serialization). They share only the ensemble primitives (prob, entropy,
-desc_len, typicality) with the optimized searches, so agreement checks
-exercise the search logic itself.
+desc_len, typicality) and the budget test with the optimized searches, so
+agreement checks exercise the search logic itself. Each family member is
+scored once per (x, delta) (`naive_typical`); every ec budget and the
+coarse objective are then a filter and a minimum over that list.
 
-`run_selftest` executes the exhaustive small-size suites and prints one
-line per suite with pass counts; it is wired to the CLI `selftest`
-subcommand and sized to finish within minutes.
+Each paper claim has one check here, sized by its parameters and
+returning a `SuiteResult`: `check_size_bound`, `check_lz_kraft`,
+`check_lz_roundtrip`, `check_thm4` and `check_oracle`. `ALL_SUITES` runs
+them at a fast and a full size for the CLI `selftest` subcommand, which
+prints one line per suite with its case count; the acceptance criteria in
+tests/test_acceptance.py call the same checks at larger sizes.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -22,9 +28,15 @@ from . import codec, complexity, ensembles as ens, lz78, processes, typical_sets
 
 __all__ = [
     "naive_khat",
+    "naive_typical",
     "naive_ec",
     "naive_coarse_ec",
     "SuiteResult",
+    "check_size_bound",
+    "check_lz_kraft",
+    "check_lz_roundtrip",
+    "check_thm4",
+    "check_oracle",
     "run_selftest",
     "ALL_SUITES",
 ]
@@ -96,48 +108,41 @@ def naive_khat(x: str, cfg: complexity.FamilyConfig) -> tuple[int, ens.Ensemble]
     return best[0][0], best[1]
 
 
+def naive_typical(x: str, delta, cfg: complexity.FamilyConfig) -> list[tuple]:
+    """(ensemble, desc, H, Sigma) for every family member that is delta-typical
+    for x; the typicality test already rejects strings outside the support."""
+    return [
+        (e, ens.desc_len(e), ens.entropy(e), ens.total_info(e))
+        for e in naive_family(x, cfg)
+        if ens.is_delta_typical(e, x, delta)
+    ]
+
+
 def naive_ec(
-    x: str, delta, Delta, cfg: complexity.FamilyConfig, khat: int
+    typical: list[tuple], Delta, khat: int
 ) -> tuple[Optional[int], Optional[ens.Ensemble]]:
-    """Naive ec; `khat` is naive_khat(x, cfg)[0], scored once per x by the caller."""
+    """Naive ec over `typical` = naive_typical(x, delta, cfg), with `khat` =
+    naive_khat(x, cfg)[0]; the caller scores them once per (x, delta) and per x."""
     T = khat + Fraction(Delta)
-    scored = []
-    for e in naive_family(x, cfg):
-        # the typicality test already rejects strings outside the support
-        if not ens.is_delta_typical(e, x, delta):
-            continue
-        if not complexity.budget_fits(ens.total_info(e), T):
-            continue
-        d = ens.desc_len(e)
-        scored.append(((d, d, ens.total_info(e)), e))
-    best = _naive_min(scored)
+    best = _naive_min(((d, d, s), e) for e, d, _h, s in typical if complexity.budget_fits(s, T))
     if best is None:
         return None, None
     return best[0][0], best[1]
 
 
-def naive_coarse_ec(
-    x: str, delta, cfg: complexity.FamilyConfig, khat: int
-) -> tuple[float, ens.Ensemble]:
-    """Naive coarse ec; `khat` is naive_khat(x, cfg)[0], scored once per x by the caller."""
-    scored = []
-    for e in naive_family(x, cfg):
-        if not ens.is_delta_typical(e, x, delta):
-            continue
-        d = ens.desc_len(e)
-        obj = 2 * d + ens.entropy(e)
-        scored.append(((obj, d, ens.total_info(e)), e))
-    best = _naive_min(scored)
+def naive_coarse_ec(typical: list[tuple], khat: int) -> tuple[float, ens.Ensemble]:
+    """Naive coarse ec over the same `typical` list and `khat` as naive_ec."""
+    best = _naive_min(((2 * d + h, d, s), e) for e, d, h, s in typical)
     return float(best[0][0]) - khat, best[1]
 
 
 # --- suites --------------------------------------------------------------------
 
+@dataclass
 class SuiteResult:
-    def __init__(self, name: str, cases: int, failures: list[str]):
-        self.name = name
-        self.cases = cases
-        self.failures = failures
+    name: str
+    cases: int
+    failures: list[str]
 
     @property
     def ok(self) -> bool:
@@ -194,44 +199,40 @@ def _suite_codec_kraft(fast: bool) -> SuiteResult:
     return SuiteResult("codec-kraft", top, failures)
 
 
-def _suite_lz_roundtrip(fast: bool) -> SuiteResult:
-    failures = []
-    cases = 0
-    for n in range(1, (10 if fast else 12) + 1):
-        for x, _ in lz78.iter_with_code_len(n):
-            cases += 1
-            if lz78.decode(lz78.encode(x)) != x:
-                failures.append(f"x={x}")
+def _all_strings(n_max: int) -> Iterator[str]:
+    """Every x with 1 <= len(x) <= n_max, by length, then lexicographically."""
+    for n in range(1, n_max + 1):
+        for v in range(1 << n):
+            yield format(v, f"0{n}b")
+
+
+def check_lz_roundtrip(n_max: int, lengths: list[int], seed0: int) -> SuiteResult:
+    """decode(encode(x)) == x for every x with n <= n_max, and for one fair-coin
+    path of each length in `lengths` (path i seeded seed0 + i)."""
+    failures = [f"x={x}" for x in _all_strings(n_max) if lz78.decode(lz78.encode(x)) != x]
     model = processes.Bernoulli(Fraction(1, 2))
-    lengths = [(1 << k) + (k % 3) for k in range(1, 17 if fast else 21)]
     for i, n in enumerate(lengths):
-        cases += 1
-        x = processes.sample(model, n, seed=1000 + i)
+        x = processes.sample(model, n, seed=seed0 + i)
         if lz78.decode(lz78.encode(x)) != x:
             failures.append(f"random n={n}")
-    return SuiteResult("lz-roundtrip", cases, failures)
+    return SuiteResult("lz-roundtrip", (1 << (n_max + 1)) - 2 + len(lengths), failures)
 
 
-def _suite_lz_kraft(fast: bool) -> SuiteResult:
+def check_lz_kraft(n_max: int) -> SuiteResult:
+    """The exact Kraft sum of the LZ code over {0,1}^n is <= 1 for n <= n_max."""
+    failures = [f"n={n}" for n in range(1, n_max + 1) if lz78.kraft_sum(n) > 1]
+    return SuiteResult("lz-kraft", n_max, failures)
+
+
+def check_size_bound(n_max: int) -> SuiteResult:
+    """|T(r, n)| <= 2^(r n), exactly, for n <= n_max and r on the eighth grid 1/8 .. 2."""
     failures = []
-    top = 12 if fast else 14
-    for n in range(1, top + 1):
-        if lz78.kraft_sum(n) > 1:
-            failures.append(f"n={n}")
-    return SuiteResult("lz-kraft", top, failures)
-
-
-def _suite_size_bound(fast: bool) -> SuiteResult:
-    failures = []
-    cases = 0
-    top = 12 if fast else 14
-    for n in range(1, top + 1):
+    for n in range(1, n_max + 1):
         for k in range(1, 17):
             spec = typical_sets.TypicalSetSpec(Fraction(k, 8), n)
-            cases += 1
             if not typical_sets.size_bound_holds(spec, typical_sets.cardinality(spec)):
                 failures.append(f"r={k}/8 n={n}")
-    return SuiteResult("typical-size-bound", cases, failures)
+    return SuiteResult("typical-size-bound", 16 * n_max, failures)
 
 
 def _suite_typical_monotone(fast: bool) -> SuiteResult:
@@ -273,79 +274,74 @@ def _suite_ensemble_serialization(fast: bool) -> SuiteResult:
     return SuiteResult("ensemble-serialization", len(members), failures)
 
 
-def _suite_monotone_thm4(fast: bool) -> SuiteResult:
+def check_thm4(n_max: int, deltas: list[Fraction], Deltas: list[Fraction]) -> SuiteResult:
+    """Theorem 4 and anti-monotonicity in exact mode, for every x with n <= n_max.
+
+    One case per (x, delta, Delta) cell: coarse_ec <= Delta + ec, ec is
+    nonincreasing in Delta, and a domain once nonempty stays nonempty as
+    Delta grows. One case per Delta and adjacent pair of deltas: ec is
+    nonincreasing in delta.
+    """
     failures = []
     cases = 0
-    cfg = complexity.DEFAULT_CONFIG
-    deltas = (Fraction(0), Fraction(1, 4), Fraction(1))
-    Deltas = [Fraction(v) for v in range(0, 17, 4)]
-    top = 7 if fast else 8
-    for n in range(1, top + 1):
-        for v in range(1 << n):
-            x = format(v, f"0{n}b")
-            coarse = {d: complexity.coarse_ec(x, d, "exact", cfg).coarse_ec for d in deltas}
-            for d in deltas:
-                prev_ec = None
-                seen_value = False
-                for D in Deltas:
-                    rep = complexity.ec(
-                        x, complexity.ComplexityQuery(delta=d, Delta=D, mode="exact"), cfg
-                    )
-                    cases += 1
-                    if rep.ec is not None:
-                        if coarse[d] > float(D) + rep.ec + 1e-12:
-                            failures.append(f"x={x} d={d} D={D}: coarse > Delta + ec")
-                        if prev_ec is not None and rep.ec > prev_ec:
-                            failures.append(f"x={x} d={d} D={D}: ec increased in Delta")
-                        prev_ec = rep.ec
-                        seen_value = True
-                    elif seen_value:
-                        failures.append(f"x={x} d={d} D={D}: domain emptied as Delta grew")
+    for x in _all_strings(n_max):
+        table = {}
+        for d in deltas:
+            coarse = complexity.coarse_ec(x, d, "exact").coarse_ec
+            prev = None  # the last ec value seen as Delta grew
             for D in Deltas:
-                vals = [
-                    complexity.ec(
-                        x, complexity.ComplexityQuery(delta=d, Delta=D, mode="exact"), cfg
-                    ).ec
-                    for d in deltas
-                ]
-                for a, b in zip(vals, vals[1:]):
-                    cases += 1
-                    if a is not None and b is not None and b > a:
-                        failures.append(f"x={x} D={D}: ec increased in delta")
+                query = complexity.ComplexityQuery(delta=d, Delta=D, mode="exact")
+                value = table[d, D] = complexity.ec(x, query).ec
+                cases += 1
+                if value is None:
+                    if prev is not None:
+                        failures.append(f"x={x} d={d} D={D}: domain emptied as Delta grew")
+                    continue
+                if coarse > float(D) + value + 1e-12:
+                    failures.append(f"x={x} d={d} D={D}: coarse > Delta + ec")
+                if prev is not None and value > prev:
+                    failures.append(f"x={x} d={d} D={D}: ec increased in Delta")
+                prev = value
+        for D in Deltas:
+            for a, b in zip(deltas, deltas[1:]):
+                cases += 1
+                ec_a, ec_b = table[a, D], table[b, D]
+                if ec_a is not None and ec_b is not None and ec_b > ec_a:
+                    failures.append(f"x={x} D={D}: ec increased in delta")
     return SuiteResult("monotone-thm4", cases, failures)
 
 
-def _suite_oracle(fast: bool) -> SuiteResult:
+def check_oracle(
+    n_max: int, cfg: complexity.FamilyConfig, deltas: list[Fraction], Deltas: list[Fraction]
+) -> SuiteResult:
+    """khat, coarse_ec and ec in exact mode against the naive reference, value
+    and witness serialization, for every x with n <= n_max: one case per x,
+    per (x, delta) and per (x, delta, Delta)."""
     failures = []
     cases = 0
-    cfg = complexity.FamilyConfig(m_max=2)
-    deltas = (Fraction(0), Fraction(1, 4), Fraction(1))
-    Deltas = [Fraction(v) for v in range(0, 17, 4)]
-    top = 5 if fast else 6
-    for n in range(1, top + 1):
-        for v in range(1 << n):
-            x = format(v, f"0{n}b")
+    for x in _all_strings(n_max):
+        cases += 1
+        kv, kw = complexity.khat(x, cfg, "exact")
+        nkv, nkw = naive_khat(x, cfg)
+        if kv != nkv or ens.serialize(kw) != ens.serialize(nkw):
+            failures.append(f"khat x={x}: {kv}/{kw} vs {nkv}/{nkw}")
+        for d in deltas:
+            typical = naive_typical(x, d, cfg)
+            rep = complexity.coarse_ec(x, d, "exact", cfg)
+            nval, nwit = naive_coarse_ec(typical, nkv)
             cases += 1
-            kv, kw = complexity.khat(x, cfg, "exact")
-            nkv, nkw = naive_khat(x, cfg)
-            if kv != nkv or ens.serialize(kw) != ens.serialize(nkw):
-                failures.append(f"khat x={x}: {kv}/{kw} vs {nkv}/{nkw}")
-            for d in deltas:
-                rep = complexity.coarse_ec(x, d, "exact", cfg)
-                nval, nwit = naive_coarse_ec(x, d, cfg, khat=nkv)
+            if rep.coarse_ec != nval or ens.serialize(rep.witness) != ens.serialize(nwit):
+                failures.append(f"coarse x={x} d={d}")
+            for D in Deltas:
+                rep = complexity.ec(
+                    x, complexity.ComplexityQuery(delta=d, Delta=D, mode="exact"), cfg
+                )
+                nv, nw = naive_ec(typical, D, nkv)
                 cases += 1
-                if rep.coarse_ec != nval or ens.serialize(rep.witness) != ens.serialize(nwit):
-                    failures.append(f"coarse x={x} d={d}")
-                for D in Deltas:
-                    rep = complexity.ec(
-                        x, complexity.ComplexityQuery(delta=d, Delta=D, mode="exact"), cfg
-                    )
-                    nv, nw = naive_ec(x, d, D, cfg, khat=nkv)
-                    cases += 1
-                    if (rep.ec, rep.ec_empty) != (nv, nv is None):
-                        failures.append(f"ec x={x} d={d} D={D}: {rep.ec} vs {nv}")
-                    elif nw is not None and ens.serialize(rep.witness) != ens.serialize(nw):
-                        failures.append(f"ec witness x={x} d={d} D={D}")
+                if (rep.ec, rep.ec_empty) != (nv, nv is None):
+                    failures.append(f"ec x={x} d={d} D={D}: {rep.ec} vs {nv}")
+                elif nw is not None and ens.serialize(rep.witness) != ens.serialize(nw):
+                    failures.append(f"ec witness x={x} d={d} D={D}")
     return SuiteResult("oracle-equivalence", cases, failures)
 
 
@@ -359,17 +355,25 @@ def _suite_determinism(fast: bool) -> SuiteResult:
     return SuiteResult("determinism", 1, failures)
 
 
+_DELTAS = [Fraction(0), Fraction(1, 4), Fraction(1)]
+_BUDGETS = [Fraction(v) for v in range(0, 17, 4)]
+
+# suite name -> run(fast); the shared checks run here at their fast and full sizes
 ALL_SUITES = {
     "codec-roundtrip": _suite_codec_roundtrip,
     "codec-prefix-free": _suite_codec_prefix_free,
     "codec-kraft": _suite_codec_kraft,
-    "lz-roundtrip": _suite_lz_roundtrip,
-    "lz-kraft": _suite_lz_kraft,
-    "typical-size-bound": _suite_size_bound,
+    "lz-roundtrip": lambda fast: check_lz_roundtrip(
+        10 if fast else 12, [(1 << k) + (k % 3) for k in range(1, 17 if fast else 21)], 1000
+    ),
+    "lz-kraft": lambda fast: check_lz_kraft(12 if fast else 14),
+    "typical-size-bound": lambda fast: check_size_bound(12 if fast else 14),
     "typical-monotone": _suite_typical_monotone,
     "ensemble-serialization": _suite_ensemble_serialization,
-    "monotone-thm4": _suite_monotone_thm4,
-    "oracle-equivalence": _suite_oracle,
+    "monotone-thm4": lambda fast: check_thm4(7 if fast else 8, _DELTAS, _BUDGETS),
+    "oracle-equivalence": lambda fast: check_oracle(
+        5 if fast else 6, complexity.FamilyConfig(m_max=2), _DELTAS, _BUDGETS
+    ),
     "determinism": _suite_determinism,
 }
 

@@ -2,7 +2,8 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines. Statistical criteria use fixed seeds throughout, so every run is
-bit-reproducible.
+bit-reproducible. Criteria 1, 2, 8 and 9 run the `eclab.selftest` checks
+that `eclab selftest` also runs, here at larger sizes.
 """
 
 import csv
@@ -12,9 +13,18 @@ import statistics
 import time
 from fractions import Fraction
 
-from eclab import cli, complexity as C, ensembles as E, lz78, processes, typical_sets as T
-from eclab.complexity import ComplexityQuery, FamilyConfig
-from eclab.selftest import naive_coarse_ec, naive_ec, naive_khat
+from eclab import cli, complexity as C, lz78, processes, typical_sets as T
+from eclab.complexity import FamilyConfig
+from eclab.selftest import (
+    check_lz_kraft,
+    check_lz_roundtrip,
+    check_oracle,
+    check_size_bound,
+    check_thm4,
+)
+
+_DELTAS = [Fraction(0), Fraction(1, 4), Fraction(1)]
+_BUDGETS = [Fraction(v) for v in range(0, 33, 2)]
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -24,19 +34,13 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_size_bound():
     t0 = time.monotonic()
-    violations = []
-    for n in range(1, 19):
-        counts = lz78.code_length_counts(n)
-        for k in range(1, 17):
-            r = Fraction(k, 8)
-            card = sum(c for length, c in counts.items() if length * r.denominator < r.numerator * n)
-            if card**r.denominator > 1 << (r.numerator * n):
-                violations.append((r, n))
+    res = check_size_bound(18)
     elapsed = time.monotonic() - t0
     _report(
         "1 (size bound |T| <= 2^rn)",
-        not violations and elapsed <= 300,
-        f"{len(violations)} violations over n<=18 x eighth-grid, {elapsed:.1f}s",
+        res.ok and elapsed <= 300,
+        f"{len(res.failures)} violations over {res.cases} (r, n) cells, n<=18 x eighth-grid, "
+        f"{elapsed:.1f}s",
     )
 
 
@@ -62,27 +66,15 @@ def _random_length_schedule(total: int = 10_000, max_exp: int = 20) -> list[int]
 
 
 def test_criterion_2_kraft_and_faithfulness():
-    kraft_bad = [n for n in range(1, 17) if lz78.kraft_sum(n) > 1]
-    rt_bad = 0
-    checked = 0
-    for n in range(1, 17):
-        for x, _ in lz78.iter_with_code_len(n):
-            checked += 1
-            if lz78.decode(lz78.encode(x)) != x:
-                rt_bad += 1
-    model = processes.Bernoulli(Fraction(1, 2))
     lengths = _random_length_schedule()
     assert len(lengths) == 10_000 and max(lengths) == 1 << 20
-    for i, n in enumerate(lengths):
-        x = processes.sample(model, n, seed=777 + i)
-        checked += 1
-        if lz78.decode(lz78.encode(x)) != x:
-            rt_bad += 1
+    kraft = check_lz_kraft(16)
+    rt = check_lz_roundtrip(16, lengths, 777)
     _report(
         "2 (Kraft + faithful coder)",
-        not kraft_bad and rt_bad == 0,
-        f"Kraft ok for n<=16; {rt_bad} round-trip failures over {checked} strings "
-        f"(exhaustive n<=16 + 10^4 random up to 2^20)",
+        kraft.ok and rt.ok,
+        f"Kraft {'ok' if kraft.ok else 'violated'} for n<=16; {len(rt.failures)} round-trip "
+        f"failures over {rt.cases} strings (exhaustive n<=16 + 10^4 random up to 2^20)",
     )
 
 
@@ -188,77 +180,26 @@ def test_criterion_7_coarse_proposition_shape():
 
 
 def test_criterion_8_theorem4_and_antimonotonicity():
-    deltas = (Fraction(0), Fraction(1, 4), Fraction(1))
-    Deltas = [Fraction(v) for v in range(0, 33, 2)]
-    violations = []
-    cases = 0
-    for n in range(1, 11):
-        for v in range(1 << n):
-            x = format(v, f"0{n}b")
-            coarse = {d: C.coarse_ec(x, d, "exact").coarse_ec for d in deltas}
-            table = {}
-            for d in deltas:
-                prev = None
-                for D in Deltas:
-                    rep = C.ec(x, ComplexityQuery(delta=d, Delta=D, mode="exact"))
-                    table[(d, D)] = rep.ec
-                    cases += 1
-                    if rep.ec is not None and coarse[d] > float(D) + rep.ec + 1e-9:
-                        violations.append(("thm4", x, d, D))
-                    if prev is not None and prev is not False:
-                        if prev[1] is not None:
-                            if rep.ec is None:
-                                violations.append(("empty-grew", x, d, D))
-                            elif rep.ec > prev[1]:
-                                violations.append(("Delta-mono", x, d, D))
-                    prev = (D, rep.ec)
-            for D in Deltas:
-                vals = [table[(d, D)] for d in deltas]
-                for a, b in zip(vals, vals[1:]):
-                    if a is not None and b is not None and b > a:
-                        violations.append(("delta-mono", x, D))
+    res = check_thm4(10, _DELTAS, _BUDGETS)
+    cells = ((1 << 11) - 2) * len(_DELTAS) * len(_BUDGETS)
     _report(
         "8 (thm-4 inequality + antimonotonicity)",
-        not violations,
-        f"{len(violations)} violations over {cases} (x, delta, Delta) cells, n<=10",
+        res.ok,
+        f"{len(res.failures)} violations over {res.cases} cases, n<=10: {cells} (x, delta, "
+        f"Delta) cells and {res.cases - cells} (x, Delta, delta pair) comparisons",
     )
 
 
 def test_criterion_9_oracle_equivalence():
     # family reduced to m_max=3 so the deliberately naive reference (full-family
-    # scans in exact rational arithmetic, with naive_khat scored once per x and
-    # passed to every query on x) finishes in minutes; both sides see the same family
-    cfg = FamilyConfig(m_max=3)
-    deltas = (Fraction(0), Fraction(1, 4), Fraction(1))
-    Deltas = [Fraction(v) for v in range(0, 33, 2)]
-    mismatches = []
-    cases = 0
-    for n in range(1, 9):
-        for v in range(1 << n):
-            x = format(v, f"0{n}b")
-            cases += 1
-            kv, kw = C.khat(x, cfg, "exact")
-            nkv, nkw = naive_khat(x, cfg)
-            if kv != nkv or E.serialize(kw) != E.serialize(nkw):
-                mismatches.append(("khat", x))
-            for d in deltas:
-                rep = C.coarse_ec(x, d, "exact", cfg)
-                nval, nwit = naive_coarse_ec(x, d, cfg, khat=nkv)
-                cases += 1
-                if rep.coarse_ec != nval or E.serialize(rep.witness) != E.serialize(nwit):
-                    mismatches.append(("coarse", x, d))
-                for D in Deltas:
-                    rep = C.ec(x, ComplexityQuery(delta=d, Delta=D, mode="exact"), cfg)
-                    nv, nw = naive_ec(x, d, D, cfg, khat=nkv)
-                    cases += 1
-                    if rep.ec != nv or rep.ec_empty != (nv is None):
-                        mismatches.append(("ec", x, d, D))
-                    elif nw is not None and E.serialize(rep.witness) != E.serialize(nw):
-                        mismatches.append(("ec-witness", x, d, D))
+    # scans in exact rational arithmetic, scored once per x and per (x, delta))
+    # finishes in seconds; both sides see the same family
+    res = check_oracle(8, FamilyConfig(m_max=3), _DELTAS, _BUDGETS)
     _report(
         "9 (oracle equivalence)",
-        not mismatches,
-        f"{len(mismatches)} mismatches over {cases} comparisons, n<=8, full (delta, Delta) grid",
+        res.ok,
+        f"{len(res.failures)} mismatches over {res.cases} comparisons, n<=8, "
+        f"full (delta, Delta) grid",
     )
 
 

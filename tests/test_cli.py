@@ -240,6 +240,15 @@ def test_usage_errors_exit_1(capsys):
     assert run(["frobnicate"], capsys)[0] == 1
     assert run(["lz"], capsys)[0] == 1
     assert run(["ec", "--x", "0", "--delta", "0.5", "--Delta", "2"], capsys)[0] == 1  # decimal
+    for flag, argv in (
+        ("--delta", ["ec", "--x", "0110", "--Delta", "4", "--delta"]),
+        ("--Delta", ["ec", "--x", "0110", "--delta", "0", "--Delta"]),
+        ("--eps", ["ec", "--x", "0110", "--delta", "0", "--eps"]),
+        ("--r-list", ["typical", "--n-list", "8", "--r-list"]),
+    ):
+        for text in ("0.5", "1/0", "1e0", "a/b"):  # every rational flag, one parser
+            code, out, err = run(argv + [text], capsys)
+            assert (code, out) == (1, "") and err.startswith(f"usage error: {flag}: "), (flag, text)
     for model in ("bernoulli:", "bernoulli:p=1/2,q=9", "markov:", "markov:flip=1/2,x=1"):
         code, out, err = run(["gen", "--model", model, "--n", "4", "--seed", "1"], capsys)
         assert code == 1 and out == "" and err.startswith("usage error: --model:")

@@ -633,3 +633,15 @@ def test_query_validation():
     with pytest.raises(ValueError):
         ComplexityQuery(delta=Fraction(0), Delta=Fraction(1), eps=Fraction(1)).resolve_Delta(8)
     assert ComplexityQuery(delta=Fraction(0), eps=Fraction(1, 10)).resolve_Delta(40) == 4
+
+
+def test_config_echo_text_built_once_per_grid():
+    cfg = FamilyConfig(r_grid=(Fraction(1, 2), Fraction(3, 4)), m_max=2)
+    first = cfg.echo()
+    assert first == {"r_grid": "1/2,3/4", "m_max": 2, "n_max": 24}
+    # an equal grid shares the cached text; each call returns a fresh dict
+    again = FamilyConfig(r_grid=(Fraction(1, 2), Fraction(3, 4))).echo()
+    assert again["r_grid"] is first["r_grid"]
+    first["r_grid"] = "edited"
+    assert cfg.echo()["r_grid"] == "1/2,3/4"
+    assert C.DEFAULT_CONFIG.echo()["r_grid"] == ",".join(str(r) for r in C.DEFAULT_CONFIG.r_grid)

@@ -207,6 +207,8 @@ def test_parse_ensemble_spec_rejects_missing_keys():
         "markov-q:n=2,m=1",
         "uniform-typ:n=3",
         "uniform-typ:r=1/0,n=3",
+        "uniform-typ:r=1.5,n=4",
+        "uniform-typ:r=1e0,n=4",
         "singleton-raw:",
     ):
         with pytest.raises(ValueError):

@@ -11,7 +11,11 @@ The rest of the search surface: `scan-max-coarse` (the coarse candidate
 search over every string of a length), `sweep-theorem1` (the ec search in
 upper mode) and constrained upper-mode `ec`/`coarse-ec` at n = 2^12 (the
 large-n Markov walk with an m bound), recorded before ec and coarse_ec
-shared one search. Any change to a printed byte fails here.
+shared one search.
+
+`selftest --fast`: the whole stdout, one line per suite with its case
+count, recorded before the suites and the acceptance criteria shared one
+check per invariant. Any change to a printed byte fails here.
 """
 
 import hashlib
@@ -255,3 +259,23 @@ def test_golden_search_cli_stdout(key, argv, capsys):
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == _SEARCH_DIGESTS[key]
+
+
+_SELFTEST_FAST = """\
+suite codec-roundtrip: ok (16397 cases)
+suite codec-prefix-free: ok (1024 cases)
+suite codec-kraft: ok (16384 cases)
+suite lz-roundtrip: ok (2062 cases)
+suite lz-kraft: ok (12 cases)
+suite typical-size-bound: ok (192 cases)
+suite typical-monotone: ok (160 cases)
+suite ensemble-serialization: ok (42 cases)
+suite monotone-thm4: ok (6350 cases)
+suite oracle-equivalence: ok (1178 cases)
+suite determinism: ok (1 cases)
+"""
+
+
+def test_golden_selftest_fast_stdout(capsys):
+    assert cli.main(["selftest", "--fast"]) == 0
+    assert capsys.readouterr().out == _SELFTEST_FAST
