@@ -30,8 +30,11 @@ walk goes m by m: desc is constant on an m-slice, so the budget keeps a
 prefix of the slice's total-information order, found by bisection, and the
 first typical entry of that prefix is found by a vectorised scan; without a
 budget the same scan runs once over the whole objective order. Beyond
-n_max, closed-form entropies prefilter each m and the survivors are
-confirmed with the defining recursion.
+n_max the walk never visits a whole m-slice: each (a0, a1) block of it gets
+a lower bound on -log2 p(x) and the range of its closed-form entropies,
+which rule out the blocks that cannot hold a typical entry (or one within
+the budget). The rest are expanded in ascending entropy order, and their
+entries are confirmed with the defining recursion.
 """
 
 from __future__ import annotations
@@ -84,6 +87,7 @@ __all__ = [
 _FLOAT_GUARD = 1e-6
 _BIG_N_FLOAT = 64  # above this length, grid log-likelihoods are evaluated in floats
 _STRAGGLER_CAP = 256  # large-n Markov entries retried per m before giving up on m
+_CLOSED_LENGTHS = 8  # lengths whose closed-form entropies a Markov grid keeps
 
 
 _R_GRID_IDS: dict[tuple[Fraction, ...], int] = {}
@@ -237,7 +241,7 @@ def string_stats(x: str, lz_len: Optional[int] = None) -> StringStats:
     if not is_bits(x):
         raise ValueError("x must consist of '0'/'1' only")
     if lz_len is None:
-        lz_len = lz78.code_len(x)
+        lz_len = lz78._code_len_unchecked(x)  # x was checked just above
     v = int(x, 2)
     ones = v.bit_count()
     if n > 1:
@@ -320,17 +324,27 @@ class _MarkovGrid:
         self.c01, self.c00, self.h0, self.q0 = log1[r0], log0[r0], hof[r0], prob[r0]
         self.c10, self.c11, self.h1, self.q1 = log1[r1], log0[r1], hof[r1], prob[r1]
         self.li1, self.li0, self.hinit, self.pinit = log1[ri], log0[ri], hof[ri], prob[ri]
+        # per m: the slice of its entries, the slice of its (a0, a1) blocks and
+        # the row tables (-log2 q, -log2 (1 - q)) over a = 1 .. 2^m - 1
         self.m_slices: dict[int, slice] = {}
-        start = 0
+        self.block_slices: dict[int, slice] = {}
+        self.rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        start = bstart = 0
         for m in range(1, m_max + 1):
-            k = ((1 << m) - 1) ** 3
-            self.m_slices[m] = slice(start, start + k)
-            start += k
+            k = (1 << m) - 1
+            self.m_slices[m] = slice(start, start + k**3)
+            self.block_slices[m] = slice(bstart, bstart + k * k)
+            r = (1 << m) - m - 1
+            self.rows[m] = (log1[r : r + k], log0[r : r + k])
+            start += k**3
+            bstart += k * k
         # q0, q1 per (m, a0, a1) block; ai varies fastest, so blocks are runs
         first = np.flatnonzero(self.ai == 1)
+        self._block_first = first
         self._block_q0, self._block_q1 = self.q0[first], self.q1[first]
         self._block_len = np.diff(first, append=self.size)
-        self._closed: dict[int, np.ndarray] = {}
+        # per length, most recently used last: (H, block min H, block max H)
+        self._closed: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def entropies(self, n: int) -> np.ndarray:
         """H over the grid by the same forward recursion as ensembles.entropy.
@@ -360,21 +374,34 @@ class _MarkovGrid:
         only, so they are computed once per block and repeated over its ai
         entries. Cached per length and returned read-only.
         """
-        cached = self._closed.get(n)
-        if cached is not None:
-            return cached
-        q0, q1 = self._block_q0, self._block_q1
-        pi1 = q0 / (q0 + q1)
-        lam = 1.0 - q0 - q1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            geo = np.where(lam == 1.0, float(n - 1), (1.0 - lam ** (n - 1)) / (1.0 - lam))
-        pi1 = np.repeat(pi1, self._block_len)
-        geo = np.repeat(geo, self._block_len)
-        sum_p1 = (n - 1) * pi1 + (self.pinit - pi1) * geo
-        H = self.hinit + self.h0 * ((n - 1) - sum_p1) + self.h1 * sum_p1
-        H.flags.writeable = False
-        self._closed[n] = H
-        return H
+        return self.closed_tables(n)[0]
+
+    def closed_tables(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """entropies_closed(n) and its minimum and maximum over each (m, a0, a1)
+        block, in block order, read-only. The _CLOSED_LENGTHS most recently
+        used lengths are kept (about 2.3 MB each at m_max = 6)."""
+        cached = self._closed.pop(n, None)
+        if cached is None:
+            q0, q1 = self._block_q0, self._block_q1
+            pi1 = q0 / (q0 + q1)
+            lam = 1.0 - q0 - q1
+            with np.errstate(divide="ignore", invalid="ignore"):
+                geo = np.where(lam == 1.0, float(n - 1), (1.0 - lam ** (n - 1)) / (1.0 - lam))
+            pi1 = np.repeat(pi1, self._block_len)
+            geo = np.repeat(geo, self._block_len)
+            sum_p1 = (n - 1) * pi1 + (self.pinit - pi1) * geo
+            H = self.hinit + self.h0 * ((n - 1) - sum_p1) + self.h1 * sum_p1
+            cached = (
+                H,
+                np.minimum.reduceat(H, self._block_first),
+                np.maximum.reduceat(H, self._block_first),
+            )
+            for arr in cached:
+                arr.flags.writeable = False
+            if len(self._closed) >= _CLOSED_LENGTHS:
+                del self._closed[next(iter(self._closed))]
+        self._closed[n] = cached
+        return cached
 
 
 class _IIDEntry:
@@ -470,7 +497,9 @@ def _ut_tables(cfg: FamilyConfig, n: int, exact: bool) -> dict:
     """Uniform-typical candidates with canonical orders.
 
     Entries are (desc, H_or_surrogate, sig, obj, r, member threshold,
-    serialization payload); exact entries exist only for nonempty sets.
+    serialization payload, khat term); exact entries exist only for nonempty
+    sets. The khat term is ceil(log2 |T(r,n)|) = bitlen(|T| - 1) in exact
+    mode and the surrogate ceil(r n) beyond it.
     """
     key = (cfg.grid_id, cfg.n_max, n, exact)
     cached = _UT_PER_N.get(key)
@@ -487,10 +516,12 @@ def _ut_tables(cfg: FamilyConfig, n: int, exact: bool) -> dict:
             if card == 0:
                 continue
             H = math.log2(card)
-            rows.append((desc, H, H + desc, 2 * desc + H, r, thresh, payload))
+            term = (card - 1).bit_length()
+            rows.append((desc, H, H + desc, 2 * desc + H, r, thresh, payload, term))
         else:
             rn = Fraction(thresh, r.denominator)
-            rows.append((desc, rn, desc + rn, 2 * desc + rn, r, thresh, payload))
+            term = -((-thresh) // r.denominator)
+            rows.append((desc, rn, desc + rn, 2 * desc + rn, r, thresh, payload, term))
     tables = {
         "ec": sorted(rows, key=lambda t: (t[0], t[2], t[6])),
         "coarse": sorted(rows, key=lambda t: (t[3], t[0], t[2], t[6])),
@@ -514,24 +545,29 @@ def _ipow(base: int, exp: int) -> int:
     return v
 
 
+def _argmax_candidates(m: int, e1: int, e0: int) -> tuple[int, int]:
+    """Two a in [1, 2^m - 1], ascending, one of which maximizes a^e1 * (2^m - a)^e0.
+
+    The product is log-concave in a with its real maximum at 2^m e1/(e1 + e0),
+    so the integer maximum is at the floor or the next integer up; with
+    e1 = e0 = 0 every a gives 1 and the first candidate is a = 1."""
+    top = 1 << m
+    a = top * e1 // (e1 + e0) if e1 + e0 else 1
+    return min(max(a, 1), top - 1), min(a + 1, top - 1)
+
+
 def _best_factor_exact(m: int, e1: int, e0: int) -> int:
     """max over 0 < a < 2^m of a^e1 * (2^m - a)^e0 (exact integer)."""
     top = 1 << m
-    best = 0
-    for a in range(1, top):
-        v = _ipow(a, e1) * _ipow(top - a, e0)
-        if v > best:
-            best = v
-    return best
+    return max(_ipow(a, e1) * _ipow(top - a, e0) for a in _argmax_candidates(m, e1, e0))
 
 
 def _best_factor_log(m: int, e1: int, e0: int) -> tuple[int, float]:
-    """(argmax a, max) of e1*log2(a) + e0*log2(2^m - a)."""
+    """(argmax a, max) of e1*log2(a) + e0*log2(2^m - a); the smallest a on ties."""
     top = 1 << m
-    best_a = 1
-    best_v = e0 * math.log2(top - 1)
-    for a in range(2, top):
-        v = e1 * math.log2(a) + e0 * math.log2(top - a)
+    best_a, best_v = 0, -math.inf
+    for a in _argmax_candidates(m, e1, e0):
+        v = e1 * math.log2(a) + e0 * math.log2(top - a)  # at a = 1: 0.0 + e0 log2(top - 1)
         if v > best_v:
             best_v = v
             best_a = a
@@ -589,14 +625,8 @@ def khat_value(stats: StringStats, cfg: FamilyConfig = DEFAULT_CONFIG, mode: str
     # the exact log-cardinality term is used whenever it is computable; the
     # ceil(r n) surrogate enters only beyond the enumeration bound, so both
     # modes see the same khat for any n the exact mode can handle
-    exact = n <= cfg.n_max
-    for desc, H, _sig, _obj, r, thresh, _payload in _ut_tables(cfg, n, exact)["ec"]:
+    for desc, _H, _sig, _obj, r, thresh, _payload, term in _ut_tables(cfg, n, n <= cfg.n_max)["ec"]:
         if stats.lz_len * r.denominator < thresh:
-            if exact:
-                card = typical_sets.cardinality(typical_sets.TypicalSetSpec(r, n), cfg.n_max)
-                term = (card - 1).bit_length()
-            else:
-                term = -((-thresh) // r.denominator)  # ceil(r n)
             v = desc + term
             if v < best:
                 best = v
@@ -713,14 +743,9 @@ def khat(
         _Candidate(desc + H, desc, float(H) + desc, cls(arg))
         for desc, H, cls, arg in _fixed_rows(x, stats)
     ]
-    exact = n <= cfg.n_max  # same convention as khat_value
-    for desc, H, sig, _obj, r, thresh, _payload in _ut_tables(cfg, n, exact)["ec"]:
+    # same table as khat_value
+    for desc, _H, sig, _obj, r, thresh, _payload, term in _ut_tables(cfg, n, n <= cfg.n_max)["ec"]:
         if stats.lz_len * r.denominator < thresh:
-            if exact:
-                card = typical_sets.cardinality(typical_sets.TypicalSetSpec(r, n), cfg.n_max)
-                term = (card - 1).bit_length()
-            else:
-                term = -((-thresh) // r.denominator)
             finalists.append(_Candidate(desc + term, desc, sig, ens.UniformTypical(r, n)))
     ones, zeros = stats.ones, n - stats.ones
     exact_ints = n <= _BIG_N_FLOAT
@@ -839,34 +864,6 @@ def _markov_ensemble(grid: _MarkovGrid, n: int, j: int) -> ens.MarkovQuantized:
     return ens.MarkovQuantized(n, int(grid.m[j]), int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j]))
 
 
-def _markov_stragglers(
-    stats: StringStats,
-    grid: _MarkovGrid,
-    m: int,
-    delta_f: float,
-    budget: Optional[tuple[int, float]] = None,
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """Large-n prefilter of the order-m Markov entries, in confirmation order.
-
-    Keeps the entries whose closed-form entropy H makes x typical and, with
-    budget = (desc, T), satisfies desc + H <= T, both with a margin for the
-    closed form's rounding. Returns the slice start, -log2 p(x) over the
-    slice, and the kept slice indices ordered by (H, a0, a1, ai): the slice
-    is stored in (a0, a1, ai) order and flatnonzero ascends, so a stable
-    sort on H alone breaks its ties the same way.
-    """
-    margin = 1e-6 + 1e-12 * stats.n
-    sl = grid.m_slices[m]
-    Hcf = grid.entropies_closed(stats.n)[sl]
-    v = _markov_neglogp(stats, grid, sl)
-    keep = v <= Hcf * (1.0 + delta_f) + ens.TYPICALITY_SLACK + margin
-    if budget is not None:
-        desc, T_f = budget
-        keep &= (desc + Hcf) <= T_f + margin
-    idxs = np.flatnonzero(keep)
-    return sl.start, v, idxs[np.argsort(Hcf[idxs], kind="stable")]
-
-
 def _markov_confirmed(
     stats: StringStats,
     grid: _MarkovGrid,
@@ -874,16 +871,74 @@ def _markov_confirmed(
     delta_f: float,
     budget: Optional[tuple[int, float]] = None,
 ):
-    """Yield (ensemble, H), in order, for the prefiltered entries that stay
-    typical when H comes from the defining recursion. Every yielded entry is
-    confirmed; the cap only bounds how many boundary stragglers are retried."""
-    start, v, order = _markov_stragglers(stats, grid, m, delta_f, budget)
-    for i in order[:_STRAGGLER_CAP].tolist():
-        j = start + i
-        e = _markov_ensemble(grid, stats.n, j)
-        H = ens.entropy(e)
-        if _typical_fast(float(v[i]), H, delta_f):
-            yield e, H
+    """Yield (ensemble, H), in (closed-form H, a0, a1, ai) order, for the
+    large-n order-m Markov entries that x is typical for.
+
+    An entry is kept when its closed-form entropy makes x typical and, with
+    budget = (desc, T), satisfies desc + H <= T, both with a margin for the
+    closed form's rounding. The first _STRAGGLER_CAP kept entries are
+    confirmed: H is rebuilt by the defining recursion and the entry is
+    yielded if x stays typical.
+
+    The slice is the product (a0, a1, ai) with ai fastest, so -log2 p(x) is
+    an (a0, ai) table plus two a1 terms, added in _markov_neglogp's order.
+    Float addition is monotone: a table row's minimum plus the a1 terms is a
+    lower bound on every entry of an (a0, a1) block, and with the block's
+    closed-form H range it rules out whole blocks. The other blocks are
+    expanded in ascending order of their minimum H, in batches that grow
+    4x, and a kept entry is confirmed once its H lies below the minimum H of
+    every block not yet expanded, so no later entry can precede it.
+    """
+    n = stats.n
+    margin = 1e-6 + 1e-12 * n
+    scale = 1.0 + delta_f
+    k = (1 << m) - 1
+    log1, log0 = grid.rows[m]  # c01, li1, c10 and c00, li0, c11 as functions of a
+    table = ((log1 if stats.first else log0) + stats.n00 * log0[:, None]) + stats.n01 * log1[:, None]
+    t10, t11 = stats.n10 * log1, stats.n11 * log0
+    H_all, lo_all, hi_all = grid.closed_tables(n)
+    lo, hi = lo_all[grid.block_slices[m]], hi_all[grid.block_slices[m]]
+    bound = (table.min(axis=1)[:, None] + t10) + t11  # per (a0, a1) block
+    ok = bound.ravel() <= hi * scale + ens.TYPICALITY_SLACK + margin
+    if budget is not None:
+        desc, T_f = budget
+        ok &= (desc + lo) <= T_f + margin
+    blocks = np.flatnonzero(ok)
+    blocks = blocks[np.argsort(lo[blocks], kind="stable")]
+    sl = grid.m_slices[m]
+    H_blocks = H_all[sl].reshape(k * k, k)
+    left = _STRAGGLER_CAP
+    pend_h = pend_i = pend_v = None  # kept entries not yet confirmed
+    done, chunk = 0, 2
+    while done < len(blocks):
+        bs = blocks[done : done + chunk]
+        done += len(bs)
+        chunk *= 4
+        a0, a1 = np.divmod(bs, k)
+        v = (table[a0] + t10[a1, None]) + t11[a1, None]
+        hb = H_blocks[bs]
+        keep = v <= hb * scale + ens.TYPICALITY_SLACK + margin
+        if budget is not None:
+            keep &= (desc + hb) <= T_f + margin
+        hb, ib, vb = hb[keep], (bs[:, None] * k + np.arange(k))[keep], v[keep]
+        if pend_h is not None:
+            hb = np.concatenate((pend_h, hb))
+            ib = np.concatenate((pend_i, ib))
+            vb = np.concatenate((pend_v, vb))
+        order = np.lexsort((ib, hb))
+        hb, ib, vb = hb[order], ib[order], vb[order]
+        ready = len(hb) if done == len(blocks) else int(np.searchsorted(hb, lo[blocks[done]]))
+        if left is not None:
+            ready = min(ready, left)
+            left -= ready
+        for i, vi in zip(ib[:ready].tolist(), vb[:ready].tolist()):
+            e = _markov_ensemble(grid, n, sl.start + i)
+            H = ens.entropy(e)
+            if _typical_fast(vi, H, delta_f):
+                yield e, H
+        if left == 0:
+            return
+        pend_h, pend_i, pend_v = hb[ready:], ib[ready:], vb[ready:]
 
 
 # --- the candidate search -------------------------------------------------------
@@ -1032,9 +1087,12 @@ def _walk_markov_big(
     cfg: FamilyConfig,
 ) -> Optional[_Candidate]:
     """The Markov champion beyond the exact bound: per m, the first confirmed
-    straggler that fits the budget. desc grows with m, so once the objective's
-    lower bound (desc under a budget, 2 desc without) exceeds the best so far,
-    no later m can win."""
+    straggler that fits the budget, from _markov_confirmed, which bounds each
+    (a0, a1) block before it expands any entry: a block whose -log2 p(x)
+    lower bound exceeds its largest typicality threshold, or whose smallest
+    closed-form entropy misses the budget, is never expanded. desc grows
+    with m, so once the objective's lower bound (desc under a budget, 2 desc
+    without) exceeds the best so far, no later m can win."""
     grid = _markov_grid(cfg.m_max)
     base = 3 + nat_code_len(stats.n)
     T_f = None if T is None else float(T)

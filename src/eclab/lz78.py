@@ -116,6 +116,27 @@ def code_len(x: str) -> int:
     return _phrase_bits(c) + (c.bit_length() if node else 0)
 
 
+def _code_len_unchecked(x: str) -> int:
+    """code_len for an x its caller has already checked to be nonempty 0/1.
+
+    The loop is code_len's; code_len keeps its own copy inline, so the
+    calls that parse the most bits pay no extra call.
+    """
+    kids = [0, 0]  # as in parse
+    node = 0
+    for b in x.encode().translate(_BITS):
+        i = node + b
+        t = kids[i]
+        if t:
+            node = t
+        else:
+            kids[i] = len(kids)
+            kids += (0, 0)
+            node = 0
+    c = (len(kids) >> 1) - 1
+    return _phrase_bits(c) + (c.bit_length() if node else 0)
+
+
 def _phrase_bits(c: int) -> int:
     """S(c) = sum_{j<c} (bitlen(j) + 1): the bits of c complete phrases."""
     if c <= 1:

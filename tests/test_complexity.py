@@ -147,6 +147,68 @@ def test_closed_entropies_cached_read_only():
         assert H.tobytes() == _closed_whole_grid(grid, n).tobytes(), n
 
 
+def test_closed_cache_bounded_with_block_ranges():
+    grid = C._MarkovGrid(6)
+    lengths = [1000 + 7 * i for i in range(12)]
+    for n in lengths:
+        H, lo, hi = grid.closed_tables(n)
+        assert grid.entropies_closed(n) is H
+        assert not lo.flags.writeable and not hi.flags.writeable
+        for m, sl in grid.m_slices.items():
+            k = (1 << m) - 1
+            blocks = H[sl].reshape(k * k, k)
+            bsl = grid.block_slices[m]
+            assert np.array_equal(lo[bsl], blocks.min(axis=1))
+            assert np.array_equal(hi[bsl], blocks.max(axis=1))
+    assert len(grid._closed) <= C._CLOSED_LENGTHS == 8
+    # the most recently used lengths stay, and a repeat returns the same array
+    H = grid.entropies_closed(lengths[-1])
+    assert grid.entropies_closed(lengths[-1]) is H
+    assert grid.entropies_closed(lengths[-8]) is grid.entropies_closed(lengths[-8])
+    assert lengths[0] not in grid._closed
+
+
+def _best_factor_exact_scan(m, e1, e0):
+    """max over 0 < a < 2^m of a^e1 * (2^m - a)^e0 by a scan over every a."""
+    top = 1 << m
+    best = 0
+    for a in range(1, top):
+        v = a**e1 * (top - a) ** e0
+        if v > best:
+            best = v
+    return best
+
+
+def _best_factor_log_scan(m, e1, e0):
+    """(argmax a, max) of e1*log2(a) + e0*log2(2^m - a) by a scan over every a."""
+    top = 1 << m
+    best_a = 1
+    best_v = e0 * math.log2(top - 1)
+    for a in range(2, top):
+        v = e1 * math.log2(a) + e0 * math.log2(top - a)
+        if v > best_v:
+            best_v = v
+            best_a = a
+    return best_a, best_v
+
+
+def test_best_factor_argmax_matches_scan():
+    # the maximum of the log-concave a^e1 (2^m - a)^e0 is at one of the two
+    # integers around 2^m e1 / (e1 + e0): the same value, and in floats the
+    # same argmax and maximum, as the scans
+    for m in range(1, 7):
+        for e1 in range(70):
+            for e0 in range(70):
+                assert C._best_factor_exact(m, e1, e0) == _best_factor_exact_scan(m, e1, e0)
+                assert C._best_factor_log(m, e1, e0) == _best_factor_log_scan(m, e1, e0)
+    rng = np.random.default_rng(5)
+    for _ in range(5000):
+        n = int(rng.integers(1, 1 << 20, endpoint=True))
+        e1 = int(rng.integers(0, n, endpoint=True))
+        m = int(rng.integers(1, 6, endpoint=True))
+        assert C._best_factor_log(m, e1, n - e1) == _best_factor_log_scan(m, e1, n - e1)
+
+
 def test_ec_example_small_budget():
     rep = C.ec("0", ComplexityQuery(delta=Fraction(0), Delta=Fraction(16)))
     assert rep.khat == 5
@@ -555,13 +617,15 @@ def test_upper_mode_walks_match_direct_scan_beyond_nmax():
 
 def test_upper_mode_straggler_order_and_cap(monkeypatch):
     # the large-n walks confirm Markov stragglers in (closed-form H, a0, a1, ai)
-    # order; the reference is the tuple-key sort over the prefiltered entries
+    # order; the reference is the tuple-key sort over a whole-slice prefilter.
+    # With the cap lifted and every confirmation passing, _markov_confirmed
+    # yields its complete kept sequence (as grid indices, patched in below)
     cfg = C.DEFAULT_CONFIG
     grid = C._markov_grid(cfg.m_max)
     cases = []
     for spec in ("markov:flip=1/10", "bernoulli:p=3/10"):
         model = processes.parse_model_spec(spec)
-        for n in (1 << 10, 1 << 12):
+        for n in (1 << 10, 1 << 12, 1 << 15):
             for seed in (1, 2):
                 cases.append(processes.sample(model, n, seed))
     for x in cases:
@@ -572,34 +636,41 @@ def test_upper_mode_straggler_order_and_cap(monkeypatch):
         Hcf_all = grid.entropies_closed(n)
         eps_query = ComplexityQuery(delta=Fraction(0), eps=Fraction(1, 10), mode="upper")
         T_f = float(C.khat_value(st, cfg, "upper") + eps_query.resolve_Delta(n))
-        for delta_f in (0.0, 0.25):
-            for m in range(1, cfg.m_max + 1):
-                desc = base + nat_code_len(m) + 3 * m
-                sl = grid.m_slices[m]
-                Hcf = Hcf_all[sl]
-                v = (
-                    (grid.li1 if st.first else grid.li0)[sl]
-                    + st.n00 * grid.c00[sl]
-                    + st.n01 * grid.c01[sl]
-                    + st.n10 * grid.c10[sl]
-                    + st.n11 * grid.c11[sl]
-                )
+        for m in range(1, cfg.m_max + 1):
+            desc = base + nat_code_len(m) + 3 * m
+            sl = grid.m_slices[m]
+            Hcf = Hcf_all[sl]
+            v = (
+                (grid.li1 if st.first else grid.li0)[sl]
+                + st.n00 * grid.c00[sl]
+                + st.n01 * grid.c01[sl]
+                + st.n10 * grid.c10[sl]
+                + st.n11 * grid.c11[sl]
+            )
+            fits = (desc + Hcf) <= T_f + margin
+            keys = list(zip(Hcf.tolist(), grid.a0[sl].tolist(), grid.a1[sl].tolist(),
+                            grid.ai[sl].tolist()))
+            for delta_f in (0.0, 0.25, 1.0):
                 typ = v <= Hcf * (1.0 + delta_f) + E.TYPICALITY_SLACK + margin
-                fits = (desc + Hcf) <= T_f + margin
                 for budget, mask in ((None, typ), ((desc, T_f), typ & fits)):
-                    ref = sorted(
-                        np.flatnonzero(mask).tolist(),
-                        key=lambda i: (
-                            Hcf[i],
-                            int(grid.a0[sl.start + i]),
-                            int(grid.a1[sl.start + i]),
-                            int(grid.ai[sl.start + i]),
-                        ),
-                    )
-                    start, v_out, order = C._markov_stragglers(st, grid, m, delta_f, budget)
-                    assert start == sl.start
-                    assert np.array_equal(v_out, v)
-                    assert order.tolist() == ref
+                    ref = sorted(np.flatnonzero(mask).tolist(), key=lambda i: keys[i])
+                    with monkeypatch.context() as mp:
+                        mp.setattr(C, "_STRAGGLER_CAP", None)
+                        mp.setattr(C, "_markov_ensemble", lambda grid, n, j: j)
+                        mp.setattr(C.ens, "entropy", lambda j: math.inf)
+                        kept = [j for j, _H in C._markov_confirmed(st, grid, m, delta_f, budget)]
+                    assert kept == [sl.start + i for i in ref]
+                    if n > 1 << 10:
+                        continue
+                    # with the cap and the defining recursion: the first
+                    # _STRAGGLER_CAP kept entries that stay typical
+                    confirmed = []
+                    for i in ref[: C._STRAGGLER_CAP]:
+                        e = C._markov_ensemble(grid, n, sl.start + i)
+                        H = E.entropy(e)
+                        if C._typical_fast(float(v[i]), H, delta_f):
+                            confirmed.append((e, H))
+                    assert list(C._markov_confirmed(st, grid, m, delta_f, budget)) == confirmed
 
     def results():
         out = []

@@ -6,6 +6,9 @@ Markov-like, fair-coin and run-heavy, four per length.
 
 Upper mode at n = 2^12 and 2^15: seeded paths of the two benchmark models,
 recorded before the exact log2 rechecks moved powers of two into shifts.
+The same paths under δ = 1/4 and 1, `ec --Delta 0`, `coarse-ec` with an m
+bound, and one n = 2^18 `coarse-ec` per model: recorded before the large-n
+Markov walk bounded whole (a0, a1) blocks instead of scanning every entry.
 
 The rest of the search surface: `scan-max-coarse` (the coarse candidate
 search over every string of a length), `sweep-theorem1` (the ec search in
@@ -204,6 +207,67 @@ def test_golden_upper_argv_take_the_power_of_two_recheck(monkeypatch, capsys):
         all(b & (b - 1) == 0 for b, _e in f) and any(b > 1 and e > 0 for b, e in f)
         for f in rechecks
     )
+
+
+def _upper_query_argv() -> list[tuple[str, list[str]]]:
+    out = []
+    for model in _UPPER_MODELS:
+        spec = processes.parse_model_spec(model)
+        for n in _UPPER_LENGTHS:
+            ((x, _),) = processes.sample_paths(spec, n, _UPPER_SEED, 1)
+            key = f"{model} n={n}"
+            for d in ("1/4", "1"):
+                out.append((f"{key} ec delta={d}", ["ec", "--x", x, "--delta", d, "--eps", "1/10"]))
+                out.append((f"{key} coarse-ec delta={d}", ["coarse-ec", "--x", x, "--delta", d]))
+            if n == 1 << 12:
+                for d in ("0", "1/4", "1"):
+                    out.append((f"{key} ec delta={d} Delta=0",
+                                ["ec", "--x", x, "--delta", d, "--Delta", "0"]))
+                for d in ("0", "1"):
+                    out.append((f"{key} coarse-ec delta={d} mmax=3",
+                                ["coarse-ec", "--x", x, "--delta", d, "--constraint", "mmax=3"]))
+        ((x, _),) = processes.sample_paths(spec, 1 << 18, _UPPER_SEED, 1)
+        out.append((f"{model} n=262144 coarse-ec", ["coarse-ec", "--x", x, "--delta", "0"]))
+    return out
+
+
+_UPPER_QUERY_DIGESTS = {
+    'markov:flip=1/10 n=4096 ec delta=1/4': "649bee9197399bba485ee71f948df41c6f244d9de458bb95d10a8af442bdb989",
+    'markov:flip=1/10 n=4096 coarse-ec delta=1/4': "dce7bc7ab60ee1eb7978b8fd0a896d24473c5226d2ce34189b0ae4df443e00e6",
+    'markov:flip=1/10 n=4096 ec delta=1': "c84d54c673b86e304d052a94036a346599b5e991e4cbc8a7ef5cbab7cc51d504",
+    'markov:flip=1/10 n=4096 coarse-ec delta=1': "0b7098770590fb293702d71d887e8bbf5c8d0f1dd8ea4d0dbc05d1f1004c1383",
+    'markov:flip=1/10 n=4096 ec delta=0 Delta=0': "cc069dd822f852ffd2505f664672b3c3ac2a708f16d63440056aa54f9e7654ea",
+    'markov:flip=1/10 n=4096 ec delta=1/4 Delta=0': "1b7ef3b2d7f93fac09a2eaa0b9060c5751dcfe79f2fc6aa582cee9115abb6ea1",
+    'markov:flip=1/10 n=4096 ec delta=1 Delta=0': "709503d4d45d0a575e3790fa112784cfd9582b0806d011c78ea193d820667b2e",
+    'markov:flip=1/10 n=4096 coarse-ec delta=0 mmax=3': "655d94cc41b9010f4f6e540391cabe3b81c44ac14a8121acefcf96d95c91df3a",
+    'markov:flip=1/10 n=4096 coarse-ec delta=1 mmax=3': "892a6cd3f9b55eedd1955754161c157c9f0aee3758a7cf1f87ff519354db939a",
+    'markov:flip=1/10 n=32768 ec delta=1/4': "dd549d2ec1eba4b0cc72bbad5df9aae0754550bb8c8d01c77955f3d194d9b100",
+    'markov:flip=1/10 n=32768 coarse-ec delta=1/4': "417939e710b0b222ff49ecec274556f02f546bc6ac282856c71da9332a3ae5f5",
+    'markov:flip=1/10 n=32768 ec delta=1': "30256fe5ea1352e2a8793f5cc3a3ce8f8e40fd3f3208dc08b0feda7247d36f94",
+    'markov:flip=1/10 n=32768 coarse-ec delta=1': "af34aaf0a1f7ddcc0cb0a9784e86b1ad34d0e954c3e698ffdbdd303e1bafd4a2",
+    'markov:flip=1/10 n=262144 coarse-ec': "81095869e66d7ee09d79a3963680cfa9b7258fc9d8302783305769f8d41d1c68",
+    'bernoulli:p=3/10 n=4096 ec delta=1/4': "53c20bd436eeb99d640a2bac31a0c4ccbba40fd6a35d1d91826ec7d9f3eb28b1",
+    'bernoulli:p=3/10 n=4096 coarse-ec delta=1/4': "a963014e64b217c79956190691f83c6330d73813a201e955bb66ae8f1cd06370",
+    'bernoulli:p=3/10 n=4096 ec delta=1': "a61a80210804d2632d634d689e47419f03aa6c95f706df810542891f999441fc",
+    'bernoulli:p=3/10 n=4096 coarse-ec delta=1': "72454d8d8e6c7581720b33674285b6fcb3a0ced93cdaea29b1c4959ba8ef6172",
+    'bernoulli:p=3/10 n=4096 ec delta=0 Delta=0': "f845db528a285fec7b320187c48a0b35a84d09e66132f7b12ad8bba458401fe7",
+    'bernoulli:p=3/10 n=4096 ec delta=1/4 Delta=0': "7bd920d4b3d08865b6c31747602576dcaae0ebc966736ae97da879859f3f0212",
+    'bernoulli:p=3/10 n=4096 ec delta=1 Delta=0': "ce74c1cb401179b7d4779e4919a8d6ed31725fd9de1868ec73887cb4feebb471",
+    'bernoulli:p=3/10 n=4096 coarse-ec delta=0 mmax=3': "6fd161026aa7b60c74bcbe9e22433b9dd0e41a6f147d03f8d783e0df6e47065e",
+    'bernoulli:p=3/10 n=4096 coarse-ec delta=1 mmax=3': "c6d034627f5f8cdbc6bc36ce105f0a94400d8df9ad75cc3c1287428d9f0c8d2f",
+    'bernoulli:p=3/10 n=32768 ec delta=1/4': "661bbc761ad3cc71e0dac6fc2d9fdfeffbe86430c20c8d85134debddd5785f24",
+    'bernoulli:p=3/10 n=32768 coarse-ec delta=1/4': "24b7b36b7707cbcf212666d59eaf203b171958d83bf016444eb167b5f9406723",
+    'bernoulli:p=3/10 n=32768 ec delta=1': "28c2476014d927ee7156c52a5902e2a6cc5e400e161b7f66ca5a14e81410d8e2",
+    'bernoulli:p=3/10 n=32768 coarse-ec delta=1': "2c287a7f1a34b75f1a91f8693fb5db4ea2ebfe0f0800d864bc76569ac3e55686",
+    'bernoulli:p=3/10 n=262144 coarse-ec': "b739c412d577bc7d4c3a43f71599ee802acbdd5b88eacd1dc951d3b1dcfb8aa4",
+}
+
+
+@pytest.mark.parametrize("key,argv", _upper_query_argv(), ids=[k for k, _ in _upper_query_argv()])
+def test_golden_upper_query_cli_stdout(key, argv, capsys):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _UPPER_QUERY_DIGESTS[key]
 
 
 _SEARCH_CONSTRAINTS = ("mmax=1", "tags=markov-q;mmax=2", "tags=markov-q;mmax=4",
