@@ -928,9 +928,8 @@ def _markov_confirmed(
         order = np.lexsort((ib, hb))
         hb, ib, vb = hb[order], ib[order], vb[order]
         ready = len(hb) if done == len(blocks) else int(np.searchsorted(hb, lo[blocks[done]]))
-        if left is not None:
-            ready = min(ready, left)
-            left -= ready
+        ready = min(ready, left)
+        left -= ready
         for i, vi in zip(ib[:ready].tolist(), vb[:ready].tolist()):
             e = _markov_ensemble(grid, n, sl.start + i)
             H = ens.entropy(e)

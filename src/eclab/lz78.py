@@ -101,27 +101,11 @@ def parse(x: str) -> LZParse:
 def code_len(x: str) -> int:
     """Phrase-stream length of the LZ78 code of x, in bits."""
     _check_input(x)
-    kids = [0, 0]  # as in parse
-    node = 0
-    for b in x.encode().translate(_BITS):
-        i = node + b
-        t = kids[i]
-        if t:
-            node = t
-        else:
-            kids[i] = len(kids)
-            kids += (0, 0)
-            node = 0
-    c = (len(kids) >> 1) - 1
-    return _phrase_bits(c) + (c.bit_length() if node else 0)
+    return _code_len_unchecked(x)
 
 
 def _code_len_unchecked(x: str) -> int:
-    """code_len for an x its caller has already checked to be nonempty 0/1.
-
-    The loop is code_len's; code_len keeps its own copy inline, so the
-    calls that parse the most bits pay no extra call.
-    """
+    """code_len for an x its caller has already checked to be nonempty 0/1."""
     kids = [0, 0]  # as in parse
     node = 0
     for b in x.encode().translate(_BITS):

@@ -173,14 +173,13 @@ def test_coarse_constraint_errors_and_default(capsys):
 def test_khat_parses_x_once(capsys, monkeypatch):
     from eclab import lz78
 
-    # string_stats parses through the unchecked helper, having checked x
-    # itself; a parse through either entry point counts
+    # every parse runs lz78._code_len_unchecked: code_len calls it after its
+    # check, and string_stats after checking x itself
     parsed = []
-    code_len, unchecked = lz78.code_len, lz78._code_len_unchecked
-    monkeypatch.setattr(lz78, "code_len", lambda x: parsed.append(x) or code_len(x))
+    unchecked = lz78._code_len_unchecked
     monkeypatch.setattr(lz78, "_code_len_unchecked", lambda x: parsed.append(x) or unchecked(x))
     code, out, _ = run(["khat", "--x", "0110100110"], capsys)
-    assert code == 0 and parse_csv(out)[0]["lz_len"] == str(code_len("0110100110"))
+    assert code == 0 and parse_csv(out)[0]["lz_len"] == str(unchecked("0110100110"))
     assert parsed == ["0110100110"]
 
 

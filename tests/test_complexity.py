@@ -655,7 +655,7 @@ def test_upper_mode_straggler_order_and_cap(monkeypatch):
                 for budget, mask in ((None, typ), ((desc, T_f), typ & fits)):
                     ref = sorted(np.flatnonzero(mask).tolist(), key=lambda i: keys[i])
                     with monkeypatch.context() as mp:
-                        mp.setattr(C, "_STRAGGLER_CAP", None)
+                        mp.setattr(C, "_STRAGGLER_CAP", grid.size)  # above any slice's count
                         mp.setattr(C, "_markov_ensemble", lambda grid, n, j: j)
                         mp.setattr(C.ens, "entropy", lambda j: math.inf)
                         kept = [j for j, _H in C._markov_confirmed(st, grid, m, delta_f, budget)]
@@ -684,7 +684,7 @@ def test_upper_mode_straggler_order_and_cap(monkeypatch):
         return out
 
     capped = results()
-    monkeypatch.setattr(C, "_STRAGGLER_CAP", None)
+    monkeypatch.setattr(C, "_STRAGGLER_CAP", grid.size)
     assert results() == capped
 
 
