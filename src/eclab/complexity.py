@@ -25,16 +25,20 @@ presorted in that order, so the search takes the first feasible one per
 tag and merges the per-tag champions with the same comparator; results
 are deterministic and agree bit for bit with a direct scan of the family.
 
-The Markov tag has one walk per regime. In exact mode, under a budget, the
-walk goes m by m: desc is constant on an m-slice, so the budget keeps a
-prefix of the slice's total-information order, found by bisection, and the
-first typical entry of that prefix is found by a vectorised scan; without a
-budget the same scan runs once over the whole objective order. Beyond
-n_max the walk never visits a whole m-slice: each (a0, a1) block of it gets
-a lower bound on -log2 p(x) and the range of its closed-form entropies,
-which rule out the blocks that cannot hold a typical entry (or one within
-the budget). The rest are expanded in ascending entropy order, and their
-entries are confirmed with the defining recursion.
+The Markov tag has one walk, m by m: desc is constant on an m-slice and
+grows with m, so the walk stops once desc (or 2 desc without a budget)
+exceeds the budget or the best objective so far. Each m's champion comes
+from one of two sources. Up to n_max, an exact table per (n, m), built the
+first time a walk reaches that m: under a budget, the budget keeps a prefix
+of the slice's total-information order, found by bisection; without one,
+the whole objective order is scanned; either way the first typical entry
+wins, and a slice whose smallest entropy already misses the budget or the
+best objective is skipped unscanned. Beyond n_max, the walk never visits a
+whole slice: each (a0, a1) block of it gets a lower bound on -log2 p(x) and
+the range of its closed-form entropies, which rule out the blocks that
+cannot hold a typical entry (or one within the budget). The rest are
+expanded in ascending entropy order, and their entries are confirmed with
+the defining recursion.
 """
 
 from __future__ import annotations
@@ -87,7 +91,7 @@ __all__ = [
 _FLOAT_GUARD = 1e-6
 _BIG_N_FLOAT = 64  # above this length, grid log-likelihoods are evaluated in floats
 _STRAGGLER_CAP = 256  # large-n Markov entries retried per m before giving up on m
-_CLOSED_LENGTHS = 8  # lengths whose closed-form entropies a Markov grid keeps
+_CLOSED_LENGTHS = 8  # lengths whose closed-form entropies and exact m_max slices are kept
 
 
 _R_GRID_IDS: dict[tuple[Fraction, ...], int] = {}
@@ -308,8 +312,9 @@ class _MarkovGrid:
         self.a1 = np.concatenate(a1s)
         self.ai = np.concatenate(ais)
         self.size = len(self.m)
-        per_m_desc = [0] + [nat_code_len(m) + 3 * m for m in range(1, m_max + 1)]
-        self.descbase = np.array(per_m_desc, dtype=np.int64)[self.m]
+        # desc of an order-m entry, less the tag and length prefix 3 + |delta(n)|
+        self.m_desc = [0] + [nat_code_len(m) + 3 * m for m in range(1, m_max + 1)]
+        self.descbase = np.array(self.m_desc, dtype=np.int64)[self.m]
         # one row per (m, a), m ascending then a; row of (m, a) is 2^m - m - 2 + a
         log1, log0, hof, prob = [], [], [], []
         for m in range(1, m_max + 1):
@@ -346,23 +351,26 @@ class _MarkovGrid:
         # per length, most recently used last: (H, block min H, block max H)
         self._closed: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def entropies(self, n: int) -> np.ndarray:
-        """H over the grid by the same forward recursion as ensembles.entropy.
+    def entropies(self, n: int, sl: slice = slice(None)) -> np.ndarray:
+        """H over the grid entries in sl by the same forward recursion as
+        ensembles.entropy.
 
         Each step is the scalar step's expressions, in order, into
-        preallocated buffers.
+        preallocated buffers; every operation is elementwise, so a slice's
+        entropies are the whole grid's, bit for bit.
         """
-        p1 = self.pinit.copy()
-        total = self.hinit.copy()
+        p1 = self.pinit[sl].copy()
+        total = self.hinit[sl].copy()
+        h0, h1, q0 = self.h0[sl], self.h1[sl], self.q0[sl]
         p0, a, b = np.empty_like(p1), np.empty_like(p1), np.empty_like(p1)
-        stay1 = 1.0 - self.q1
+        stay1 = 1.0 - self.q1[sl]
         for _ in range(n - 1):
             np.subtract(1.0, p1, out=p0)
-            np.multiply(p0, self.h0, out=a)
-            np.multiply(p1, self.h1, out=b)
+            np.multiply(p0, h0, out=a)
+            np.multiply(p1, h1, out=b)
             np.add(a, b, out=a)
             np.add(total, a, out=total)
-            np.multiply(p0, self.q0, out=a)
+            np.multiply(p0, q0, out=a)
             np.multiply(p1, stay1, out=p1)
             np.add(a, p1, out=p1)
         return total
@@ -418,7 +426,7 @@ class _IIDEntry:
 
 _MARKOV_GRIDS: dict[int, _MarkovGrid] = {}
 _IID_GRIDS: dict[int, list[_IIDEntry]] = {}
-_MARKOV_PER_N: dict[tuple[int, int], dict] = {}
+_MARKOV_PER_N: dict[tuple[int, int, int], dict] = {}
 _IID_PER_N: dict[tuple[int, int], dict] = {}
 _UT_PER_N: dict[tuple, dict] = {}
 
@@ -439,36 +447,32 @@ def _iid_grid(m_max: int) -> list[_IIDEntry]:
     return grid
 
 
-def _markov_tables(m_max: int, n: int) -> dict:
-    """Per-length Markov arrays: entropies plus canonical walk orders.
-
-    The sort keys replicate the tie-break comparator: description length,
-    then total information desc + H, then parameter order (equal desc
-    forces equal m within the tag, where serialization order is just the
-    numeric order of (a0, a1, ai)). desc is strictly increasing in m and
-    each m's slice is already in (a0, a1, ai) order, so stable sorts give
-    the ec order per slice and the coarse order from the ec order.
-
-    Only what depends on n is kept: H and the two orders, as int32 (the
-    grid has fewer than 2^31 entries). The walks rebuild desc, desc + H and
-    2 desc + H for the entries they read, with the same float operations as
-    the sort keys here. Within each m-slice of ec_order desc is constant
-    and desc + H nondecreasing, which lets the ec walk bisect its budget."""
-    key = (m_max, n)
-    cached = _MARKOV_PER_N.get(key)
-    if cached is not None:
-        return cached
+def _markov_tables(m_max: int, n: int, m: int) -> dict:
+    """Exact Markov arrays of one length and one m-slice, built on first use:
+    its entropies H, their minimum Hmin, and slice-local int32 orders that
+    replicate the tie-break comparator. Within a slice desc is constant and
+    serialization order is the slice's own (a0, a1, ai) order, so a stable
+    sort by total information desc + H gives ec_order and a stable sort of
+    that by 2 desc + H gives coarse_order. The walk rebuilds both keys with
+    the same float operations; along ec_order desc + H is nondecreasing,
+    which lets it bisect its budget. Slices of the largest order (about 4 MB
+    at m_max = 6) are kept for the _CLOSED_LENGTHS most recently used lengths."""
+    key = (m_max, n, m)
+    tables = _MARKOV_PER_N.get(key)
+    if tables is not None:
+        if m == m_max:  # most recently used last
+            _MARKOV_PER_N[key] = _MARKOV_PER_N.pop(key)
+        return tables
     grid = _markov_grid(m_max)
-    H = grid.entropies(n)
-    base = 3 + nat_code_len(n)
-    desc = base + grid.descbase
-    sig = H + desc  # same expression as ensembles.total_info: entropy + desc_len
-    obj = 2 * desc + H
-    ec_order = np.concatenate(
-        [sl.start + np.argsort(sig[sl], kind="stable") for sl in grid.m_slices.values()]
-    ).astype(np.int32)
-    coarse_order = ec_order[np.argsort(obj[ec_order], kind="stable")]
-    tables = {"H": H, "ec_order": ec_order, "coarse_order": coarse_order}
+    H = grid.entropies(n, grid.m_slices[m])
+    desc = 3 + nat_code_len(n) + grid.m_desc[m]
+    ec_order = np.argsort(H + desc, kind="stable").astype(np.int32)
+    tables = {"H": H, "Hmin": float(H.min()), "ec_order": ec_order}
+    tables["coarse_order"] = ec_order[np.argsort((2 * desc + H)[ec_order], kind="stable")]
+    if m == m_max:
+        top = [k for k in _MARKOV_PER_N if k[2] == k[0]]
+        if len(top) >= _CLOSED_LENGTHS:
+            del _MARKOV_PER_N[top[0]]
     _MARKOV_PER_N[key] = tables
     return tables
 
@@ -774,39 +778,54 @@ def _khat_markov_champion(
     grid = _markov_grid(cfg.m_max)
     base = 3 + nat_code_len(n)
     small = n <= _BIG_N_FLOAT
-    H = _markov_tables(cfg.m_max, n)["H"] if small else None
     best: Optional[_Candidate] = None
     for m in range(1, cfg.m_max + 1):
         cut = best_cut if best is None else min(best_cut, best.objective)
-        desc = base + nat_code_len(m) + 3 * m
+        desc = base + grid.m_desc[m]
         # -log2 p(x) >= 0 on every entry, so lg <= m n and cand_value >= desc - 1:
-        # skip, before building lg, any m the test below would skip after it
+        # skip, before building its terms, any m the test below would skip after it
         if desc - 2 > cut:
             continue
-        sl = grid.m_slices[m]
-        lg = m * n - _markov_neglogp(stats, grid, sl)  # log2 of the numerators
-        lgmax = float(lg.max())
+        table, t10, t11 = _markov_terms(stats, grid, m)
+        tmin = table.min()
+        rows = (tmin + t10) + t11  # per a1, the least -log2 p(x): float addition is monotone
+        vmin = rows.min()
+        lgmax = float(m * n - vmin)  # log2 of the largest numerator
         cand_value = desc + m * n - math.floor(lgmax) - 1
         if cand_value - 1 > cut:
             continue
+        H = _markov_tables(cfg.m_max, n, m)["H"] if small else None
         # equal two-part values mean equal numerator bit lengths, so at small n
         # the tie band is the whole top unit interval (minus one for float safety)
         band = (math.floor(lgmax) - 1 - _FLOAT_GUARD) if small else (lgmax - 1e-9)
-        near = np.flatnonzero(lg >= band)
+        # a band entry's -log2 p(x), and so its table entry and a1 row, lie at most
+        # lgmax - band (plus a few roundings) above their minima; lg is bit for bit
+        # the whole slice's
+        slack = lgmax - band + 1e-6 + 1e-12 * n
+        k = len(t10)
+        pairs = np.flatnonzero(table.ravel() <= tmin + slack)  # a0 * k + ai
+        a1s = np.flatnonzero(rows <= vmin + slack)
+        lg = m * n - ((table.ravel()[pairs] + t10[a1s, None]) + t11[a1s, None])
+        a1_at, pair_at = np.nonzero(lg >= band)
+        a0_at, ai_at = np.divmod(pairs[pair_at], k)
+        near = (a0_at * k + a1s[a1_at]) * k + ai_at  # slice-local indices
+        sl = grid.m_slices[m]
         best_bl = -1
         tied: list[int] = []
         top = 1 << m
-        for idx in near.tolist():
+        for idx, v in zip(near.tolist(), lg[a1_at, pair_at].tolist()):
             j = sl.start + idx
             a0, a1, ai = int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j])
-            bl = 1 + _floor_log2_product(  # bit length of the numerator
+            # bit length of the numerator, whose float log2 is v
+            bl = 1 + _floor_log2_guarded(
+                v,
                 (
                     (ai if stats.first else top - ai, 1),
                     (a0, stats.n01),
                     (top - a0, stats.n00),
                     (a1, stats.n10),
                     (top - a1, stats.n11),
-                )
+                ),
             )
             if bl > best_bl:
                 best_bl = bl
@@ -815,18 +834,11 @@ def _khat_markov_champion(
                 tied.append(j)
         # equal desc within m: ties go to total information H + desc (not bare
         # H: adding desc in floats can merge neighboring H values), then to
-        # (a0, a1, ai), which is serialization order within one m
-        j = min(
-            tied,
-            key=lambda j: (
-                float(H[j]) + desc if H is not None else 0.0,
-                int(grid.a0[j]),
-                int(grid.a1[j]),
-                int(grid.ai[j]),
-            ),
-        )
+        # (a0, a1, ai), which is serialization order within one m and the
+        # order of the slice's indices
+        j = min(tied, key=lambda j: (float(H[j - sl.start]) + desc if H is not None else 0.0, j))
         e = _markov_ensemble(grid, n, j)
-        sigma = (float(H[j]) if H is not None else ens.entropy(e)) + desc
+        sigma = (float(H[j - sl.start]) if H is not None else ens.entropy(e)) + desc
         # desc differs across m, so the comparator never reaches serializations
         best = _pick_canonical((best, _Candidate(desc + m * n - best_bl + 1, desc, sigma, e)))
     return best
@@ -860,6 +872,15 @@ def _markov_neglogp(stats: StringStats, grid: _MarkovGrid, sl) -> np.ndarray:
     )
 
 
+def _markov_terms(stats: StringStats, grid: _MarkovGrid, m: int) -> tuple:
+    """-log2 p(x) over the order-m Markov entries as an (a0, ai) table and two
+    a1 terms, indexed by a - 1: entry (a0, a1, ai) is (table[a0, ai] + t10[a1])
+    + t11[a1], _markov_neglogp's terms in its order, so bit for bit its value."""
+    log1, log0 = grid.rows[m]  # c01, li1, c10 and c00, li0, c11 as functions of a
+    table = ((log1 if stats.first else log0) + stats.n00 * log0[:, None]) + stats.n01 * log1[:, None]
+    return table, stats.n10 * log1, stats.n11 * log0
+
+
 def _markov_ensemble(grid: _MarkovGrid, n: int, j: int) -> ens.MarkovQuantized:
     return ens.MarkovQuantized(n, int(grid.m[j]), int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j]))
 
@@ -881,7 +902,7 @@ def _markov_confirmed(
     yielded if x stays typical.
 
     The slice is the product (a0, a1, ai) with ai fastest, so -log2 p(x) is
-    an (a0, ai) table plus two a1 terms, added in _markov_neglogp's order.
+    an (a0, ai) table plus two a1 terms (_markov_terms).
     Float addition is monotone: a table row's minimum plus the a1 terms is a
     lower bound on every entry of an (a0, a1) block, and with the block's
     closed-form H range it rules out whole blocks. The other blocks are
@@ -893,9 +914,7 @@ def _markov_confirmed(
     margin = 1e-6 + 1e-12 * n
     scale = 1.0 + delta_f
     k = (1 << m) - 1
-    log1, log0 = grid.rows[m]  # c01, li1, c10 and c00, li0, c11 as functions of a
-    table = ((log1 if stats.first else log0) + stats.n00 * log0[:, None]) + stats.n01 * log1[:, None]
-    t10, t11 = stats.n10 * log1, stats.n11 * log0
+    table, t10, t11 = _markov_terms(stats, grid, m)
     H_all, lo_all, hi_all = grid.closed_tables(n)
     lo, hi = lo_all[grid.block_slices[m]], hi_all[grid.block_slices[m]]
     bound = (table.min(axis=1)[:, None] + t10) + t11  # per (a0, a1) block
@@ -997,36 +1016,35 @@ def _candidates(
         if row is not None:
             out.append(_scored(row[0], row[1], ens.IIDQuantized(n, row[4].m, row[4].a), T))
     if allow("markov-q"):
-        walk = _walk_markov_exact if n <= cfg.n_max else _walk_markov_big
-        out.append(walk(stats, delta_f, T, constraint, cfg))
+        out.append(_walk_markov(stats, delta_f, T, constraint, cfg))
     return out
 
 
 def _first_typical(
     stats: StringStats,
     grid: _MarkovGrid,
+    m: int,
     H: np.ndarray,
     order: np.ndarray,
     start: int,
     stop: int,
     delta_f: float,
-    allowed: Optional[np.ndarray] = None,
 ) -> Optional[int]:
-    """First grid index j in order[start:stop] that makes x delta-typical.
+    """First slice-local index i in order[start:stop] whose entry of the
+    m-slice (entropies H) makes x delta-typical.
 
-    allowed, when given, is a boolean mask over m (indexed by grid.m) and
-    restricts the entries considered. The test is _markov_neglogp and
-    _typical_fast evaluated elementwise, so each decision is the scalar
-    one bit for bit. Entries are gathered in chunks that grow 4x: most
-    walks stop within the first few entries, a few scan a whole slice.
+    The test is _markov_neglogp and _typical_fast evaluated elementwise, so
+    each decision is the scalar one bit for bit. Entries are gathered in
+    chunks that grow 4x: most walks stop within the first few entries, a
+    few scan a whole slice.
     """
+    offset = grid.m_slices[m].start
     chunk = 32
     while start < stop:
         end = min(start + chunk, stop)
         js = order[start:end]
-        ok = _markov_neglogp(stats, grid, js) <= H[js] * (1.0 + delta_f) + ens.TYPICALITY_SLACK
-        if allowed is not None:
-            ok &= allowed[grid.m[js]]
+        v = _markov_neglogp(stats, grid, js + offset)
+        ok = v <= H[js] * (1.0 + delta_f) + ens.TYPICALITY_SLACK
         k = int(ok.argmax())
         if ok[k]:
             return int(js[k])
@@ -1035,80 +1053,60 @@ def _first_typical(
     return None
 
 
-def _walk_markov_exact(
+def _walk_markov(
     stats: StringStats,
     delta_f: float,
     T: Optional[Fraction],
     constraint: Optional[Constraint],
     cfg: FamilyConfig,
 ) -> Optional[_Candidate]:
-    """The Markov champion from the exact per-length tables.
+    """The Markov champion, m by m.
 
-    Under a budget the walk goes m by m through ec_order: desc is constant
-    on an m-slice and desc + H nondecreasing, so the budget keeps a prefix,
-    found by bisection, and the first m with a typical entry in its prefix
-    wins. Without one, a single scan of coarse_order finds the champion.
-    """
+    desc grows with m, so once the objective's lower bound (desc under a
+    budget, 2 desc without) exceeds the budget or the best so far, no later
+    m can win. Up to n_max an m's champion is the first typical entry of its
+    exact table: in ec_order, within the budget prefix found by bisection
+    (desc + H is nondecreasing there), or in coarse_order without a budget.
+    Float addition is monotone, so desc + Hmin (or 2 desc + Hmin) is the
+    slice's smallest total information (or objective), and a slice where
+    that misses the budget (or the best so far) is skipped unscanned.
+    Beyond n_max the champion is the first confirmed entry from
+    _markov_confirmed that fits the budget."""
     n = stats.n
     grid = _markov_grid(cfg.m_max)
-    tables = _markov_tables(cfg.m_max, n)
-    H = tables["H"]
     base = 3 + nat_code_len(n)
-    j = None
-    if T is None:
-        allowed = None
-        if constraint and constraint.m_max is not None:
-            allowed = np.arange(cfg.m_max + 1) <= constraint.m_max
-        j = _first_typical(stats, grid, H, tables["coarse_order"], 0, grid.size, delta_f, allowed)
-    else:
-        order, T_f = tables["ec_order"], float(T)
-        for m, sl in grid.m_slices.items():
-            desc = base + nat_code_len(m) + 3 * m
-            if desc > T:
-                break
-            if constraint and not constraint.allows_m(m):
-                continue
-            stop = bisect.bisect_right(order, T_f, sl.start, sl.stop, key=lambda j: H[j] + desc)
-            j = _first_typical(stats, grid, H, order, sl.start, stop, delta_f)
-            if j is not None:
-                break
-    if j is None:
-        return None
-    desc = base + int(grid.descbase[j])
-    return _scored(desc, float(H[j]), _markov_ensemble(grid, n, j), T)
-
-
-def _walk_markov_big(
-    stats: StringStats,
-    delta_f: float,
-    T: Optional[Fraction],
-    constraint: Optional[Constraint],
-    cfg: FamilyConfig,
-) -> Optional[_Candidate]:
-    """The Markov champion beyond the exact bound: per m, the first confirmed
-    straggler that fits the budget, from _markov_confirmed, which bounds each
-    (a0, a1) block before it expands any entry: a block whose -log2 p(x)
-    lower bound exceeds its largest typicality threshold, or whose smallest
-    closed-form entropy misses the budget, is never expanded. desc grows
-    with m, so once the objective's lower bound (desc under a budget, 2 desc
-    without) exceeds the best so far, no later m can win."""
-    grid = _markov_grid(cfg.m_max)
-    base = 3 + nat_code_len(stats.n)
     T_f = None if T is None else float(T)
     best: Optional[_Candidate] = None
     for m in range(1, cfg.m_max + 1):
         if constraint and not constraint.allows_m(m):
             continue
-        desc = base + nat_code_len(m) + 3 * m
-        if T is not None and desc > T:
-            break
+        desc = base + grid.m_desc[m]
         if best is not None and (desc if T is not None else 2 * desc) > best.objective:
             break
-        budget = None if T is None else (desc, T_f)
-        for e, H in _markov_confirmed(stats, grid, m, delta_f, budget):
-            if T is None or H + desc <= T_f:
-                best = _pick_canonical((best, _scored(desc, H, e, T)))
-                break
+        if T is not None and desc > T:
+            break
+        if n > cfg.n_max:
+            budget = None if T is None else (desc, T_f)
+            confirmed = _markov_confirmed(stats, grid, m, delta_f, budget)
+            champion = next(((e, H) for e, H in confirmed if T is None or H + desc <= T_f), None)
+        else:
+            t = _markov_tables(cfg.m_max, n, m)
+            H = t["H"]
+            if T is None:
+                if best is not None and 2 * desc + t["Hmin"] > best.objective:
+                    continue
+                order, stop = t["coarse_order"], len(H)
+            elif desc + t["Hmin"] > T_f:
+                continue
+            else:
+                order = t["ec_order"]
+                stop = bisect.bisect_right(order, T_f, key=lambda i: H[i] + desc)
+            i = _first_typical(stats, grid, m, H, order, 0, stop, delta_f)
+            champion = None if i is None else (
+                _markov_ensemble(grid, n, grid.m_slices[m].start + i), float(H[i])
+            )
+        if champion is not None:
+            best = _pick_canonical((best, _scored(desc, champion[1], champion[0], T)))
     return best
 
 

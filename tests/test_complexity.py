@@ -111,18 +111,42 @@ def test_markov_grid_matches_scalar_build():
 def test_markov_orders_match_lexsort():
     grid = C._markov_grid(6)
     for n in (1, 2, 9, 20, 24):
-        t = C._markov_tables(6, n)
-        # the tables keep only H; the sort keys are rebuilt here from the grid
-        H = t["H"]
-        desc = 3 + nat_code_len(n) + grid.descbase
-        sig = H + desc
-        obj = 2 * desc + H
-        ec_ref = np.lexsort((grid.ai, grid.a1, grid.a0, sig, desc))
-        coarse_ref = np.lexsort((grid.ai, grid.a1, grid.a0, sig, desc, obj))
-        assert sorted(t) == ["H", "coarse_order", "ec_order"]
-        assert t["ec_order"].dtype == np.int32 and t["coarse_order"].dtype == np.int32
-        assert np.array_equal(t["ec_order"], ec_ref), n
-        assert np.array_equal(t["coarse_order"], coarse_ref), n
+        H_all = grid.entropies(n)
+        for m, sl in grid.m_slices.items():
+            t = C._markov_tables(6, n, m)
+            # the tables keep only H; the sort keys are rebuilt here from the grid
+            H = t["H"]
+            assert H.tobytes() == H_all[sl].tobytes(), (n, m)
+            assert grid.entropies(n, sl).tobytes() == H_all[sl].tobytes(), (n, m)
+            desc = 3 + nat_code_len(n) + grid.descbase[sl]
+            sig = H + desc
+            obj = 2 * desc + H
+            a0, a1, ai = grid.a0[sl], grid.a1[sl], grid.ai[sl]
+            ec_ref = np.lexsort((ai, a1, a0, sig))
+            coarse_ref = np.lexsort((ai, a1, a0, sig, obj))
+            assert sorted(t) == ["H", "Hmin", "coarse_order", "ec_order"]
+            assert t["Hmin"] == float(H.min())
+            assert t["ec_order"].dtype == np.int32 and t["coarse_order"].dtype == np.int32
+            assert np.array_equal(t["ec_order"], ec_ref), (n, m)
+            assert np.array_equal(t["coarse_order"], coarse_ref), (n, m)
+
+
+def test_markov_table_cache_keeps_few_largest_slices(monkeypatch):
+    """Every slice of every length 25..64 (at m_max = 4, to keep the builds
+    cheap): the m_max slices of the _CLOSED_LENGTHS most recently used lengths
+    stay, smaller slices all stay, and a read counts as a use."""
+    monkeypatch.setattr(C, "_MARKOV_PER_N", {})
+    for n in range(25, 65):
+        for m in range(1, 5):
+            C._markov_tables(4, n, m)
+    top = [key[1] for key in C._MARKOV_PER_N if key[2] == 4]
+    assert top == list(range(57, 65)) and C._CLOSED_LENGTHS == 8
+    assert sum(key[2] < 4 for key in C._MARKOV_PER_N) == 3 * 40
+    kept = C._markov_tables(4, 57, 4)
+    C._markov_tables(4, 65, 4)
+    top = [key[1] for key in C._MARKOV_PER_N if key[2] == 4]
+    assert top == [*range(59, 65), 57, 65]
+    assert C._markov_tables(4, 57, 4) is kept
 
 
 def _closed_whole_grid(grid, n):

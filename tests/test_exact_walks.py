@@ -1,11 +1,12 @@
 """Differential tests of the exact-mode Markov searches at the default m_max = 6.
 
 The references are the per-entry scalar loops that the bisect-and-scan
-walks and the pruned khat champion replaced. They read the sort keys from
+walk and the pruned khat champion replaced. They read the sort keys from
 arrays rebuilt here (desc from grid.descbase, total information and
-objective from H) and the orders from np.lexsort, so they share nothing
-with the code under test but the grid and its entropies, which
-test_complexity checks against the scalar definitions.
+objective from whole-grid entropies) and the orders from np.lexsort over
+the whole grid, so they share nothing with the code under test but the
+grid, which test_complexity checks against the scalar definitions, and
+none of its per-(n, m) tables.
 """
 
 import functools
@@ -20,6 +21,7 @@ from eclab.codec import nat_code_len
 from eclab.complexity import Constraint
 
 CFG = C.DEFAULT_CONFIG
+EXACT_CFG = C.FamilyConfig(n_max=64)  # the walk reads the exact tables up to n = 64
 DELTAS = (Fraction(0), Fraction(1, 4), Fraction(1))
 BUDGETS = (Fraction(0), Fraction(1), Fraction(4), Fraction(16))
 EPS = Fraction(1, 8)
@@ -42,7 +44,7 @@ def _grid_lists() -> dict:
 @functools.lru_cache(maxsize=1)
 def _ref_tables(n: int) -> dict:
     grid = C._markov_grid(CFG.m_max)
-    H = C._markov_tables(CFG.m_max, n)["H"].copy()
+    H = grid.entropies(n)
     desc = 3 + nat_code_len(n) + grid.descbase
     sig = H + desc
     obj = 2 * desc + H
@@ -198,10 +200,10 @@ def _check_walks(stats):
     for delta in DELTAS:
         delta_f = float(delta)
         for constraint in CONSTRAINTS:
-            got = _as_tuple(C._walk_markov_exact(stats, delta_f, None, constraint, CFG))
+            got = _as_tuple(C._walk_markov(stats, delta_f, None, constraint, EXACT_CFG))
             assert got == _ref_walk_coarse(stats, delta_f, constraint), (stats, delta, constraint)
             for T in Ts:
-                got = _as_tuple(C._walk_markov_exact(stats, delta_f, T, constraint, CFG))
+                got = _as_tuple(C._walk_markov(stats, delta_f, T, constraint, EXACT_CFG))
                 want = _ref_walk_ec(stats, delta_f, T, constraint)
                 assert got == want, (stats, delta, T, constraint)
 
@@ -241,36 +243,55 @@ def test_walks_match_scalar_reference_seeded_strings(monkeypatch):
         _check_khat(x, stats, monkeypatch)
 
 
+def test_khat_champion_ties_past_the_likeliest_entry():
+    """With no cut, these strings' Markov champion is an entry tied in code
+    length with the likeliest one but less likely, so the champion's band
+    search has to reach past the least -log2 p(x)."""
+    grid = C._markov_grid(CFG.m_max)
+    for x in ("0011111111111111111", "000000110000000000001"):
+        stats = C.string_stats(x)
+        want = _ref_khat_champion(stats, 10**6)
+        sl = grid.m_slices[want[3].m]
+        v = C._markov_neglogp(stats, grid, sl)
+        k = (1 << want[3].m) - 1
+        j = ((want[3].a0 - 1) * k + want[3].a1 - 1) * k + want[3].ai - 1
+        assert v[j] > v.min()
+        assert _as_tuple(C._khat_markov_champion(stats, CFG, 10**6)) == want
+
+
 def test_walks_match_scalar_reference_beyond_nmax():
     """At n = 32-64 higher orders win the coarse walk, so mmax binds there."""
     bound = 0
     for _x, stats in _distinct_stats(_seeded_strings("longer", (32, 48, 64))):
         _check_walks(stats)
-        free = C._walk_markov_exact(stats, 1.0, None, None, CFG)
+        free = C._walk_markov(stats, 1.0, None, None, EXACT_CFG)
         bound += free.ensemble.m > 1
     assert bound > 0
 
 
 def test_first_typical_across_chunk_boundaries():
-    """Windows starting up to 700 entries before an isolated typical entry,
-    so it lies at every offset through the first three chunks, with the
-    window's stop just past it and at it."""
+    """Windows of an m-slice's ec order starting up to 700 entries before an
+    isolated typical entry, so it lies at every offset through the first
+    three chunks, with the window's stop just past it and at it."""
     grid = C._markov_grid(CFG.m_max)
     isolated = 0
-    for x in ("000000000000000000001", "0110100110010110"):
+    for x in ("11011110101011", "001000000100010"):
         stats = C.string_stats(x)
         t = _ref_tables(stats.n)
-        H, order = t["H"], t["ec_order"]
-        v = C._markov_neglogp(stats, grid, order)
-        hits = np.flatnonzero(v <= H[order] + E.TYPICALITY_SLACK)
-        for prev, hit in zip(hits.tolist(), hits[1:].tolist()):
-            if hit - prev <= 700:
-                continue
-            isolated += 1
-            for start in range(hit - 700, hit + 1):
-                got = C._first_typical(stats, grid, H, order, start, hit + 1, 0.0)
-                assert got == order[hit], (x, hit, start)
-                assert C._first_typical(stats, grid, H, order, start, hit, 0.0) is None
+        for m in (5, 6):
+            sl = grid.m_slices[m]
+            H = t["H"][sl]
+            order = np.lexsort((t["sig"][sl],))  # the slice is in (a0, a1, ai) order
+            v = C._markov_neglogp(stats, grid, sl.start + order)
+            hits = np.flatnonzero(v <= H[order] + E.TYPICALITY_SLACK)
+            for prev, hit in zip([-1] + hits.tolist(), hits.tolist()):
+                if hit - prev <= 700:
+                    continue
+                isolated += 1
+                for start in range(hit - 700, hit + 1):
+                    got = C._first_typical(stats, grid, m, H, order, start, hit + 1, 0.0)
+                    assert got == order[hit], (x, m, hit, start)
+                    assert C._first_typical(stats, grid, m, H, order, start, hit, 0.0) is None
     assert isolated >= 4
 
 
@@ -289,12 +310,34 @@ def test_walks_match_at_budget_edges():
                       Fraction(math.nextafter(v, math.inf))]
         for T in extra:
             for delta in DELTAS:
-                got = _as_tuple(C._walk_markov_exact(stats, float(delta), T, None, CFG))
+                got = _as_tuple(C._walk_markov(stats, float(delta), T, None, CFG))
                 assert got == _ref_walk_ec(stats, float(delta), T, None), (stats, delta, T)
-            found = C._walk_markov_exact(stats, 1.0, T, None, CFG)
+            found = C._walk_markov(stats, 1.0, T, None, CFG)
             if T < t["desc"].min():
                 below_all += 1
                 assert found is None
             if found is not None and any(v > float(T) for v in mins[: found.ensemble.m - 1]):
                 skipped_then_found += 1
     assert below_all > 0 and skipped_then_found > 0
+
+
+def test_exact_ops_at_n20_never_build_the_largest_slice(monkeypatch):
+    """khat, ec on delta in {0, 1/4} x Delta in {0, 4, 16} and on eps = 1/8,
+    and coarse-ec, on each string kind at n = 20: the exact tables are built
+    per (n, m) when a walk first reaches m, and no walk reaches m = 6.
+    khat's m = 6 description alone exceeds its cut, and 2 desc at m = 6
+    exceeds the objective of the always-typical m = 1 entry at 1/2."""
+    monkeypatch.setattr(C, "_MARKOV_PER_N", {})
+    queries = [
+        C.ComplexityQuery(delta=Fraction(d), Delta=Fraction(D), mode="exact")
+        for d in ("0", "1/4")
+        for D in (0, 4, 16)
+    ] + [C.ComplexityQuery(eps=EPS, mode="exact")]
+    for seed in range(3):
+        for x in _seeded_strings(f"lazy/{seed}", [20]):
+            C.khat(x, CFG, "exact")
+            for q in queries:
+                C.ec(x, q, CFG)
+            C.coarse_ec(x, 0, "exact", CFG)
+    built = {m for (_m_max, _n, m) in C._MARKOV_PER_N}
+    assert built and max(built) < CFG.m_max, built

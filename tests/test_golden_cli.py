@@ -22,10 +22,13 @@ check per invariant. Any change to a printed byte fails here.
 """
 
 import hashlib
+import math
 
+import numpy as np
 import pytest
 
-from eclab import cli, complexity, processes
+from eclab import cli, complexity, ensembles, processes
+from eclab.codec import nat_code_len
 
 _STRINGS = {
     21: ["111111111101101111111", "111110001101111111111",
@@ -207,6 +210,81 @@ def test_golden_upper_argv_take_the_power_of_two_recheck(monkeypatch, capsys):
         all(b & (b - 1) == 0 for b, _e in f) and any(b > 1 and e > 0 for b, e in f)
         for f in rechecks
     )
+
+
+def _whole_slice_khat_champion(stats, cfg, best_cut):
+    """khat's Markov champion beyond n = 64 as computed before: lg over each
+    whole m-slice, and the exact bit length of every numerator in the band."""
+    C = complexity
+    n = stats.n
+    grid = C._markov_grid(cfg.m_max)
+    base = 3 + nat_code_len(n)
+    best = None
+    for m in range(1, cfg.m_max + 1):
+        cut = best_cut if best is None else min(best_cut, best.objective)
+        desc = base + nat_code_len(m) + 3 * m
+        sl = grid.m_slices[m]
+        lg = m * n - C._markov_neglogp(stats, grid, sl)
+        lgmax = float(lg.max())
+        if desc + m * n - math.floor(lgmax) - 2 > cut:
+            continue
+        best_bl, tied, top = -1, [], 1 << m
+        for j in (sl.start + np.flatnonzero(lg >= lgmax - 1e-9)).tolist():
+            a0, a1, ai = int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j])
+            num = (
+                (ai if stats.first else top - ai)
+                * a0**stats.n01 * (top - a0) ** stats.n00
+                * a1**stats.n10 * (top - a1) ** stats.n11
+            )
+            if num.bit_length() > best_bl:
+                best_bl, tied = num.bit_length(), [j]
+            elif num.bit_length() == best_bl:
+                tied.append(j)
+        j = min(tied, key=lambda j: (int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j])))
+        e = C._markov_ensemble(grid, n, j)
+        cand = C._Candidate(desc + m * n - best_bl + 1, desc, ensembles.entropy(e) + desc, e)
+        best = C._pick_canonical((best, cand))
+    return best
+
+
+def test_upper_khat_markov_champion_matches_whole_slice_reference(monkeypatch):
+    """Beyond the float bound, khat's Markov champion evaluates -log2 p(x)
+    only where the band can lie and reads each numerator's bit length from
+    its guarded float log2, so no exact product is taken outside the guard's
+    rechecks. Same value and witness as the whole-slice, exact-product
+    reference on the paths of the upper argv above and on seeded paths of
+    both models at n = 2^12, 2^15 and 2^18."""
+    paths = []
+    for model in _UPPER_MODELS:
+        spec = processes.parse_model_spec(model)
+        for n in (1 << 12, 1 << 15, 1 << 18):
+            for seed in (_UPPER_SEED, 7):
+                ((x, _),) = processes.sample_paths(spec, n, seed, 1)
+                paths.append((x, complexity.string_stats(x)))
+    guarded, product = complexity._floor_log2_guarded, complexity._floor_log2_product
+    inside, bare = [], []
+
+    def spy_guarded(lg, factors):
+        inside.append(True)
+        try:
+            return guarded(lg, factors)
+        finally:
+            inside.pop()
+
+    def spy_product(factors):
+        if not inside:
+            bare.append(tuple(factors))
+        return product(factors)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(complexity, "_floor_log2_guarded", spy_guarded)
+        mp.setattr(complexity, "_floor_log2_product", spy_product)
+        got = [complexity.khat(x, stats=st) for x, st in paths]
+    assert bare == []
+    with monkeypatch.context() as mp:
+        mp.setattr(complexity, "_khat_markov_champion", _whole_slice_khat_champion)
+        want = [complexity.khat(x, stats=st) for x, st in paths]
+    assert got == want
 
 
 def _upper_query_argv() -> list[tuple[str, list[str]]]:
