@@ -19,6 +19,14 @@ meant to make every returned value an upper bound, but beyond n_max the
 same surrogate raises khat and with it the ec budget, so upper-mode ec can
 fall below the exact value (an open item in ROADMAP.md).
 
+khat is one closed-form pass over the sufficient statistics of x
+(`khat_value`): each i.i.d. or Markov order's largest likelihood numerator
+comes from a closed-form argmax, in exact integers up to n = 64 and in
+guarded floats beyond. `khat` takes its value from that pass and builds
+witnesses only for the candidates that reach it: the fixed and
+uniform-typical rows of that value, and a tie-band search in each order the
+pass names.
+
 Ties among minimizers break on (objective, description length, total
 information, lexicographic serialization). Each tag's candidates are
 presorted in that order, so the search takes the first feasible one per
@@ -375,19 +383,15 @@ class _MarkovGrid:
             np.add(a, p1, out=p1)
         return total
 
-    def entropies_closed(self, n: int) -> np.ndarray:
-        """Closed form of the same chain-rule sum, for large-n prefiltering.
+    def closed_tables(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Closed form of the same chain-rule sum, for large-n prefiltering,
+        and its minimum and maximum over each (m, a0, a1) block, in block
+        order, read-only.
 
         The stationary mean and the geometric factor depend on (m, a0, a1)
         only, so they are computed once per block and repeated over its ai
-        entries. Cached per length and returned read-only.
-        """
-        return self.closed_tables(n)[0]
-
-    def closed_tables(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """entropies_closed(n) and its minimum and maximum over each (m, a0, a1)
-        block, in block order, read-only. The _CLOSED_LENGTHS most recently
-        used lengths are kept (about 2.3 MB each at m_max = 6)."""
+        entries. The _CLOSED_LENGTHS most recently used lengths are kept
+        (about 2.3 MB each at m_max = 6)."""
         cached = self._closed.pop(n, None)
         if cached is None:
             q0, q1 = self._block_q0, self._block_q1
@@ -607,6 +611,13 @@ def _floor_log2_guarded(lg: float, factors: Iterable[tuple[int, int]]) -> int:
     return f
 
 
+def _markov_factors(stats: StringStats, top: int, init: int, a0: int, a1: int) -> tuple:
+    """(base, exp) factors of an order-m Markov numerator, top = 2^m: the
+    initial-symbol term init once, then the four transition terms."""
+    n01, n00, n10, n11 = stats.n01, stats.n00, stats.n10, stats.n11
+    return ((init, 1), (a0, n01), (top - a0, n00), (a1, n10), (top - a1, n11))
+
+
 def _resolve_mode(mode: str, n: int, cfg: FamilyConfig) -> str:
     if mode == "auto":
         return "exact" if n <= cfg.n_max else "upper"
@@ -619,23 +630,31 @@ def _resolve_mode(mode: str, n: int, cfg: FamilyConfig) -> str:
 
 def khat_value(stats: StringStats, cfg: FamilyConfig = DEFAULT_CONFIG, mode: str = "auto") -> int:
     """The two-part-code minimum from sufficient statistics alone (no witness)."""
+    return _khat_pass(stats, cfg, mode)[0]
+
+
+def _khat_pass(stats: StringStats, cfg: FamilyConfig, mode: str) -> tuple[int, list]:
+    """The two-part-code minimum and the (tag, m) of each i.i.d. or Markov
+    order whose closed-form value reaches it, in the pass's order.
+
+    Each order's value is desc + m n - floor(log2 of its largest numerator),
+    with the numerator's maximum from a closed-form argmax. Every value
+    exceeds its desc (p(x) < 1), so an order whose desc is not below the
+    minimum so far cannot reach the final minimum and is skipped."""
     n = stats.n
     mode = _resolve_mode(mode, n, cfg)
     base = 3 + nat_code_len(n)
-    best = base + n  # uniform-all and singleton-raw both reach this value
-    cand = base + stats.lz_len  # singleton-lz
-    if cand < best:
-        best = cand
+    # uniform-all and singleton-raw reach base + n, singleton-lz base + lz_len
+    best = base + min(n, stats.lz_len)
     # the exact log-cardinality term is used whenever it is computable; the
     # ceil(r n) surrogate enters only beyond the enumeration bound, so both
     # modes see the same khat for any n the exact mode can handle
     for desc, _H, _sig, _obj, r, thresh, _payload, term in _ut_tables(cfg, n, n <= cfg.n_max)["ec"]:
         if stats.lz_len * r.denominator < thresh:
-            v = desc + term
-            if v < best:
-                best = v
+            best = min(best, desc + term)
     ones, zeros = stats.ones, n - stats.ones
     exact_ints = n <= _BIG_N_FLOAT
+    values: list[tuple[int, str, int]] = []
     for m in range(1, cfg.m_max + 1):
         desc_iid = base + nat_code_len(m) + m
         if desc_iid < best:
@@ -645,8 +664,8 @@ def khat_value(stats: StringStats, cfg: FamilyConfig = DEFAULT_CONFIG, mode: str
                 a_star, lg = _best_factor_log(m, ones, zeros)
                 bl = _floor_log2_guarded(lg, ((a_star, ones), ((1 << m) - a_star, zeros)))
             cand = desc_iid + m * n - bl
-            if cand < best:
-                best = cand
+            values.append((cand, "iid", m))
+            best = min(best, cand)
         desc_mk = base + nat_code_len(m) + 3 * m
         if desc_mk < best:
             top = 1 << m
@@ -661,20 +680,11 @@ def khat_value(stats: StringStats, cfg: FamilyConfig = DEFAULT_CONFIG, mode: str
                 a0s, lg0 = _best_factor_log(m, stats.n01, stats.n00)
                 a1s, lg1 = _best_factor_log(m, stats.n10, stats.n11)
                 lg = math.log2(top - 1) + lg0 + lg1
-                bl = _floor_log2_guarded(
-                    lg,
-                    (
-                        (top - 1, 1),
-                        (a0s, stats.n01),
-                        (top - a0s, stats.n00),
-                        (a1s, stats.n10),
-                        (top - a1s, stats.n11),
-                    ),
-                )
+                bl = _floor_log2_guarded(lg, _markov_factors(stats, top, top - 1, a0s, a1s))
             cand = desc_mk + m * n - bl
-            if cand < best:
-                best = cand
-    return best
+            values.append((cand, "markov-q", m))
+            best = min(best, cand)
+    return best, [(tag, m) for v, tag, m in values if v == best]
 
 
 # --- candidates and the canonical pick -------------------------------------------
@@ -737,111 +747,99 @@ def khat(
 ) -> tuple[int, ens.Ensemble]:
     """Two-part-code minimum together with its canonical witness ensemble.
 
-    `stats`, when given, must be string_stats(x); it saves parsing x again.
+    The value is _khat_pass's; witnesses are built only for the candidates
+    that reach it. `stats`, when given, must be string_stats(x); it saves
+    parsing x again.
     """
     if stats is None:
         stats = string_stats(x)
     n = stats.n
-    mode = _resolve_mode(mode, n, cfg)
+    value, orders = _khat_pass(stats, cfg, mode)
     finalists = [
-        _Candidate(desc + H, desc, float(H) + desc, cls(arg))
+        _Candidate(value, desc, float(H) + desc, cls(arg))
         for desc, H, cls, arg in _fixed_rows(x, stats)
+        if desc + H == value
     ]
-    # same table as khat_value
     for desc, _H, sig, _obj, r, thresh, _payload, term in _ut_tables(cfg, n, n <= cfg.n_max)["ec"]:
-        if stats.lz_len * r.denominator < thresh:
-            finalists.append(_Candidate(desc + term, desc, sig, ens.UniformTypical(r, n)))
+        if stats.lz_len * r.denominator < thresh and desc + term == value:
+            finalists.append(_Candidate(value, desc, sig, ens.UniformTypical(r, n)))
+    for tag, m in orders:
+        champion = _khat_iid_champion if tag == "iid" else _khat_markov_champion
+        finalists.append(champion(stats, cfg, m))
+    return value, _pick_canonical(finalists).ensemble
+
+
+def _khat_iid_champion(stats: StringStats, cfg: FamilyConfig, m: int) -> _Candidate:
+    """Canonical best order-m i.i.d. candidate. Order m's rows of the ec table
+    are in (Sigma, a) order, the comparator's order within one desc, so the
+    first row with the largest numerator bit length wins."""
+    n = stats.n
     ones, zeros = stats.ones, n - stats.ones
+    top = 1 << m
     exact_ints = n <= _BIG_N_FLOAT
-    cut = min(c.objective for c in finalists)
-    for desc, H, sig, _obj, e in _iid_tables(cfg.m_max, n)["ec"]:
-        if desc >= cut:  # p(x) < 1 puts each value above its desc: no later row wins
-            break
+    best_bl, best = -1, None
+    # desc grows with m, so order m's 2^m - 1 rows follow the 2^m - m - 1 of lower orders
+    for row in _iid_tables(cfg.m_max, n)["ec"][top - m - 1 : 2 * top - m - 2]:
+        a = row[4].a
         if exact_ints:
-            bl = (_ipow(e.a, ones) * _ipow((1 << e.m) - e.a, zeros)).bit_length() - 1
+            bl = (_ipow(a, ones) * _ipow(top - a, zeros)).bit_length() - 1
         else:
-            lg = ones * math.log2(e.a) + zeros * math.log2((1 << e.m) - e.a)
-            bl = _floor_log2_guarded(lg, ((e.a, ones), ((1 << e.m) - e.a, zeros)))
-        value = desc + e.m * n - bl
-        finalists.append(_Candidate(value, desc, sig, ens.IIDQuantized(n, e.m, e.a)))
-        cut = min(cut, value)
-    finalists.append(_khat_markov_champion(stats, cfg, cut))
-    best = _pick_canonical(finalists)
-    return best.objective, best.ensemble
+            lg = ones * math.log2(a) + zeros * math.log2(top - a)
+            bl = _floor_log2_guarded(lg, ((a, ones), (top - a, zeros)))
+        if bl > best_bl:
+            best_bl, best = bl, row
+    desc, _H, sig, _obj, e = best
+    return _Candidate(desc + m * n - best_bl, desc, sig, ens.IIDQuantized(n, m, e.a))
 
 
-def _khat_markov_champion(
-    stats: StringStats, cfg: FamilyConfig, best_cut: int
-) -> Optional[_Candidate]:
-    """Canonical best Markov candidate, or None when it cannot reach best_cut."""
+def _khat_markov_champion(stats: StringStats, cfg: FamilyConfig, m: int) -> _Candidate:
+    """Canonical best order-m Markov candidate."""
     n = stats.n
     grid = _markov_grid(cfg.m_max)
-    base = 3 + nat_code_len(n)
+    desc = 3 + nat_code_len(n) + grid.m_desc[m]
     small = n <= _BIG_N_FLOAT
-    best: Optional[_Candidate] = None
-    for m in range(1, cfg.m_max + 1):
-        cut = best_cut if best is None else min(best_cut, best.objective)
-        desc = base + grid.m_desc[m]
-        # -log2 p(x) >= 0 on every entry, so lg <= m n and cand_value >= desc - 1:
-        # skip, before building its terms, any m the test below would skip after it
-        if desc - 2 > cut:
-            continue
-        table, t10, t11 = _markov_terms(stats, grid, m)
-        tmin = table.min()
-        rows = (tmin + t10) + t11  # per a1, the least -log2 p(x): float addition is monotone
-        vmin = rows.min()
-        lgmax = float(m * n - vmin)  # log2 of the largest numerator
-        cand_value = desc + m * n - math.floor(lgmax) - 1
-        if cand_value - 1 > cut:
-            continue
-        H = _markov_tables(cfg.m_max, n, m)["H"] if small else None
-        # equal two-part values mean equal numerator bit lengths, so at small n
-        # the tie band is the whole top unit interval (minus one for float safety)
-        band = (math.floor(lgmax) - 1 - _FLOAT_GUARD) if small else (lgmax - 1e-9)
-        # a band entry's -log2 p(x), and so its table entry and a1 row, lie at most
-        # lgmax - band (plus a few roundings) above their minima; lg is bit for bit
-        # the whole slice's
-        slack = lgmax - band + 1e-6 + 1e-12 * n
-        k = len(t10)
-        pairs = np.flatnonzero(table.ravel() <= tmin + slack)  # a0 * k + ai
-        a1s = np.flatnonzero(rows <= vmin + slack)
-        lg = m * n - ((table.ravel()[pairs] + t10[a1s, None]) + t11[a1s, None])
-        a1_at, pair_at = np.nonzero(lg >= band)
-        a0_at, ai_at = np.divmod(pairs[pair_at], k)
-        near = (a0_at * k + a1s[a1_at]) * k + ai_at  # slice-local indices
-        sl = grid.m_slices[m]
-        best_bl = -1
-        tied: list[int] = []
-        top = 1 << m
-        for idx, v in zip(near.tolist(), lg[a1_at, pair_at].tolist()):
-            j = sl.start + idx
-            a0, a1, ai = int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j])
-            # bit length of the numerator, whose float log2 is v
-            bl = 1 + _floor_log2_guarded(
-                v,
-                (
-                    (ai if stats.first else top - ai, 1),
-                    (a0, stats.n01),
-                    (top - a0, stats.n00),
-                    (a1, stats.n10),
-                    (top - a1, stats.n11),
-                ),
-            )
-            if bl > best_bl:
-                best_bl = bl
-                tied = [j]
-            elif bl == best_bl:
-                tied.append(j)
-        # equal desc within m: ties go to total information H + desc (not bare
-        # H: adding desc in floats can merge neighboring H values), then to
-        # (a0, a1, ai), which is serialization order within one m and the
-        # order of the slice's indices
-        j = min(tied, key=lambda j: (float(H[j - sl.start]) + desc if H is not None else 0.0, j))
-        e = _markov_ensemble(grid, n, j)
-        sigma = (float(H[j - sl.start]) if H is not None else ens.entropy(e)) + desc
-        # desc differs across m, so the comparator never reaches serializations
-        best = _pick_canonical((best, _Candidate(desc + m * n - best_bl + 1, desc, sigma, e)))
-    return best
+    table, t10, t11 = _markov_terms(stats, grid, m)
+    tmin = table.min()
+    rows = (tmin + t10) + t11  # per a1, the least -log2 p(x): float addition is monotone
+    vmin = rows.min()
+    lgmax = float(m * n - vmin)  # log2 of the largest numerator
+    H = _markov_tables(cfg.m_max, n, m)["H"] if small else None
+    # equal two-part values mean equal numerator bit lengths, so at small n
+    # the tie band is the whole top unit interval (minus one for float safety)
+    band = (math.floor(lgmax) - 1 - _FLOAT_GUARD) if small else (lgmax - 1e-9)
+    # a band entry's -log2 p(x), and so its table entry and a1 row, lie at most
+    # lgmax - band (plus a few roundings) above their minima; lg is bit for bit
+    # the whole slice's
+    slack = lgmax - band + 1e-6 + 1e-12 * n
+    k = len(t10)
+    pairs = np.flatnonzero(table.ravel() <= tmin + slack)  # a0 * k + ai
+    a1s = np.flatnonzero(rows <= vmin + slack)
+    lg = m * n - ((table.ravel()[pairs] + t10[a1s, None]) + t11[a1s, None])
+    a1_at, pair_at = np.nonzero(lg >= band)
+    a0_at, ai_at = np.divmod(pairs[pair_at], k)
+    near = (a0_at * k + a1s[a1_at]) * k + ai_at  # slice-local indices
+    sl = grid.m_slices[m]
+    best_bl = -1
+    tied: list[int] = []
+    top = 1 << m
+    for idx, v in zip(near.tolist(), lg[a1_at, pair_at].tolist()):
+        j = sl.start + idx
+        a0, a1, ai = int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j])
+        # bit length of the numerator, whose float log2 is v
+        init = ai if stats.first else top - ai
+        bl = 1 + _floor_log2_guarded(v, _markov_factors(stats, top, init, a0, a1))
+        if bl > best_bl:
+            best_bl, tied = bl, [j]
+        elif bl == best_bl:
+            tied.append(j)
+    # equal desc within m: ties go to total information H + desc (not bare
+    # H: adding desc in floats can merge neighboring H values), then to
+    # (a0, a1, ai), which is serialization order within one m and the
+    # order of the slice's indices
+    j = min(tied, key=lambda j: (float(H[j - sl.start]) + desc if H is not None else 0.0, j))
+    e = _markov_ensemble(grid, n, j)
+    sigma = (float(H[j - sl.start]) if H is not None else ens.entropy(e)) + desc
+    return _Candidate(desc + m * n - best_bl + 1, desc, sigma, e)
 
 
 # --- feasibility predicates ---------------------------------------------------

@@ -9,6 +9,7 @@ from eclab import complexity as C, ensembles as E, lz78, processes
 from eclab.codec import nat_code_len
 from eclab.complexity import ComplexityQuery, Constraint, FamilyConfig
 from eclab.errors import ResourceLimitError
+from eclab.selftest import _naive_min
 
 SMALL_CFG = FamilyConfig(m_max=3)
 
@@ -35,15 +36,55 @@ def test_khat_trivial_upper_bound():
             assert C.khat_value(st) <= 3 + nat_code_len(n) + n
 
 
+def _ref_iid_champion(x: str, m: int) -> tuple:
+    """Order m's i.i.d. candidates scored one by one: the least by (two-part
+    value, desc, total information, serialization)."""
+    es = [E.IIDQuantized(len(x), m, a) for a in range(1, 1 << m)]
+    key, e = _naive_min(
+        [((E.desc_len(e) + E.ceil_neg_log2_prob(e, x), E.desc_len(e), E.total_info(e)), e) for e in es]
+    )
+    return (*key, e)
+
+
 def test_khat_value_agrees_with_witness_path():
-    for n in (1, 2, 4, 6, 8):
-        for x in all_strings(n):
-            value, witness = C.khat(x, SMALL_CFG, "exact")
-            st = C.string_stats(x)
-            assert value == C.khat_value(st, SMALL_CFG, "exact")
-            # the witness really achieves the reported value
-            achieved = E.desc_len(witness) + E.ceil_neg_log2_prob(witness, x)
-            assert achieved == value
+    cases = [(x, SMALL_CFG, "exact") for n in (1, 2, 4, 6, 8) for x in all_strings(n)]
+    # seeded paths past the float bound _BIG_N_FLOAT = 64, in upper mode
+    for spec in ("markov:flip=1/10", "bernoulli:p=3/10", "bernoulli:p=1/10"):
+        model = processes.parse_model_spec(spec)
+        for n in (65, 128, 1 << 12):
+            for seed in (1, 2):
+                ((x, _),) = processes.sample_paths(model, n, seed, 1)
+                cases.append((x, C.DEFAULT_CONFIG, "auto"))
+    tags = set()
+    for x, cfg, mode in cases:
+        value, witness = C.khat(x, cfg, mode)
+        st = C.string_stats(x)
+        assert value == C.khat_value(st, cfg, mode)
+        tags.add(E.TAG_NAMES[type(witness)])
+        # every order's i.i.d. champion, reaching khat or not: an order that
+        # reaches it never holds a tie, since the even one of two tied
+        # parameters is a parameter of the order below with a shorter desc
+        for m in range(1, cfg.m_max + 1):
+            c = C._khat_iid_champion(st, cfg, m)
+            assert (c.objective, c.desc, c.sigma, c.ensemble) == _ref_iid_champion(x, m)
+        if isinstance(witness, E.UniformTypical) and len(x) > cfg.n_max:
+            continue  # khat's term there is the surrogate ceil(r n)
+        # the witness really achieves the reported value
+        achieved = E.desc_len(witness) + E.ceil_neg_log2_prob(witness, x)
+        assert achieved == value, (x, witness)
+    assert {"iid", "markov-q"} <= tags
+
+
+def test_khat_with_stats_does_not_revalidate_x(monkeypatch):
+    """Fixed-row ensembles are built only when they reach khat, so a long x is
+    not checked again by the singleton constructors."""
+    ((x, _),) = processes.sample_paths(processes.parse_model_spec("markov:flip=1/10"), 1 << 12, 1, 1)
+    stats = C.string_stats(x)
+    checked = []
+    check_bits = E._check_bits
+    monkeypatch.setattr(E, "_check_bits", lambda s: (checked.append(len(s)), check_bits(s))[1])
+    C.khat(x, stats=stats)
+    assert checked == []
 
 
 def test_markov_entropy_tables_match_scalar():
@@ -55,7 +96,7 @@ def test_markov_entropy_tables_match_scalar():
                 n, int(grid.m[j]), int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j])
             )
             assert H[j] == E.entropy(e)
-        closed = grid.entropies_closed(n)
+        closed = grid.closed_tables(n)[0]
         assert max(abs(closed - H)) < 1e-9 * max(1, n)
     # lengths called in descending, then ascending order on one grid give a
     # fresh grid's bytes: no call leaves state behind for the next
@@ -164,8 +205,8 @@ def _closed_whole_grid(grid, n):
 def test_closed_entropies_cached_read_only():
     grid = C._MarkovGrid(6)
     for n in (1, 2, 25, 100, 1 << 12, 1 << 15, 1 << 18, 1 << 20):
-        H = grid.entropies_closed(n)
-        assert grid.entropies_closed(n) is H
+        H = grid.closed_tables(n)[0]
+        assert grid.closed_tables(n)[0] is H
         assert not H.flags.writeable
         # per-(m, a0, a1) factors repeated over ai: the same bytes
         assert H.tobytes() == _closed_whole_grid(grid, n).tobytes(), n
@@ -176,7 +217,7 @@ def test_closed_cache_bounded_with_block_ranges():
     lengths = [1000 + 7 * i for i in range(12)]
     for n in lengths:
         H, lo, hi = grid.closed_tables(n)
-        assert grid.entropies_closed(n) is H
+        assert grid.closed_tables(n)[0] is H
         assert not lo.flags.writeable and not hi.flags.writeable
         for m, sl in grid.m_slices.items():
             k = (1 << m) - 1
@@ -186,9 +227,9 @@ def test_closed_cache_bounded_with_block_ranges():
             assert np.array_equal(hi[bsl], blocks.max(axis=1))
     assert len(grid._closed) <= C._CLOSED_LENGTHS == 8
     # the most recently used lengths stay, and a repeat returns the same array
-    H = grid.entropies_closed(lengths[-1])
-    assert grid.entropies_closed(lengths[-1]) is H
-    assert grid.entropies_closed(lengths[-8]) is grid.entropies_closed(lengths[-8])
+    H = grid.closed_tables(lengths[-1])[0]
+    assert grid.closed_tables(lengths[-1])[0] is H
+    assert grid.closed_tables(lengths[-8])[0] is grid.closed_tables(lengths[-8])[0]
     assert lengths[0] not in grid._closed
 
 
@@ -657,7 +698,7 @@ def test_upper_mode_straggler_order_and_cap(monkeypatch):
         n = st.n
         base = 3 + nat_code_len(n)
         margin = 1e-6 + 1e-12 * n
-        Hcf_all = grid.entropies_closed(n)
+        Hcf_all = grid.closed_tables(n)[0]
         eps_query = ComplexityQuery(delta=Fraction(0), eps=Fraction(1, 10), mode="upper")
         T_f = float(C.khat_value(st, cfg, "upper") + eps_query.resolve_Delta(n))
         for m in range(1, cfg.m_max + 1):

@@ -1,7 +1,7 @@
 """Differential tests of the exact-mode Markov searches at the default m_max = 6.
 
 The references are the per-entry scalar loops that the bisect-and-scan
-walk and the pruned khat champion replaced. They read the sort keys from
+walk and the per-order khat champion replaced. They read the sort keys from
 arrays rebuilt here (desc from grid.descbase, total information and
 objective from whole-grid entropies) and the orders from np.lexsort over
 the whole grid, so they share nothing with the code under test but the
@@ -209,25 +209,21 @@ def _check_walks(stats):
 
 
 def _check_khat(x, stats, monkeypatch):
-    """The champion at khat's own cut (seen through khat), a few bits above
-    it, and at a cut that prunes every m."""
+    """The least of the per-m champions against the reference at an unlimited
+    cut, and khat asking for exactly the orders whose champion reaches khat."""
     champion = C._khat_markov_champion
+    per_m = {m: champion(stats, CFG, m) for m in range(1, CFG.m_max + 1)}
+    assert _as_tuple(C._pick_canonical(per_m.values())) == _ref_khat_champion(stats, 10**6)
     seen = []
 
-    def both(st, cfg, best_cut):
-        got = champion(st, cfg, best_cut)
-        assert _as_tuple(got) == _ref_khat_champion(st, best_cut), (st, best_cut)
-        seen.append(best_cut)
-        return got
+    def spy(st, cfg, m):
+        seen.append(m)
+        return champion(st, cfg, m)
 
     with monkeypatch.context() as mp:
-        mp.setattr(C, "_khat_markov_champion", both)
-        C.khat(x, CFG, "exact", stats=stats)
-    assert len(seen) == 1
-    for best_cut in (0, seen[0] + 4):
-        got = _as_tuple(champion(stats, CFG, best_cut))
-        assert got == _ref_khat_champion(stats, best_cut), best_cut
-    assert champion(stats, CFG, 0) is None
+        mp.setattr(C, "_khat_markov_champion", spy)
+        value, _witness = C.khat(x, CFG, "exact", stats=stats)
+    assert seen == [m for m, c in per_m.items() if c.objective == value], (stats, value)
 
 
 def test_walks_match_scalar_reference_all_short_strings(monkeypatch):
@@ -244,9 +240,10 @@ def test_walks_match_scalar_reference_seeded_strings(monkeypatch):
 
 
 def test_khat_champion_ties_past_the_likeliest_entry():
-    """With no cut, these strings' Markov champion is an entry tied in code
-    length with the likeliest one but less likely, so the champion's band
-    search has to reach past the least -log2 p(x)."""
+    """These strings' best Markov champion (the reference at an unlimited
+    cut) is an entry of its order tied in code length with the likeliest one
+    but less likely, so that order's band search has to reach past the least
+    -log2 p(x)."""
     grid = C._markov_grid(CFG.m_max)
     for x in ("0011111111111111111", "000000110000000000001"):
         stats = C.string_stats(x)
@@ -256,7 +253,7 @@ def test_khat_champion_ties_past_the_likeliest_entry():
         k = (1 << want[3].m) - 1
         j = ((want[3].a0 - 1) * k + want[3].a1 - 1) * k + want[3].ai - 1
         assert v[j] > v.min()
-        assert _as_tuple(C._khat_markov_champion(stats, CFG, 10**6)) == want
+        assert _as_tuple(C._khat_markov_champion(stats, CFG, want[3].m)) == want
 
 
 def test_walks_match_scalar_reference_beyond_nmax():

@@ -282,7 +282,12 @@ def test_upper_khat_markov_champion_matches_whole_slice_reference(monkeypatch):
         got = [complexity.khat(x, stats=st) for x, st in paths]
     assert bare == []
     with monkeypatch.context() as mp:
-        mp.setattr(complexity, "_khat_markov_champion", _whole_slice_khat_champion)
+        # every Markov order khat asks for gets the reference's least champion
+        mp.setattr(
+            complexity,
+            "_khat_markov_champion",
+            lambda st, cfg, _m: _whole_slice_khat_champion(st, cfg, math.inf),
+        )
         want = [complexity.khat(x, stats=st) for x, st in paths]
     assert got == want
 
