@@ -4,9 +4,8 @@
 the finite candidate family F(x): both singleton tags for x, the uniform
 distribution on {0,1}^n, uniform-typical ensembles for every grid rate r
 with x a member, and all quantized i.i.d./Markov ensembles with m up to
-m_max. `ec` and `coarse_ec` are one search over the candidates that are
-delta-typical for x, which takes the budget as data: `ec` minimizes D(E)
-subject to the budget H(E) + D(E) <= khat(x) + Delta, and `coarse_ec` folds
+m_max. `ec` minimizes D(E) over the candidates that are delta-typical for x
+subject to the budget H(E) + D(E) <= khat(x) + Delta; `coarse_ec` folds
 the budget into the objective, minimizing 2 D(E) + H(E) and reporting that
 minimum minus khat(x).
 
@@ -28,34 +27,37 @@ uniform-typical rows of that value, and a tie-band search in each order the
 pass names.
 
 Ties among minimizers break on (objective, description length, total
-information, lexicographic serialization). Each tag's candidates are
-presorted in that order, so the search takes the first feasible one per
-tag and merges the per-tag champions with the same comparator; results
-are deterministic and agree bit for bit with a direct scan of the family.
+information Sigma = H + D, lexicographic serialization); results are
+deterministic and agree bit for bit with a direct scan of the family.
 
-The Markov tag has one walk, m by m: desc is constant on an m-slice and
-grows with m, so the walk stops once desc (or 2 desc without a budget)
-exceeds the budget or the best objective so far. Each m's champion comes
-from one of two sources. Up to n_max, an exact table per (n, m), built the
-first time a walk reaches that m: under a budget, the budget keeps a prefix
-of the slice's total-information order, found by bisection; without one,
-the whole objective order is scanned; either way the first typical entry
-wins, and a slice whose smallest entropy already misses the budget or the
-best objective is skipped unscanned. Beyond n_max, the walk never visits a
-whole slice: each (a0, a1) block of it gets a lower bound on -log2 p(x) and
-the range of its closed-form entropies, which rule out the blocks that
-cannot hold a typical entry (or one within the budget). The rest are
-expanded in ascending entropy order, and their entries are confirmed with
-the defining recursion.
+Both objectives are monotone in (D, Sigma), so among the typical
+candidates of one tag and one description length only those with the
+least Sigma, the group's run, can win either. `ec` and `coarse_ec` read
+one frontier that does not depend on the budget: per tag, its groups in
+ascending D (each fixed row on its own, the uniform-typical rows by D, one
+i.i.d. and one Markov group per m), each with its least entropy, known
+without a scan, and its run, computed when read. `ec` takes each tag's
+first run within the budget and `coarse_ec` the least 2 D + H of the runs
+it reads; both skip, unread, a group whose least entropy already rules it
+out, and stop once D alone does.
+
+The Markov groups come from one of two sources. Up to n_max, an exact
+table per (n, m), built the first time a pick reads that m: the run is the
+first typical entry of the slice's total-information order and the stretch
+of equal Sigma after it. Beyond n_max, no whole slice is visited: each
+(a0, a1) block gets a lower bound on -log2 p(x) and the range of its
+closed-form entropies, which rule out the blocks that cannot hold a
+typical entry; the rest are expanded in ascending entropy order, and the
+run is the first entry confirmed with the defining recursion.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Optional
 
 import numpy as np
@@ -162,6 +164,7 @@ class Constraint:
         m_max = None
         r_min = None
         r_max = None
+        seen = set()
         for part in text.split(";"):
             part = part.strip()
             if not part:
@@ -169,13 +172,18 @@ class Constraint:
             key, sep, value = part.partition("=")
             if not sep:
                 raise ValueError(f"constraint: expected key=value, got {part!r}")
-            key = key.strip()
+            key, value = key.strip(), value.strip()
+            if key in seen:
+                raise ValueError(f"constraint: key {key!r} given twice")
+            seen.add(key)
             if key == "tags":
                 tags = frozenset(t.strip() for t in value.split(",") if t.strip())
                 unknown = tags - set(ens.TAG_NAMES.values())
                 if unknown:
                     raise ValueError(f"constraint: unknown tags {sorted(unknown)}")
             elif key == "mmax":
+                if not value.isdecimal():
+                    raise ValueError(f"constraint: mmax must be an integer >= 0, got {value!r}")
                 m_max = int(value)
             elif key == "rmin":
                 r_min = _parse_fraction(value, "constraint: rmin")
@@ -416,23 +424,10 @@ class _MarkovGrid:
         return cached
 
 
-class _IIDEntry:
-    __slots__ = ("m", "a", "descbase", "c1", "c0", "h")
-
-    def __init__(self, m: int, a: int):
-        self.m = m
-        self.a = a
-        self.descbase = nat_code_len(m) + m
-        self.c1 = m - math.log2(a)
-        self.c0 = m - math.log2((1 << m) - a)
-        self.h = binary_entropy(a / (1 << m))
-
-
 _MARKOV_GRIDS: dict[int, _MarkovGrid] = {}
-_IID_GRIDS: dict[int, list[_IIDEntry]] = {}
 _MARKOV_PER_N: dict[tuple[int, int, int], dict] = {}
-_IID_PER_N: dict[tuple[int, int], dict] = {}
-_UT_PER_N: dict[tuple, dict] = {}
+_IID_PER_N: dict[tuple[int, int], list] = {}
+_UT_PER_N: dict[tuple, list] = {}
 
 
 def _markov_grid(m_max: int) -> _MarkovGrid:
@@ -442,25 +437,15 @@ def _markov_grid(m_max: int) -> _MarkovGrid:
     return grid
 
 
-def _iid_grid(m_max: int) -> list[_IIDEntry]:
-    grid = _IID_GRIDS.get(m_max)
-    if grid is None:
-        grid = _IID_GRIDS[m_max] = [
-            _IIDEntry(m, a) for m in range(1, m_max + 1) for a in range(1, 1 << m)
-        ]
-    return grid
-
-
 def _markov_tables(m_max: int, n: int, m: int) -> dict:
     """Exact Markov arrays of one length and one m-slice, built on first use:
-    its entropies H, their minimum Hmin, and slice-local int32 orders that
-    replicate the tie-break comparator. Within a slice desc is constant and
-    serialization order is the slice's own (a0, a1, ai) order, so a stable
-    sort by total information desc + H gives ec_order and a stable sort of
-    that by 2 desc + H gives coarse_order. The walk rebuilds both keys with
-    the same float operations; along ec_order desc + H is nondecreasing,
-    which lets it bisect its budget. Slices of the largest order (about 4 MB
-    at m_max = 6) are kept for the _CLOSED_LENGTHS most recently used lengths."""
+    its entropies H, their minimum Hmin, and a slice-local int32 ec_order.
+    Within a slice desc is constant and serialization order is the slice's
+    own (a0, a1, ai) order, so ec_order, a stable sort by total information
+    desc + H, replicates the tie-break comparator; _markov_run rebuilds the
+    key with the same float operations. Slices of the largest order (about
+    3 MB at m_max = 6) are kept for the _CLOSED_LENGTHS most recently used
+    lengths."""
     key = (m_max, n, m)
     tables = _MARKOV_PER_N.get(key)
     if tables is not None:
@@ -472,7 +457,6 @@ def _markov_tables(m_max: int, n: int, m: int) -> dict:
     desc = 3 + nat_code_len(n) + grid.m_desc[m]
     ec_order = np.argsort(H + desc, kind="stable").astype(np.int32)
     tables = {"H": H, "Hmin": float(H.min()), "ec_order": ec_order}
-    tables["coarse_order"] = ec_order[np.argsort((2 * desc + H)[ec_order], kind="stable")]
     if m == m_max:
         top = [k for k in _MARKOV_PER_N if k[2] == k[0]]
         if len(top) >= _CLOSED_LENGTHS:
@@ -481,61 +465,54 @@ def _markov_tables(m_max: int, n: int, m: int) -> dict:
     return tables
 
 
-def _iid_tables(m_max: int, n: int) -> dict:
-    """Per-length i.i.d. candidate lists in canonical ec and coarse orders."""
+def _iid_tables(m_max: int, n: int) -> list:
+    """Per-length i.i.d. candidates, one group per order m: (desc, hmin, rows)
+    with rows (H, sigma, m, a, -log2 q, -log2 (1 - q)) for q = a / 2^m, in
+    (sigma, a) order, the comparator's order within one desc."""
     key = (m_max, n)
-    cached = _IID_PER_N.get(key)
-    if cached is not None:
-        return cached
-    base = 3 + nat_code_len(n)
-    rows = []
-    for e in _iid_grid(m_max):
-        desc = base + e.descbase
-        H = n * e.h
-        sig = H + desc
-        rows.append((desc, H, sig, 2 * desc + H, e))
-    ec_rows = sorted(rows, key=lambda t: (t[0], t[2], t[4].a))
-    coarse_rows = sorted(rows, key=lambda t: (t[3], t[0], t[2], t[4].a))
-    tables = {"ec": ec_rows, "coarse": coarse_rows}
-    _IID_PER_N[key] = tables
-    return tables
+    groups = _IID_PER_N.get(key)
+    if groups is None:
+        groups = _IID_PER_N[key] = []
+        for m in range(1, m_max + 1):
+            desc = 3 + nat_code_len(n) + nat_code_len(m) + m
+            rows = []
+            for a in range(1, 1 << m):
+                H = n * binary_entropy(a / (1 << m))
+                rows.append((H, H + desc, m, a, m - math.log2(a), m - math.log2((1 << m) - a)))
+            rows.sort(key=lambda t: t[1])  # stable: a ascending within equal sigma
+            groups.append((desc, min(t[0] for t in rows), rows))
+    return groups
 
 
-def _ut_tables(cfg: FamilyConfig, n: int, exact: bool) -> dict:
-    """Uniform-typical candidates with canonical orders.
-
-    Entries are (desc, H_or_surrogate, sig, obj, r, member threshold,
-    serialization payload, khat term); exact entries exist only for nonempty
-    sets. The khat term is ceil(log2 |T(r,n)|) = bitlen(|T| - 1) in exact
-    mode and the surrogate ceil(r n) beyond it.
-    """
+def _ut_tables(cfg: FamilyConfig, n: int, exact: bool) -> list:
+    """Uniform-typical candidates of one length, one group per desc: (desc,
+    hmin, rows) with rows (H, sigma, r, lim, term) in (sigma, serialization)
+    order. x is in T(r, n), so typical for it, exactly when lz_len < lim =
+    ceil(r n). Exact mode has rows for nonempty sets only, H = log2 |T(r,n)|
+    and khat term bitlen(|T| - 1); beyond it H is the surrogate r n and the
+    term ceil(r n)."""
     key = (cfg.grid_id, cfg.n_max, n, exact)
-    cached = _UT_PER_N.get(key)
-    if cached is not None:
-        return cached
+    groups = _UT_PER_N.get(key)
+    if groups is not None:
+        return groups
     base = 3 + nat_code_len(n)
-    rows = []
+    by_desc: dict[int, list] = {}
     for r in cfg.r_grid:
         desc = base + rational_code_len(r)
-        thresh = r.numerator * n
-        payload = encode_rational(r)
+        lim = -(-(r.numerator * n) // r.denominator)
         if exact:
             card = typical_sets.cardinality(typical_sets.TypicalSetSpec(r, n), cfg.n_max)
             if card == 0:
                 continue
-            H = math.log2(card)
-            term = (card - 1).bit_length()
-            rows.append((desc, H, H + desc, 2 * desc + H, r, thresh, payload, term))
+            H, term = math.log2(card), (card - 1).bit_length()
         else:
-            rn = Fraction(thresh, r.denominator)
-            term = -((-thresh) // r.denominator)
-            rows.append((desc, rn, desc + rn, 2 * desc + rn, r, thresh, payload, term))
-    tables = {
-        "ec": sorted(rows, key=lambda t: (t[0], t[2], t[6])),
-        "coarse": sorted(rows, key=lambda t: (t[3], t[0], t[2], t[6])),
-    }
-    _UT_PER_N[key] = tables
-    return tables
+            H, term = r * n, lim
+        by_desc.setdefault(desc, []).append((H, H + desc, r, lim, term, encode_rational(r)))
+    groups = _UT_PER_N[key] = []
+    for desc in sorted(by_desc):
+        rows = sorted(by_desc[desc], key=lambda t: (t[1], t[5]))
+        groups.append((desc, min(t[0] for t in rows), [t[:5] for t in rows]))
+    return groups
 
 
 # --- exact two-part code lengths -------------------------------------------
@@ -649,9 +626,10 @@ def _khat_pass(stats: StringStats, cfg: FamilyConfig, mode: str) -> tuple[int, l
     # the exact log-cardinality term is used whenever it is computable; the
     # ceil(r n) surrogate enters only beyond the enumeration bound, so both
     # modes see the same khat for any n the exact mode can handle
-    for desc, _H, _sig, _obj, r, thresh, _payload, term in _ut_tables(cfg, n, n <= cfg.n_max)["ec"]:
-        if stats.lz_len * r.denominator < thresh:
-            best = min(best, desc + term)
+    for desc, _hmin, rows in _ut_tables(cfg, n, n <= cfg.n_max):
+        for _H, _sig, _r, lim, term in rows:
+            if stats.lz_len < lim:
+                best = min(best, desc + term)
     ones, zeros = stats.ones, n - stats.ones
     exact_ints = n <= _BIG_N_FLOAT
     values: list[tuple[int, str, int]] = []
@@ -722,20 +700,14 @@ def _pick_canonical(cands: Iterable[Optional[_Candidate]]) -> Optional[_Candidat
     return best
 
 
-def _scored(desc: int, H, ensemble, T: Optional[Fraction]) -> _Candidate:
-    """A candidate under the search's objective: desc when the budget T is a
-    constraint, 2 desc + H when it is folded in (T is None)."""
-    return _Candidate(desc if T is not None else 2 * desc + H, desc, H + desc, ensemble)
-
-
 def _fixed_rows(x: str, stats: StringStats) -> tuple:
     """(desc, H, class, argument) of uniform-all and both singletons: each has
-    -log2 p(x) = H, an integer, so x is always typical for them."""
+    -log2 p(x) = H, an integer, given as a float."""
     base = 3 + nat_code_len(stats.n)
     return (
-        (base, stats.n, ens.UniformAll, stats.n),
-        (base + stats.n, 0, ens.SingletonRaw, x),
-        (base + stats.lz_len, 0, ens.SingletonLZ, x),
+        (base, float(stats.n), ens.UniformAll, stats.n),
+        (base + stats.n, 0.0, ens.SingletonRaw, x),
+        (base + stats.lz_len, 0.0, ens.SingletonLZ, x),
     )
 
 
@@ -756,13 +728,14 @@ def khat(
     n = stats.n
     value, orders = _khat_pass(stats, cfg, mode)
     finalists = [
-        _Candidate(value, desc, float(H) + desc, cls(arg))
+        _Candidate(value, desc, H + desc, cls(arg))
         for desc, H, cls, arg in _fixed_rows(x, stats)
         if desc + H == value
     ]
-    for desc, _H, sig, _obj, r, thresh, _payload, term in _ut_tables(cfg, n, n <= cfg.n_max)["ec"]:
-        if stats.lz_len * r.denominator < thresh and desc + term == value:
-            finalists.append(_Candidate(value, desc, sig, ens.UniformTypical(r, n)))
+    for desc, _hmin, rows in _ut_tables(cfg, n, n <= cfg.n_max):
+        for _H, sig, r, lim, term in rows:
+            if stats.lz_len < lim and desc + term == value:
+                finalists.append(_Candidate(value, desc, sig, ens.UniformTypical(r, n)))
     for tag, m in orders:
         champion = _khat_iid_champion if tag == "iid" else _khat_markov_champion
         finalists.append(champion(stats, cfg, m))
@@ -770,17 +743,17 @@ def khat(
 
 
 def _khat_iid_champion(stats: StringStats, cfg: FamilyConfig, m: int) -> _Candidate:
-    """Canonical best order-m i.i.d. candidate. Order m's rows of the ec table
-    are in (Sigma, a) order, the comparator's order within one desc, so the
-    first row with the largest numerator bit length wins."""
+    """Canonical best order-m i.i.d. candidate. Order m's rows are in
+    (Sigma, a) order, the comparator's order within one desc, so the first
+    row with the largest numerator bit length wins."""
     n = stats.n
     ones, zeros = stats.ones, n - stats.ones
     top = 1 << m
     exact_ints = n <= _BIG_N_FLOAT
     best_bl, best = -1, None
-    # desc grows with m, so order m's 2^m - 1 rows follow the 2^m - m - 1 of lower orders
-    for row in _iid_tables(cfg.m_max, n)["ec"][top - m - 1 : 2 * top - m - 2]:
-        a = row[4].a
+    desc, _hmin, rows = _iid_tables(cfg.m_max, n)[m - 1]
+    for row in rows:
+        a = row[3]
         if exact_ints:
             bl = (_ipow(a, ones) * _ipow(top - a, zeros)).bit_length() - 1
         else:
@@ -788,8 +761,7 @@ def _khat_iid_champion(stats: StringStats, cfg: FamilyConfig, m: int) -> _Candid
             bl = _floor_log2_guarded(lg, ((a, ones), (top - a, zeros)))
         if bl > best_bl:
             best_bl, best = bl, row
-    desc, _H, sig, _obj, e = best
-    return _Candidate(desc + m * n - best_bl, desc, sig, ens.IIDQuantized(n, m, e.a))
+    return _Candidate(desc + m * n - best_bl, desc, best[1], ens.IIDQuantized(n, m, best[3]))
 
 
 def _khat_markov_champion(stats: StringStats, cfg: FamilyConfig, m: int) -> _Candidate:
@@ -883,21 +855,14 @@ def _markov_ensemble(grid: _MarkovGrid, n: int, j: int) -> ens.MarkovQuantized:
     return ens.MarkovQuantized(n, int(grid.m[j]), int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j]))
 
 
-def _markov_confirmed(
-    stats: StringStats,
-    grid: _MarkovGrid,
-    m: int,
-    delta_f: float,
-    budget: Optional[tuple[int, float]] = None,
-):
+def _markov_confirmed(stats: StringStats, grid: _MarkovGrid, m: int, delta_f: float):
     """Yield (ensemble, H), in (closed-form H, a0, a1, ai) order, for the
     large-n order-m Markov entries that x is typical for.
 
-    An entry is kept when its closed-form entropy makes x typical and, with
-    budget = (desc, T), satisfies desc + H <= T, both with a margin for the
-    closed form's rounding. The first _STRAGGLER_CAP kept entries are
-    confirmed: H is rebuilt by the defining recursion and the entry is
-    yielded if x stays typical.
+    An entry is kept when its closed-form entropy makes x typical, with a
+    margin for the closed form's rounding. The first _STRAGGLER_CAP kept
+    entries are confirmed: H is rebuilt by the defining recursion and the
+    entry is yielded if x stays typical.
 
     The slice is the product (a0, a1, ai) with ai fastest, so -log2 p(x) is
     an (a0, ai) table plus two a1 terms (_markov_terms).
@@ -916,11 +881,7 @@ def _markov_confirmed(
     H_all, lo_all, hi_all = grid.closed_tables(n)
     lo, hi = lo_all[grid.block_slices[m]], hi_all[grid.block_slices[m]]
     bound = (table.min(axis=1)[:, None] + t10) + t11  # per (a0, a1) block
-    ok = bound.ravel() <= hi * scale + ens.TYPICALITY_SLACK + margin
-    if budget is not None:
-        desc, T_f = budget
-        ok &= (desc + lo) <= T_f + margin
-    blocks = np.flatnonzero(ok)
+    blocks = np.flatnonzero(bound.ravel() <= hi * scale + ens.TYPICALITY_SLACK + margin)
     blocks = blocks[np.argsort(lo[blocks], kind="stable")]
     sl = grid.m_slices[m]
     H_blocks = H_all[sl].reshape(k * k, k)
@@ -935,8 +896,6 @@ def _markov_confirmed(
         v = (table[a0] + t10[a1, None]) + t11[a1, None]
         hb = H_blocks[bs]
         keep = v <= hb * scale + ens.TYPICALITY_SLACK + margin
-        if budget is not None:
-            keep &= (desc + hb) <= T_f + margin
         hb, ib, vb = hb[keep], (bs[:, None] * k + np.arange(k))[keep], v[keep]
         if pend_h is not None:
             hb = np.concatenate((pend_h, hb))
@@ -957,155 +916,193 @@ def _markov_confirmed(
         pend_h, pend_i, pend_v = hb[ready:], ib[ready:], vb[ready:]
 
 
-# --- the candidate search -------------------------------------------------------
+# --- the frontier and its two picks ---------------------------------------------
+#
+# A group is (desc, hmin, read): hmin, a number or a callable, bounds its
+# entropies from below, and read() gives its run (sigma, members), members
+# as (H, ensemble) in serialization order, or None when none is typical.
 
-def _first_feasible(rows: list, T: Optional[Fraction], ok) -> Optional[tuple]:
-    """First row (desc, H, sigma, objective, ...) of a presorted table that
-    passes ok and, with a budget T, has sigma <= T. Under a budget the rows are
-    in desc order, so the walk stops at the first desc above T."""
+def _run_of(rows: list, typical, build) -> Optional[tuple]:
+    """The run of rows (H, sigma, ...) in (sigma, serialization) order: the
+    first typical row and the typical rows after it with the same sigma."""
+    sigma, members = None, []
     for row in rows:
-        if T is not None and row[0] > T:
+        if members and row[1] != sigma:
             break
-        if ok(row) and (T is None or budget_fits(row[2], T)):
-            return row
-    return None
-
-
-def _candidates(
-    x: str,
-    stats: StringStats,
-    delta_f: float,
-    T: Optional[Fraction],
-    mode: str,
-    constraint: Optional[Constraint],
-    cfg: FamilyConfig,
-) -> list[Optional[_Candidate]]:
-    """Per-tag first-feasible candidates of the minimization.
-
-    With a budget T: minimize desc subject to desc + H <= T (ec). With
-    T = None: minimize 2 desc + H (coarse_ec). Each tag's table is presorted
-    by the objective and the tie-break, so its first feasible row is its
-    champion; _pick_canonical merges the champions.
-    """
-    n = stats.n
-    allow = constraint.allows_tag if constraint else (lambda _t: True)
-    order = "ec" if T is not None else "coarse"
-    out: list[Optional[_Candidate]] = []
-    for desc, H, cls, arg in _fixed_rows(x, stats):
-        if allow(ens.TAG_NAMES[cls]) and (T is None or budget_fits(desc + H, T)):
-            out.append(_scored(desc, float(H), cls(arg), T))
-    if allow("uniform-typ"):
-        row = _first_feasible(
-            _ut_tables(cfg, n, mode == "exact")[order],
-            T,
-            lambda row: (not constraint or constraint.allows_r(row[4]))
-            and stats.lz_len * row[4].denominator < row[5],  # member => typical
-        )
-        if row is not None:
-            out.append(_scored(row[0], row[1], ens.UniformTypical(row[4], n), T))
-    if allow("iid"):
-        ones, zeros = stats.ones, n - stats.ones
-        row = _first_feasible(
-            _iid_tables(cfg.m_max, n)[order],
-            T,
-            lambda row: (not constraint or constraint.allows_m(row[4].m))
-            and _typical_fast(ones * row[4].c1 + zeros * row[4].c0, row[1], delta_f),
-        )
-        if row is not None:
-            out.append(_scored(row[0], row[1], ens.IIDQuantized(n, row[4].m, row[4].a), T))
-    if allow("markov-q"):
-        out.append(_walk_markov(stats, delta_f, T, constraint, cfg))
-    return out
+        if typical(row):
+            sigma = row[1]
+            members.append((row[0], build(row)))
+    return (sigma, members) if members else None
 
 
 def _first_typical(
-    stats: StringStats,
-    grid: _MarkovGrid,
-    m: int,
-    H: np.ndarray,
-    order: np.ndarray,
-    start: int,
-    stop: int,
-    delta_f: float,
+    stats: StringStats, grid: _MarkovGrid, m: int, H: np.ndarray, order: np.ndarray, delta_f: float
 ) -> Optional[int]:
-    """First slice-local index i in order[start:stop] whose entry of the
-    m-slice (entropies H) makes x delta-typical.
-
-    The test is _markov_neglogp and _typical_fast evaluated elementwise, so
-    each decision is the scalar one bit for bit. Entries are gathered in
-    chunks that grow 4x: most walks stop within the first few entries, a
-    few scan a whole slice.
-    """
-    offset = grid.m_slices[m].start
-    chunk = 32
-    while start < stop:
-        end = min(start + chunk, stop)
-        js = order[start:end]
-        v = _markov_neglogp(stats, grid, js + offset)
-        ok = v <= H[js] * (1.0 + delta_f) + ens.TYPICALITY_SLACK
+    """First position k in order whose entry order[k] of the m-slice
+    (entropies H) makes x delta-typical, found in chunks that grow 4x: most
+    scans stop within the first few entries, a few scan a whole slice."""
+    start, chunk = 0, 32
+    while start < len(order):
+        ok = _markov_typical(stats, grid, m, H, order[start : start + chunk], delta_f)
         k = int(ok.argmax())
         if ok[k]:
-            return int(js[k])
-        start = end
+            return start + k
+        start += chunk
         chunk *= 4
     return None
 
 
-def _walk_markov(
-    stats: StringStats,
-    delta_f: float,
-    T: Optional[Fraction],
-    constraint: Optional[Constraint],
-    cfg: FamilyConfig,
-) -> Optional[_Candidate]:
-    """The Markov champion, m by m.
+def _markov_typical(stats: StringStats, grid: _MarkovGrid, m: int, H, js, delta_f: float):
+    """Whether x is typical for the entries js of the m-slice (entropies H):
+    _markov_neglogp and _typical_fast elementwise, the scalar test bit for bit."""
+    v = _markov_neglogp(stats, grid, js + grid.m_slices[m].start)
+    return v <= H[js] * (1.0 + delta_f) + ens.TYPICALITY_SLACK
 
-    desc grows with m, so once the objective's lower bound (desc under a
-    budget, 2 desc without) exceeds the budget or the best so far, no later
-    m can win. Up to n_max an m's champion is the first typical entry of its
-    exact table: in ec_order, within the budget prefix found by bisection
-    (desc + H is nondecreasing there), or in coarse_order without a budget.
-    Float addition is monotone, so desc + Hmin (or 2 desc + Hmin) is the
-    slice's smallest total information (or objective), and a slice where
-    that misses the budget (or the best so far) is skipped unscanned.
-    Beyond n_max the champion is the first confirmed entry from
-    _markov_confirmed that fits the budget."""
+
+def _markov_run(
+    stats: StringStats, grid: _MarkovGrid, m: int, delta_f: float, desc: int, m_max: int
+) -> Optional[tuple]:
+    """The run of an exact m-slice: the first typical entry of ec_order and
+    the typical entries of the stretch of equal sigma after it, which
+    ec_order keeps in serialization order."""
+    t = _markov_tables(m_max, stats.n, m)
+    H, order = t["H"], t["ec_order"]
+    p = _first_typical(stats, grid, m, H, order, delta_f)
+    if p is None:
+        return None
+    sigma = H[order[p]] + desc
+    stop, width = p + 1, 4
+    while stop < len(order) and H[order[stop]] + desc == sigma:  # in windows that grow 4x
+        same = H[order[stop : stop + width]] + desc == sigma
+        stop += len(same) if same.all() else int(same.argmin())
+        width *= 4
+    js = order[p:stop][_markov_typical(stats, grid, m, H, order[p:stop], delta_f)]
+    start = grid.m_slices[m].start
+    members = [(float(H[j]), _markov_ensemble(grid, stats.n, start + j)) for j in js.tolist()]
+    return float(sigma), members
+
+
+def _markov_groups(
+    stats: StringStats, delta_f: float, constraint: Optional[Constraint], cfg: FamilyConfig
+):
+    """One group per order m. Up to n_max, hmin and the run come from the
+    exact table of (n, m), built on first use. Beyond n_max, hmin is the
+    slice's least closed-form entropy less the closed form's rounding margin,
+    and the run is the first entry _markov_confirmed yields."""
     n = stats.n
     grid = _markov_grid(cfg.m_max)
-    base = 3 + nat_code_len(n)
-    T_f = None if T is None else float(T)
-    best: Optional[_Candidate] = None
+    exact = n <= cfg.n_max
+
+    def hmin(m):
+        if exact:
+            return _markov_tables(cfg.m_max, n, m)["Hmin"]
+        return float(grid.closed_tables(n)[1][grid.block_slices[m]].min()) - (1e-6 + 1e-12 * n)
+
+    def run(m, desc):
+        if exact:
+            return _markov_run(stats, grid, m, delta_f, desc, cfg.m_max)
+        e, H = next(_markov_confirmed(stats, grid, m, delta_f), (None, None))
+        return None if e is None else (H + desc, [(H, e)])
+
     for m in range(1, cfg.m_max + 1):
-        if constraint and not constraint.allows_m(m):
-            continue
-        desc = base + grid.m_desc[m]
-        if best is not None and (desc if T is not None else 2 * desc) > best.objective:
-            break
-        if T is not None and desc > T:
-            break
-        if n > cfg.n_max:
-            budget = None if T is None else (desc, T_f)
-            confirmed = _markov_confirmed(stats, grid, m, delta_f, budget)
-            champion = next(((e, H) for e, H in confirmed if T is None or H + desc <= T_f), None)
-        else:
-            t = _markov_tables(cfg.m_max, n, m)
-            H = t["H"]
-            if T is None:
-                if best is not None and 2 * desc + t["Hmin"] > best.objective:
-                    continue
-                order, stop = t["coarse_order"], len(H)
-            elif desc + t["Hmin"] > T_f:
-                continue
-            else:
-                order = t["ec_order"]
-                stop = bisect.bisect_right(order, T_f, key=lambda i: H[i] + desc)
-            i = _first_typical(stats, grid, m, H, order, 0, stop, delta_f)
-            champion = None if i is None else (
-                _markov_ensemble(grid, n, grid.m_slices[m].start + i), float(H[i])
-            )
-        if champion is not None:
-            best = _pick_canonical((best, _scored(desc, champion[1], champion[0], T)))
-    return best
+        if not constraint or constraint.allows_m(m):
+            desc = 3 + nat_code_len(n) + grid.m_desc[m]
+            yield desc, partial(hmin, m), partial(run, m, desc)
+
+
+def _frontier(
+    x: str, stats: StringStats, delta_f: float, mode: str, constraint: Optional[Constraint],
+    cfg: FamilyConfig,
+) -> list:
+    """Each allowed tag's groups in ascending desc: each fixed row on its
+    own, one i.i.d. and one Markov group per m, and the uniform-typical rows
+    grouped by desc. The cheap bounds come first, so that a pick usually
+    skips the uniform-typical groups unread and the singletons before their
+    ensembles are built."""
+    n, ones, zeros = stats.n, stats.ones, stats.n - stats.ones
+    allow = constraint.allows_tag if constraint else (lambda _t: True)
+    allow_r = constraint.allows_r if constraint else (lambda _r: True)
+    fixed_typical = lambda _row: True  # -log2 p(x) = H for a fixed row
+    fixed_build = lambda row: row[2](row[3])
+    uniform_all, *singletons = (
+        [(desc, H, partial(_run_of, [(H, H + desc, cls, arg)], fixed_typical, fixed_build))]
+        if allow(ens.TAG_NAMES[cls]) else []
+        for desc, H, cls, arg in _fixed_rows(x, stats)
+    )
+    tags = [uniform_all]
+    if allow("iid"):
+        iid_typical = lambda row: _typical_fast(ones * row[4] + zeros * row[5], row[0], delta_f)
+        iid_build = lambda row: ens.IIDQuantized(n, row[2], row[3])
+        tags.append(
+            (desc, hmin, partial(_run_of, rows, iid_typical, iid_build))
+            for m, (desc, hmin, rows) in enumerate(_iid_tables(cfg.m_max, n), 1)
+            if not constraint or constraint.allows_m(m)
+        )
+    if allow("markov-q"):
+        tags.append(_markov_groups(stats, delta_f, constraint, cfg))
+    if allow("uniform-typ"):
+        ut_member = lambda row: stats.lz_len < row[3] and allow_r(row[2])  # member => typical
+        ut_build = lambda row: ens.UniformTypical(row[2], n)
+        # the surrogate H = r n of a member exceeds lz_len
+        least = 0 if mode == "exact" else stats.lz_len
+        tags.append(
+            (desc, max(hmin, least), partial(_run_of, rows, ut_member, ut_build))
+            for desc, hmin, rows in _ut_tables(cfg, n, mode == "exact")
+        )
+    return tags + singletons
+
+
+def _runs(groups: Iterable, stop, skip) -> Iterable[tuple]:
+    """(desc, run) of each group read, in ascending desc: reading ends at the
+    first desc for which stop(desc) holds, and a group for which
+    skip(desc, hmin) holds, or whose run is None, is passed over."""
+    for desc, hmin, read in groups:
+        if stop(desc):
+            return
+        if not skip(desc, hmin() if callable(hmin) else hmin):
+            run = read()
+            if run is not None:
+                yield desc, run
+
+
+def _ec_pick(frontier: list, T: Fraction) -> Optional[_Candidate]:
+    """The least desc over typical candidates with sigma <= T.
+
+    A run's sigma is the least of its group's typical candidates, so a tag's
+    champion is the serialization-first member of its first run within T."""
+    limit = math.floor(T)  # desc is an int: desc > T exactly when desc > floor(T)
+    champions = []
+    for groups in frontier:
+        for desc, (sigma, members) in _runs(
+            groups, lambda d: d > limit, lambda d, h: not budget_fits(d + h, T)
+        ):
+            if budget_fits(sigma, T):
+                champions.append(_Candidate(desc, desc, sigma, members[0][1]))
+                limit = desc  # a later tag's group above it cannot win
+                break
+    return _pick_canonical(champions)
+
+
+def _coarse_pick(frontier: list) -> Optional[_Candidate]:
+    """The least 2 desc + H over typical candidates.
+
+    Within one desc, 2 desc + H never falls as sigma rises, so a run holds
+    its group's best: the least (2 desc + H, serialization) member, as its
+    members share sigma but not always 2 desc + H. A tag's champion is its
+    least objective, the earliest on ties (later groups have larger desc)."""
+    bound = math.inf
+    champions = []
+    for groups in frontier:
+        champion = None
+        for desc, (sigma, members) in _runs(
+            groups, lambda d: 2 * d > bound, lambda d, h: 2 * d + h > bound
+        ):
+            H, e = min(members, key=lambda member: 2 * desc + member[0])
+            if champion is None or 2 * desc + H < champion.objective:
+                champion = _Candidate(2 * desc + H, desc, sigma, e)
+                bound = min(bound, champion.objective)
+        champions.append(champion)
+    return _pick_canonical(champions)
 
 
 def _search(
@@ -1126,8 +1123,8 @@ def _search(
         raise ValueError("delta must be >= 0")
     Delta = None if resolve_Delta is None else resolve_Delta(n)
     khv = khat_value(stats, cfg, mode)
-    T = None if Delta is None else khv + Delta
-    best = _pick_canonical(_candidates(x, stats, delta_f, T, mode, constraint, cfg))
+    frontier = _frontier(x, stats, delta_f, mode, constraint, cfg)
+    best = _coarse_pick(frontier) if Delta is None else _ec_pick(frontier, khv + Delta)
     report = ComplexityReport(
         n=n,
         lz_len=stats.lz_len,
@@ -1141,7 +1138,7 @@ def _search(
     if best is None:
         report.ec_empty = True
         return report
-    if T is None:
+    if Delta is None:
         report.coarse_ec = float(best.objective) - khv
     else:
         report.ec = best.objective
@@ -1197,7 +1194,7 @@ def max_coarse_scan(n: int, delta, cfg: FamilyConfig = DEFAULT_CONFIG) -> ScanRe
         val = value_cache.get(key)
         if val is None:
             khv = khat_value(stats, cfg, "exact")
-            best = _pick_canonical(_candidates(x, stats, delta_f, None, "exact", None, cfg))
+            best = _coarse_pick(_frontier(x, stats, delta_f, "exact", None, cfg))
             val = float(best.objective) - khv
             value_cache[key] = val
         hist[val] = hist.get(val, 0) + 1
@@ -1279,7 +1276,7 @@ def theorem1_sweep(
             T = khat_value(stats, cfg, "upper") + eps * n
             r_star = r_by_comp[comp]
             oks += (3 + nat_code_len(n) + rational_code_len(r_star)) + r_star * n <= T
-            best = _pick_canonical(_candidates(bits, stats, delta_f, T, "upper", None, cfg))
+            best = _ec_pick(_frontier(bits, stats, delta_f, "upper", None, cfg), T)
             if best is not None:
                 values.append(best.objective)
         rows.append(

@@ -170,6 +170,27 @@ def test_coarse_constraint_errors_and_default(capsys):
     assert code == 0 and json.loads(out)["rows"][0]["coarse_ec"] == "EMPTY-DOMAIN"
 
 
+def _constraint_error(text, capsys):
+    code, out, err = run(["ec", "--x", "0110", "--delta", "0", "--Delta", "4",
+                          "--constraint", text], capsys)
+    assert (code, out) == (2, ""), text
+    return err
+
+
+def test_constraint_rejects_non_integer_mmax(capsys):
+    assert _constraint_error("mmax=x", capsys) == (
+        "error: constraint: mmax must be an integer >= 0, got 'x'\n"
+    )
+
+
+def test_constraint_rejects_negative_mmax(capsys):
+    assert _constraint_error("mmax=-3", capsys).startswith("error: constraint: mmax must be")
+
+
+def test_constraint_rejects_repeated_key(capsys):
+    assert _constraint_error("mmax=1;mmax=2", capsys) == "error: constraint: key 'mmax' given twice\n"
+
+
 def test_khat_parses_x_once(capsys, monkeypatch):
     from eclab import lz78
 

@@ -87,6 +87,24 @@ def test_khat_with_stats_does_not_revalidate_x(monkeypatch):
     assert checked == []
 
 
+def test_coarse_ec_builds_no_losing_singleton(monkeypatch):
+    """A fixed row's ensemble is built only when its run is read, and the
+    singletons are read last, so on long paths neither is built (building
+    one checks x again)."""
+    xs = [
+        x
+        for spec in ("markov:flip=1/10", "bernoulli:p=3/10")
+        for n in (1 << 12, 1 << 15)
+        for x, _ in processes.sample_paths(processes.parse_model_spec(spec), n, 1, 1)
+    ]
+    checked = []
+    check_bits = E._check_bits
+    monkeypatch.setattr(E, "_check_bits", lambda s: (checked.append(len(s)), check_bits(s))[1])
+    for x in xs:
+        C.coarse_ec(x, 0, "auto")
+    assert checked == []
+
+
 def test_markov_entropy_tables_match_scalar():
     grid = C._markov_grid(3)
     for n in (1, 2, 5, 9):
@@ -161,15 +179,12 @@ def test_markov_orders_match_lexsort():
             assert grid.entropies(n, sl).tobytes() == H_all[sl].tobytes(), (n, m)
             desc = 3 + nat_code_len(n) + grid.descbase[sl]
             sig = H + desc
-            obj = 2 * desc + H
             a0, a1, ai = grid.a0[sl], grid.a1[sl], grid.ai[sl]
             ec_ref = np.lexsort((ai, a1, a0, sig))
-            coarse_ref = np.lexsort((ai, a1, a0, sig, obj))
-            assert sorted(t) == ["H", "Hmin", "coarse_order", "ec_order"]
+            assert sorted(t) == ["H", "Hmin", "ec_order"]
             assert t["Hmin"] == float(H.min())
-            assert t["ec_order"].dtype == np.int32 and t["coarse_order"].dtype == np.int32
+            assert t["ec_order"].dtype == np.int32
             assert np.array_equal(t["ec_order"], ec_ref), (n, m)
-            assert np.array_equal(t["coarse_order"], coarse_ref), (n, m)
 
 
 def test_markov_table_cache_keeps_few_largest_slices(monkeypatch):
@@ -696,13 +711,9 @@ def test_upper_mode_straggler_order_and_cap(monkeypatch):
     for x in cases:
         st = C.string_stats(x)
         n = st.n
-        base = 3 + nat_code_len(n)
         margin = 1e-6 + 1e-12 * n
         Hcf_all = grid.closed_tables(n)[0]
-        eps_query = ComplexityQuery(delta=Fraction(0), eps=Fraction(1, 10), mode="upper")
-        T_f = float(C.khat_value(st, cfg, "upper") + eps_query.resolve_Delta(n))
         for m in range(1, cfg.m_max + 1):
-            desc = base + nat_code_len(m) + 3 * m
             sl = grid.m_slices[m]
             Hcf = Hcf_all[sl]
             v = (
@@ -712,30 +723,28 @@ def test_upper_mode_straggler_order_and_cap(monkeypatch):
                 + st.n10 * grid.c10[sl]
                 + st.n11 * grid.c11[sl]
             )
-            fits = (desc + Hcf) <= T_f + margin
             keys = list(zip(Hcf.tolist(), grid.a0[sl].tolist(), grid.a1[sl].tolist(),
                             grid.ai[sl].tolist()))
             for delta_f in (0.0, 0.25, 1.0):
                 typ = v <= Hcf * (1.0 + delta_f) + E.TYPICALITY_SLACK + margin
-                for budget, mask in ((None, typ), ((desc, T_f), typ & fits)):
-                    ref = sorted(np.flatnonzero(mask).tolist(), key=lambda i: keys[i])
-                    with monkeypatch.context() as mp:
-                        mp.setattr(C, "_STRAGGLER_CAP", grid.size)  # above any slice's count
-                        mp.setattr(C, "_markov_ensemble", lambda grid, n, j: j)
-                        mp.setattr(C.ens, "entropy", lambda j: math.inf)
-                        kept = [j for j, _H in C._markov_confirmed(st, grid, m, delta_f, budget)]
-                    assert kept == [sl.start + i for i in ref]
-                    if n > 1 << 10:
-                        continue
-                    # with the cap and the defining recursion: the first
-                    # _STRAGGLER_CAP kept entries that stay typical
-                    confirmed = []
-                    for i in ref[: C._STRAGGLER_CAP]:
-                        e = C._markov_ensemble(grid, n, sl.start + i)
-                        H = E.entropy(e)
-                        if C._typical_fast(float(v[i]), H, delta_f):
-                            confirmed.append((e, H))
-                    assert list(C._markov_confirmed(st, grid, m, delta_f, budget)) == confirmed
+                ref = sorted(np.flatnonzero(typ).tolist(), key=lambda i: keys[i])
+                with monkeypatch.context() as mp:
+                    mp.setattr(C, "_STRAGGLER_CAP", grid.size)  # above any slice's count
+                    mp.setattr(C, "_markov_ensemble", lambda grid, n, j: j)
+                    mp.setattr(C.ens, "entropy", lambda j: math.inf)
+                    kept = [j for j, _H in C._markov_confirmed(st, grid, m, delta_f)]
+                assert kept == [sl.start + i for i in ref]
+                if n > 1 << 10:
+                    continue
+                # with the cap and the defining recursion: the first
+                # _STRAGGLER_CAP kept entries that stay typical
+                confirmed = []
+                for i in ref[: C._STRAGGLER_CAP]:
+                    e = C._markov_ensemble(grid, n, sl.start + i)
+                    H = E.entropy(e)
+                    if C._typical_fast(float(v[i]), H, delta_f):
+                        confirmed.append((e, H))
+                assert list(C._markov_confirmed(st, grid, m, delta_f)) == confirmed
 
     def results():
         out = []

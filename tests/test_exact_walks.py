@@ -1,7 +1,7 @@
 """Differential tests of the exact-mode Markov searches at the default m_max = 6.
 
-The references are the per-entry scalar loops that the bisect-and-scan
-walk and the per-order khat champion replaced. They read the sort keys from
+The references are the per-entry scalar loops that the Markov groups, read
+by the ec and coarse-ec picks, and the per-order khat champion replaced. They read the sort keys from
 arrays rebuilt here (desc from grid.descbase, total information and
 objective from whole-grid entropies) and the orders from np.lexsort over
 the whole grid, so they share nothing with the code under test but the
@@ -162,6 +162,16 @@ def _as_tuple(c):
     return None if c is None else (c.objective, c.desc, c.sigma, c.ensemble)
 
 
+def _markov_ec(stats, delta_f, T, constraint, cfg):
+    """The ec pick over the Markov tag alone."""
+    return C._ec_pick([C._markov_groups(stats, delta_f, constraint, cfg)], T)
+
+
+def _markov_coarse(stats, delta_f, constraint, cfg):
+    """The coarse-ec pick over the Markov tag alone."""
+    return C._coarse_pick([C._markov_groups(stats, delta_f, constraint, cfg)])
+
+
 def _seeded_strings(seed: str, lengths) -> list[str]:
     """Low-entropy, Markov-like, fair-coin and run-heavy strings per length."""
     rng = random.Random(seed)
@@ -200,10 +210,10 @@ def _check_walks(stats):
     for delta in DELTAS:
         delta_f = float(delta)
         for constraint in CONSTRAINTS:
-            got = _as_tuple(C._walk_markov(stats, delta_f, None, constraint, EXACT_CFG))
+            got = _as_tuple(_markov_coarse(stats, delta_f, constraint, EXACT_CFG))
             assert got == _ref_walk_coarse(stats, delta_f, constraint), (stats, delta, constraint)
             for T in Ts:
-                got = _as_tuple(C._walk_markov(stats, delta_f, T, constraint, EXACT_CFG))
+                got = _as_tuple(_markov_ec(stats, delta_f, T, constraint, EXACT_CFG))
                 want = _ref_walk_ec(stats, delta_f, T, constraint)
                 assert got == want, (stats, delta, T, constraint)
 
@@ -261,7 +271,7 @@ def test_walks_match_scalar_reference_beyond_nmax():
     bound = 0
     for _x, stats in _distinct_stats(_seeded_strings("longer", (32, 48, 64))):
         _check_walks(stats)
-        free = C._walk_markov(stats, 1.0, None, None, EXACT_CFG)
+        free = _markov_coarse(stats, 1.0, None, EXACT_CFG)
         bound += free.ensemble.m > 1
     assert bound > 0
 
@@ -286,16 +296,16 @@ def test_first_typical_across_chunk_boundaries():
                     continue
                 isolated += 1
                 for start in range(hit - 700, hit + 1):
-                    got = C._first_typical(stats, grid, m, H, order, start, hit + 1, 0.0)
-                    assert got == order[hit], (x, m, hit, start)
-                    assert C._first_typical(stats, grid, m, H, order, start, hit, 0.0) is None
+                    got = C._first_typical(stats, grid, m, H, order[start : hit + 1], 0.0)
+                    assert order[start + got] == order[hit], (x, m, hit, start)
+                    assert C._first_typical(stats, grid, m, H, order[start:hit], 0.0) is None
     assert isolated >= 4
 
 
 def test_walks_match_at_budget_edges():
     """Budgets below every Markov desc, exactly at per-m minima of desc + H
-    and one ulp either side: the bisection's boundary cases, including an
-    m whose budget prefix is empty while a later m's is not."""
+    and one ulp either side: the desc + hmin skip's boundary cases,
+    including an m skipped unread while a later m holds the champion."""
     grid = C._markov_grid(CFG.m_max)
     below_all = skipped_then_found = 0
     for _x, stats in _distinct_stats(_seeded_strings("budget-edges", (12, 20, 24))):
@@ -307,15 +317,61 @@ def test_walks_match_at_budget_edges():
                       Fraction(math.nextafter(v, math.inf))]
         for T in extra:
             for delta in DELTAS:
-                got = _as_tuple(C._walk_markov(stats, float(delta), T, None, CFG))
+                got = _as_tuple(_markov_ec(stats, float(delta), T, None, CFG))
                 assert got == _ref_walk_ec(stats, float(delta), T, None), (stats, delta, T)
-            found = C._walk_markov(stats, 1.0, T, None, CFG)
+            found = _markov_ec(stats, 1.0, T, None, CFG)
             if T < t["desc"].min():
                 below_all += 1
                 assert found is None
             if found is not None and any(v > float(T) for v in mins[: found.ensemble.m - 1]):
                 skipped_then_found += 1
     assert below_all > 0 and skipped_then_found > 0
+
+
+def _sigma_tied_pair(h, desc):
+    """Entropies lo < hi near h whose totals lo + desc and hi + desc are one
+    float while their objectives lo + 2 desc and hi + 2 desc are two."""
+    hs = [h]
+    for _ in range(16):
+        hs = [math.nextafter(hs[0], -math.inf), *hs, math.nextafter(hs[-1], math.inf)]
+    for i, lo in enumerate(hs):
+        for hi in hs[i + 1 :]:
+            if lo + desc == hi + desc and lo + 2 * desc < hi + 2 * desc:
+                return lo, hi
+    return None
+
+
+def test_run_keeps_every_entry_of_the_least_sigma(monkeypatch):
+    """An m-slice table patched so that its first two typical entries tie in
+    sigma but not in 2 desc + H: ec takes the serialization-first entry of
+    the run, coarse_ec the one with the least 2 desc + H."""
+    x, m, delta = "000000000000000000000000000000000000000000100001", 5, Fraction(1)
+    stats = C.string_stats(x)
+    n = stats.n
+    grid = C._markov_grid(CFG.m_max)
+    sl = grid.m_slices[m]
+    desc = 3 + nat_code_len(n) + grid.m_desc[m]
+    t = C._markov_tables(CFG.m_max, n, m)
+    H = t["H"].copy()
+    v = C._markov_neglogp(stats, grid, sl)
+    first = int(t["ec_order"][C._first_typical(stats, grid, m, H, t["ec_order"], float(delta))])
+    lo, hi = _sigma_tied_pair(float(H[first]), desc)
+    typical_at_lo = v[first + 1 :] <= lo * (1.0 + float(delta)) + E.TYPICALITY_SLACK
+    later = first + 1 + int(np.flatnonzero(typical_at_lo)[0])
+    H[first], H[later] = hi, lo
+    order = np.argsort(H + desc, kind="stable").astype(np.int32)
+    assert order[0] == first and order[1] == later  # no entry has a smaller sigma
+    patched = {"H": H, "Hmin": float(H.min()), "ec_order": order}
+    monkeypatch.setitem(C._MARKOV_PER_N, (CFG.m_max, n, m), patched)
+    constraint = Constraint(tags=frozenset({"markov-q"}), m_max=m)
+    coarse = C.coarse_ec(x, delta, "exact", EXACT_CFG, constraint)
+    assert coarse.witness == _ensemble(grid, n, sl.start + later)
+    assert coarse.coarse_ec == (lo + 2 * desc) - coarse.khat
+    Delta = Fraction(hi + desc) - coarse.khat
+    assert Delta >= 0
+    query = C.ComplexityQuery(delta=delta, Delta=Delta, mode="exact", constraint=constraint)
+    rep = C.ec(x, query, EXACT_CFG)
+    assert (rep.ec, rep.witness) == (desc, _ensemble(grid, n, sl.start + first))
 
 
 def test_exact_ops_at_n20_never_build_the_largest_slice(monkeypatch):
