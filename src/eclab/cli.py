@@ -81,9 +81,20 @@ def _bits_arg(text: str, flag: str) -> str:
 
 def _int_list(text: str, flag: str) -> list[int]:
     try:
-        return [int(v) for v in text.split(",") if v]
+        values = [processes._parse_int(v, flag) for v in text.split(",") if v]
     except ValueError:
         raise UsageError(f"{flag}: expected comma-separated integers")
+    if not values:
+        raise UsageError(f"{flag}: expected at least one value")
+    return values
+
+
+def _int(text: str) -> int:
+    """argparse type of the integer flags: ASCII digits, as in _int_list."""
+    try:
+        return processes._parse_int(text, "integer flag")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _cell(value) -> str:
@@ -151,7 +162,7 @@ def _report_row(report: ComplexityReport, kind: str, sample=0, seed="") -> dict:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
-    sub.add_argument("--threads", type=int, default=1, help="accepted and ignored")
+    sub.add_argument("--threads", type=_int, default=1, help="accepted and ignored")
 
 
 @functools.cache
@@ -163,9 +174,9 @@ def _build_parser() -> _Parser:
     p = subs.add_parser("gen", help="sample strings from a process model")
     p.add_argument("--model", required=True)
     p.add_argument("--model-file", default=None, help="read the model document from a file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--seed", type=_int, required=True)
+    p.add_argument("--count", type=_int, default=1)
     _add_common(p)
 
     p = subs.add_parser("lz", help="LZ78 parse/code/decode of a string")
@@ -178,8 +189,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--r-list", required=True, help="comma-separated rationals a/b")
     p.add_argument("--n-list", required=True)
     p.add_argument("--model", default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--samples", type=_int, default=None)
+    p.add_argument("--seed", type=_int, default=None)
     _add_common(p)
 
     for name in ("khat", "ec", "coarse-ec"):
@@ -200,12 +211,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--eps", required=True)
     p.add_argument("--delta", default="0")
     p.add_argument("--n-list", required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--samples", type=_int, required=True)
+    p.add_argument("--seed", type=_int, required=True)
     _add_common(p)
 
     p = subs.add_parser("scan-max-coarse", help="exhaustive coarse-complexity scan")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--delta", required=True)
     _add_common(p)
 
@@ -266,6 +277,8 @@ def _cmd_lz(args) -> int:
 
 def _cmd_typical(args) -> int:
     rs = [_fraction("--r-list")(v) for v in args.r_list.split(",") if v]
+    if not rs:
+        raise UsageError("--r-list: expected at least one value")
     ns = _int_list(args.n_list, "--n-list")
     model = None
     if args.model:

@@ -41,12 +41,15 @@ first run within the budget and `coarse_ec` the least 2 D + H of the runs
 it reads; both skip, unread, a group whose least entropy already rules it
 out, and stop once D alone does.
 
-The Markov groups come from one of two sources. Up to n_max, an exact
-table per (n, m), built the first time a pick reads that m: the run is the
-first typical entry of the slice's total-information order and the stretch
-of equal Sigma after it. Beyond n_max, no whole slice is visited: each
-(a0, a1) block gets a lower bound on -log2 p(x) and the range of its
-closed-form entropies, which rule out the blocks that cannot hold a
+Every Markov quantity is read from its order's rows: for order m, -log2 q,
+-log2 (1 - q), h(q) and q over q = a / 2^m, a = 1 .. 2^m - 1, broadcast over
+the (a0, a1, ai) product of that order; no array spans two orders. The
+Markov groups come from one of two sources. Up to n_max, an exact table per
+(n, m), shared by every m_max and built the first time a pick reads that m:
+the run is the first typical entry of the order's total-information order
+and the stretch of equal Sigma after it. Beyond n_max, no whole order is
+visited: each (a0, a1) block gets a lower bound on -log2 p(x) and the range
+of its closed-form entropies, which rule out the blocks that cannot hold a
 typical entry; the rest are expanded in ascending entropy order, and the
 run is the first entry confirmed with the defining recursion.
 """
@@ -69,6 +72,7 @@ from .errors import ResourceLimitError
 from .processes import (
     ProcessModel,
     _parse_fraction,
+    _parse_int,
     binary_entropy,
     components,
     entropy_rate,
@@ -182,9 +186,12 @@ class Constraint:
                 if unknown:
                     raise ValueError(f"constraint: unknown tags {sorted(unknown)}")
             elif key == "mmax":
-                if not value.isdecimal():
+                try:
+                    m_max = _parse_int(value, "constraint: mmax")
+                except ValueError:
+                    m_max = -1
+                if m_max < 0:
                     raise ValueError(f"constraint: mmax must be an integer >= 0, got {value!r}")
-                m_max = int(value)
             elif key == "rmin":
                 r_min = _parse_fraction(value, "constraint: rmin")
             elif key == "rmax":
@@ -225,7 +232,6 @@ class ComplexityReport:
     khat: int
     ec: Optional[int] = None
     ec_empty: bool = False  # the (constrained) domain of ec or coarse_ec was empty
-    ec_is_upper_bound: bool = False
     coarse_ec: Optional[float] = None
     witness: Optional[ens.Ensemble] = None
     delta_text: str = ""
@@ -305,162 +311,128 @@ def coarse_scheme_constant(scan_n_max: int = 16) -> int:
 
 
 # --- quantized-grid tables --------------------------------------------------
+#
+# The order-m Markov entries are the product (a0, a1, ai) of a = 1 .. 2^m - 1
+# with ai fastest, k = 2^m - 1 values per axis: entry (a0, a1, ai) has the
+# slice-local index ((a0 - 1) k + a1 - 1) k + ai - 1. Every per-entry quantity
+# is computed over that product from the order's rows, broadcast along the
+# axes, so no array spans more than one order.
 
-class _MarkovGrid:
-    """Flat arrays over all (m, a0, a1, ai) combinations, m <= m_max.
-
-    Per-parameter log and entropy tables come from scalar math calls and
-    are gathered into arrays, so table-based likelihoods are bit-identical
-    to the scalar ones in ensembles.neg_log2_prob and ensembles.entropy.
-    """
-
-    def __init__(self, m_max: int):
-        ms, a0s, a1s, ais = [], [], [], []
-        for m in range(1, m_max + 1):
-            k = (1 << m) - 1
-            vals = np.arange(1, k + 1, dtype=np.int64)
-            ms.append(np.full(k * k * k, m, dtype=np.int64))
-            a0s.append(np.repeat(vals, k * k))
-            a1s.append(np.tile(np.repeat(vals, k), k))
-            ais.append(np.tile(vals, k * k))
-        self.m = np.concatenate(ms)
-        self.a0 = np.concatenate(a0s)
-        self.a1 = np.concatenate(a1s)
-        self.ai = np.concatenate(ais)
-        self.size = len(self.m)
-        # desc of an order-m entry, less the tag and length prefix 3 + |delta(n)|
-        self.m_desc = [0] + [nat_code_len(m) + 3 * m for m in range(1, m_max + 1)]
-        self.descbase = np.array(self.m_desc, dtype=np.int64)[self.m]
-        # one row per (m, a), m ascending then a; row of (m, a) is 2^m - m - 2 + a
-        log1, log0, hof, prob = [], [], [], []
-        for m in range(1, m_max + 1):
-            for a in range(1, 1 << m):
-                log1.append(m - math.log2(a))  # -log2(a / 2^m)
-                log0.append(m - math.log2((1 << m) - a))  # -log2(1 - a / 2^m)
-                hof.append(binary_entropy(a / (1 << m)))
-                prob.append(a / (1 << m))
-        log1, log0, hof, prob = (np.array(t) for t in (log1, log0, hof, prob))
-        row_base = (1 << self.m) - self.m - 2
-        r0, r1, ri = row_base + self.a0, row_base + self.a1, row_base + self.ai
-        self.c01, self.c00, self.h0, self.q0 = log1[r0], log0[r0], hof[r0], prob[r0]
-        self.c10, self.c11, self.h1, self.q1 = log1[r1], log0[r1], hof[r1], prob[r1]
-        self.li1, self.li0, self.hinit, self.pinit = log1[ri], log0[ri], hof[ri], prob[ri]
-        # per m: the slice of its entries, the slice of its (a0, a1) blocks and
-        # the row tables (-log2 q, -log2 (1 - q)) over a = 1 .. 2^m - 1
-        self.m_slices: dict[int, slice] = {}
-        self.block_slices: dict[int, slice] = {}
-        self.rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        start = bstart = 0
-        for m in range(1, m_max + 1):
-            k = (1 << m) - 1
-            self.m_slices[m] = slice(start, start + k**3)
-            self.block_slices[m] = slice(bstart, bstart + k * k)
-            r = (1 << m) - m - 1
-            self.rows[m] = (log1[r : r + k], log0[r : r + k])
-            start += k**3
-            bstart += k * k
-        # q0, q1 per (m, a0, a1) block; ai varies fastest, so blocks are runs
-        first = np.flatnonzero(self.ai == 1)
-        self._block_first = first
-        self._block_q0, self._block_q1 = self.q0[first], self.q1[first]
-        self._block_len = np.diff(first, append=self.size)
-        # per length, most recently used last: (H, block min H, block max H)
-        self._closed: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def entropies(self, n: int, sl: slice = slice(None)) -> np.ndarray:
-        """H over the grid entries in sl by the same forward recursion as
-        ensembles.entropy.
-
-        Each step is the scalar step's expressions, in order, into
-        preallocated buffers; every operation is elementwise, so a slice's
-        entropies are the whole grid's, bit for bit.
-        """
-        p1 = self.pinit[sl].copy()
-        total = self.hinit[sl].copy()
-        h0, h1, q0 = self.h0[sl], self.h1[sl], self.q0[sl]
-        p0, a, b = np.empty_like(p1), np.empty_like(p1), np.empty_like(p1)
-        stay1 = 1.0 - self.q1[sl]
-        for _ in range(n - 1):
-            np.subtract(1.0, p1, out=p0)
-            np.multiply(p0, h0, out=a)
-            np.multiply(p1, h1, out=b)
-            np.add(a, b, out=a)
-            np.add(total, a, out=total)
-            np.multiply(p0, q0, out=a)
-            np.multiply(p1, stay1, out=p1)
-            np.add(a, p1, out=p1)
-        return total
-
-    def closed_tables(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Closed form of the same chain-rule sum, for large-n prefiltering,
-        and its minimum and maximum over each (m, a0, a1) block, in block
-        order, read-only.
-
-        The stationary mean and the geometric factor depend on (m, a0, a1)
-        only, so they are computed once per block and repeated over its ai
-        entries. The _CLOSED_LENGTHS most recently used lengths are kept
-        (about 2.3 MB each at m_max = 6)."""
-        cached = self._closed.pop(n, None)
-        if cached is None:
-            q0, q1 = self._block_q0, self._block_q1
-            pi1 = q0 / (q0 + q1)
-            lam = 1.0 - q0 - q1
-            with np.errstate(divide="ignore", invalid="ignore"):
-                geo = np.where(lam == 1.0, float(n - 1), (1.0 - lam ** (n - 1)) / (1.0 - lam))
-            pi1 = np.repeat(pi1, self._block_len)
-            geo = np.repeat(geo, self._block_len)
-            sum_p1 = (n - 1) * pi1 + (self.pinit - pi1) * geo
-            H = self.hinit + self.h0 * ((n - 1) - sum_p1) + self.h1 * sum_p1
-            cached = (
-                H,
-                np.minimum.reduceat(H, self._block_first),
-                np.maximum.reduceat(H, self._block_first),
-            )
-            for arr in cached:
-                arr.flags.writeable = False
-            if len(self._closed) >= _CLOSED_LENGTHS:
-                del self._closed[next(iter(self._closed))]
-        self._closed[n] = cached
-        return cached
-
-
-_MARKOV_GRIDS: dict[int, _MarkovGrid] = {}
-_MARKOV_PER_N: dict[tuple[int, int, int], dict] = {}
+_ORDER_ROWS: dict[int, tuple] = {}
+_MARKOV_PER_N: dict[tuple[int, int], dict] = {}
+_CLOSED_PER_N: dict[int, dict[int, tuple]] = {}
 _IID_PER_N: dict[tuple[int, int], list] = {}
 _UT_PER_N: dict[tuple, list] = {}
+_CAPPED_M = 6  # exact Markov tables of this order and above are kept for _CLOSED_LENGTHS lengths
 
 
-def _markov_grid(m_max: int) -> _MarkovGrid:
-    grid = _MARKOV_GRIDS.get(m_max)
-    if grid is None:
-        grid = _MARKOV_GRIDS[m_max] = _MarkovGrid(m_max)
-    return grid
+def _order_rows(m: int) -> tuple:
+    """-log2 q, -log2 (1 - q), h(q) and q for q = a / 2^m, a = 1 .. 2^m - 1.
+
+    The rows come from scalar math calls, so table-based likelihoods and
+    entropies are bit-identical to the scalar ones in ensembles.neg_log2_prob
+    and ensembles.entropy."""
+    rows = _ORDER_ROWS.get(m)
+    if rows is None:
+        top = 1 << m
+        a = range(1, top)
+        rows = _ORDER_ROWS[m] = (
+            np.array([m - math.log2(v) for v in a]),
+            np.array([m - math.log2(top - v) for v in a]),
+            np.array([binary_entropy(v / top) for v in a]),
+            np.array([v / top for v in a]),
+        )
+    return rows
 
 
-def _markov_tables(m_max: int, n: int, m: int) -> dict:
-    """Exact Markov arrays of one length and one m-slice, built on first use:
+def _markov_desc(n: int, m: int) -> int:
+    return 3 + nat_code_len(n) + nat_code_len(m) + 3 * m
+
+
+def _markov_entropies(n: int, m: int) -> np.ndarray:
+    """H over the order-m entries, in slice order, by the same forward
+    recursion as ensembles.entropy.
+
+    Each step is the scalar step's expressions, in order, into (k, k, k)
+    buffers: q0 and h0 broadcast along a0, q1 and h1 along a1, and the
+    initial marginal and its entropy along ai. Every operation is
+    elementwise, so each entry is the scalar value bit for bit."""
+    _log1, _log0, hof, prob = _order_rows(m)
+    k = len(prob)
+    h0, q0 = hof[:, None, None], prob[:, None, None]
+    h1, stay1 = hof[None, :, None], (1.0 - prob)[None, :, None]
+    p1 = np.broadcast_to(prob, (k, k, k)).copy()
+    total = np.broadcast_to(hof, (k, k, k)).copy()
+    p0, a, b = np.empty_like(p1), np.empty_like(p1), np.empty_like(p1)
+    for _ in range(n - 1):
+        np.subtract(1.0, p1, out=p0)
+        np.multiply(p0, h0, out=a)
+        np.multiply(p1, h1, out=b)
+        np.add(a, b, out=a)
+        np.add(total, a, out=total)
+        np.multiply(p0, q0, out=a)
+        np.multiply(p1, stay1, out=p1)
+        np.add(a, p1, out=p1)
+    return total.ravel()
+
+
+def _closed_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed form of the same chain-rule sum over the order-m entries, for
+    large-n prefiltering, as (a0, a1) blocks of k entries, with each block's
+    minimum and maximum, read-only.
+
+    The stationary mean and the geometric factor depend on (a0, a1) only, so
+    they are computed once per block and broadcast along ai. The orders read
+    at the _CLOSED_LENGTHS most recently used lengths are kept (2 MB per
+    length at m = 6)."""
+    per_m = _CLOSED_PER_N.pop(n, None)
+    if per_m is None:
+        per_m = {}
+        if len(_CLOSED_PER_N) >= _CLOSED_LENGTHS:
+            del _CLOSED_PER_N[next(iter(_CLOSED_PER_N))]
+    _CLOSED_PER_N[n] = per_m  # most recently used last
+    cached = per_m.get(m)
+    if cached is None:
+        _log1, _log0, hof, prob = _order_rows(m)
+        k = len(prob)
+        q0, q1 = prob[:, None], prob[None, :]
+        pi1 = q0 / (q0 + q1)
+        lam = 1.0 - q0 - q1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            geo = np.where(lam == 1.0, float(n - 1), (1.0 - lam ** (n - 1)) / (1.0 - lam))
+        pi1, geo = pi1[:, :, None], geo[:, :, None]
+        sum_p1 = (n - 1) * pi1 + (prob - pi1) * geo
+        H = hof + hof[:, None, None] * ((n - 1) - sum_p1) + hof[None, :, None] * sum_p1
+        H = H.reshape(k * k, k)
+        cached = per_m[m] = (H, H.min(axis=1), H.max(axis=1))
+        for arr in cached:
+            arr.flags.writeable = False
+    return cached
+
+
+def _markov_tables(n: int, m: int) -> dict:
+    """Exact Markov arrays of one length and one order, built on first use:
     its entropies H, their minimum Hmin, and a slice-local int32 ec_order.
-    Within a slice desc is constant and serialization order is the slice's
+    Within an order desc is constant and serialization order is the slice's
     own (a0, a1, ai) order, so ec_order, a stable sort by total information
     desc + H, replicates the tie-break comparator; _markov_run rebuilds the
-    key with the same float operations. Slices of the largest order (about
-    3 MB at m_max = 6) are kept for the _CLOSED_LENGTHS most recently used
-    lengths."""
-    key = (m_max, n, m)
+    key with the same float operations. The tables do not depend on the
+    family configuration beyond (n, m), so every m_max shares them. Tables of
+    order _CAPPED_M and above (3 MB each at m = 6) are kept for the
+    _CLOSED_LENGTHS most recently used lengths, smaller ones all stay."""
+    key = (n, m)
     tables = _MARKOV_PER_N.get(key)
     if tables is not None:
-        if m == m_max:  # most recently used last
+        if m >= _CAPPED_M:  # most recently used last
             _MARKOV_PER_N[key] = _MARKOV_PER_N.pop(key)
         return tables
-    grid = _markov_grid(m_max)
-    H = grid.entropies(n, grid.m_slices[m])
-    desc = 3 + nat_code_len(n) + grid.m_desc[m]
-    ec_order = np.argsort(H + desc, kind="stable").astype(np.int32)
+    H = _markov_entropies(n, m)
+    ec_order = np.argsort(H + _markov_desc(n, m), kind="stable").astype(np.int32)
     tables = {"H": H, "Hmin": float(H.min()), "ec_order": ec_order}
-    if m == m_max:
-        top = [k for k in _MARKOV_PER_N if k[2] == k[0]]
-        if len(top) >= _CLOSED_LENGTHS:
-            del _MARKOV_PER_N[top[0]]
+    if m >= _CAPPED_M:
+        same_m = [k for k in _MARKOV_PER_N if k[1] == m]
+        if len(same_m) >= _CLOSED_LENGTHS:
+            del _MARKOV_PER_N[same_m[0]]
     _MARKOV_PER_N[key] = tables
     return tables
 
@@ -767,15 +739,14 @@ def _khat_iid_champion(stats: StringStats, cfg: FamilyConfig, m: int) -> _Candid
 def _khat_markov_champion(stats: StringStats, cfg: FamilyConfig, m: int) -> _Candidate:
     """Canonical best order-m Markov candidate."""
     n = stats.n
-    grid = _markov_grid(cfg.m_max)
-    desc = 3 + nat_code_len(n) + grid.m_desc[m]
+    desc = _markov_desc(n, m)
     small = n <= _BIG_N_FLOAT
-    table, t10, t11 = _markov_terms(stats, grid, m)
+    table, t10, t11 = _markov_terms(stats, m)
     tmin = table.min()
     rows = (tmin + t10) + t11  # per a1, the least -log2 p(x): float addition is monotone
     vmin = rows.min()
     lgmax = float(m * n - vmin)  # log2 of the largest numerator
-    H = _markov_tables(cfg.m_max, n, m)["H"] if small else None
+    H = _markov_tables(n, m)["H"] if small else None
     # equal two-part values mean equal numerator bit lengths, so at small n
     # the tie band is the whole top unit interval (minus one for float safety)
     band = (math.floor(lgmax) - 1 - _FLOAT_GUARD) if small else (lgmax - 1e-9)
@@ -789,14 +760,15 @@ def _khat_markov_champion(stats: StringStats, cfg: FamilyConfig, m: int) -> _Can
     lg = m * n - ((table.ravel()[pairs] + t10[a1s, None]) + t11[a1s, None])
     a1_at, pair_at = np.nonzero(lg >= band)
     a0_at, ai_at = np.divmod(pairs[pair_at], k)
-    near = (a0_at * k + a1s[a1_at]) * k + ai_at  # slice-local indices
-    sl = grid.m_slices[m]
+    a1_of = a1s[a1_at]
+    near = (a0_at * k + a1_of) * k + ai_at  # slice-local indices
     best_bl = -1
     tied: list[int] = []
     top = 1 << m
-    for idx, v in zip(near.tolist(), lg[a1_at, pair_at].tolist()):
-        j = sl.start + idx
-        a0, a1, ai = int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j])
+    for j, a0, a1, ai, v in zip(
+        near.tolist(), (a0_at + 1).tolist(), (a1_of + 1).tolist(), (ai_at + 1).tolist(),
+        lg[a1_at, pair_at].tolist(),
+    ):
         # bit length of the numerator, whose float log2 is v
         init = ai if stats.first else top - ai
         bl = 1 + _floor_log2_guarded(v, _markov_factors(stats, top, init, a0, a1))
@@ -808,9 +780,9 @@ def _khat_markov_champion(stats: StringStats, cfg: FamilyConfig, m: int) -> _Can
     # H: adding desc in floats can merge neighboring H values), then to
     # (a0, a1, ai), which is serialization order within one m and the
     # order of the slice's indices
-    j = min(tied, key=lambda j: (float(H[j - sl.start]) + desc if H is not None else 0.0, j))
-    e = _markov_ensemble(grid, n, j)
-    sigma = (float(H[j - sl.start]) if H is not None else ens.entropy(e)) + desc
+    j = min(tied, key=lambda j: (float(H[j]) + desc if H is not None else 0.0, j))
+    e = _markov_ensemble(n, m, j)
+    sigma = (float(H[j]) if H is not None else ens.entropy(e)) + desc
     return _Candidate(desc + m * n - best_bl + 1, desc, sigma, e)
 
 
@@ -830,32 +802,25 @@ def _typical_fast(neglogp: float, H: float, delta_f: float) -> bool:
     return neglogp <= H * (1.0 + delta_f) + ens.TYPICALITY_SLACK
 
 
-def _markov_neglogp(stats: StringStats, grid: _MarkovGrid, sl) -> np.ndarray:
-    """-log2 p(x) for the Markov entries in sl (a slice or an index array),
-    from the transition counts of x."""
-    return (
-        (grid.li1 if stats.first else grid.li0)[sl]
-        + stats.n00 * grid.c00[sl]
-        + stats.n01 * grid.c01[sl]
-        + stats.n10 * grid.c10[sl]
-        + stats.n11 * grid.c11[sl]
-    )
-
-
-def _markov_terms(stats: StringStats, grid: _MarkovGrid, m: int) -> tuple:
-    """-log2 p(x) over the order-m Markov entries as an (a0, ai) table and two
-    a1 terms, indexed by a - 1: entry (a0, a1, ai) is (table[a0, ai] + t10[a1])
-    + t11[a1], _markov_neglogp's terms in its order, so bit for bit its value."""
-    log1, log0 = grid.rows[m]  # c01, li1, c10 and c00, li0, c11 as functions of a
+def _markov_terms(stats: StringStats, m: int) -> tuple:
+    """-log2 p(x) over the order-m entries as an (a0, ai) table and two a1
+    terms, indexed by a - 1: entry (a0, a1, ai) is (table[a0, ai] + t10[a1])
+    + t11[a1], the sum li + n00 c00 + n01 c01 + n10 c10 + n11 c11 of
+    ensembles.neg_log2_prob added in its order from the same rows."""
+    log1, log0 = _order_rows(m)[:2]  # c01, li1, c10 and c00, li0, c11 as functions of a
     table = ((log1 if stats.first else log0) + stats.n00 * log0[:, None]) + stats.n01 * log1[:, None]
     return table, stats.n10 * log1, stats.n11 * log0
 
 
-def _markov_ensemble(grid: _MarkovGrid, n: int, j: int) -> ens.MarkovQuantized:
-    return ens.MarkovQuantized(n, int(grid.m[j]), int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j]))
+def _markov_ensemble(n: int, m: int, j: int) -> ens.MarkovQuantized:
+    """The order-m entry with slice-local index j."""
+    k = (1 << m) - 1
+    a0a1, ai = divmod(j, k)
+    a0, a1 = divmod(a0a1, k)
+    return ens.MarkovQuantized(n, m, a0 + 1, a1 + 1, ai + 1)
 
 
-def _markov_confirmed(stats: StringStats, grid: _MarkovGrid, m: int, delta_f: float):
+def _markov_confirmed(stats: StringStats, m: int, delta_f: float):
     """Yield (ensemble, H), in (closed-form H, a0, a1, ai) order, for the
     large-n order-m Markov entries that x is typical for.
 
@@ -877,14 +842,11 @@ def _markov_confirmed(stats: StringStats, grid: _MarkovGrid, m: int, delta_f: fl
     margin = 1e-6 + 1e-12 * n
     scale = 1.0 + delta_f
     k = (1 << m) - 1
-    table, t10, t11 = _markov_terms(stats, grid, m)
-    H_all, lo_all, hi_all = grid.closed_tables(n)
-    lo, hi = lo_all[grid.block_slices[m]], hi_all[grid.block_slices[m]]
+    table, t10, t11 = _markov_terms(stats, m)
+    H_blocks, lo, hi = _closed_tables(n, m)
     bound = (table.min(axis=1)[:, None] + t10) + t11  # per (a0, a1) block
     blocks = np.flatnonzero(bound.ravel() <= hi * scale + ens.TYPICALITY_SLACK + margin)
     blocks = blocks[np.argsort(lo[blocks], kind="stable")]
-    sl = grid.m_slices[m]
-    H_blocks = H_all[sl].reshape(k * k, k)
     left = _STRAGGLER_CAP
     pend_h = pend_i = pend_v = None  # kept entries not yet confirmed
     done, chunk = 0, 2
@@ -907,7 +869,7 @@ def _markov_confirmed(stats: StringStats, grid: _MarkovGrid, m: int, delta_f: fl
         ready = min(ready, left)
         left -= ready
         for i, vi in zip(ib[:ready].tolist(), vb[:ready].tolist()):
-            e = _markov_ensemble(grid, n, sl.start + i)
+            e = _markov_ensemble(n, m, i)
             H = ens.entropy(e)
             if _typical_fast(vi, H, delta_f):
                 yield e, H
@@ -935,15 +897,14 @@ def _run_of(rows: list, typical, build) -> Optional[tuple]:
     return (sigma, members) if members else None
 
 
-def _first_typical(
-    stats: StringStats, grid: _MarkovGrid, m: int, H: np.ndarray, order: np.ndarray, delta_f: float
-) -> Optional[int]:
-    """First position k in order whose entry order[k] of the m-slice
-    (entropies H) makes x delta-typical, found in chunks that grow 4x: most
-    scans stop within the first few entries, a few scan a whole slice."""
+def _first_typical(terms: tuple, H: np.ndarray, order: np.ndarray, delta_f: float) -> Optional[int]:
+    """First position k in order whose entry order[k] of an order's slice
+    (entropies H, -log2 p(x) terms of _markov_terms) makes x delta-typical,
+    found in chunks that grow 4x: most scans stop within the first few
+    entries, a few scan a whole slice."""
     start, chunk = 0, 32
     while start < len(order):
-        ok = _markov_typical(stats, grid, m, H, order[start : start + chunk], delta_f)
+        ok = _markov_typical(terms, H, order[start : start + chunk], delta_f)
         k = int(ok.argmax())
         if ok[k]:
             return start + k
@@ -952,22 +913,26 @@ def _first_typical(
     return None
 
 
-def _markov_typical(stats: StringStats, grid: _MarkovGrid, m: int, H, js, delta_f: float):
-    """Whether x is typical for the entries js of the m-slice (entropies H):
-    _markov_neglogp and _typical_fast elementwise, the scalar test bit for bit."""
-    v = _markov_neglogp(stats, grid, js + grid.m_slices[m].start)
+def _markov_typical(terms: tuple, H: np.ndarray, js: np.ndarray, delta_f: float) -> np.ndarray:
+    """Whether x is typical for the slice-local entries js (entropies H):
+    -log2 p(x) read from the terms and _typical_fast elementwise, the scalar
+    test bit for bit."""
+    table, t10, t11 = terms
+    k = len(t10)
+    a0a1, ai = np.divmod(js, k)
+    a0, a1 = np.divmod(a0a1, k)
+    v = (table[a0, ai] + t10[a1]) + t11[a1]
     return v <= H[js] * (1.0 + delta_f) + ens.TYPICALITY_SLACK
 
 
-def _markov_run(
-    stats: StringStats, grid: _MarkovGrid, m: int, delta_f: float, desc: int, m_max: int
-) -> Optional[tuple]:
-    """The run of an exact m-slice: the first typical entry of ec_order and
-    the typical entries of the stretch of equal sigma after it, which
-    ec_order keeps in serialization order."""
-    t = _markov_tables(m_max, stats.n, m)
+def _markov_run(stats: StringStats, m: int, delta_f: float, desc: int) -> Optional[tuple]:
+    """The run of an exact order-m slice: the first typical entry of
+    ec_order and the typical entries of the stretch of equal sigma after it,
+    which ec_order keeps in serialization order."""
+    t = _markov_tables(stats.n, m)
     H, order = t["H"], t["ec_order"]
-    p = _first_typical(stats, grid, m, H, order, delta_f)
+    terms = _markov_terms(stats, m)
+    p = _first_typical(terms, H, order, delta_f)
     if p is None:
         return None
     sigma = H[order[p]] + desc
@@ -976,9 +941,8 @@ def _markov_run(
         same = H[order[stop : stop + width]] + desc == sigma
         stop += len(same) if same.all() else int(same.argmin())
         width *= 4
-    js = order[p:stop][_markov_typical(stats, grid, m, H, order[p:stop], delta_f)]
-    start = grid.m_slices[m].start
-    members = [(float(H[j]), _markov_ensemble(grid, stats.n, start + j)) for j in js.tolist()]
+    js = order[p:stop][_markov_typical(terms, H, order[p:stop], delta_f)]
+    members = [(float(H[j]), _markov_ensemble(stats.n, m, j)) for j in js.tolist()]
     return float(sigma), members
 
 
@@ -990,23 +954,22 @@ def _markov_groups(
     slice's least closed-form entropy less the closed form's rounding margin,
     and the run is the first entry _markov_confirmed yields."""
     n = stats.n
-    grid = _markov_grid(cfg.m_max)
     exact = n <= cfg.n_max
 
     def hmin(m):
         if exact:
-            return _markov_tables(cfg.m_max, n, m)["Hmin"]
-        return float(grid.closed_tables(n)[1][grid.block_slices[m]].min()) - (1e-6 + 1e-12 * n)
+            return _markov_tables(n, m)["Hmin"]
+        return float(_closed_tables(n, m)[1].min()) - (1e-6 + 1e-12 * n)
 
     def run(m, desc):
         if exact:
-            return _markov_run(stats, grid, m, delta_f, desc, cfg.m_max)
-        e, H = next(_markov_confirmed(stats, grid, m, delta_f), (None, None))
+            return _markov_run(stats, m, delta_f, desc)
+        e, H = next(_markov_confirmed(stats, m, delta_f), (None, None))
         return None if e is None else (H + desc, [(H, e)])
 
     for m in range(1, cfg.m_max + 1):
         if not constraint or constraint.allows_m(m):
-            desc = 3 + nat_code_len(n) + grid.m_desc[m]
+            desc = _markov_desc(n, m)
             yield desc, partial(hmin, m), partial(run, m, desc)
 
 
@@ -1130,7 +1093,6 @@ def _search(
         lz_len=stats.lz_len,
         khat=khv,
         mode=mode,
-        ec_is_upper_bound=(mode == "upper"),
         delta_text=str(Fraction(delta)),
         Delta_text="" if Delta is None else str(Delta),
         config=cfg.echo(),

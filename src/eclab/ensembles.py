@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 
@@ -37,7 +37,7 @@ from .codec import (
     rational_code_len,
 )
 from .errors import DecodeError
-from .processes import _parse_fraction, binary_entropy
+from .processes import _kv_pairs, _parse_fraction, _parse_int, binary_entropy
 
 __all__ = [
     "SingletonRaw",
@@ -147,7 +147,7 @@ class IIDQuantized:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be >= 1")
-        if not 0 < self.a < (1 << self.m):
+        if not 0 < self.a or self.a.bit_length() > self.m:  # 0 < a < 2^m, without building 2^m
             raise ValueError("a must satisfy 0 < a < 2^m")
 
 
@@ -169,10 +169,9 @@ class MarkovQuantized:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be >= 1")
-        top = 1 << self.m
         for name in ("a0", "a1", "ai"):
             v = getattr(self, name)
-            if not 0 < v < top:
+            if not 0 < v or v.bit_length() > self.m:  # 0 < v < 2^m, without building 2^m
                 raise ValueError(f"{name} must satisfy 0 < {name} < 2^m")
 
 
@@ -540,35 +539,25 @@ def format_ensemble(e: Ensemble, max_inline_x: int = 64) -> tuple[str, str]:
 
 
 def parse_ensemble_spec(text: str) -> Ensemble:
-    """Parse "tag:key=value,..." as produced by format_ensemble."""
+    """Parse "tag:key=value,..." as produced by format_ensemble: each key of
+    the tag exactly once, and a singleton's n equal to len(x)."""
     kind, _, rest = text.strip().partition(":")
-    kv: dict[str, str] = {}
-    for item in rest.split(","):
-        if not item:
-            continue
-        k, sep, v = item.partition("=")
-        if not sep:
-            raise ValueError(f"expected key=value, got {item!r}")
-        kv[k.strip()] = v.strip()
     kind = kind.strip().lower()
-
-    def get(key: str) -> str:
+    cls = {name: c for c, name in TAG_NAMES.items()}.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown ensemble tag {kind!r}")
+    kv = _kv_pairs(rest, kind)
+    keys = [f.name for f in fields(cls)]
+    if keys == ["x"]:
+        keys = ["n", "x"]  # a singleton's text form names its length too
+    unknown = sorted(set(kv) - set(keys))
+    if unknown:
+        raise ValueError(f"{kind}: unknown keys {unknown}")
+    for key in keys:
         if key not in kv:
             raise ValueError(f"{kind}: missing key {key!r}")
-        return kv[key]
-
-    if kind == "singleton-raw":
-        return SingletonRaw(get("x"))
-    if kind == "singleton-lz":
-        return SingletonLZ(get("x"))
-    if kind == "uniform-all":
-        return UniformAll(int(get("n")))
-    if kind == "uniform-typ":
-        return UniformTypical(_parse_fraction(get("r"), "uniform-typ: r"), int(get("n")))
-    if kind == "iid":
-        return IIDQuantized(int(get("n")), int(get("m")), int(get("a")))
-    if kind == "markov-q":
-        return MarkovQuantized(
-            int(get("n")), int(get("m")), int(get("a0")), int(get("a1")), int(get("ai"))
-        )
-    raise ValueError(f"unknown ensemble tag {kind!r}")
+    parse = {"x": lambda v, _what: v, "r": _parse_fraction}
+    args = {key: parse.get(key, _parse_int)(kv[key], f"{kind}: {key}") for key in keys}
+    if "x" in args and args.pop("n") != len(args["x"]):
+        raise ValueError(f"{kind}: n={kv['n']} but x has length {len(args['x'])}")
+    return cls(**args)

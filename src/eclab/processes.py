@@ -295,6 +295,17 @@ def sample(model: ProcessModel, n: int, seed: int) -> str:
 
 # --- model specification text ---------------------------------------------
 
+def _parse_int(text: str, what: str) -> int:
+    """An integer written in ASCII digits with an optional leading '-', after
+    stripping whitespace: int() alone would also take '1_0', '+1' and
+    non-ASCII digits."""
+    text = text.strip()
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{what}: expected an integer, got {text!r}")
+    return int(text)
+
+
 def _parse_fraction(text: str, what: str) -> Fraction:
     text = text.strip()
     if "." in text:
@@ -302,8 +313,8 @@ def _parse_fraction(text: str, what: str) -> Fraction:
     try:
         if "/" in text:
             a, b = text.split("/")
-            return Fraction(int(a), int(b))
-        return Fraction(int(text))
+            return Fraction(_parse_int(a, what), _parse_int(b, what))
+        return Fraction(_parse_int(text, what))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{what}: cannot parse rational {text!r}") from exc
 
@@ -364,6 +375,8 @@ def _parse_compact(spec: str) -> ProcessModel:
             w_text, _, comp_text = item.partition("*")
             if not comp_text:
                 raise ValueError("mixture components must look like w*model")
+            if comp_text.partition(":")[0].strip().lower() == "mixture":
+                raise ValueError("mixtures may not be nested")
             comp = _parse_compact(comp_text.strip())
             parts.append((_parse_fraction(w_text, "weight"), comp))
         return Mixture(tuple(parts))
@@ -371,14 +384,21 @@ def _parse_compact(spec: str) -> ProcessModel:
 
 
 def _kv_pairs(text: str, what: str) -> dict[str, str]:
+    """The "key=value,..." items of text; a key may appear once."""
     kv: dict[str, str] = {}
     if text.strip():
         for item in text.split(","):
             k, sep, v = item.partition("=")
             if not sep:
                 raise ValueError(f"{what}: expected key=value, got {item!r}")
-            kv[k.strip()] = v.strip()
+            _put(kv, k.strip(), v.strip(), what)
     return kv
+
+
+def _put(kv: dict[str, str], key: str, value: str, what: str) -> None:
+    if key in kv:
+        raise ValueError(f"{what}: key {key!r} given twice")
+    kv[key] = value
 
 
 def parse_model_spec(text: str) -> ProcessModel:
@@ -408,7 +428,7 @@ def parse_model_spec(text: str) -> ProcessModel:
         if k == "component":
             comps.append(v.strip())
         else:
-            kv[k.strip()] = v.strip()
+            _put(kv, k, v.strip(), "model document")
     variant = kv.pop("variant", "").lower()
     if variant == "bernoulli":
         return _bernoulli_from_kv(kv)

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as hst
 
+import flat_markov_grid
 from eclab import complexity as C, ensembles as E, lz78, processes
 from eclab.codec import nat_code_len
 from eclab.complexity import ComplexityQuery, Constraint, FamilyConfig
@@ -106,21 +110,16 @@ def test_coarse_ec_builds_no_losing_singleton(monkeypatch):
 
 
 def test_markov_entropy_tables_match_scalar():
-    grid = C._markov_grid(3)
+    grid = flat_markov_grid.flat_grid(3)
     for n in (1, 2, 5, 9):
-        H = grid.entropies(n)
-        for j in range(grid.size):
-            e = E.MarkovQuantized(
-                n, int(grid.m[j]), int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j])
-            )
-            assert H[j] == E.entropy(e)
-        closed = grid.closed_tables(n)[0]
-        assert max(abs(closed - H)) < 1e-9 * max(1, n)
-    # lengths called in descending, then ascending order on one grid give a
-    # fresh grid's bytes: no call leaves state behind for the next
-    grid = C._MarkovGrid(6)
-    for n in (20, 13, 8, 7, 1, 2, 8, 9, 24):
-        assert grid.entropies(n).tobytes() == C._MarkovGrid(6).entropies(n).tobytes(), n
+        for m, sl in grid.m_slices.items():
+            H = C._markov_entropies(n, m)
+            for j in range(sl.stop - sl.start):
+                e = flat_markov_grid.ensemble(grid, n, sl.start + j)
+                assert C._markov_ensemble(n, m, j) == e
+                assert H[j] == E.entropy(e), (n, m, j)
+            closed = C._closed_tables(n, m)[0].ravel()
+            assert max(abs(closed - H)) < 1e-9 * max(1, n)
 
 
 _GRID_ARRAYS = (
@@ -129,14 +128,20 @@ _GRID_ARRAYS = (
 )
 
 
-def _scalar_grid_reference(grid) -> dict:
-    """The grid's per-entry arrays built entry by entry with scalar math calls."""
+def _scalar_rows(m_max: int) -> tuple:
+    """-log2 q, -log2 (1 - q) and h(q) per (m, a), q = a / 2^m, by scalar math calls."""
     log1, log0, hof = {}, {}, {}
-    for m in range(1, max(grid.m_slices) + 1):
+    for m in range(1, m_max + 1):
         for a in range(1, 1 << m):
             log1[(m, a)] = m - math.log2(a)
             log0[(m, a)] = m - math.log2((1 << m) - a)
             hof[(m, a)] = processes.binary_entropy(a / (1 << m))
+    return log1, log0, hof
+
+
+def _scalar_grid_reference(grid) -> dict:
+    """The flat grid's per-entry arrays built entry by entry with scalar math calls."""
+    log1, log0, hof = _scalar_rows(max(grid.m_slices))
     ms = grid.m.tolist()
     pairs0 = list(zip(ms, grid.a0.tolist()))
     pairs1 = list(zip(ms, grid.a1.tolist()))
@@ -155,7 +160,8 @@ def _scalar_grid_reference(grid) -> dict:
 
 
 def test_markov_grid_matches_scalar_build():
-    grid = C._markov_grid(6)
+    """The test-side flat grid, the reference of the per-order tables below."""
+    grid = flat_markov_grid.flat_grid(6)
     assert grid.size == sum(((1 << m) - 1) ** 3 for m in range(1, 7))
     k = np.arange(1, 64)
     m6 = grid.m_slices[6]
@@ -167,46 +173,151 @@ def test_markov_grid_matches_scalar_build():
         assert arr.dtype == ref[name].dtype and arr.tobytes() == ref[name].tobytes(), name
 
 
+def test_order_rows_match_scalar_build():
+    log1, log0, hof = _scalar_rows(6)
+    for m in range(1, 7):
+        rows = C._order_rows(m)
+        assert C._order_rows(m) is rows
+        a = range(1, 1 << m)
+        for got, want in zip(rows, (
+            [log1[(m, v)] for v in a], [log0[(m, v)] for v in a], [hof[(m, v)] for v in a],
+            [v / (1 << m) for v in a],
+        )):
+            want = np.array(want)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), m
+
+
+def test_per_order_tables_match_flat_reference():
+    """Every per-order quantity, bit for bit the flat grid's, for m = 1-6:
+    exact entropies (lengths in descending, then ascending order, so no call
+    leaves state behind for the next), closed-form entropies with their
+    (a0, a1) block minima and maxima, and -log2 p(x) gathered from
+    _markov_terms through slice-local indices."""
+    grid = flat_markov_grid.flat_grid(6)
+    for n in (24, 20, 8, 2, 1, 8, 64):
+        H_all = grid.entropies(n)
+        for m, sl in grid.m_slices.items():
+            assert C._markov_entropies(n, m).tobytes() == H_all[sl].tobytes(), (n, m)
+    for n in (25, 100, 1000, 1 << 12, 1 << 15, 1 << 18):
+        H_all, lo_all, hi_all = grid.closed_tables(n)
+        for m, sl in grid.m_slices.items():
+            k = (1 << m) - 1
+            H, lo, hi = C._closed_tables(n, m)
+            assert H.shape == (k * k, k)
+            assert H.tobytes() == H_all[sl].tobytes(), (n, m)
+            bsl = grid.block_slices[m]
+            assert lo.tobytes() == lo_all[bsl].tobytes() and hi.tobytes() == hi_all[bsl].tobytes()
+    # seeded strings, and -log2 p(x) against the entropies of their length
+    # in the typicality test
+    rng = np.random.default_rng(14)
+    xs = ["".join(map(str, rng.integers(0, 2, n))) for n in (1, 2, 9, 24, 24, 64, 100, 4096)]
+    xs += ["0" * 20, "1" * 20, "01" * 10, "0011" * 5]
+    for x in xs:
+        st = C.string_stats(x)
+        n = st.n
+        H_all = grid.entropies(n) if n <= 64 else grid.closed_tables(n)[0]
+        for m, sl in grid.m_slices.items():
+            want = flat_markov_grid.neglogp(st, grid, sl)
+            table, t10, t11 = terms = C._markov_terms(st, m)
+            k = len(t10)
+            js = np.arange(k**3)
+            a0a1, ai = np.divmod(js, k)
+            a0, a1 = np.divmod(a0a1, k)
+            got = (table[a0, ai] + t10[a1]) + t11[a1]
+            assert got.tobytes() == want.tobytes(), (x, m)
+            for delta_f in (0.0, 0.25, 1.0):
+                ok = want <= H_all[sl] * (1.0 + delta_f) + E.TYPICALITY_SLACK
+                typical = C._markov_typical(terms, H_all[sl], js, delta_f)
+                assert np.array_equal(typical, ok), (x, m, delta_f)
+
+
 def test_markov_orders_match_lexsort():
-    grid = C._markov_grid(6)
+    grid = flat_markov_grid.flat_grid(6)
     for n in (1, 2, 9, 20, 24):
         H_all = grid.entropies(n)
         for m, sl in grid.m_slices.items():
-            t = C._markov_tables(6, n, m)
-            # the tables keep only H; the sort keys are rebuilt here from the grid
+            t = C._markov_tables(n, m)
+            # the tables keep only H; the sort keys are rebuilt here from the flat grid
             H = t["H"]
             assert H.tobytes() == H_all[sl].tobytes(), (n, m)
-            assert grid.entropies(n, sl).tobytes() == H_all[sl].tobytes(), (n, m)
             desc = 3 + nat_code_len(n) + grid.descbase[sl]
-            sig = H + desc
+            sig = H_all[sl] + desc
             a0, a1, ai = grid.a0[sl], grid.a1[sl], grid.ai[sl]
             ec_ref = np.lexsort((ai, a1, a0, sig))
             assert sorted(t) == ["H", "Hmin", "ec_order"]
-            assert t["Hmin"] == float(H.min())
+            assert t["Hmin"] == float(H_all[sl].min())
             assert t["ec_order"].dtype == np.int32
             assert np.array_equal(t["ec_order"], ec_ref), (n, m)
 
 
 def test_markov_table_cache_keeps_few_largest_slices(monkeypatch):
-    """Every slice of every length 25..64 (at m_max = 4, to keep the builds
-    cheap): the m_max slices of the _CLOSED_LENGTHS most recently used lengths
-    stay, smaller slices all stay, and a read counts as a use."""
+    """Every order of the lengths 25..36: the order-6 tables of the
+    _CLOSED_LENGTHS most recently used lengths stay, smaller orders all stay,
+    and a read counts as a use. The keys are (n, m), so a family with a
+    smaller m_max reads the same tables."""
     monkeypatch.setattr(C, "_MARKOV_PER_N", {})
-    for n in range(25, 65):
-        for m in range(1, 5):
-            C._markov_tables(4, n, m)
-    top = [key[1] for key in C._MARKOV_PER_N if key[2] == 4]
-    assert top == list(range(57, 65)) and C._CLOSED_LENGTHS == 8
-    assert sum(key[2] < 4 for key in C._MARKOV_PER_N) == 3 * 40
-    kept = C._markov_tables(4, 57, 4)
-    C._markov_tables(4, 65, 4)
-    top = [key[1] for key in C._MARKOV_PER_N if key[2] == 4]
-    assert top == [*range(59, 65), 57, 65]
-    assert C._markov_tables(4, 57, 4) is kept
+    assert C._CAPPED_M == 6 and C._CLOSED_LENGTHS == 8
+    for n in range(25, 37):
+        for m in range(1, 7):
+            C._markov_tables(n, m)
+    top = [key[0] for key in C._MARKOV_PER_N if key[1] == 6]
+    assert top == list(range(29, 37))
+    assert sum(key[1] < 6 for key in C._MARKOV_PER_N) == 5 * 12
+    kept = C._markov_tables(29, 6)
+    C._markov_tables(37, 6)
+    top = [key[0] for key in C._MARKOV_PER_N if key[1] == 6]
+    assert top == [*range(31, 37), 29, 37]
+    assert C._markov_tables(29, 6) is kept
+
+
+_FIRST_CALL_PEAK = """
+import sys, tracemalloc
+from eclab import complexity as C, processes as P
+if sys.argv[1] == "upper":
+    x = P.sample(P.parse_model_spec("markov:flip=1/10"), 1 << 12, 1)
+else:
+    x = "0010000111011000"
+tracemalloc.start()
+C.coarse_ec(x, 0, sys.argv[1])
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+@pytest.mark.parametrize("mode", ["upper", "exact"])
+def test_first_call_builds_no_whole_grid(mode):
+    """In a fresh interpreter, the first coarse_ec call (upper mode on a 2^12
+    Markov path, exact mode on a 16-bit string) allocates under 20 MB at its
+    peak: only the tables of the orders it reads, never all orders at once."""
+    src = os.path.dirname(os.path.dirname(C.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _FIRST_CALL_PEAK, mode],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert int(out) < 20_000_000, int(out)
+
+
+def test_smaller_m_max_shares_the_exact_tables(monkeypatch):
+    """The exact tables are keyed by (n, m) alone: a query under
+    FamilyConfig(m_max=2) builds tables that the default family then reads
+    as the same objects."""
+    monkeypatch.setattr(C, "_MARKOV_PER_N", {})
+    x = "00000000000000000000000000000000010000100001"
+    cfg = FamilyConfig(m_max=2, n_max=64)
+    query = ComplexityQuery(delta=Fraction(1), Delta=Fraction(8), mode="exact")
+    C.ec(x, query, cfg)
+    C.coarse_ec(x, 1, "exact", cfg)
+    built = dict(C._MARKOV_PER_N)
+    assert {m for _n, m in built} == {1, 2}
+    C.coarse_ec(x, 1, "exact", FamilyConfig(n_max=64))
+    C.ec(x, query, FamilyConfig(n_max=64))
+    for key, tables in built.items():
+        assert C._MARKOV_PER_N[key] is tables
+        assert C._markov_tables(*key) is tables
 
 
 def _closed_whole_grid(grid, n):
-    """The closed form evaluated entry by entry over the whole grid."""
+    """The closed form evaluated entry by entry over the whole flat grid."""
     q0, q1 = grid.q0, grid.q1
     pi1 = q0 / (q0 + q1)
     lam = 1.0 - q0 - q1
@@ -218,34 +329,36 @@ def _closed_whole_grid(grid, n):
 
 
 def test_closed_entropies_cached_read_only():
-    grid = C._MarkovGrid(6)
+    grid = flat_markov_grid.flat_grid(6)
     for n in (1, 2, 25, 100, 1 << 12, 1 << 15, 1 << 18, 1 << 20):
-        H = grid.closed_tables(n)[0]
-        assert grid.closed_tables(n)[0] is H
-        assert not H.flags.writeable
-        # per-(m, a0, a1) factors repeated over ai: the same bytes
-        assert H.tobytes() == _closed_whole_grid(grid, n).tobytes(), n
+        whole = _closed_whole_grid(grid, n)
+        for m, sl in grid.m_slices.items():
+            H = C._closed_tables(n, m)[0]
+            assert C._closed_tables(n, m)[0] is H
+            assert not H.flags.writeable
+            # per-(a0, a1) factors broadcast over ai: the same bytes
+            assert H.tobytes() == whole[sl].tobytes(), (n, m)
 
 
-def test_closed_cache_bounded_with_block_ranges():
-    grid = C._MarkovGrid(6)
+def test_closed_cache_bounded_with_block_ranges(monkeypatch):
+    monkeypatch.setattr(C, "_CLOSED_PER_N", {})
     lengths = [1000 + 7 * i for i in range(12)]
     for n in lengths:
-        H, lo, hi = grid.closed_tables(n)
-        assert grid.closed_tables(n)[0] is H
-        assert not lo.flags.writeable and not hi.flags.writeable
-        for m, sl in grid.m_slices.items():
+        for m in range(1, 7):
             k = (1 << m) - 1
-            blocks = H[sl].reshape(k * k, k)
-            bsl = grid.block_slices[m]
-            assert np.array_equal(lo[bsl], blocks.min(axis=1))
-            assert np.array_equal(hi[bsl], blocks.max(axis=1))
-    assert len(grid._closed) <= C._CLOSED_LENGTHS == 8
+            H, lo, hi = C._closed_tables(n, m)
+            assert C._closed_tables(n, m)[0] is H
+            assert not lo.flags.writeable and not hi.flags.writeable
+            assert H.shape == (k * k, k)
+            assert np.array_equal(lo, H.min(axis=1))
+            assert np.array_equal(hi, H.max(axis=1))
+    assert list(C._CLOSED_PER_N) == lengths[-8:] and C._CLOSED_LENGTHS == 8
     # the most recently used lengths stay, and a repeat returns the same array
-    H = grid.closed_tables(lengths[-1])[0]
-    assert grid.closed_tables(lengths[-1])[0] is H
-    assert grid.closed_tables(lengths[-8])[0] is grid.closed_tables(lengths[-8])[0]
-    assert lengths[0] not in grid._closed
+    H = C._closed_tables(lengths[-1], 6)[0]
+    assert C._closed_tables(lengths[-1], 6)[0] is H
+    assert C._closed_tables(lengths[-8], 3)[0] is C._closed_tables(lengths[-8], 3)[0]
+    assert lengths[0] not in C._CLOSED_PER_N
+    assert list(C._CLOSED_PER_N)[-1] == lengths[-8]
 
 
 def _best_factor_exact_scan(m, e1, e0):
@@ -699,9 +812,10 @@ def test_upper_mode_straggler_order_and_cap(monkeypatch):
     # the large-n walks confirm Markov stragglers in (closed-form H, a0, a1, ai)
     # order; the reference is the tuple-key sort over a whole-slice prefilter.
     # With the cap lifted and every confirmation passing, _markov_confirmed
-    # yields its complete kept sequence (as grid indices, patched in below)
+    # yields its complete kept sequence (as slice-local indices, patched in
+    # below); the keys and -log2 p(x) come from the test-side flat grid
     cfg = C.DEFAULT_CONFIG
-    grid = C._markov_grid(cfg.m_max)
+    grid = flat_markov_grid.flat_grid(cfg.m_max)
     cases = []
     for spec in ("markov:flip=1/10", "bernoulli:p=3/10"):
         model = processes.parse_model_spec(spec)
@@ -730,21 +844,21 @@ def test_upper_mode_straggler_order_and_cap(monkeypatch):
                 ref = sorted(np.flatnonzero(typ).tolist(), key=lambda i: keys[i])
                 with monkeypatch.context() as mp:
                     mp.setattr(C, "_STRAGGLER_CAP", grid.size)  # above any slice's count
-                    mp.setattr(C, "_markov_ensemble", lambda grid, n, j: j)
+                    mp.setattr(C, "_markov_ensemble", lambda n, m, j: j)
                     mp.setattr(C.ens, "entropy", lambda j: math.inf)
-                    kept = [j for j, _H in C._markov_confirmed(st, grid, m, delta_f)]
-                assert kept == [sl.start + i for i in ref]
+                    kept = [j for j, _H in C._markov_confirmed(st, m, delta_f)]
+                assert kept == ref
                 if n > 1 << 10:
                     continue
                 # with the cap and the defining recursion: the first
                 # _STRAGGLER_CAP kept entries that stay typical
                 confirmed = []
                 for i in ref[: C._STRAGGLER_CAP]:
-                    e = C._markov_ensemble(grid, n, sl.start + i)
+                    e = flat_markov_grid.ensemble(grid, n, sl.start + i)
                     H = E.entropy(e)
                     if C._typical_fast(float(v[i]), H, delta_f):
                         confirmed.append((e, H))
-                assert list(C._markov_confirmed(st, grid, m, delta_f)) == confirmed
+                assert list(C._markov_confirmed(st, m, delta_f)) == confirmed
 
     def results():
         out = []

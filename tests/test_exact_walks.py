@@ -1,12 +1,13 @@
 """Differential tests of the exact-mode Markov searches at the default m_max = 6.
 
 The references are the per-entry scalar loops that the Markov groups, read
-by the ec and coarse-ec picks, and the per-order khat champion replaced. They read the sort keys from
-arrays rebuilt here (desc from grid.descbase, total information and
-objective from whole-grid entropies) and the orders from np.lexsort over
-the whole grid, so they share nothing with the code under test but the
-grid, which test_complexity checks against the scalar definitions, and
-none of its per-(n, m) tables.
+by the ec and coarse-ec picks, and the per-order khat champion replaced. They
+read the sort keys from arrays rebuilt here over the test-side flat grid
+(flat_markov_grid: desc from grid.descbase, total information and objective
+from whole-grid entropies) and the orders from np.lexsort over the whole
+grid, so they share nothing with the code under test, which works on one
+order at a time; test_complexity checks the flat grid against the scalar
+definitions and the per-order tables against the flat grid.
 """
 
 import functools
@@ -16,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+import flat_markov_grid
 from eclab import complexity as C, ensembles as E
 from eclab.codec import nat_code_len
 from eclab.complexity import Constraint
@@ -35,7 +37,7 @@ CONSTRAINTS = (
 
 @functools.lru_cache(maxsize=1)
 def _grid_lists() -> dict:
-    grid = C._markov_grid(CFG.m_max)
+    grid = flat_markov_grid.flat_grid(CFG.m_max)
     lists = {k: getattr(grid, k).tolist() for k in ("m", "c00", "c01", "c10", "c11")}
     lists["li"] = (grid.li0.tolist(), grid.li1.tolist())
     return lists
@@ -43,7 +45,7 @@ def _grid_lists() -> dict:
 
 @functools.lru_cache(maxsize=1)
 def _ref_tables(n: int) -> dict:
-    grid = C._markov_grid(CFG.m_max)
+    grid = flat_markov_grid.flat_grid(CFG.m_max)
     H = grid.entropies(n)
     desc = 3 + nat_code_len(n) + grid.descbase
     sig = H + desc
@@ -61,13 +63,12 @@ def _ref_tables(n: int) -> dict:
     return t
 
 
-def _ensemble(grid, n, j):
-    return E.MarkovQuantized(n, int(grid.m[j]), int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j]))
+_ensemble = flat_markov_grid.ensemble
 
 
 def _ref_walk_ec(stats, delta_f, T, constraint):
     n = stats.n
-    grid = C._markov_grid(CFG.m_max)
+    grid = flat_markov_grid.flat_grid(CFG.m_max)
     t = _ref_tables(n)["lists"]
     H, desc_arr, sig_arr, ms = t["H"], t["desc"], t["sig"], t["m"]
     li = t["li"][stats.first]
@@ -92,7 +93,7 @@ def _ref_walk_ec(stats, delta_f, T, constraint):
 
 def _ref_walk_coarse(stats, delta_f, constraint):
     n = stats.n
-    grid = C._markov_grid(CFG.m_max)
+    grid = flat_markov_grid.flat_grid(CFG.m_max)
     t = _ref_tables(n)["lists"]
     H, desc_arr, sig_arr, obj_arr, ms = t["H"], t["desc"], t["sig"], t["obj"], t["m"]
     li = t["li"][stats.first]
@@ -110,14 +111,14 @@ def _ref_walk_coarse(stats, delta_f, constraint):
 def _ref_khat_champion(stats, best_cut):
     """The champion search without the desc-only skip."""
     n = stats.n
-    grid = C._markov_grid(CFG.m_max)
+    grid = flat_markov_grid.flat_grid(CFG.m_max)
     base = 3 + nat_code_len(n)
     H = _ref_tables(n)["H"]
     best = None
     for m in range(1, CFG.m_max + 1):
         desc = base + nat_code_len(m) + 3 * m
         sl = grid.m_slices[m]
-        lg = m * n - C._markov_neglogp(stats, grid, sl)
+        lg = m * n - flat_markov_grid.neglogp(stats, grid, sl)
         lgmax = float(lg.max())
         cand_value = desc + m * n - math.floor(lgmax) - 1
         if cand_value - 1 > best_cut and (best is None or cand_value - 1 > best[0]):
@@ -254,12 +255,12 @@ def test_khat_champion_ties_past_the_likeliest_entry():
     cut) is an entry of its order tied in code length with the likeliest one
     but less likely, so that order's band search has to reach past the least
     -log2 p(x)."""
-    grid = C._markov_grid(CFG.m_max)
+    grid = flat_markov_grid.flat_grid(CFG.m_max)
     for x in ("0011111111111111111", "000000110000000000001"):
         stats = C.string_stats(x)
         want = _ref_khat_champion(stats, 10**6)
         sl = grid.m_slices[want[3].m]
-        v = C._markov_neglogp(stats, grid, sl)
+        v = flat_markov_grid.neglogp(stats, grid, sl)
         k = (1 << want[3].m) - 1
         j = ((want[3].a0 - 1) * k + want[3].a1 - 1) * k + want[3].ai - 1
         assert v[j] > v.min()
@@ -280,7 +281,7 @@ def test_first_typical_across_chunk_boundaries():
     """Windows of an m-slice's ec order starting up to 700 entries before an
     isolated typical entry, so it lies at every offset through the first
     three chunks, with the window's stop just past it and at it."""
-    grid = C._markov_grid(CFG.m_max)
+    grid = flat_markov_grid.flat_grid(CFG.m_max)
     isolated = 0
     for x in ("11011110101011", "001000000100010"):
         stats = C.string_stats(x)
@@ -289,16 +290,17 @@ def test_first_typical_across_chunk_boundaries():
             sl = grid.m_slices[m]
             H = t["H"][sl]
             order = np.lexsort((t["sig"][sl],))  # the slice is in (a0, a1, ai) order
-            v = C._markov_neglogp(stats, grid, sl.start + order)
+            v = flat_markov_grid.neglogp(stats, grid, sl.start + order)
             hits = np.flatnonzero(v <= H[order] + E.TYPICALITY_SLACK)
+            terms = C._markov_terms(stats, m)
             for prev, hit in zip([-1] + hits.tolist(), hits.tolist()):
                 if hit - prev <= 700:
                     continue
                 isolated += 1
                 for start in range(hit - 700, hit + 1):
-                    got = C._first_typical(stats, grid, m, H, order[start : hit + 1], 0.0)
+                    got = C._first_typical(terms, H, order[start : hit + 1], 0.0)
                     assert order[start + got] == order[hit], (x, m, hit, start)
-                    assert C._first_typical(stats, grid, m, H, order[start:hit], 0.0) is None
+                    assert C._first_typical(terms, H, order[start:hit], 0.0) is None
     assert isolated >= 4
 
 
@@ -306,7 +308,7 @@ def test_walks_match_at_budget_edges():
     """Budgets below every Markov desc, exactly at per-m minima of desc + H
     and one ulp either side: the desc + hmin skip's boundary cases,
     including an m skipped unread while a later m holds the champion."""
-    grid = C._markov_grid(CFG.m_max)
+    grid = flat_markov_grid.flat_grid(CFG.m_max)
     below_all = skipped_then_found = 0
     for _x, stats in _distinct_stats(_seeded_strings("budget-edges", (12, 20, 24))):
         t = _ref_tables(stats.n)
@@ -348,13 +350,14 @@ def test_run_keeps_every_entry_of_the_least_sigma(monkeypatch):
     x, m, delta = "000000000000000000000000000000000000000000100001", 5, Fraction(1)
     stats = C.string_stats(x)
     n = stats.n
-    grid = C._markov_grid(CFG.m_max)
+    grid = flat_markov_grid.flat_grid(CFG.m_max)
     sl = grid.m_slices[m]
     desc = 3 + nat_code_len(n) + grid.m_desc[m]
-    t = C._markov_tables(CFG.m_max, n, m)
+    t = C._markov_tables(n, m)
     H = t["H"].copy()
-    v = C._markov_neglogp(stats, grid, sl)
-    first = int(t["ec_order"][C._first_typical(stats, grid, m, H, t["ec_order"], float(delta))])
+    v = flat_markov_grid.neglogp(stats, grid, sl)
+    terms = C._markov_terms(stats, m)
+    first = int(t["ec_order"][C._first_typical(terms, H, t["ec_order"], float(delta))])
     lo, hi = _sigma_tied_pair(float(H[first]), desc)
     typical_at_lo = v[first + 1 :] <= lo * (1.0 + float(delta)) + E.TYPICALITY_SLACK
     later = first + 1 + int(np.flatnonzero(typical_at_lo)[0])
@@ -362,7 +365,7 @@ def test_run_keeps_every_entry_of_the_least_sigma(monkeypatch):
     order = np.argsort(H + desc, kind="stable").astype(np.int32)
     assert order[0] == first and order[1] == later  # no entry has a smaller sigma
     patched = {"H": H, "Hmin": float(H.min()), "ec_order": order}
-    monkeypatch.setitem(C._MARKOV_PER_N, (CFG.m_max, n, m), patched)
+    monkeypatch.setitem(C._MARKOV_PER_N, (n, m), patched)
     constraint = Constraint(tags=frozenset({"markov-q"}), m_max=m)
     coarse = C.coarse_ec(x, delta, "exact", EXACT_CFG, constraint)
     assert coarse.witness == _ensemble(grid, n, sl.start + later)
@@ -392,5 +395,5 @@ def test_exact_ops_at_n20_never_build_the_largest_slice(monkeypatch):
             for q in queries:
                 C.ec(x, q, CFG)
             C.coarse_ec(x, 0, "exact", CFG)
-    built = {m for (_m_max, _n, m) in C._MARKOV_PER_N}
+    built = {m for (_n, m) in C._MARKOV_PER_N}
     assert built and max(built) < CFG.m_max, built

@@ -27,6 +27,7 @@ import math
 import numpy as np
 import pytest
 
+import flat_markov_grid
 from eclab import cli, complexity, ensembles, processes
 from eclab.codec import nat_code_len
 
@@ -217,14 +218,14 @@ def _whole_slice_khat_champion(stats, cfg, best_cut):
     whole m-slice, and the exact bit length of every numerator in the band."""
     C = complexity
     n = stats.n
-    grid = C._markov_grid(cfg.m_max)
+    grid = flat_markov_grid.flat_grid(cfg.m_max)
     base = 3 + nat_code_len(n)
     best = None
     for m in range(1, cfg.m_max + 1):
         cut = best_cut if best is None else min(best_cut, best.objective)
         desc = base + nat_code_len(m) + 3 * m
         sl = grid.m_slices[m]
-        lg = m * n - C._markov_neglogp(stats, grid, sl)
+        lg = m * n - flat_markov_grid.neglogp(stats, grid, sl)
         lgmax = float(lg.max())
         if desc + m * n - math.floor(lgmax) - 2 > cut:
             continue
@@ -241,7 +242,7 @@ def _whole_slice_khat_champion(stats, cfg, best_cut):
             elif num.bit_length() == best_bl:
                 tied.append(j)
         j = min(tied, key=lambda j: (int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j])))
-        e = C._markov_ensemble(grid, n, j)
+        e = flat_markov_grid.ensemble(grid, n, j)
         cand = C._Candidate(desc + m * n - best_bl + 1, desc, ensembles.entropy(e) + desc, e)
         best = C._pick_canonical((best, cand))
     return best
