@@ -321,7 +321,7 @@ def coarse_scheme_constant(scan_n_max: int = 16) -> int:
 _ORDER_ROWS: dict[int, tuple] = {}
 _MARKOV_PER_N: dict[tuple[int, int], dict] = {}
 _CLOSED_PER_N: dict[int, dict[int, tuple]] = {}
-_IID_PER_N: dict[tuple[int, int], list] = {}
+_IID_PER_N: dict[tuple[int, int], tuple] = {}
 _UT_PER_N: dict[tuple, list] = {}
 _CAPPED_M = 6  # exact Markov tables of this order and above are kept for _CLOSED_LENGTHS lengths
 
@@ -437,23 +437,22 @@ def _markov_tables(n: int, m: int) -> dict:
     return tables
 
 
-def _iid_tables(m_max: int, n: int) -> list:
-    """Per-length i.i.d. candidates, one group per order m: (desc, hmin, rows)
+def _iid_table(n: int, m: int) -> tuple:
+    """The i.i.d. candidates of one length and one order: (desc, hmin, rows)
     with rows (H, sigma, m, a, -log2 q, -log2 (1 - q)) for q = a / 2^m, in
-    (sigma, a) order, the comparator's order within one desc."""
-    key = (m_max, n)
-    groups = _IID_PER_N.get(key)
-    if groups is None:
-        groups = _IID_PER_N[key] = []
-        for m in range(1, m_max + 1):
-            desc = 3 + nat_code_len(n) + nat_code_len(m) + m
-            rows = []
-            for a in range(1, 1 << m):
-                H = n * binary_entropy(a / (1 << m))
-                rows.append((H, H + desc, m, a, m - math.log2(a), m - math.log2((1 << m) - a)))
-            rows.sort(key=lambda t: t[1])  # stable: a ascending within equal sigma
-            groups.append((desc, min(t[0] for t in rows), rows))
-    return groups
+    (sigma, a) order, the comparator's order within one desc. Keyed (n, m),
+    as the Markov tables are, so every m_max shares them."""
+    key = (n, m)
+    group = _IID_PER_N.get(key)
+    if group is None:
+        desc = 3 + nat_code_len(n) + nat_code_len(m) + m
+        rows = []
+        for a in range(1, 1 << m):
+            H = n * binary_entropy(a / (1 << m))
+            rows.append((H, H + desc, m, a, m - math.log2(a), m - math.log2((1 << m) - a)))
+        rows.sort(key=lambda t: t[1])  # stable: a ascending within equal sigma
+        group = _IID_PER_N[key] = (desc, min(t[0] for t in rows), rows)
+    return group
 
 
 def _ut_tables(cfg: FamilyConfig, n: int, exact: bool) -> list:
@@ -723,7 +722,7 @@ def _khat_iid_champion(stats: StringStats, cfg: FamilyConfig, m: int) -> _Candid
     top = 1 << m
     exact_ints = n <= _BIG_N_FLOAT
     best_bl, best = -1, None
-    desc, _hmin, rows = _iid_tables(cfg.m_max, n)[m - 1]
+    desc, _hmin, rows = _iid_table(n, m)
     for row in rows:
         a = row[3]
         if exact_ints:
@@ -998,8 +997,9 @@ def _frontier(
         iid_build = lambda row: ens.IIDQuantized(n, row[2], row[3])
         tags.append(
             (desc, hmin, partial(_run_of, rows, iid_typical, iid_build))
-            for m, (desc, hmin, rows) in enumerate(_iid_tables(cfg.m_max, n), 1)
+            for m in range(1, cfg.m_max + 1)
             if not constraint or constraint.allows_m(m)
+            for desc, hmin, rows in (_iid_table(n, m),)
         )
     if allow("markov-q"):
         tags.append(_markov_groups(stats, delta_f, constraint, cfg))

@@ -17,13 +17,19 @@ flat list: the children of the node stored at offset i sit at i and i + 1
 (one per bit), each holding its child's offset, with 0 for no child, and
 every new phrase appends a pair of zeros. Since the code length depends
 only on the number c of complete phrases and on whether a partial phrase
-follows, `code_len` counts c in the loop and adds the bits up once at the
-end. `iter_with_code_len` keeps a dict-keyed trie of its own.
+follows, `code_len` counts c in the loop (`_walk`) and adds the bits up
+once at the end. The parse is online: the complete phrases of a prefix are
+the first phrases of the whole parse. So `_code_len_below`, the exact test
+code_len(x) * den < bound behind typical-set membership, walks x in chunks,
+each from the state the last one left, and answers False as soon as the
+complete phrases so far cost too many bits; a non-member is rarely parsed
+to the end. `iter_with_code_len` keeps a dict-keyed trie of its own.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -83,12 +89,10 @@ def parse(x: str) -> LZParse:
     node = 0
     phrases: list[tuple[int, str | None]] = []
     for b in x.encode().translate(_BITS):
-        i = node + b
-        t = kids[i]
-        if t:
+        if t := kids[node + b]:
             node = t
         else:
-            kids[i] = len(kids)
+            kids[node + b] = len(kids)
             kids += (0, 0)
             phrases.append((node >> 1, "01"[b]))
             node = 0
@@ -107,18 +111,57 @@ def code_len(x: str) -> int:
 def _code_len_unchecked(x: str) -> int:
     """code_len for an x its caller has already checked to be nonempty 0/1."""
     kids = [0, 0]  # as in parse
-    node = 0
-    for b in x.encode().translate(_BITS):
-        i = node + b
-        t = kids[i]
-        if t:
-            node = t
-        else:
-            kids[i] = len(kids)
-            kids += (0, 0)
-            node = 0
+    node = _walk(kids, 0, x.encode().translate(_BITS))
     c = (len(kids) >> 1) - 1
     return _phrase_bits(c) + (c.bit_length() if node else 0)
+
+
+def _walk(kids: list[int], node: int, bits: bytes) -> int:
+    """Advance the code-length parse over `bits` (bit values, not '0'/'1')
+    from trie `kids` and current node `node`; `kids` grows in place, and the
+    node reached is returned. The child's slot is indexed again only when a
+    phrase ends, which keeps the per-bit step to one lookup and one test."""
+    for b in bits:
+        if t := kids[node + b]:
+            node = t
+        else:
+            kids[node + b] = len(kids)
+            kids += (0, 0)
+            node = 0
+    return node
+
+
+_FIRST_CHUNK = 16  # the membership walk's first chunk is 1/_FIRST_CHUNK of x
+_MIN_CHUNK = 256  # and no chunk is shorter than 1/_MIN_CHUNK of x
+
+
+def _code_len_below(x: str, bound: int, den: int) -> bool:
+    """code_len(x) * den < bound for an x its caller has already checked,
+    stopping the parse once the answer is known to be False.
+
+    The parse is online: the complete phrases of a prefix are the first
+    phrases of the whole parse, so after each chunk the c complete phrases
+    so far already cost S(c) bits, S increases with c, and code_len(x) >=
+    S(c). Once c reaches the least count `stop` with S(stop) * den >= bound
+    the answer is False without parsing the rest. Each next chunk is sized
+    for the stop - c phrases still missing at the bits per phrase seen so
+    far; phrases lengthen as the trie deepens, so it tends to end just short
+    of the crossing, and the walk overshoots it by little."""
+    data = x.encode().translate(_BITS)
+    n = len(data)
+    # c <= n, so stop = n + 1 stands for "never"
+    stop = bisect_left(range(n + 1), True, key=lambda c: _phrase_bits(c) * den >= bound)
+    kids = [0, 0]  # as in parse
+    node = pos = c = 0
+    step = -(-n // _FIRST_CHUNK)
+    while pos < n:
+        node = _walk(kids, node, data[pos : pos + step])
+        pos += step
+        c = (len(kids) >> 1) - 1
+        if c >= stop:
+            return False
+        step = max(-(-n // _MIN_CHUNK), (stop - c) * pos // c)
+    return (_phrase_bits(c) + (c.bit_length() if node else 0)) * den < bound
 
 
 def _phrase_bits(c: int) -> int:

@@ -9,7 +9,10 @@ k-th output of a generator with seed s is mix64(s + k*GAMMA). Sample
 path i of a run with master seed s uses the per-path seed
 mix64(s + (i+1)*GAMMA), so paths are independent of evaluation order
 and safe to generate in parallel. A uniform u in [0, 2^64) realizes an
-event of probability p via u < floor(p * 2^64).
+event of probability p via u < floor(p * 2^64). The sampler draws a path
+in blocks of _BLOCK outputs, each computed in place in one reused buffer,
+and writes the path's bits straight into its output; since output k
+depends on (s, k) alone, the path equals the whole-path computation.
 
 Markov transitions use the flip rule: given the previous symbol b, the
 next symbol is b XOR [u < flip_prob(b)]. With f0 = [u < a01] and
@@ -17,8 +20,10 @@ f1 = [u < a10], each step maps the previous state through a function on
 {0, 1}: a reset to f0 when f0 != f1, a negation when both fire, the
 identity when neither does. The state at step j is therefore the value of
 the last reset at or before j (the initial symbol counts as one) XOR the
-parity of the negations since, which the sampler computes for the whole
-path with a cumulative XOR and a gather. Symmetric chains never reset.
+parity of the negations since, which the sampler computes per block with
+a cumulative XOR and a gather. Two values carry from block to block: the
+parity of the negations so far and the value after the last reset, so
+the blocks compose to the step-by-step rule. Symmetric chains never reset.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -62,17 +67,38 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_np(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+_BLOCK = 1 << 14  # draws per block; the sampler's buffers stay in cache
+# mix64's rounds as (shift, multiplier); the last round has no multiply
+_MIX = (
+    (np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+    (np.uint64(27), np.uint64(0x94D049BB133111EB)),
+    (np.uint64(31), None),
+)
+
+
+def _blocks(seed: int, count: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Outputs 1..count of SplitMix64 with the given seed, as (start, u) per
+    block of at most _BLOCK draws: u[k] is output start + k + 1. Every block
+    is computed in place in the same buffer, which the next block overwrites."""
+    steps = np.arange(1, min(count, _BLOCK) + 1, dtype=np.uint64) * _U64_GAMMA  # k * GAMMA
+    buf, tmp = np.empty_like(steps), np.empty_like(steps)
+    for start in range(0, count, _BLOCK):
+        z, t = buf[: count - start], tmp[: count - start]
+        np.add(steps[: len(z)], np.uint64((seed + start * _GAMMA) & _MASK64), out=z)
+        for shift, mult in _MIX:
+            np.right_shift(z, shift, out=t)
+            np.bitwise_xor(z, t, out=z)
+            if mult is not None:
+                np.multiply(z, mult, out=z)
+        yield start, z
 
 
 def _stream(seed: int, count: int) -> np.ndarray:
     """Outputs 1..count of SplitMix64 with the given seed, as uint64."""
-    with np.errstate(over="ignore"):
-        idx = np.arange(1, count + 1, dtype=np.uint64)
-        return _mix64_np(np.uint64(seed & _MASK64) + idx * _U64_GAMMA)
+    out = np.empty(count, dtype=np.uint64)
+    for start, u in _blocks(seed, count):
+        out[start : start + len(u)] = u
+    return out
 
 
 def _path_seed(seed: int, index: int) -> int:
@@ -84,15 +110,19 @@ def _threshold(p: Fraction) -> int:
     return (p.numerator << 64) // p.denominator
 
 
-def _events(u: np.ndarray, p: Fraction) -> np.ndarray:
-    """Elementwise u < floor(p * 2^64), as a fresh bool array.
+def _events(u: np.ndarray, p: Fraction, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise u < floor(p * 2^64), as a bool array (into `out` if given).
 
     The threshold of p = 1 is 2^64, beyond uint64, so that event is
     always true without a comparison.
     """
+    if out is None:
+        out = np.empty(u.shape, dtype=bool)
     if p >= 1:
-        return np.ones(u.shape, dtype=bool)
-    return u < np.uint64(_threshold(p))
+        out.fill(True)
+    else:
+        np.less(u, np.uint64(_threshold(p)), out=out)
+    return out
 
 
 def _as_prob(value, name: str) -> Fraction:
@@ -241,26 +271,44 @@ def components(model: ProcessModel) -> list[tuple[Fraction, ProcessModel]]:
     return [(Fraction(1), model)]
 
 
-def _bits_to_str(arr: np.ndarray) -> str:
-    return (arr + np.uint8(48)).tobytes().decode("ascii")
-
-
 def _sample_ergodic(model: Union[Bernoulli, Markov], path_seed: int, n: int) -> str:
-    u = _stream(path_seed, n)
+    out = np.empty(n, dtype=np.uint8)
+    bits = out.view(bool)
     if isinstance(model, Bernoulli):
-        return _bits_to_str(_events(u, model.p).view(np.uint8))
-    f0 = _events(u, model.a01)
-    f1 = _events(u, model.a10)
-    # step 0 is a reset to the initial symbol, drawn from the stationary law
-    f0[0] = _events(u[:1], model.pi1)[0]
-    f1[0] = not f0[0]
-    neg = f0 & f1
-    np.logical_xor.accumulate(neg, out=neg)  # parity of the negations in [0, j]
-    resets = np.flatnonzero(f0 ^ f1)
-    # the value after the last reset k <= j, carried to j by the parity in (k, j]
-    after = f0[resets] ^ neg[resets]
-    state = np.repeat(after, np.diff(resets, append=n)) ^ neg
-    return _bits_to_str(state.view(np.uint8))
+        for start, u in _blocks(path_seed, n):
+            _events(u, model.p, bits[start : start + len(u)])
+    else:
+        _markov_states(model, path_seed, bits)
+    np.bitwise_or(out, np.uint8(48), out=out)  # bit values -> '0'/'1'
+    return str(out.data, "ascii")
+
+
+def _markov_states(model: Markov, path_seed: int, bits: np.ndarray) -> None:
+    """The flip rule's states, block by block into `bits`. Across blocks the
+    composition carries the parity of the negations so far and the value
+    after the last reset, both in the whole path's terms."""
+    size = min(len(bits), _BLOCK)
+    f0, f1, neg = (np.empty(size, dtype=bool) for _ in range(3))
+    parity = after = False
+    for start, u in _blocks(path_seed, len(bits)):
+        m = len(u)
+        b0, b1, nb = f0[:m], f1[:m], neg[:m]
+        _events(u, model.a01, b0)
+        _events(u, model.a10, b1)
+        if start == 0:
+            # step 0 is a reset to the initial symbol, drawn from the stationary law
+            b0[0] = _events(u[:1], model.pi1)[0]
+            b1[0] = not b0[0]
+        np.bitwise_and(b0, b1, out=nb)
+        nb[0] ^= parity
+        np.logical_xor.accumulate(nb, out=nb)  # parity of the negations in [0, start + j]
+        np.not_equal(b0, b1, out=b1)
+        resets = np.flatnonzero(b1)
+        # the value after the last reset k <= j, carried to j by the parity in (k, j]
+        vals = np.concatenate(([after], b0[resets] ^ nb[resets]))
+        state = np.repeat(vals, np.diff(np.concatenate(([0], resets, [m]))))
+        np.bitwise_xor(state, nb, out=bits[start : start + m])
+        parity, after = bool(nb[-1]), bool(vals[-1])
 
 
 def _sample_one(model: ProcessModel, path_seed: int, n: int) -> tuple[str, int]:

@@ -2,9 +2,12 @@
 
 Membership uses strict '<' with the comparison done in exact integer
 arithmetic (code_len * den < num * n for r = num/den), so there is no
-floating-point boundary ambiguity. Exhaustive enumeration is bounded by
-``n_max`` (default 24); cardinalities come from the shared code-length
-histogram and never materialize the set.
+floating-point boundary ambiguity. `contains` and the Monte Carlo
+`empirical_prob` stop the LZ78 parse as soon as the complete phrases so
+far already cost at least r*n bits (lz78._code_len_below); the answer is
+the same as from the full code length. Exhaustive enumeration is
+bounded by ``n_max`` (default 24); cardinalities come from the shared
+code-length histogram and never materialize the set.
 """
 
 from __future__ import annotations
@@ -53,7 +56,13 @@ def contains(spec: TypicalSetSpec, x: str) -> bool:
     """Exact membership test; x must have length spec.n."""
     if len(x) != spec.n:
         raise ValueError(f"expected a string of length {spec.n}, got {len(x)}")
-    return lz78.code_len(x) * spec.r.denominator < spec.r.numerator * spec.n
+    lz78._check_input(x)
+    return _member(spec, x)
+
+
+def _member(spec: TypicalSetSpec, x: str) -> bool:
+    """contains for an x of length spec.n known to be nonempty 0/1."""
+    return lz78._code_len_below(x, spec.r.numerator * spec.n, spec.r.denominator)
 
 
 def _check_n(spec: TypicalSetSpec, n_max: int) -> None:
@@ -99,7 +108,5 @@ def empirical_prob(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     paths = sample_paths(model, spec.n, seed, samples)
-    num, den = spec.r.numerator, spec.r.denominator
-    bound = num * spec.n
-    hits = sum(1 for bits, _ in paths if lz78.code_len(bits) * den < bound)
+    hits = sum(1 for bits, _ in paths if _member(spec, bits))  # sampled: length n, 0/1
     return Fraction(hits, samples)

@@ -316,6 +316,23 @@ def test_smaller_m_max_shares_the_exact_tables(monkeypatch):
         assert C._markov_tables(*key) is tables
 
 
+def test_smaller_m_max_shares_the_iid_tables(monkeypatch):
+    """The i.i.d. tables are keyed (n, m) as well: FamilyConfig(m_max=2)
+    builds rows of orders 1 and 2 only, and the default family reads the
+    same objects."""
+    monkeypatch.setattr(C, "_IID_PER_N", {})
+    x = "0010000111011000"
+    C.coarse_ec(x, 0, "exact", FamilyConfig(m_max=2))
+    built = dict(C._IID_PER_N)
+    assert built and set(built) <= {(16, 1), (16, 2)}
+    C.coarse_ec(x, 0, "exact")
+    C.khat(x, mode="exact")
+    assert set(C._IID_PER_N) <= {(16, m) for m in range(1, 7)}
+    for key, group in built.items():
+        assert C._IID_PER_N[key] is group
+        assert C._iid_table(*key) is group
+
+
 def _closed_whole_grid(grid, n):
     """The closed form evaluated entry by entry over the whole flat grid."""
     q0, q1 = grid.q0, grid.q1

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -36,9 +37,43 @@ def _flip_rule(m: P.Markov, path_seed: int, n: int) -> str:
     return "".join(map(str, bits))
 
 
+def _scalar_stream(seed: int, n: int) -> list[int]:
+    """Outputs 1..n of SplitMix64 in counter mode, one scalar mix64 each."""
+    return [P.mix64(seed + k * P._GAMMA) for k in range(1, n + 1)]
+
+
+# lengths around the sampler's block boundaries: one below and one above a
+# boundary, and a path that crosses two of them
+_BLOCK_LENGTHS = (P._BLOCK - 1, P._BLOCK + 1, 2 * P._BLOCK + 3)
+
+
+def test_stream_matches_scalar_mix64():
+    from eclab.processes import _stream
+
+    for seed in (0, 1, 12345, 1 << 63, (1 << 63) + 977, (1 << 64) - 1):
+        for n in (1, 5, *_BLOCK_LENGTHS):
+            assert _stream(seed, n).tolist() == _scalar_stream(seed, n), (seed, n)
+
+
+def test_bernoulli_matches_scalar_rule():
+    # bit k is [u_k < floor(p * 2^64)] on the scalar stream; for p = 1 the
+    # threshold 2^64 exceeds every u, so the reference needs no special case
+    from eclab.processes import _path_seed, _sample_ergodic, _threshold
+
+    F = Fraction
+    for p in (F(0), F(1), F(3, 10), F(1, 2), F(1, 3), F(1, 2**20), F(2**20 - 1, 2**20)):
+        for n in (1, 2, 64, *_BLOCK_LENGTHS):
+            for seed in (0, 3):
+                ps = _path_seed(seed, 0)
+                t = _threshold(p)
+                want = "".join("1" if u < t else "0" for u in _scalar_stream(ps, n))
+                assert _sample_ergodic(P.Bernoulli(p), ps, n) == want, (p, n, seed)
+
+
 def test_symmetric_markov_matches_generic_rule():
-    # the vectorized reset/negation composition must equal the stated flip rule
-    # for every chain, symmetric or not, including flip probabilities of 1
+    # the blocked reset/negation composition must equal the stated flip rule
+    # for every chain, symmetric or not, including flip probabilities of 1,
+    # on paths that cross block boundaries
     from eclab.processes import _GAMMA, _path_seed, _sample_ergodic, _stream, _threshold
 
     F = Fraction
@@ -55,8 +90,8 @@ def test_symmetric_markov_matches_generic_rule():
     ]
     for a01, a10 in chains:
         m = P.Markov(a01, a10)
-        for n in (1, 2, 3, 64, 4097):
-            for seed in range(5):
+        for n in (1, 2, 3, 64, 4097, *_BLOCK_LENGTHS):
+            for seed in range(5 if n < P._BLOCK else 2):
                 ps = _path_seed(seed, 0)
                 assert _sample_ergodic(m, ps, n) == _flip_rule(m, ps, n), (a01, a10, n, seed)
     parts = ((F(1, 3), P.Markov(F(1, 5), F(3, 5))), (F(2, 3), P.Markov(F(1), F(1, 4))))
@@ -66,6 +101,27 @@ def test_symmetric_markov_matches_generic_rule():
         assert comp == (0 if int(_stream(ps, 1)[0]) < _threshold(F(1, 3)) else 1)
         assert bits == _flip_rule(parts[comp][1], P.mix64(ps + 2 * _GAMMA), 4097)
     assert {comp for _, comp in paths} == {0, 1}
+
+
+# SHA-256 of sample_paths(model, 2^18, 2024, 3), each path hashed as
+# "<component>:<bits>\n", recorded with the whole-path sampler that preceded
+# the blocked one: the first three are the benchmark's models
+_PINNED_PATHS = {
+    "markov:flip=1/10": "e713fcccfc66cd89036e9bf9abc21cd98622e1d00b6c560db9fc078855df7915",
+    "markov:a01=1/5,a10=3/5": "e9f977eb2c507720eed909fc63b173a9ba93cfa04842736e4b4cc30366fb7919",
+    "bernoulli:p=3/10": "0b666c960b7b4a4c845cab4443bc7ff6a6f0dcf05f2c917d11aa710ca15cfc3d",
+    "bernoulli:p=1/2": "facc8ff2d7f95538a0a957fa5bc98ce71ad6ab4803dd6edfaf2e117ae62b5b57",
+    "mixture:1/3*markov:a01=1/5,a10=3/5+2/3*bernoulli:p=1/10":
+        "08b604b8ccdae3e49092054ad8de28405109ea33312a0659d57b2e086ab98788",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_PINNED_PATHS))
+def test_sample_paths_pinned_digest(spec):
+    h = hashlib.sha256()
+    for bits, comp in P.sample_paths(P.parse_model_spec(spec), 1 << 18, 2024, 3):
+        h.update(f"{comp}:{bits}\n".encode())
+    assert h.hexdigest() == _PINNED_PATHS[spec]
 
 
 def test_entropy_rates():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -104,3 +105,145 @@ def test_spec_validation():
         T.TypicalSetSpec(Fraction(1), 0)
     # rates normalize to lowest terms
     assert T.TypicalSetSpec(Fraction(2, 4), 4).r == Fraction(1, 2)
+
+
+# --- membership that stops once the bound is crossed -------------------------
+
+
+def _reference(r: Fraction, n: int, length: int) -> bool:
+    return length * r.denominator < r.numerator * n
+
+
+def test_membership_matches_code_len_exhaustively():
+    """Every x with n <= 12 over the eighth grid and the rates L/n of every
+    code length L that occurs, where the two sides of the test are equal."""
+    equal = 0
+    for n in range(1, 13):
+        lengths = [(x, lz78.code_len(x)) for x in (format(v, f"0{n}b") for v in range(1 << n))]
+        rates = {Fraction(k, 8) for k in range(1, 17)} | {Fraction(L, n) for _, L in lengths}
+        for r in rates:
+            s = spec(r, n)
+            for x, L in lengths:
+                assert T.contains(s, x) == _reference(r, n, L), (x, r)
+                equal += L * r.denominator == r.numerator * n
+    assert equal > 0
+
+
+@pytest.mark.parametrize(
+    "model", ["markov:flip=1/10", "markov:a01=1/5,a10=3/5", "bernoulli:p=3/10", "bernoulli:p=1/2"]
+)
+def test_empirical_prob_matches_code_len(model):
+    m = processes.parse_model_spec(model)
+    for n in (1, 5, 12):
+        for r in (Fraction(1, 4), Fraction(3, 4), Fraction(1), Fraction(4, 3), Fraction(7, n)):
+            paths = processes.sample_paths(m, n, 17, 40)
+            hits = sum(_reference(r, n, lz78.code_len(bits)) for bits, _ in paths)
+            assert T.empirical_prob(spec(r, n), m, 40, 17) == Fraction(hits, 40), (n, r)
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """The lengths of the slices the membership test walks, in call order."""
+    seen: list[int] = []
+    walk = lz78._walk
+
+    def spy(kids, node, bits):
+        seen.append(len(bits))
+        return walk(kids, node, bits)
+
+    monkeypatch.setattr(lz78, "_walk", spy)
+    return seen
+
+
+def _complete_counts(x: str) -> list[int]:
+    """counts[P]: the complete LZ78 phrases of x[:P], from a set of phrase strings."""
+    seen, cur, counts = {""}, "", [0]
+    for ch in x:
+        cur += ch
+        if cur not in seen:
+            seen.add(cur)
+            cur = ""
+        counts.append(len(seen) - 1)
+    return counts
+
+
+def _check_walk(x: str, counts: list[int], r: Fraction, walked: list[int]) -> list[int]:
+    """contains(x) agrees with code_len, and the walk ends at the first chunk
+    end at or after the crossing: the least P with S(counts[P]) * den >= r n.
+    Returns the chunk ends."""
+    n = len(x)
+    bound, den = r.numerator * n, r.denominator
+    crossing = next((P for P, c in enumerate(counts) if lz78._phrase_bits(c) * den >= bound), None)
+    want = _reference(r, n, lz78.code_len(x))
+    walked.clear()
+    assert T.contains(spec(r, n), x) == want, r
+    ends = list(accumulate(walked))
+    if crossing is None:
+        assert ends[-1] == n
+    else:
+        assert crossing <= ends[-1] and (len(ends) == 1 or ends[-2] < crossing), (crossing, ends)
+    return ends
+
+
+@pytest.mark.parametrize(
+    "model,n,seed",
+    [
+        ("bernoulli:p=1/2", 1 << 12, 1),
+        ("markov:a01=1/5,a10=3/5", 1 << 13, 2),
+        ("markov:flip=1/10", 1 << 14, 3),
+        ("bernoulli:p=3/10", 1 << 15, 4),
+    ],
+)
+def test_membership_exits_in_first_middle_and_last_chunk(model, n, seed, walked):
+    """With r n = S(c) for the complete phrases c of a prefix, the bound is
+    crossed at the end of that prefix's last complete phrase: the answer is
+    False, and the walk stops at the end of the chunk holding the crossing.
+    Rates from the first 1/32, the first half and the whole string put the
+    crossing in the first chunk, a middle one and the last one; at r n =
+    code_len(x) and one bit above it the answer needs the whole parse."""
+    x = processes.sample(processes.parse_model_spec(model), n, seed)
+    counts = _complete_counts(x)
+    rate = lambda P: Fraction(lz78._phrase_bits(counts[P]), n)
+    assert len(_check_walk(x, counts, rate(n // 32), walked)) == 1
+    ends = _check_walk(x, counts, rate(n // 2), walked)
+    assert len(ends) > 1 and ends[-1] < n
+    # the longest prefix that ends on a phrase boundary crosses at its very end
+    m = max(P for P in range(n + 1) if counts[P] > counts[P - 1])
+    assert _check_walk(x[:m], counts[: m + 1], Fraction(lz78._phrase_bits(counts[m]), m), walked)[-1] == m
+    L = lz78.code_len(x)
+    for r, want in ((Fraction(L, n), False), (Fraction(L + 1, n), True)):
+        assert _check_walk(x, counts, r, walked)[-1] == n
+        assert T.contains(spec(r, n), x) == want
+
+
+def test_membership_of_strings_ending_in_a_partial_phrase(walked):
+    """code_len = S(c) + bitlen(c) when a partial phrase follows the c
+    complete ones: rates above S(c)/n up to code_len/n are decided by the
+    partial phrase after the whole parse."""
+    x = processes.sample(processes.parse_model_spec("markov:a01=1/5,a10=3/5"), 1 << 13, 9)
+    counts = _complete_counts(x)
+    cases = 0
+    for n in range(len(x) - 40, len(x) + 1):
+        p = lz78.parse(x[:n])
+        if not p.has_partial:
+            continue
+        cases += 1
+        S, L = lz78._phrase_bits(p.complete_count), lz78.code_len(x[:n])
+        assert L == S + p.complete_count.bit_length()
+        for num in (S, S + 1, L - 1, L, L + 1):
+            ends = _check_walk(x[:n], counts[: n + 1], Fraction(num, n), walked)
+            if num > S:
+                assert ends[-1] == n
+    assert cases > 0
+
+
+def test_non_member_walk_stops_before_the_end(walked):
+    """A fair-coin path is far above rate 1/2: its parse stops after the
+    first chunk, in contains and in every path empirical_prob draws."""
+    n = 1 << 14
+    model = processes.Bernoulli(Fraction(1, 2))
+    assert not T.contains(spec("1/2", n), processes.sample(model, n, 5))
+    assert 0 < sum(walked) < n
+    walked.clear()
+    assert T.empirical_prob(spec("1/2", n), model, 4, 5) == 0
+    assert 0 < sum(walked) < 4 * n // 2
