@@ -166,8 +166,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The argument parser, built once per process: parse_args leaves it unchanged."""
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and its subcommand parsers by name, built once per
+    process: parse_args leaves them unchanged."""
     parser = _Parser(prog="eclab", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -224,7 +225,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--suite", action="append", default=None)
     p.add_argument("--fast", action="store_true")
     _add_common(p)
-    return parser
+    return parser, subs.choices
 
 
 def _load_model(args) -> processes.ProcessModel:
@@ -454,10 +455,21 @@ def _expand_config(argv: list[str]) -> list[str]:
     return [rest[0], *injected, *rest[1:]]
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv in one pass: when argv[0] names a command, its own parser
+    reads the rest, which is what the top-level parser would hand it. Any
+    other argv (empty, an unknown command, a leading flag) goes through the
+    top-level parser, for its usage errors."""
+    parser, commands = _build_parser()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    return sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_expand_config(list(sys.argv[1:] if argv is None else argv)))
+        args = _parse_args(_expand_config(list(sys.argv[1:] if argv is None else argv)))
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -20,11 +20,12 @@ fall below the exact value (an open item in ROADMAP.md).
 
 khat is one closed-form pass over the sufficient statistics of x
 (`khat_value`): each i.i.d. or Markov order's largest likelihood numerator
-comes from a closed-form argmax, in exact integers up to n = 64 and in
-guarded floats beyond. `khat` takes its value from that pass and builds
-witnesses only for the candidates that reach it: the fixed and
-uniform-typical rows of that value, and a tie-band search in each order the
-pass names.
+comes from a closed-form argmax, in floats whose floor is rechecked in exact
+integers near an integer, and an order whose empirical-entropy lower bound
+is already above the minimum so far is skipped. `khat` takes its value from
+that pass and builds witnesses only for the candidates that reach it: the
+fixed and uniform-typical rows of that value, and a tie-band search in each
+order the pass names.
 
 Ties among minimizers break on (objective, description length, total
 information Sigma = H + D, lexicographic serialization); results are
@@ -101,9 +102,10 @@ __all__ = [
 ]
 
 # a float log2 this close to an integer is rechecked exactly: _floor_log2_guarded
-# then takes the floor from the integer factors, with powers of two as shifts
+# and the Markov tie band then take the floor from the integer factors
+# (_floor_log2_product), with powers of two as shifts
 _FLOAT_GUARD = 1e-6
-_BIG_N_FLOAT = 64  # above this length, grid log-likelihoods are evaluated in floats
+_BIG_N_FLOAT = 64  # above this length, the Markov tie band is the top 1e-9 of log2
 _STRAGGLER_CAP = 256  # large-n Markov entries retried per m before giving up on m
 _CLOSED_LENGTHS = 8  # lengths whose closed-form entropies and exact m_max slices are kept
 
@@ -488,19 +490,6 @@ def _ut_tables(cfg: FamilyConfig, n: int, exact: bool) -> list:
 
 # --- exact two-part code lengths -------------------------------------------
 
-_POW_CACHE: dict[tuple[int, int], int] = {}
-
-
-def _ipow(base: int, exp: int) -> int:
-    key = (base, exp)
-    v = _POW_CACHE.get(key)
-    if v is None:
-        v = _POW_CACHE[key] = base**exp
-        if len(_POW_CACHE) > 300_000:
-            _POW_CACHE.clear()
-    return v
-
-
 def _argmax_candidates(m: int, e1: int, e0: int) -> tuple[int, int]:
     """Two a in [1, 2^m - 1], ascending, one of which maximizes a^e1 * (2^m - a)^e0.
 
@@ -510,12 +499,6 @@ def _argmax_candidates(m: int, e1: int, e0: int) -> tuple[int, int]:
     top = 1 << m
     a = top * e1 // (e1 + e0) if e1 + e0 else 1
     return min(max(a, 1), top - 1), min(a + 1, top - 1)
-
-
-def _best_factor_exact(m: int, e1: int, e0: int) -> int:
-    """max over 0 < a < 2^m of a^e1 * (2^m - a)^e0 (exact integer)."""
-    top = 1 << m
-    return max(_ipow(a, e1) * _ipow(top - a, e0) for a in _argmax_candidates(m, e1, e0))
 
 
 def _best_factor_log(m: int, e1: int, e0: int) -> tuple[int, float]:
@@ -543,7 +526,7 @@ def _floor_log2_product(factors: Iterable[tuple[int, int]]) -> int:
         k = (base & -base).bit_length() - 1
         shift += k * exp
         if base >> k != 1:
-            odd *= _ipow(base >> k, exp)
+            odd *= (base >> k) ** exp
     return shift + odd.bit_length() - 1
 
 
@@ -586,9 +569,20 @@ def _khat_pass(stats: StringStats, cfg: FamilyConfig, mode: str) -> tuple[int, l
     order whose closed-form value reaches it, in the pass's order.
 
     Each order's value is desc + m n - floor(log2 of its largest numerator),
-    with the numerator's maximum from a closed-form argmax. Every value
-    exceeds its desc (p(x) < 1), so an order whose desc is not below the
-    minimum so far cannot reach the final minimum and is skipped."""
+    with the numerator's maximum from a closed-form argmax, in floats whose
+    floor is rechecked exactly near an integer (_floor_log2_guarded).
+
+    An order is skipped when a lower bound on its value exceeds the minimum
+    so far, so it cannot reach the final minimum. The numerator is below
+    2^(m n), so every value is at least desc + 1. By Gibbs' inequality,
+    m n - log2 of the largest numerator is at least the empirical entropy
+    term: n h(ones/n) for i.i.d. orders and n0 h(n01/n0) + n1 h(n10/n1) for
+    Markov orders, with n0 = n00 + n01 and n1 = n10 + n11 the transitions out
+    of each state. So every value is at least desc plus that term. The float
+    term is lowered by 1e-9 n + 1e-9, far above its rounding error, and an
+    order is skipped only when the bound is strictly above the minimum so
+    far: an order whose value equals the final minimum is always evaluated,
+    so the named orders are those of the unpruned pass."""
     n = stats.n
     mode = _resolve_mode(mode, n, cfg)
     base = 3 + nat_code_len(n)
@@ -602,34 +596,29 @@ def _khat_pass(stats: StringStats, cfg: FamilyConfig, mode: str) -> tuple[int, l
             if stats.lz_len < lim:
                 best = min(best, desc + term)
     ones, zeros = stats.ones, n - stats.ones
-    exact_ints = n <= _BIG_N_FLOAT
+    n0, n1 = stats.n00 + stats.n01, stats.n10 + stats.n11
+    slack = 1e-9 * n + 1e-9
+    lb_iid = max(1.0, n * binary_entropy(ones / n) - slack)
+    h_mk = (n0 * binary_entropy(stats.n01 / n0) if n0 else 0.0) + (
+        n1 * binary_entropy(stats.n10 / n1) if n1 else 0.0
+    )
+    lb_mk = max(1.0, h_mk - slack)
     values: list[tuple[int, str, int]] = []
     for m in range(1, cfg.m_max + 1):
+        top = 1 << m
         desc_iid = base + nat_code_len(m) + m
-        if desc_iid < best:
-            if exact_ints:
-                bl = _best_factor_exact(m, ones, zeros).bit_length() - 1
-            else:
-                a_star, lg = _best_factor_log(m, ones, zeros)
-                bl = _floor_log2_guarded(lg, ((a_star, ones), ((1 << m) - a_star, zeros)))
+        if desc_iid + lb_iid <= best:
+            a_star, lg = _best_factor_log(m, ones, zeros)
+            bl = _floor_log2_guarded(lg, ((a_star, ones), (top - a_star, zeros)))
             cand = desc_iid + m * n - bl
             values.append((cand, "iid", m))
             best = min(best, cand)
         desc_mk = base + nat_code_len(m) + 3 * m
-        if desc_mk < best:
-            top = 1 << m
-            if exact_ints:
-                v = (
-                    (top - 1)
-                    * _best_factor_exact(m, stats.n01, stats.n00)
-                    * _best_factor_exact(m, stats.n10, stats.n11)
-                )
-                bl = v.bit_length() - 1
-            else:
-                a0s, lg0 = _best_factor_log(m, stats.n01, stats.n00)
-                a1s, lg1 = _best_factor_log(m, stats.n10, stats.n11)
-                lg = math.log2(top - 1) + lg0 + lg1
-                bl = _floor_log2_guarded(lg, _markov_factors(stats, top, top - 1, a0s, a1s))
+        if desc_mk + lb_mk <= best:
+            a0s, lg0 = _best_factor_log(m, stats.n01, stats.n00)
+            a1s, lg1 = _best_factor_log(m, stats.n10, stats.n11)
+            lg = math.log2(top - 1) + lg0 + lg1
+            bl = _floor_log2_guarded(lg, _markov_factors(stats, top, top - 1, a0s, a1s))
             cand = desc_mk + m * n - bl
             values.append((cand, "markov-q", m))
             best = min(best, cand)
@@ -720,16 +709,12 @@ def _khat_iid_champion(stats: StringStats, cfg: FamilyConfig, m: int) -> _Candid
     n = stats.n
     ones, zeros = stats.ones, n - stats.ones
     top = 1 << m
-    exact_ints = n <= _BIG_N_FLOAT
     best_bl, best = -1, None
     desc, _hmin, rows = _iid_table(n, m)
     for row in rows:
         a = row[3]
-        if exact_ints:
-            bl = (_ipow(a, ones) * _ipow(top - a, zeros)).bit_length() - 1
-        else:
-            lg = ones * math.log2(a) + zeros * math.log2(top - a)
-            bl = _floor_log2_guarded(lg, ((a, ones), (top - a, zeros)))
+        lg = ones * math.log2(a) + zeros * math.log2(top - a)
+        bl = _floor_log2_guarded(lg, ((a, ones), (top - a, zeros)))
         if bl > best_bl:
             best_bl, best = bl, row
     return _Candidate(desc + m * n - best_bl, desc, best[1], ens.IIDQuantized(n, m, best[3]))
@@ -761,20 +746,18 @@ def _khat_markov_champion(stats: StringStats, cfg: FamilyConfig, m: int) -> _Can
     a0_at, ai_at = np.divmod(pairs[pair_at], k)
     a1_of = a1s[a1_at]
     near = (a0_at * k + a1_of) * k + ai_at  # slice-local indices
-    best_bl = -1
-    tied: list[int] = []
+    # bit length of each entry's numerator, whose float log2 is v: the float
+    # floor, and the exact one for the entries within _FLOAT_GUARD of an integer
+    v = lg[a1_at, pair_at]
+    fl = np.floor(v)
+    bl = fl.astype(np.int64) + 1
     top = 1 << m
-    for j, a0, a1, ai, v in zip(
-        near.tolist(), (a0_at + 1).tolist(), (a1_of + 1).tolist(), (ai_at + 1).tolist(),
-        lg[a1_at, pair_at].tolist(),
-    ):
-        # bit length of the numerator, whose float log2 is v
+    for i in np.flatnonzero(np.minimum(v - fl, fl + 1 - v) < _FLOAT_GUARD).tolist():
+        a0, a1, ai = int(a0_at[i]) + 1, int(a1_of[i]) + 1, int(ai_at[i]) + 1
         init = ai if stats.first else top - ai
-        bl = 1 + _floor_log2_guarded(v, _markov_factors(stats, top, init, a0, a1))
-        if bl > best_bl:
-            best_bl, tied = bl, [j]
-        elif bl == best_bl:
-            tied.append(j)
+        bl[i] = 1 + _floor_log2_product(_markov_factors(stats, top, init, a0, a1))
+    best_bl = int(bl.max())
+    tied = near[bl == best_bl].tolist()
     # equal desc within m: ties go to total information H + desc (not bare
     # H: adding desc in floats can merge neighboring H values), then to
     # (a0, a1, ai), which is serialization order within one m and the

@@ -28,6 +28,7 @@ the blocks compose to the step-by-step rule. Symmetric chains never reset.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -161,9 +162,9 @@ class Markov:
         object.__setattr__(self, "a01", a01)
         object.__setattr__(self, "a10", a10)
 
-    @property
+    @functools.cached_property
     def pi1(self) -> Fraction:
-        """Stationary probability of state 1."""
+        """Stationary probability of state 1, computed once per model."""
         return Fraction(self.a01, self.a01 + self.a10)
 
     @property

@@ -339,24 +339,64 @@ def test_selftest_catches_corrupted_codec(capsys, monkeypatch):
     assert "FAILED" in out
 
 
-def test_cached_parser_matches_fresh_parsers(capsys):
-    # the parser is built once per process; reusing it, also after a usage
-    # error and an appended flag, must give what a freshly built one gives
-    argvs = [
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv); --help exits through SystemExit."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cached_parser_matches_fresh_parsers(capsys, tmp_path, monkeypatch):
+    # a command's own parser reads argv[1:] once; the parsers are built once
+    # per process. Every outcome, errors included, must be what a freshly
+    # built top-level parser gives, also after a usage error
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("delta=1/4\nmode=exact\n")
+    commands = [
+        ["gen", "--model", "bernoulli:p=1/2", "--n", "16", "--seed", "7", "--count", "2"],
+        ["lz", "--x", "0110100", "--emit-bits"],
+        ["typical", "--r-list", "1/2,3/4", "--n-list", "8"],
         ["khat", "--x", "0110"],
         ["ec", "--x", "0110", "--bogus", "1"],
+        ["khat", "--x", "0110", "--bogus", "1"],  # unrecognized arguments
         ["ec", "--x", "0110", "--delta", "0", "--eps", "1/10"],
-        ["lz", "--x", "0110100", "--emit-bits"],
+        ["ec", "--x", "0110", "--eps", "1/10"],  # missing required --delta
+        ["coarse-ec", "--x", "0110", "--delta", "1/4", "--format", "json"],
+        ["khat", "--x", "0110", "--mode", "fast"],
+        ["gen", "--model", "bernoulli:p=1/2", "--n", "1x6", "--seed", "7"],
+        ["sweep-theorem1", "--model", "bernoulli:p=1/2", "--eps", "1/10", "--n-list", "64",
+         "--samples", "2", "--seed", "1"],
+        ["scan-max-coarse", "--n", "4", "--delta", "0"],
+        ["coarse-ec", "--config", str(cfg), "--x", "0110"],
+        ["ec", "--help"],
         ["selftest", "--suite", "codec-kraft", "--fast"],
         ["selftest", "--suite", "codec-kraft", "--fast"],
     ]
+    top_level = [[], ["bogus", "--x", "0110"], ["--format", "json", "khat", "--x", "0110"],
+                 ["--help"], ["--config", str(cfg)]]
+    argvs = commands + top_level
     fresh = []
-    for argv in argvs:
-        cli._build_parser.cache_clear()
-        fresh.append(run(argv, capsys))
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "_parse_args", lambda argv: cli._build_parser()[0].parse_args(argv))
+        for argv in argvs:
+            cli._build_parser.cache_clear()
+            fresh.append(_outcome(argv, capsys))
     cli._build_parser.cache_clear()
-    parser = cli._build_parser()
-    cached = [run(argv, capsys) for argv in argvs]
-    assert cli._build_parser() is parser
+    parsers = cli._build_parser()
+    parser = parsers[0]
+    full = []
+    parse_args = parser.parse_args
+    spy = lambda argv=None, namespace=None: full.append(argv) or parse_args(argv, namespace)
+    monkeypatch.setattr(parser, "parse_args", spy)
+    cached = [_outcome(argv, capsys) for argv in argvs]
+    assert cli._build_parser() is parsers
     assert cached == fresh
-    assert [code for code, _, _ in cached] == [0, 1, 0, 0, 0, 0]
+    # only the argv that do not start with a command reach the top-level
+    # parser; a lone --config fails before any parser
+    assert full == top_level[:-1]
+    codes = [code for code, _, _ in cached]
+    assert codes == [0, 0, 0, 0, 1, 1, 0, 1, 0, 1, 1, 0, 0, 0, ("exit", 0), 0, 0,
+                     1, 1, 1, ("exit", 0), 1]

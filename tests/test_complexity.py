@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import example, given, strategies as hst
 
 import flat_markov_grid
-from eclab import complexity as C, ensembles as E, lz78, processes
-from eclab.codec import nat_code_len
+from eclab import complexity as C, ensembles as E, lz78, processes, typical_sets
+from eclab.codec import nat_code_len, rational_code_len
 from eclab.complexity import ComplexityQuery, Constraint, FamilyConfig
 from eclab.errors import ResourceLimitError
 from eclab.selftest import _naive_min
@@ -52,7 +53,7 @@ def _ref_iid_champion(x: str, m: int) -> tuple:
 
 def test_khat_value_agrees_with_witness_path():
     cases = [(x, SMALL_CFG, "exact") for n in (1, 2, 4, 6, 8) for x in all_strings(n)]
-    # seeded paths past the float bound _BIG_N_FLOAT = 64, in upper mode
+    # seeded paths past _BIG_N_FLOAT = 64, the Markov tie band's switch, in upper mode
     for spec in ("markov:flip=1/10", "bernoulli:p=3/10", "bernoulli:p=1/10"):
         model = processes.parse_model_spec(spec)
         for n in (65, 128, 1 << 12):
@@ -378,6 +379,7 @@ def test_closed_cache_bounded_with_block_ranges(monkeypatch):
     assert list(C._CLOSED_PER_N)[-1] == lengths[-8]
 
 
+@functools.cache
 def _best_factor_exact_scan(m, e1, e0):
     """max over 0 < a < 2^m of a^e1 * (2^m - a)^e0 by a scan over every a."""
     top = 1 << m
@@ -404,19 +406,108 @@ def _best_factor_log_scan(m, e1, e0):
 
 def test_best_factor_argmax_matches_scan():
     # the maximum of the log-concave a^e1 (2^m - a)^e0 is at one of the two
-    # integers around 2^m e1 / (e1 + e0): the same value, and in floats the
-    # same argmax and maximum, as the scans
+    # integers around 2^m e1 / (e1 + e0): in floats the same argmax and
+    # maximum as the scan, and the guarded floor of log2 there is the exact
+    # maximum's, as the khat pass takes it
     for m in range(1, 7):
+        top = 1 << m
         for e1 in range(70):
             for e0 in range(70):
-                assert C._best_factor_exact(m, e1, e0) == _best_factor_exact_scan(m, e1, e0)
-                assert C._best_factor_log(m, e1, e0) == _best_factor_log_scan(m, e1, e0)
+                a, lg = C._best_factor_log(m, e1, e0)
+                assert (a, lg) == _best_factor_log_scan(m, e1, e0)
+                bl = C._floor_log2_guarded(lg, ((a, e1), (top - a, e0)))
+                assert bl == _best_factor_exact_scan(m, e1, e0).bit_length() - 1
     rng = np.random.default_rng(5)
     for _ in range(5000):
         n = int(rng.integers(1, 1 << 20, endpoint=True))
         e1 = int(rng.integers(0, n, endpoint=True))
         m = int(rng.integers(1, 6, endpoint=True))
         assert C._best_factor_log(m, e1, n - e1) == _best_factor_log_scan(m, e1, n - e1)
+
+
+def _khat_pass_reference(stats, cfg, mode):
+    """khat's value and named orders with every order evaluated, each
+    numerator's maximum from a scan over every parameter in exact integers."""
+    n = stats.n
+    C._resolve_mode(mode, n, cfg)
+    base = 3 + nat_code_len(n)
+    best = base + min(n, stats.lz_len)
+    for r in cfg.r_grid:
+        lim = -(-(r.numerator * n) // r.denominator)
+        if stats.lz_len < lim:
+            if n <= cfg.n_max:
+                card = typical_sets.cardinality(typical_sets.TypicalSetSpec(r, n), cfg.n_max)
+                term = (card - 1).bit_length()
+            else:
+                term = lim
+            best = min(best, base + rational_code_len(r) + term)
+    scan = _best_factor_exact_scan
+    values = []
+    for m in range(1, cfg.m_max + 1):
+        head = base + nat_code_len(m) + m * n + 1  # value = desc + m n - bitlen(numerator) + 1
+        num = scan(m, stats.ones, n - stats.ones)
+        values.append((head + m - num.bit_length(), "iid", m))
+        num = ((1 << m) - 1) * scan(m, stats.n01, stats.n00) * scan(m, stats.n10, stats.n11)
+        values.append((head + 3 * m - num.bit_length(), "markov-q", m))
+    best = min(best, *(v for v, _, _ in values))
+    return best, [(tag, m) for v, tag, m in values if v == best]
+
+
+_BENCH_MODELS = (
+    "markov:flip=1/10", "bernoulli:p=3/10", "markov:a01=1/5,a10=3/5", "bernoulli:p=1/2"
+)
+_SPARSE = [
+    "0000000001000100000000010",  # upper ec is unsound here: the strict xfail at n = 25
+    "0" * 100,
+    "1" * 1000,
+    "1" + "0" * 4095,
+    "0" * 2047 + "1" + "0" * 2048,
+    "01" * 500,
+    "0001" * 1024,
+    "".join("1" if i % 97 == 0 else "0" for i in range(1000)),
+    "".join("1" if i in (3, 500, 4000) else "0" for i in range(4096)),
+]
+
+
+def test_pruned_khat_pass_matches_unpruned_scan():
+    # every x with n <= 16 in both modes (the pass reads only x's statistics)
+    seen = set()
+    for n in range(1, 17):
+        for x in all_strings(n):
+            st = C.string_stats(x)
+            if st.key not in seen:
+                seen.add(st.key)
+                ref = _khat_pass_reference(st, C.DEFAULT_CONFIG, "exact")
+                for mode in ("exact", "upper"):
+                    assert C._khat_pass(st, C.DEFAULT_CONFIG, mode) == ref, (x, mode)
+    # seeded paths of the bench models and sparse strings, in upper mode
+    xs = list(_SPARSE)
+    for spec in _BENCH_MODELS:
+        model = processes.parse_model_spec(spec)
+        for n in (100, 1000, 1 << 12):
+            xs.extend(x for x, _ in processes.sample_paths(model, n, 7, 2))
+    for x in xs:
+        st = C.string_stats(x)
+        for cfg in (C.DEFAULT_CONFIG, SMALL_CFG):
+            assert C._khat_pass(st, cfg, "upper") == _khat_pass_reference(st, cfg, "upper"), st.key
+
+
+def test_khat_pass_skips_orders_ruled_out_by_entropy(monkeypatch):
+    # on fair-coin paths every order's desc is far below khat, so only the
+    # entropy bound skips orders: each evaluated order floors one log2
+    model = processes.parse_model_spec("bernoulli:p=1/2")
+    for n in (100, 1000, 1 << 12):
+        for x, _ in processes.sample_paths(model, n, 3, 2):
+            st = C.string_stats(x)
+            value, orders = _khat_pass_reference(st, C.DEFAULT_CONFIG, "upper")
+            assert C._markov_desc(n, C.DEFAULT_CONFIG.m_max) < value
+            evaluated = []
+            guarded = C._floor_log2_guarded
+            with monkeypatch.context() as mp:
+                spy = lambda lg, f: evaluated.append(lg) or guarded(lg, f)
+                mp.setattr(C, "_floor_log2_guarded", spy)
+                assert C._khat_pass(st, C.DEFAULT_CONFIG, "upper") == (value, orders)
+            assert len(orders) <= len(evaluated) < 2 * C.DEFAULT_CONFIG.m_max, (n, len(evaluated))
 
 
 def test_ec_example_small_budget():
