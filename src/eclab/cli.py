@@ -11,14 +11,12 @@ strings as ASCII '0'/'1'.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 from fractions import Fraction
 
-from . import complexity, ensembles as ens, lz78, processes, selftest, typical_sets
+from . import complexity, ensembles as ens, lz78, processes, typical_sets
 from .codec import is_bits, nat_code_len
 from .complexity import ComplexityQuery, ComplexityReport, Constraint
 from .errors import DecodeError, ResourceLimitError
@@ -114,17 +112,24 @@ def _emit(rows: list[dict], columns: list[str], args, extra: dict | None = None)
             doc.update(extra)
         text = json.dumps(doc, indent=2) + "\n"
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for r in rows:
-            writer.writerow([_cell(r.get(c)) for c in columns])
-        text = buf.getvalue()
+        lines = [_csv_line(columns)]
+        lines += (_csv_line([_cell(r.get(c)) for c in columns]) for r in rows)
+        text = "".join(lines)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _csv_line(cells: list[str]) -> str:
+    """One row as csv.writer(lineterminator="\\n") writes it: a cell holding
+    ',', '"' or a newline is quoted, with '"' doubled. Rows have two or more
+    cells, so an empty cell stays empty."""
+    return ",".join(
+        '"' + c.replace('"', '""') + '"' if "," in c or '"' in c or "\n" in c else c
+        for c in cells
+    ) + "\n"
 
 
 def _json_cell(value):
@@ -407,6 +412,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import selftest  # its only user: other commands skip loading it
+
     results = selftest.run_selftest(args.suite, fast=args.fast)
     for res in results:
         print(res.line())

@@ -58,7 +58,6 @@ run is the first entry confirmed with the defining recursion.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -1198,6 +1197,8 @@ def theorem1_sweep(
     reference curve |delta(n)| + |code(r)| + 3, the description length
     the uniform-typical construction predicts for the witness.
     """
+    import statistics  # its only user: other commands skip loading it
+
     if not n_list:
         raise ValueError("n_list must be nonempty")
     if sorted(n_list) != list(n_list):

@@ -12,18 +12,34 @@ phrases is an index in ceil(log2 (c+1)) bits with no literal. `code_len`
 is the phrase-stream length alone; `encode` prepends the Elias delta
 code of the input length, which makes the full stream self-delimiting.
 
-`parse` and `code_len` keep the phrase dictionary as a binary trie in one
+One trie walk (`_walk`) does the parsing for `parse`, `code_len` and the
+membership test. It keeps the phrase dictionary as a binary trie in one
 flat list: the children of the node stored at offset i sit at i and i + 1
 (one per bit), each holding its child's offset, with 0 for no child, and
 every new phrase appends a pair of zeros. Since the code length depends
 only on the number c of complete phrases and on whether a partial phrase
-follows, `code_len` counts c in the loop (`_walk`) and adds the bits up
-once at the end. The parse is online: the complete phrases of a prefix are
-the first phrases of the whole parse. So `_code_len_below`, the exact test
+follows, `code_len` counts c off the walk and adds the bits up once at the
+end. The parse is online: the complete phrases of a prefix are the first
+phrases of the whole parse. So `_code_len_below`, the exact test
 code_len(x) * den < bound behind typical-set membership, walks x in chunks,
 each from the state the last one left, and answers False as soon as the
 complete phrases so far cost too many bits; a non-member is rarely parsed
 to the end. `iter_with_code_len` keeps a dict-keyed trie of its own.
+
+`parse` reads the phrases off the walk's trie. Phrase j was stored at
+offset 2j in the slot 2 * parent + bit, and that slot number is its record:
+the record in bitlen(j - 1) + 1 bits is exactly phrase j's code, index
+field and literal bit. So the stream is cut into width blocks: block k
+holds the 2^(k-1) records of phrases 2^(k-1) + 1 .. 2^k, k + 1 bits each,
+at an offset known in advance. `phrase_stream` formats the first
+`_VECTOR_MIN` records one `format` each and every later block by numpy in
+one pass over a (records, k + 1) array of bits. `decode_phrases` reads
+every stretch of at least `_VECTOR_MIN` records of one block that the
+stream holds in the same way. The first `_VECTOR_MIN` phrases, the phrases
+where the decoded string reaches its declared length, and any phrase that
+does not decode cleanly take the scalar step, one phrase at a time, so the
+results and every DecodeError, with its message and order, are those of
+decoding the whole stream one phrase at a time.
 """
 
 from __future__ import annotations
@@ -32,7 +48,10 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from itertools import accumulate, repeat
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .codec import decode_nat, encode_nat, is_bits
 from .errors import DecodeError
@@ -49,27 +68,46 @@ __all__ = [
     "kraft_sum",
 ]
 
+# The first _VECTOR_MIN records, and stretches of fewer records, take the
+# scalar step. A power of 2, so that the blocks after them start whole.
+_VECTOR_MIN = 256
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class LZParse:
-    """Parse result: (parent index, extension bit or None) per phrase."""
+    """Parse result: one record per complete phrase, and the final partial
+    phrase's parent index (0 for none; a partial phrase is never empty).
 
-    phrases: tuple[tuple[int, str | None], ...]
-    complete_count: int
-    has_partial: bool
+    records[j - 1] is 2 * parent + bit for phrase j (see the module
+    docstring): a list, or an int64 array when there are `_VECTOR_MIN` or
+    more.
+    """
+
+    records: Sequence[int]
+    partial: int
+
+    @property
+    def complete_count(self) -> int:
+        return len(self.records)
+
+    @property
+    def has_partial(self) -> bool:
+        return self.partial != 0
+
+    @property
+    def phrases(self) -> tuple[tuple[int, str | None], ...]:
+        """(parent index, extension bit or None) per phrase."""
+        out: list[tuple[int, str | None]] = [(int(r) >> 1, "01"[r & 1]) for r in self.records]
+        if self.partial:
+            out.append((self.partial, None))
+        return tuple(out)
 
     def reconstruct(self) -> str:
         """Concatenate the phrases back into the parsed string."""
         strings = [""]
-        out = []
         for parent, bit in self.phrases:
-            if bit is None:
-                out.append(strings[parent])
-            else:
-                s = strings[parent] + bit
-                strings.append(s)
-                out.append(s)
-        return "".join(out)
+            strings.append(strings[parent] + (bit or ""))
+        return "".join(strings[1:])
 
 
 def _check_input(x: str) -> None:
@@ -86,20 +124,25 @@ def parse(x: str) -> LZParse:
     """Run the LZ78 parse of a nonempty binary string."""
     _check_input(x)
     kids = [0, 0]  # flat trie, see the module docstring; node offset = 2 * index
-    node = 0
-    phrases: list[tuple[int, str | None]] = []
-    for b in x.encode().translate(_BITS):
-        if t := kids[node + b]:
-            node = t
-        else:
-            kids[node + b] = len(kids)
-            kids += (0, 0)
-            phrases.append((node >> 1, "01"[b]))
-            node = 0
-    has_partial = node != 0
-    if has_partial:
-        phrases.append((node >> 1, None))
-    return LZParse(tuple(phrases), (len(kids) >> 1) - 1, has_partial)
+    node = _walk(kids, 0, x.encode().translate(_BITS))
+    return LZParse(_records(kids), node >> 1)
+
+
+def _records(kids: list[int]) -> Sequence[int]:
+    """The record of every phrase of trie `kids`: phrase j's is the slot
+    that holds its offset 2j."""
+    c = (len(kids) >> 1) - 1
+    if c < _VECTOR_MIN:
+        records = [0] * c
+        for slot, t in enumerate(kids):
+            if t:
+                records[(t >> 1) - 1] = slot
+        return records
+    offsets = np.fromiter(kids, dtype=np.int64, count=len(kids))
+    slots = np.flatnonzero(offsets)
+    records = np.empty(c, dtype=np.int64)
+    records[(offsets[slots] >> 1) - 1] = slots
+    return records
 
 
 def code_len(x: str) -> int:
@@ -180,14 +223,31 @@ def phrase_stream(x: str, parsed: LZParse | None = None) -> str:
     `parsed`, when given, must be parse(x); it saves parsing x again.
     """
     p = parse(x) if parsed is None else parsed
-    parts: list[str] = []
-    for j, (parent, bit) in enumerate(p.phrases, start=1):
-        width = (j - 1).bit_length()
-        if width:
-            parts.append(format(parent, f"0{width}b"))
-        if bit is not None:
-            parts.append(bit)
+    records = p.records
+    c = len(records)
+    head = records[:_VECTOR_MIN]
+    if isinstance(head, np.ndarray):
+        head = head.tolist()
+    parts = ["".join(map(format, head, _HEAD_FORMATS))]
+    lo = _VECTOR_MIN  # width block k holds records [2^(k-1), 2^k), of k + 1 bits each
+    while lo < c:
+        hi = min(c, 2 * lo)
+        parts.append(_format_block(records[lo:hi], lo.bit_length() + 1))
+        lo = hi
+    if p.partial:
+        parts.append(format(p.partial, f"0{c.bit_length()}b"))
     return "".join(parts)
+
+
+# the formats of records 0 .. _VECTOR_MIN - 1, the blocks the scalar step writes
+_HEAD_FORMATS = [f"0{r.bit_length() + 1}b" for r in range(_VECTOR_MIN)]
+
+
+def _format_block(records: np.ndarray, width: int) -> str:
+    """The records as `width`-bit binary numerals, concatenated."""
+    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+    bits = (records[:, None] >> shifts).astype(np.uint8) & 1
+    return (bits + 48).tobytes().decode("ascii")
 
 
 def encode(x: str, parsed: LZParse | None = None) -> str:
@@ -204,13 +264,26 @@ def decode_phrases(bits: str, start: int, n: int) -> tuple[str, int]:
     carries no literal bit.
     """
     strings = [""]
-    out: list[str] = []
+    tail = ""
     produced = 0
     i = start
     end = len(bits)
+    view = None
     j = 1
     while produced < n:
         width = (j - 1).bit_length()
+        if j > _VECTOR_MIN and bits.isascii():
+            run = min((1 << width) - j + 1, (end - i) // (width + 1))
+            if run >= _VECTOR_MIN:
+                if view is None:
+                    view = np.frombuffer(bits.encode("ascii"), dtype=np.uint8)
+                done, size = _decode_run(view, i, j, width, run, strings, n - produced)
+                i += done * (width + 1)
+                j += done
+                produced += size
+                if done == run:
+                    continue
+        # the scalar step: phrase j alone
         if i + width > end:
             raise DecodeError("truncated phrase stream: index field cut short")
         parent = int(bits[i : i + width], 2) if width else 0
@@ -220,8 +293,7 @@ def decode_phrases(bits: str, start: int, n: int) -> tuple[str, int]:
         base = strings[parent]
         remaining = n - produced
         if len(base) == remaining:
-            out.append(base)
-            produced = n
+            tail = base
             break
         if len(base) > remaining:
             raise DecodeError("phrase overruns the declared length")
@@ -230,10 +302,37 @@ def decode_phrases(bits: str, start: int, n: int) -> tuple[str, int]:
         s = base + bits[i]
         i += 1
         strings.append(s)
-        out.append(s)
         produced += len(s)
         j += 1
-    return "".join(out), i - start
+    return "".join(strings[1:]) + tail, i - start
+
+
+def _decode_run(
+    view: np.ndarray, i: int, j: int, width: int, run: int, strings: list[str], remaining: int
+) -> tuple[int, int]:
+    """Decode phrases j .. j + run - 1, whose index fields are all `width`
+    bits wide, from byte offset i of the stream's bytes `view`, appending
+    their strings.
+
+    Only a leading stretch is kept: the phrases before the first record that
+    is not all '0'/'1' or names a parent >= its phrase number, and before the
+    first phrase that would bring the output to `remaining` symbols or more.
+    The scalar step decodes the phrase after them. Returns (phrases kept,
+    symbols they produced)."""
+    rows = view[i : i + run * (width + 1)].reshape(run, width + 1) - 48  # '0'/'1' -> 0/1
+    parents = rows[:, :width] @ (1 << np.arange(width - 1, -1, -1, dtype=np.int64))
+    bad = parents >= np.arange(j, j + run)
+    if rows.max() > 1:
+        bad |= (rows > 1).any(axis=1)
+    kept = int(bad.argmax()) if bad.any() else run
+    first = len(strings)
+    literals = (rows[:kept, -1] + 48).tobytes().decode("ascii")
+    for parent, bit in zip(parents[:kept].tolist(), literals):
+        strings.append(strings[parent] + bit)
+    ends = list(accumulate(map(len, strings[first:])))
+    kept = bisect_left(ends, remaining)
+    del strings[first + kept :]
+    return kept, ends[kept - 1] if kept else 0
 
 
 def decode(bits: str) -> str:

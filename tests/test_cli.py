@@ -1,10 +1,16 @@
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import string
+import subprocess
+import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eclab import cli
 
@@ -400,3 +406,43 @@ def test_cached_parser_matches_fresh_parsers(capsys, tmp_path, monkeypatch):
     codes = [code for code, _, _ in cached]
     assert codes == [0, 0, 0, 0, 1, 1, 0, 1, 0, 1, 1, 0, 0, 0, ("exit", 0), 0, 0,
                      1, 1, 1, ("exit", 0), 1]
+
+
+# CLI cells hold digits, letters and "/-.+=:*_ "; the property adds the
+# characters that force quoting. '\r' is left out: no cell can hold one, and
+# Python 3.11's writer leaves it unquoted under lineterminator="\n".
+_CELLS = st.text(alphabet=string.ascii_letters + string.digits + '/-.+=:*_ ,"\n', max_size=12)
+
+
+def _table(k):
+    header = st.lists(_CELLS, min_size=k, max_size=k, unique=True)
+    return st.tuples(header, st.lists(st.lists(_CELLS, min_size=k, max_size=k), max_size=4))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.integers(2, 6).flatmap(_table))
+def test_csv_lines_match_csv_writer(table):
+    columns, rows = table
+    out = io.StringIO()
+    args = SimpleNamespace(format="csv", out=None)
+    with contextlib.redirect_stdout(out):
+        cli._emit([dict(zip(columns, r)) for r in rows], columns, args)
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    assert out.getvalue() == want.getvalue()
+
+
+def test_lz_command_loads_neither_selftest_nor_statistics():
+    code = (
+        "import sys; import eclab.cli; eclab.cli.main(['lz', '--x', '0110']); "
+        "mods = ('eclab.selftest', 'statistics', 'eclab.complexity', 'eclab.ensembles', "
+        "'eclab.lz78', 'eclab.processes', 'eclab.typical_sets'); "
+        "print(*(m in sys.modules for m in mods))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    # the spans of the benchmark's tracer look the last five up in sys.modules
+    assert out.splitlines()[-1] == "False False True True True True True"
