@@ -3,7 +3,8 @@
 Modules: codec (prefix-free integer/rational codes), lz78 (parsing and a
 faithful coder), processes (stationary models and seeded samplers),
 typical_sets (LZ-threshold sets), ensembles (the describable family),
-complexity (two-part codes and effective-complexity measures), cli.
+complexity (two-part codes and effective-complexity measures), text (the
+integer, rational and key=value text forms every reader uses), cli.
 """
 
 from .complexity import (

@@ -11,6 +11,7 @@ strings as ASCII '0'/'1'.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -20,6 +21,7 @@ from . import complexity, ensembles as ens, lz78, processes, typical_sets
 from .codec import is_bits, nat_code_len
 from .complexity import ComplexityQuery, ComplexityReport, Constraint
 from .errors import DecodeError, ResourceLimitError
+from .text import document_lines, pairs, parse_fraction, parse_int
 
 REPORT_COLUMNS = [
     "n",
@@ -36,18 +38,7 @@ REPORT_COLUMNS = [
     "Delta",
 ]
 
-SWEEP_COLUMNS = [
-    "n",
-    "samples",
-    "seed",
-    "eps",
-    "delta",
-    "fraction_budget_satisfied",
-    "median_ec_upper",
-    "n_empty",
-    "reference_bits",
-    "c_scheme",
-]
+SWEEP_COLUMNS = [f.name for f in dataclasses.fields(complexity.SweepRow)]
 
 
 class UsageError(Exception):
@@ -59,14 +50,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fraction(flag: str):
-    def parse(text: str) -> Fraction:
-        try:
-            return processes._parse_fraction(text, flag)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-
-    return parse
+def _fraction(text: str, flag: str) -> Fraction:
+    try:
+        return parse_fraction(text, flag)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _bits_arg(text: str, flag: str) -> str:
@@ -77,20 +65,22 @@ def _bits_arg(text: str, flag: str) -> str:
     return text
 
 
-def _int_list(text: str, flag: str) -> list[int]:
+def _list(text: str, flag: str, parse) -> list:
+    """The comma-separated values of a list flag, each read by parse(item,
+    flag); empty items are skipped."""
     try:
-        values = [processes._parse_int(v, flag) for v in text.split(",") if v]
-    except ValueError:
-        raise UsageError(f"{flag}: expected comma-separated integers")
+        values = [parse(v, flag) for v in text.split(",") if v]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if not values:
         raise UsageError(f"{flag}: expected at least one value")
     return values
 
 
 def _int(text: str) -> int:
-    """argparse type of the integer flags: ASCII digits, as in _int_list."""
+    """argparse type of the integer flags: ASCII digits, as in the lists."""
     try:
-        return processes._parse_int(text, "integer flag")
+        return parse_int(text, "integer flag")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -236,8 +226,11 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 def _load_model(args) -> processes.ProcessModel:
     text = args.model
     if getattr(args, "model_file", None):
-        with open(args.model_file, "r", encoding="utf-8") as f:
-            text = f.read()
+        try:
+            with open(args.model_file, "r", encoding="utf-8") as f:
+                text = f.read()
+        except OSError as exc:
+            raise UsageError(f"--model-file: {exc}")
     try:
         return processes.parse_model_spec(text)
     except ValueError as exc:
@@ -282,10 +275,8 @@ def _cmd_lz(args) -> int:
 
 
 def _cmd_typical(args) -> int:
-    rs = [_fraction("--r-list")(v) for v in args.r_list.split(",") if v]
-    if not rs:
-        raise UsageError("--r-list: expected at least one value")
-    ns = _int_list(args.n_list, "--n-list")
+    rs = _list(args.r_list, "--r-list", parse_fraction)
+    ns = _list(args.n_list, "--n-list", parse_int)
     model = None
     if args.model:
         model = _load_model(args)
@@ -336,9 +327,9 @@ def _cmd_ec(args) -> int:
     x = _bits_arg(args.x, "--x")
     constraint = Constraint.parse(args.constraint) if args.constraint else None
     query = ComplexityQuery(
-        delta=_fraction("--delta")(args.delta),
-        Delta=_fraction("--Delta")(args.Delta) if args.Delta is not None else None,
-        eps=_fraction("--eps")(args.eps) if args.eps is not None else None,
+        delta=_fraction(args.delta, "--delta"),
+        Delta=_fraction(args.Delta, "--Delta") if args.Delta is not None else None,
+        eps=_fraction(args.eps, "--eps") if args.eps is not None else None,
         mode=args.mode,
         constraint=constraint,
     )
@@ -351,7 +342,7 @@ def _cmd_coarse(args) -> int:
     x = _bits_arg(args.x, "--x")
     constraint = Constraint.parse(args.constraint) if args.constraint else None
     report = complexity.coarse_ec(
-        x, _fraction("--delta")(args.delta), mode=args.mode, constraint=constraint
+        x, _fraction(args.delta, "--delta"), mode=args.mode, constraint=constraint
     )
     _emit([_report_row(report, "coarse")], REPORT_COLUMNS, args)
     return 0
@@ -361,37 +352,19 @@ def _cmd_sweep(args) -> int:
     model = _load_model(args)
     rows = complexity.theorem1_sweep(
         model,
-        eps=_fraction("--eps")(args.eps),
-        delta=_fraction("--delta")(args.delta),
-        n_list=_int_list(args.n_list, "--n-list"),
+        eps=_fraction(args.eps, "--eps"),
+        delta=_fraction(args.delta, "--delta"),
+        n_list=_list(args.n_list, "--n-list", parse_int),
         samples=args.samples,
         seed=args.seed,
     )
     print(f"C_scheme = {rows[0].c_scheme} bits", file=sys.stderr)
-    _emit(
-        [
-            {
-                "n": r.n,
-                "samples": r.samples,
-                "seed": r.seed,
-                "eps": r.eps,
-                "delta": r.delta,
-                "fraction_budget_satisfied": r.fraction_budget_satisfied,
-                "median_ec_upper": r.median_ec_upper,
-                "n_empty": r.n_empty,
-                "reference_bits": r.reference_bits,
-                "c_scheme": r.c_scheme,
-            }
-            for r in rows
-        ],
-        SWEEP_COLUMNS,
-        args,
-    )
+    _emit([dataclasses.asdict(r) for r in rows], SWEEP_COLUMNS, args)
     return 0
 
 
 def _cmd_scan(args) -> int:
-    result = complexity.max_coarse_scan(args.n, _fraction("--delta")(args.delta))
+    result = complexity.max_coarse_scan(args.n, _fraction(args.delta, "--delta"))
     rows = [
         {
             "kind": "summary",
@@ -447,18 +420,14 @@ def _expand_config(argv: list[str]) -> list[str]:
         raise UsageError("--config cannot supply the subcommand itself")
     try:
         with open(path, "r", encoding="utf-8") as f:
-            lines = f.read().splitlines()
+            text = f.read()
     except OSError as exc:
         raise UsageError(f"--config: {exc}")
-    injected: list[str] = []
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise UsageError(f"--config: expected key=value, got {line!r}")
-        injected.extend([f"--{key.strip()}", value.strip()])
+    try:
+        items = pairs(document_lines(text), "--config")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    injected = [arg for key, value in items for arg in (f"--{key}", value)]
     return [rest[0], *injected, *rest[1:]]
 
 

@@ -17,6 +17,7 @@ from .errors import DecodeError
 
 __all__ = [
     "is_bits",
+    "check_bits",
     "encode_nat",
     "decode_nat",
     "nat_code_len",
@@ -36,6 +37,15 @@ def is_bits(x: str) -> bool:
     before it can reach encode().
     """
     return x.isascii() and not x.encode("ascii").translate(None, b"01")
+
+
+def check_bits(x: str, what: str) -> None:
+    """Raise ValueError unless x is a nonempty '0'/'1' string; `what` names x
+    in the message."""
+    if not x:
+        raise ValueError(f"{what} must be nonempty")
+    if not is_bits(x):
+        raise ValueError(f"{what} must consist of '0'/'1' only")
 
 
 def encode_nat(n: int) -> str:

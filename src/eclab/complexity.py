@@ -67,17 +67,10 @@ import numpy as np
 
 from . import ensembles as ens
 from . import lz78, typical_sets
-from .codec import encode_rational, is_bits, nat_code_len, rational_code_len
+from .codec import check_bits, encode_rational, nat_code_len, rational_code_len
 from .errors import ResourceLimitError
-from .processes import (
-    ProcessModel,
-    _parse_fraction,
-    _parse_int,
-    binary_entropy,
-    components,
-    entropy_rate,
-    sample_paths,
-)
+from .processes import ProcessModel, binary_entropy, components, entropy_rate, sample_paths
+from .text import key_values, pairs, parse_fraction, parse_int
 
 __all__ = [
     "FamilyConfig",
@@ -165,40 +158,25 @@ class Constraint:
     @staticmethod
     def parse(text: str) -> "Constraint":
         """Parse "tags=a,b;mmax=3;rmin=1/4;rmax=1" (any subset of keys)."""
-        tags = None
-        m_max = None
-        r_min = None
-        r_max = None
-        seen = set()
-        for part in text.split(";"):
-            part = part.strip()
-            if not part:
-                continue
-            key, sep, value = part.partition("=")
-            if not sep:
-                raise ValueError(f"constraint: expected key=value, got {part!r}")
-            key, value = key.strip(), value.strip()
-            if key in seen:
-                raise ValueError(f"constraint: key {key!r} given twice")
-            seen.add(key)
-            if key == "tags":
-                tags = frozenset(t.strip() for t in value.split(",") if t.strip())
-                unknown = tags - set(ens.TAG_NAMES.values())
-                if unknown:
-                    raise ValueError(f"constraint: unknown tags {sorted(unknown)}")
-            elif key == "mmax":
-                try:
-                    m_max = _parse_int(value, "constraint: mmax")
-                except ValueError:
-                    m_max = -1
-                if m_max < 0:
-                    raise ValueError(f"constraint: mmax must be an integer >= 0, got {value!r}")
-            elif key == "rmin":
-                r_min = _parse_fraction(value, "constraint: rmin")
-            elif key == "rmax":
-                r_max = _parse_fraction(value, "constraint: rmax")
-            else:
-                raise ValueError(f"constraint: unknown key {key!r}")
+        items = pairs([part.strip() for part in text.split(";") if part.strip()], "constraint")
+        kv = key_values(items, "constraint", ("tags", "mmax", "rmin", "rmax"))
+        tags = m_max = r_min = r_max = None
+        if "tags" in kv:
+            tags = frozenset(t.strip() for t in kv["tags"].split(",") if t.strip())
+            unknown = tags - set(ens.TAG_NAMES.values())
+            if unknown:
+                raise ValueError(f"constraint: unknown tags {sorted(unknown)}")
+        if "mmax" in kv:
+            try:
+                m_max = parse_int(kv["mmax"], "constraint: mmax")
+            except ValueError:
+                m_max = -1
+            if m_max < 0:
+                raise ValueError(f"constraint: mmax must be an integer >= 0, got {kv['mmax']!r}")
+        if "rmin" in kv:
+            r_min = parse_fraction(kv["rmin"], "constraint: rmin")
+        if "rmax" in kv:
+            r_max = parse_fraction(kv["rmax"], "constraint: rmax")
         return Constraint(tags, m_max, r_min, r_max)
 
 
@@ -262,11 +240,8 @@ class StringStats:
 
 
 def string_stats(x: str, lz_len: Optional[int] = None) -> StringStats:
+    check_bits(x, "x")
     n = len(x)
-    if n < 1:
-        raise ValueError("x must be nonempty")
-    if not is_bits(x):
-        raise ValueError("x must consist of '0'/'1' only")
     if lz_len is None:
         lz_len = lz78._code_len_unchecked(x)  # x was checked just above
     v = int(x, 2)

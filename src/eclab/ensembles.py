@@ -28,6 +28,7 @@ from functools import lru_cache
 
 from . import lz78, typical_sets
 from .codec import (
+    check_bits,
     decode_nat,
     decode_rational,
     encode_nat,
@@ -37,7 +38,8 @@ from .codec import (
     rational_code_len,
 )
 from .errors import DecodeError
-from .processes import _kv_pairs, _parse_fraction, _parse_int, binary_entropy
+from .processes import binary_entropy
+from .text import key_values, pairs, parse_fraction, parse_int
 
 __all__ = [
     "SingletonRaw",
@@ -68,13 +70,6 @@ __all__ = [
 TYPICALITY_SLACK = 1e-9  # absolute slack toward acceptance in the typicality test
 
 
-def _check_bits(x: str) -> None:
-    if not x:
-        raise ValueError("string must be nonempty")
-    if not is_bits(x):
-        raise ValueError("string must consist of '0'/'1' only")
-
-
 @dataclass(frozen=True)
 class SingletonRaw:
     """Point mass on x, described by storing x verbatim."""
@@ -82,7 +77,7 @@ class SingletonRaw:
     x: str
 
     def __post_init__(self):
-        _check_bits(self.x)
+        check_bits(self.x, "string")
 
 
 @dataclass(frozen=True)
@@ -92,7 +87,7 @@ class SingletonLZ:
     x: str
 
     def __post_init__(self):
-        _check_bits(self.x)
+        check_bits(self.x, "string")
 
 
 @dataclass(frozen=True)
@@ -546,18 +541,12 @@ def parse_ensemble_spec(text: str) -> Ensemble:
     cls = {name: c for c, name in TAG_NAMES.items()}.get(kind)
     if cls is None:
         raise ValueError(f"unknown ensemble tag {kind!r}")
-    kv = _kv_pairs(rest, kind)
     keys = [f.name for f in fields(cls)]
     if keys == ["x"]:
         keys = ["n", "x"]  # a singleton's text form names its length too
-    unknown = sorted(set(kv) - set(keys))
-    if unknown:
-        raise ValueError(f"{kind}: unknown keys {unknown}")
-    for key in keys:
-        if key not in kv:
-            raise ValueError(f"{kind}: missing key {key!r}")
-    parse = {"x": lambda v, _what: v, "r": _parse_fraction}
-    args = {key: parse.get(key, _parse_int)(kv[key], f"{kind}: {key}") for key in keys}
+    kv = key_values(pairs(rest.split(",") if rest.strip() else [], kind), kind, keys, keys)
+    parse = {"x": lambda v, _what: v, "r": parse_fraction}
+    args = {key: parse.get(key, parse_int)(kv[key], f"{kind}: {key}") for key in keys}
     if "x" in args and args.pop("n") != len(args["x"]):
         raise ValueError(f"{kind}: n={kv['n']} but x has length {len(args['x'])}")
     return cls(**args)

@@ -12,11 +12,12 @@ phrases is an index in ceil(log2 (c+1)) bits with no literal. `code_len`
 is the phrase-stream length alone; `encode` prepends the Elias delta
 code of the input length, which makes the full stream self-delimiting.
 
-One trie walk (`_walk`) does the parsing for `parse`, `code_len` and the
-membership test. It keeps the phrase dictionary as a binary trie in one
-flat list: the children of the node stored at offset i sit at i and i + 1
-(one per bit), each holding its child's offset, with 0 for no child, and
-every new phrase appends a pair of zeros. Since the code length depends
+One trie walk (`_walk`) does the parsing for `parse`, `code_len`,
+`iter_with_code_len` and the membership test. It keeps the phrase
+dictionary as a binary trie in one flat list: the children of the node
+stored at offset i sit at i and i + 1 (one per bit), each holding its
+child's offset, with 0 for no child, and every new phrase appends a pair
+of zeros. Since the code length depends
 only on the number c of complete phrases and on whether a partial phrase
 follows, `code_len` counts c off the walk and adds the bits up once at the
 end. The parse is online: the complete phrases of a prefix are the first
@@ -24,7 +25,7 @@ phrases of the whole parse. So `_code_len_below`, the exact test
 code_len(x) * den < bound behind typical-set membership, walks x in chunks,
 each from the state the last one left, and answers False as soon as the
 complete phrases so far cost too many bits; a non-member is rarely parsed
-to the end. `iter_with_code_len` keeps a dict-keyed trie of its own.
+to the end.
 
 `parse` reads the phrases off the walk's trie. Phrase j was stored at
 offset 2j in the slot 2 * parent + bit, and that slot number is its record:
@@ -53,7 +54,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .codec import decode_nat, encode_nat, is_bits
+from .codec import check_bits, decode_nat, encode_nat
 from .errors import DecodeError
 
 __all__ = [
@@ -110,19 +111,12 @@ class LZParse:
         return "".join(strings[1:])
 
 
-def _check_input(x: str) -> None:
-    if not x:
-        raise ValueError("input string must be nonempty")
-    if not is_bits(x):
-        raise ValueError("input string must consist of '0'/'1' only")
-
-
 _BITS = bytes.maketrans(b"01", b"\x00\x01")  # '0'/'1' bytes -> bit values
 
 
 def parse(x: str) -> LZParse:
     """Run the LZ78 parse of a nonempty binary string."""
-    _check_input(x)
+    check_bits(x, "input string")
     kids = [0, 0]  # flat trie, see the module docstring; node offset = 2 * index
     node = _walk(kids, 0, x.encode().translate(_BITS))
     return LZParse(_records(kids), node >> 1)
@@ -147,7 +141,7 @@ def _records(kids: list[int]) -> Sequence[int]:
 
 def code_len(x: str) -> int:
     """Phrase-stream length of the LZ78 code of x, in bits."""
-    _check_input(x)
+    check_bits(x, "input string")
     return _code_len_unchecked(x)
 
 
@@ -251,8 +245,11 @@ def _format_block(records: np.ndarray, width: int) -> str:
 
 
 def encode(x: str, parsed: LZParse | None = None) -> str:
-    """Self-delimiting code: delta(length) ++ phrase stream (see phrase_stream)."""
-    _check_input(x)
+    """Self-delimiting code: delta(length) ++ phrase stream (see phrase_stream).
+
+    `parsed`, when given, must be parse(x), which has checked x already."""
+    if parsed is None:
+        parsed = parse(x)
     return encode_nat(len(x)) + phrase_stream(x, parsed)
 
 
@@ -436,34 +433,13 @@ def code_length_counts(n: int) -> dict[int, int]:
 
 
 def iter_with_code_len(n: int) -> Iterator[tuple[str, int]]:
-    """Yield (x, code_len(x)) for every x in {0,1}^n in lexicographic order.
-
-    A depth-first walk advances the parser by one symbol per edge and
-    undoes it on backtrack, about 2^(n+1) parser steps in all; the
-    recursion is n deep.
-    """
+    """Yield (x, code_len(x)) for every x in {0,1}^n in lexicographic order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    trie: dict[int, int] = {}
-    path: list[str] = []
-
-    def go(depth: int, node: int, nxt: int, total: int) -> Iterator[tuple[str, int]]:
-        if depth == n:
-            yield "".join(path), total + ((nxt - 1).bit_length() if node else 0)
-            return
-        for bit in (0, 1):
-            key = (node << 1) | bit
-            path.append("01"[bit])
-            t = trie.get(key)
-            if t is not None:
-                yield from go(depth + 1, t, nxt, total)
-            else:
-                trie[key] = nxt
-                yield from go(depth + 1, 0, nxt + 1, total + (nxt - 1).bit_length() + 1)
-                del trie[key]
-            path.pop()
-
-    yield from go(0, 0, 1, 0)
+    spec = f"0{n}b"
+    for v in range(1 << n):
+        x = format(v, spec)
+        yield x, _code_len_unchecked(x)
 
 
 def kraft_sum(n: int) -> Fraction:

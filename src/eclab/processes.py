@@ -36,7 +36,8 @@ from typing import Iterable, Iterator, Union
 
 import numpy as np
 
-from .codec import is_bits
+from .codec import check_bits
+from .text import document_lines, key_values, pairs, parse_fraction
 
 __all__ = [
     "Bernoulli",
@@ -246,10 +247,7 @@ def stationary_dist(matrix: Iterable[Iterable]) -> tuple[Fraction, Fraction]:
 
 def block_prob(model: ProcessModel, x: str) -> Fraction:
     """Exact probability of the length-n cylinder [x] under the model."""
-    if not x:
-        raise ValueError("block must be nonempty")
-    if not is_bits(x):
-        raise ValueError("block must consist of '0'/'1' only")
+    check_bits(x, "block")
     if isinstance(model, Bernoulli):
         ones = x.count("1")
         return model.p**ones * (1 - model.p) ** (len(x) - ones)
@@ -344,34 +342,10 @@ def sample(model: ProcessModel, n: int, seed: int) -> str:
 
 # --- model specification text ---------------------------------------------
 
-def _parse_int(text: str, what: str) -> int:
-    """An integer written in ASCII digits with an optional leading '-', after
-    stripping whitespace: int() alone would also take '1_0', '+1' and
-    non-ASCII digits."""
-    text = text.strip()
-    digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"{what}: expected an integer, got {text!r}")
-    return int(text)
-
-
-def _parse_fraction(text: str, what: str) -> Fraction:
-    text = text.strip()
-    if "." in text:
-        raise ValueError(f"{what}: rationals must be written a/b, not decimals")
-    try:
-        if "/" in text:
-            a, b = text.split("/")
-            return Fraction(_parse_int(a, what), _parse_int(b, what))
-        return Fraction(_parse_int(text, what))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{what}: cannot parse rational {text!r}") from exc
-
-
 def _markov_from_rows(text: str) -> Markov:
     """Build a chain from "p00,p01;p10,p11" after validating row sums."""
     rows = [
-        [_parse_fraction(v, "rows") for v in row.split(",")] for row in text.split(";")
+        [parse_fraction(v, "rows") for v in row.split(",")] for row in text.split(";")
     ]
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise ValueError("rows: expected two rows of two entries")
@@ -381,43 +355,32 @@ def _markov_from_rows(text: str) -> Markov:
     return Markov(rows[0][1], rows[1][0])
 
 
-def _take(kv: dict[str, str], key: str, what: str) -> Fraction:
-    """Pop and parse a required rational key."""
-    if key not in kv:
-        raise ValueError(f"{what}: missing key {key!r}")
-    return _parse_fraction(kv.pop(key), key)
+_CHAIN_KEYS = (("flip",), ("rows",), ("a01", "a10"))
 
 
-def _no_extra_keys(kv: dict[str, str], what: str) -> None:
-    if kv:
-        raise ValueError(f"{what}: unknown keys {sorted(kv)}")
-
-
-def _bernoulli_from_kv(kv: dict[str, str]) -> Bernoulli:
-    model = Bernoulli(_take(kv, "p", "bernoulli"))
-    _no_extra_keys(kv, "bernoulli")
-    return model
-
-
-def _markov_from_kv(kv: dict[str, str]) -> Markov:
-    if "flip" in kv:
-        f = _take(kv, "flip", "markov")
-        model = Markov(f, f)
-    elif "rows" in kv:
-        model = _markov_from_rows(kv.pop("rows"))
+def _ergodic(kind: str, items: list[tuple[str, str]]) -> Union[Bernoulli, Markov]:
+    """A "bernoulli" or "markov" model from its (key, value) items. A chain
+    takes the keys of the first form in _CHAIN_KEYS whose first key is
+    given (a01 and a10 when none is); any other key is unknown."""
+    if kind == "bernoulli":
+        keys: tuple[str, ...] = ("p",)
     else:
-        model = Markov(_take(kv, "a01", "markov"), _take(kv, "a10", "markov"))
-    _no_extra_keys(kv, "markov")
-    return model
+        names = {key for key, _ in items}
+        keys = next((ks for ks in _CHAIN_KEYS if ks[0] in names), _CHAIN_KEYS[-1])
+    kv = key_values(items, kind, keys, keys)
+    if keys == ("rows",):
+        return _markov_from_rows(kv["rows"])
+    values = [parse_fraction(kv[key], key) for key in keys]
+    if kind == "bernoulli":
+        return Bernoulli(values[0])
+    return Markov(values[0], values[-1])  # flip=f is Markov(f, f)
 
 
 def _parse_compact(spec: str) -> ProcessModel:
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
-    if kind == "bernoulli":
-        return _bernoulli_from_kv(_kv_pairs(rest, "bernoulli"))
-    if kind == "markov":
-        return _markov_from_kv(_kv_pairs(rest, "markov"))
+    if kind in ("bernoulli", "markov"):
+        return _ergodic(kind, pairs(rest.split(",") if rest.strip() else [], kind))
     if kind == "mixture":
         parts = []
         for item in rest.split("+"):
@@ -427,27 +390,9 @@ def _parse_compact(spec: str) -> ProcessModel:
             if comp_text.partition(":")[0].strip().lower() == "mixture":
                 raise ValueError("mixtures may not be nested")
             comp = _parse_compact(comp_text.strip())
-            parts.append((_parse_fraction(w_text, "weight"), comp))
+            parts.append((parse_fraction(w_text, "weight"), comp))
         return Mixture(tuple(parts))
     raise ValueError(f"unknown model kind {kind!r}")
-
-
-def _kv_pairs(text: str, what: str) -> dict[str, str]:
-    """The "key=value,..." items of text; a key may appear once."""
-    kv: dict[str, str] = {}
-    if text.strip():
-        for item in text.split(","):
-            k, sep, v = item.partition("=")
-            if not sep:
-                raise ValueError(f"{what}: expected key=value, got {item!r}")
-            _put(kv, k.strip(), v.strip(), what)
-    return kv
-
-
-def _put(kv: dict[str, str], key: str, value: str, what: str) -> None:
-    if key in kv:
-        raise ValueError(f"{what}: key {key!r} given twice")
-    kv[key] = value
 
 
 def parse_model_spec(text: str) -> ProcessModel:
@@ -457,39 +402,30 @@ def parse_model_spec(text: str) -> ProcessModel:
     "mixture:1/2*bernoulli:p=1/10+1/2*bernoulli:p=1/2".
 
     Document form: one key per line, e.g. "variant=markov" then "flip=1/10";
-    mixtures use repeated "component=WEIGHT SPEC" lines.
+    mixtures use repeated "component=WEIGHT SPEC" lines and no other key, and
+    only mixtures take component lines.
     """
     text = text.strip()
     if not text:
         raise ValueError("empty model specification")
     if "\n" not in text and not text.startswith("variant"):
         return _parse_compact(text)
-    kv: dict[str, str] = {}
-    comps: list[str] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        k, sep, v = line.partition("=")
-        if not sep:
-            raise ValueError(f"model document: expected key=value, got {line!r}")
-        k = k.strip()
-        if k == "component":
-            comps.append(v.strip())
-        else:
-            _put(kv, k, v.strip(), "model document")
+    items = pairs(document_lines(text), "model document")
+    comps = [value for key, value in items if key == "component"]
+    kv = key_values([item for item in items if item[0] != "component"], "model document")
     variant = kv.pop("variant", "").lower()
-    if variant == "bernoulli":
-        return _bernoulli_from_kv(kv)
-    if variant == "markov":
-        return _markov_from_kv(kv)
     if variant == "mixture":
+        key_values(kv.items(), "mixture", ())  # no key but variant and components
         parts = []
         for comp in comps:
             w_text, _, spec = comp.partition(" ")
-            parts.append((_parse_fraction(w_text, "weight"), _parse_compact(spec.strip())))
+            parts.append((parse_fraction(w_text, "weight"), _parse_compact(spec.strip())))
         return Mixture(tuple(parts))
-    raise ValueError(f"model document: unknown variant {variant!r}")
+    if variant not in ("bernoulli", "markov"):
+        raise ValueError(f"model document: unknown variant {variant!r}")
+    if comps:
+        raise ValueError(f"model document: component lines need variant=mixture, not {variant!r}")
+    return _ergodic(variant, list(kv.items()))
 
 
 def format_model(model: ProcessModel) -> str:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lz78
+from .codec import check_bits
 from .errors import ResourceLimitError
 from .processes import ProcessModel, sample_paths
 
@@ -56,7 +57,7 @@ def contains(spec: TypicalSetSpec, x: str) -> bool:
     """Exact membership test; x must have length spec.n."""
     if len(x) != spec.n:
         raise ValueError(f"expected a string of length {spec.n}, got {len(x)}")
-    lz78._check_input(x)
+    check_bits(x, "input string")
     return _member(spec, x)
 
 

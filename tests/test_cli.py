@@ -210,6 +210,24 @@ def test_khat_parses_x_once(capsys, monkeypatch):
     assert parsed == ["0110100110"]
 
 
+def test_lz_encode_trusts_the_parse_it_is_handed(capsys, monkeypatch):
+    from eclab import lz78
+
+    # lz --x checks x in the CLI and once more in lz78.parse; encode(x, parsed)
+    # does not check it again, while encode(x) checks it through its own parse
+    checked = []
+    check_bits = lz78.check_bits
+    monkeypatch.setattr(
+        lz78, "check_bits", lambda x, what: (checked.append(len(x)), check_bits(x, what))[1]
+    )
+    code, out, _ = run(["lz", "--x", "0110100110", "--emit-bits"], capsys)
+    assert code == 0 and lz78.decode(parse_csv(out)[0]["encoded"]) == "0110100110"
+    assert checked == [10]
+    checked.clear()
+    lz78.encode("0110")
+    assert checked == [4]
+
+
 def test_sweep_outputs_aggregates_and_constant(capsys):
     argv = [
         "sweep-theorem1",
@@ -327,6 +345,10 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path, capsys):
     _, out_override, _ = run(["gen", "--config", str(cfg), "--seed", "8"], capsys)
     assert out_override != out_cfg
     assert run(["gen", "--config", str(tmp_path / "missing.cfg")], capsys)[0] == 1
+    cfg.write_text("# comment\n\nmodel=bernoulli:p=1/2\nbogus\n")
+    assert run(["gen", "--config", str(cfg)], capsys) == (
+        1, "", "usage error: --config: expected key=value, got 'bogus'\n"
+    )
 
 
 def test_selftest_catches_corrupted_codec(capsys, monkeypatch):

@@ -86,8 +86,10 @@ def test_khat_with_stats_does_not_revalidate_x(monkeypatch):
     ((x, _),) = processes.sample_paths(processes.parse_model_spec("markov:flip=1/10"), 1 << 12, 1, 1)
     stats = C.string_stats(x)
     checked = []
-    check_bits = E._check_bits
-    monkeypatch.setattr(E, "_check_bits", lambda s: (checked.append(len(s)), check_bits(s))[1])
+    check_bits = E.check_bits
+    monkeypatch.setattr(
+        E, "check_bits", lambda s, what: (checked.append(len(s)), check_bits(s, what))[1]
+    )
     C.khat(x, stats=stats)
     assert checked == []
 
@@ -103,8 +105,10 @@ def test_coarse_ec_builds_no_losing_singleton(monkeypatch):
         for x, _ in processes.sample_paths(processes.parse_model_spec(spec), n, 1, 1)
     ]
     checked = []
-    check_bits = E._check_bits
-    monkeypatch.setattr(E, "_check_bits", lambda s: (checked.append(len(s)), check_bits(s))[1])
+    check_bits = E.check_bits
+    monkeypatch.setattr(
+        E, "check_bits", lambda s, what: (checked.append(len(s)), check_bits(s, what))[1]
+    )
     for x in xs:
         C.coarse_ec(x, 0, "auto")
     assert checked == []

@@ -1,4 +1,5 @@
-"""The text parsers: model specs, ensemble specs, constraints and rationals.
+"""The text parsers: model specs, ensemble specs, constraints and rationals,
+the bit-stream decoders, and the command line as a whole.
 
 Each key is given once, integers are ASCII digits with an optional leading
 '-', and every malformed text ends in ValueError (exit code 1 or 2 at the
@@ -7,12 +8,14 @@ derandomized settings, so every run draws the same examples; the inputs that
 once parsed silently are pinned with @example.
 """
 
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eclab import cli, ensembles as E, processes as P
+from eclab import cli, codec, ensembles as E, processes as P, text as T
 from eclab.complexity import Constraint
 
 DETERMINISTIC = settings(derandomize=True, max_examples=400, deadline=None)
@@ -55,6 +58,30 @@ def test_model_document_components_may_repeat():
                            (Fraction(3, 4), P.Markov(Fraction(1, 2), Fraction(1, 2)))))
 
 
+@pytest.mark.parametrize("text,message", [
+    ("variant=mixture\np=1/2\ncomponent=1 bernoulli:p=1/2", "mixture: unknown keys ['p']"),
+    ("variant=bernoulli\np=1/2\ncomponent=1 bernoulli:p=1/3",
+     "model document: component lines need variant=mixture, not 'bernoulli'"),
+    ("variant=markov\ncomponent=1 bernoulli:p=1/3\nflip=1/2",
+     "model document: component lines need variant=mixture, not 'markov'"),
+])
+def test_model_document_rejects_lines_its_variant_does_not_take(text, message, tmp_path, capsys):
+    with pytest.raises(ValueError) as info:
+        P.parse_model_spec(text)
+    assert str(info.value) == message
+    path = tmp_path / "model.txt"
+    path.write_text(text)
+    argv = ["gen", "--model", "unused", "--model-file", str(path), "--n", "4", "--seed", "1"]
+    assert run(argv, capsys) == (1, "", f"usage error: --model: {message}\n")
+
+
+def test_missing_model_file_is_a_usage_error(tmp_path, capsys):
+    argv = ["gen", "--model", "unused", "--model-file", str(tmp_path / "none.txt"),
+            "--n", "4", "--seed", "1"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "") and err.startswith("usage error: --model-file: "), err
+
+
 def test_nested_mixture_rejected_before_parsing_it():
     with pytest.raises(ValueError, match="may not be nested"):
         P.parse_model_spec("mixture:1*mixture:1*bernoulli:p=1/2")
@@ -89,13 +116,13 @@ def test_ensemble_spec_takes_singleton_length():
 @pytest.mark.parametrize("text", ["1_0", "+1", "١", "1/٢", "٣", "１", "1 0", "--1", "-", ""])
 def test_rationals_take_ascii_integers_only(text):
     with pytest.raises(ValueError, match="cannot parse rational"):
-        P._parse_fraction(text, "r")
+        T.parse_fraction(text, "r")
 
 
 def test_ascii_integers_parse():
-    assert P._parse_int(" -12 ", "n") == -12
-    assert P._parse_fraction("-3/6", "r") == Fraction(-1, 2)
-    assert P._parse_fraction(" 1 / 2 ", "r") == Fraction(1, 2)
+    assert T.parse_int(" -12 ", "n") == -12
+    assert T.parse_fraction("-3/6", "r") == Fraction(-1, 2)
+    assert T.parse_fraction(" 1 / 2 ", "r") == Fraction(1, 2)
 
 
 @pytest.mark.parametrize("text", ["bernoulli:p=١/٢", "bernoulli:p=1_0/64", "markov:flip=+1/2"])
@@ -218,7 +245,7 @@ def test_constraint_raises_only_value_error(text):
 @example("1_0")
 @example("١/٢")
 def test_fraction_raises_only_value_error(text):
-    _only_value_error(lambda t: P._parse_fraction(t, "r"), text)
+    _only_value_error(lambda t: T.parse_fraction(t, "r"), text)
 
 
 _PROB = st.fractions(min_value=0, max_value=1, max_denominator=10**6)
@@ -275,3 +302,106 @@ def _ensembles(draw):
 def test_ensemble_format_parse_roundtrip(e):
     tag, params = E.format_ensemble(e)
     assert E.parse_ensemble_spec(f"{tag}:{params}") == e
+
+
+# --- bit-stream decoders ---------------------------------------------------------
+
+# mostly 0/1 streams, which get past the first fields, and some arbitrary text
+_STREAMS = st.text(alphabet="01", max_size=120) | st.text(max_size=24)
+
+
+@DETERMINISTIC
+@given(
+    _STREAMS,
+    st.integers(1, 1 << 80),
+    st.fractions(min_value=Fraction(1, 10**9), max_denominator=10**9),
+    _ensembles(),
+)
+@example("0١", 1, Fraction(1), E.UniformAll(1))
+@example("0001" + "0" * 40, 1, Fraction(1), E.UniformAll(1))
+@example("001" + "0110", 1, Fraction(1), E.SingletonLZ("0"))
+def test_decoders_raise_only_value_error_and_roundtrip(bits, n, r, e):
+    for decode in (codec.decode_nat, codec.decode_rational, E.decode_ensemble):
+        _only_value_error(decode, bits)  # DecodeError is a ValueError
+    code = codec.encode_nat(n)
+    assert codec.decode_nat(code) == (n, len(code))
+    code = codec.encode_rational(r)
+    assert codec.decode_rational(code) == (r, len(code))
+    assert E.decode_ensemble(E.serialize(e)) == e
+
+
+# --- the command line ----------------------------------------------------------
+
+# every command but selftest with most of its own flags, each with a value
+# that is valid nine times in ten, and now and then one more flag, in any
+# order; or word soup. --out is left out, since it writes files, and the
+# values keep each command small (n <= 30, at most 30 samples)
+_INTS = (["1", "3", "8", "30"], ["0", "-1", "1_0", "١", "x"])
+_RATIONALS = (["0", "1/4", "1", "4"], ["-1", "1/0", "0.5", "x", ""])
+_VALUES = {  # flag: (valid values, invalid values)
+    "--model": (["bernoulli:p=1/2", "markov:flip=1/10", "markov:a01=1/5,a10=3/5",
+                 "mixture:1/2*bernoulli:p=1/10+1/2*bernoulli:p=1/2", "variant=bernoulli\np=1/3"],
+                ["bernoulli:p=1/2,p=1/3", "variant=mixture\np=1/2", "nope:p=1", ""]),
+    "--model-file": ([], ["no-such-file"]),
+    "--config": ([], ["no-such-file"]),
+    "--n": _INTS, "--seed": _INTS, "--count": _INTS, "--samples": _INTS, "--threads": _INTS,
+    "--x": (["0110", "0", "0000000001", "01" * 20], ["", "01a", "١"]),
+    "--decode": (["0010100110", "1111111"], ["", "01a"]),
+    "--r-list": (["1/2", "3/4,1/2", "1"], [",", "", "x", "0.5", "1/0"]),
+    "--n-list": (["4", "4,8", "8", "30"], ["", ",", "1_0", "-1", "8,4"]),
+    "--mode": (["exact", "upper", "auto"], ["bogus"]),
+    "--delta": _RATIONALS, "--Delta": _RATIONALS, "--eps": _RATIONALS,
+    "--constraint": (["mmax=1", "tags=iid,markov-q", "rmin=1/4;rmax=1", "mmax=1;;"],
+                     ["mmax=x", "foo=1", ""]),
+    "--format": (["csv", "json"], ["xml"]),
+}
+_OWN_FLAGS = {
+    "gen": ["--model", "--n", "--seed", "--count"],
+    "lz": ["--x", "--decode", "--emit-bits"],
+    "typical": ["--r-list", "--n-list", "--model", "--samples", "--seed"],
+    "khat": ["--x", "--mode"],
+    "ec": ["--x", "--mode", "--delta", "--Delta", "--constraint"],  # --eps: the extra flag
+    "coarse-ec": ["--x", "--mode", "--delta", "--constraint"],
+    "sweep-theorem1": ["--model", "--eps", "--delta", "--n-list", "--samples", "--seed"],
+    "scan-max-coarse": ["--n", "--delta"],
+}
+_ALL_FLAGS = sorted(_VALUES) + ["--emit-bits"]
+
+
+@st.composite
+def _command_argv(draw):
+    command = draw(st.sampled_from(sorted(_OWN_FLAGS)))
+    # Hypothesis favours small integers, so 0 stands for the common case
+    flags = [f for f in _OWN_FLAGS[command] + ["--format"] if draw(st.integers(0, 9)) < 9]
+    if draw(st.integers(0, 9)) == 9:
+        flags.append(draw(st.sampled_from(_ALL_FLAGS)))
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        argv.append(flag)
+        if flag != "--emit-bits":
+            valid, invalid = _VALUES[flag]
+            pick = valid if valid and draw(st.integers(0, 9)) < 9 else invalid
+            argv.append(draw(st.sampled_from(pick)))
+    return argv
+
+
+_WORDS = st.sampled_from(
+    sorted(_OWN_FLAGS) + _ALL_FLAGS + [v for vs in _VALUES.values() for part in vs for v in part]
+)
+_ARGV = _command_argv() | st.lists(_WORDS, max_size=12)
+
+
+@DETERMINISTIC
+@given(_ARGV)
+@example(["gen", "--model", "x", "--model-file", "no-such-file", "--n", "3", "--seed", "1"])
+@example(["ec", "--x", "01" * 20, "--delta", "0", "--Delta", "1", "--mode", "exact"])
+@example(["typical", "--r-list", "1/2", "--n-list", "30"])
+@example(["gen", "--config", "no-such-file"])
+def test_cli_exit_codes_and_streams(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(("usage error: ", "error: ", "resource limit: "))
