@@ -106,8 +106,11 @@ def _emit(rows: list[dict], columns: list[str], args, extra: dict | None = None)
         lines += (_csv_line([_cell(r.get(c)) for c in columns]) for r in rows)
         text = "".join(lines)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as f:
+                f.write(text)
+        except OSError as exc:
+            raise UsageError(f"--out: {exc}")
     else:
         sys.stdout.write(text)
 

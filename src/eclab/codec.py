@@ -3,9 +3,8 @@
 Every description length in this package is a sum of the code lengths
 defined here. Naturals n >= 1 use the Elias delta code; a rational a/b
 in lowest terms is coded as delta(a) followed by delta(b). Bit order
-within a codeword is most-significant-bit first. `pack_bits` packs a
-bit string big-endian into bytes, zero-padding the final byte; padding
-is never decoded because lengths are always carried separately.
+within a codeword is most-significant-bit first. Decoders read '0'/'1'
+text only: any other character in a field they read is a DecodeError.
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ __all__ = [
     "encode_rational",
     "decode_rational",
     "rational_code_len",
-    "pack_bits",
-    "unpack_bits",
+    "read_uint",
 ]
 
 
@@ -46,6 +44,15 @@ def check_bits(x: str, what: str) -> None:
         raise ValueError(f"{what} must be nonempty")
     if not is_bits(x):
         raise ValueError(f"{what} must consist of '0'/'1' only")
+
+
+def read_uint(bits: str, start: int, width: int) -> int:
+    """The `width` bits at `start` as an unsigned integer, 0 when width is 0;
+    DecodeError unless all are '0'/'1'. The caller checks for truncation."""
+    field = bits[start : start + width]
+    if not is_bits(field):
+        raise DecodeError(f"non-binary character in the field at bit {start}")
+    return int(field, 2) if width else 0
 
 
 def encode_nat(n: int) -> str:
@@ -80,15 +87,17 @@ def decode_nat(bits: str, start: int = 0) -> tuple[int, int]:
         i += 1
     if i >= end:
         raise DecodeError("truncated delta code: no leading 1 found")
-    i += 1  # the delimiter '1'
+    if bits[i] != "1":
+        raise DecodeError(f"delta code: expected the delimiter '1' at bit {i}")
+    i += 1
     if end - i < zeros:
         raise DecodeError("truncated delta code: length field cut short")
-    nb = (1 << zeros) | (int(bits[i : i + zeros], 2) if zeros else 0)
+    nb = (1 << zeros) | read_uint(bits, i, zeros)
     i += zeros
     rem = nb - 1
     if end - i < rem:
         raise DecodeError("truncated delta code: value field cut short")
-    n = (1 << rem) | (int(bits[i : i + rem], 2) if rem else 0)
+    n = (1 << rem) | read_uint(bits, i, rem)
     i += rem
     return n, i - start
 
@@ -115,20 +124,3 @@ def decode_rational(bits: str, start: int = 0) -> tuple[Fraction, int]:
     if gcd(a, b) != 1:
         raise DecodeError(f"rational {a}/{b} is not in lowest terms")
     return Fraction(a, b), used_a + used_b
-
-
-def pack_bits(bits: str) -> bytes:
-    """Pack a '0'/'1' string big-endian into bytes, zero-padding the tail."""
-    if not bits:
-        return b""
-    padded = bits + "0" * (-len(bits) % 8)
-    return int(padded, 2).to_bytes(len(padded) // 8, "big")
-
-
-def unpack_bits(data: bytes, nbits: int) -> str:
-    """Recover the first `nbits` bits of a big-endian packed byte string."""
-    if nbits < 0 or nbits > 8 * len(data):
-        raise ValueError("nbits out of range for the given data")
-    if not data:
-        return ""
-    return format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")[:nbits]

@@ -27,6 +27,9 @@ that pass and builds witnesses only for the candidates that reach it: the
 fixed and uniform-typical rows of that value, and a tie-band search in each
 order the pass names.
 
+Each per-tag formula (counts, likelihood factors, description lengths, the
+typicality rule) is defined in `ensembles`; this module evaluates them in bulk.
+
 Ties among minimizers break on (objective, description length, total
 information Sigma = H + D, lexicographic serialization); results are
 deterministic and agree bit for bit with a direct scan of the family.
@@ -67,7 +70,7 @@ import numpy as np
 
 from . import ensembles as ens
 from . import lz78, typical_sets
-from .codec import check_bits, encode_rational, nat_code_len, rational_code_len
+from .codec import check_bits, encode_rational, rational_code_len
 from .errors import ResourceLimitError
 from .processes import ProcessModel, binary_entropy, components, entropy_rate, sample_paths
 from .text import key_values, pairs, parse_fraction, parse_int
@@ -241,20 +244,9 @@ class StringStats:
 
 def string_stats(x: str, lz_len: Optional[int] = None) -> StringStats:
     check_bits(x, "x")
-    n = len(x)
     if lz_len is None:
         lz_len = lz78._code_len_unchecked(x)  # x was checked just above
-    v = int(x, 2)
-    ones = v.bit_count()
-    if n > 1:
-        mask = (1 << (n - 1)) - 1
-        n11 = ((v >> 1) & v & mask).bit_count()
-        n01 = (~(v >> 1) & v & mask).bit_count()
-        n10 = ((v >> 1) & ~v & mask).bit_count()
-        n00 = (n - 1) - n01 - n10 - n11
-    else:
-        n00 = n01 = n10 = n11 = 0
-    return StringStats(n, (v >> (n - 1)) & 1, ones, n00, n01, n10, n11, lz_len)
+    return StringStats(*ens.bit_counts(x), lz_len)
 
 
 # --- scheme constants -------------------------------------------------------
@@ -279,7 +271,7 @@ def coarse_scheme_constant(scan_n_max: int = 16) -> int:
     """
     best = 0
     for n in range(1, scan_n_max + 1):
-        base = 3 + nat_code_len(n)
+        base = ens.head_len(n)
         assert 2 * base >= n, "derivation requires 3 + |delta(n)| >= n/2"
         bound = 2 * base - math.log2(n) if n > 1 else 2 * base
         best = max(best, math.ceil(bound))
@@ -319,10 +311,6 @@ def _order_rows(m: int) -> tuple:
             np.array([v / top for v in a]),
         )
     return rows
-
-
-def _markov_desc(n: int, m: int) -> int:
-    return 3 + nat_code_len(n) + nat_code_len(m) + 3 * m
 
 
 def _markov_entropies(n: int, m: int) -> np.ndarray:
@@ -403,7 +391,7 @@ def _markov_tables(n: int, m: int) -> dict:
             _MARKOV_PER_N[key] = _MARKOV_PER_N.pop(key)
         return tables
     H = _markov_entropies(n, m)
-    ec_order = np.argsort(H + _markov_desc(n, m), kind="stable").astype(np.int32)
+    ec_order = np.argsort(H + ens.markov_desc_len(n, m), kind="stable").astype(np.int32)
     tables = {"H": H, "Hmin": float(H.min()), "ec_order": ec_order}
     if m >= _CAPPED_M:
         same_m = [k for k in _MARKOV_PER_N if k[1] == m]
@@ -421,11 +409,12 @@ def _iid_table(n: int, m: int) -> tuple:
     key = (n, m)
     group = _IID_PER_N.get(key)
     if group is None:
-        desc = 3 + nat_code_len(n) + nat_code_len(m) + m
-        rows = []
-        for a in range(1, 1 << m):
-            H = n * binary_entropy(a / (1 << m))
-            rows.append((H, H + desc, m, a, m - math.log2(a), m - math.log2((1 << m) - a)))
+        desc = ens.iid_desc_len(n, m)
+        log1, log0, hof, _q = (row.tolist() for row in _order_rows(m))
+        rows = [
+            (n * h, n * h + desc, m, a, c1, c0)
+            for a, h, c1, c0 in zip(range(1, 1 << m), hof, log1, log0)
+        ]
         rows.sort(key=lambda t: t[1])  # stable: a ascending within equal sigma
         group = _IID_PER_N[key] = (desc, min(t[0] for t in rows), rows)
     return group
@@ -442,10 +431,9 @@ def _ut_tables(cfg: FamilyConfig, n: int, exact: bool) -> list:
     groups = _UT_PER_N.get(key)
     if groups is not None:
         return groups
-    base = 3 + nat_code_len(n)
     by_desc: dict[int, list] = {}
     for r in cfg.r_grid:
-        desc = base + rational_code_len(r)
+        desc = ens.typical_desc_len(n, r)
         lim = -(-(r.numerator * n) // r.denominator)
         if exact:
             card = typical_sets.cardinality(typical_sets.TypicalSetSpec(r, n), cfg.n_max)
@@ -516,13 +504,6 @@ def _floor_log2_guarded(lg: float, factors: Iterable[tuple[int, int]]) -> int:
     return f
 
 
-def _markov_factors(stats: StringStats, top: int, init: int, a0: int, a1: int) -> tuple:
-    """(base, exp) factors of an order-m Markov numerator, top = 2^m: the
-    initial-symbol term init once, then the four transition terms."""
-    n01, n00, n10, n11 = stats.n01, stats.n00, stats.n10, stats.n11
-    return ((init, 1), (a0, n01), (top - a0, n00), (a1, n10), (top - a1, n11))
-
-
 def _resolve_mode(mode: str, n: int, cfg: FamilyConfig) -> str:
     if mode == "auto":
         return "exact" if n <= cfg.n_max else "upper"
@@ -559,9 +540,8 @@ def _khat_pass(stats: StringStats, cfg: FamilyConfig, mode: str) -> tuple[int, l
     so the named orders are those of the unpruned pass."""
     n = stats.n
     mode = _resolve_mode(mode, n, cfg)
-    base = 3 + nat_code_len(n)
-    # uniform-all and singleton-raw reach base + n, singleton-lz base + lz_len
-    best = base + min(n, stats.lz_len)
+    # uniform-all and singleton-raw reach head + n, singleton-lz head + lz_len
+    best = ens.head_len(n) + min(n, stats.lz_len)
     # the exact log-cardinality term is used whenever it is computable; the
     # ceil(r n) surrogate enters only beyond the enumeration bound, so both
     # modes see the same khat for any n the exact mode can handle
@@ -580,19 +560,19 @@ def _khat_pass(stats: StringStats, cfg: FamilyConfig, mode: str) -> tuple[int, l
     values: list[tuple[int, str, int]] = []
     for m in range(1, cfg.m_max + 1):
         top = 1 << m
-        desc_iid = base + nat_code_len(m) + m
+        desc_iid = ens.iid_desc_len(n, m)
         if desc_iid + lb_iid <= best:
             a_star, lg = _best_factor_log(m, ones, zeros)
-            bl = _floor_log2_guarded(lg, ((a_star, ones), (top - a_star, zeros)))
+            bl = _floor_log2_guarded(lg, ens.iid_factors(stats, top, a_star))
             cand = desc_iid + m * n - bl
             values.append((cand, "iid", m))
             best = min(best, cand)
-        desc_mk = base + nat_code_len(m) + 3 * m
+        desc_mk = ens.markov_desc_len(n, m)
         if desc_mk + lb_mk <= best:
             a0s, lg0 = _best_factor_log(m, stats.n01, stats.n00)
             a1s, lg1 = _best_factor_log(m, stats.n10, stats.n11)
             lg = math.log2(top - 1) + lg0 + lg1
-            bl = _floor_log2_guarded(lg, _markov_factors(stats, top, top - 1, a0s, a1s))
+            bl = _floor_log2_guarded(lg, ens.markov_factors(stats, top, top - 1, a0s, a1s))
             cand = desc_mk + m * n - bl
             values.append((cand, "markov-q", m))
             best = min(best, cand)
@@ -637,7 +617,7 @@ def _pick_canonical(cands: Iterable[Optional[_Candidate]]) -> Optional[_Candidat
 def _fixed_rows(x: str, stats: StringStats) -> tuple:
     """(desc, H, class, argument) of uniform-all and both singletons: each has
     -log2 p(x) = H, an integer, given as a float."""
-    base = 3 + nat_code_len(stats.n)
+    base = ens.head_len(stats.n)
     return (
         (base, float(stats.n), ens.UniformAll, stats.n),
         (base + stats.n, 0.0, ens.SingletonRaw, x),
@@ -688,7 +668,7 @@ def _khat_iid_champion(stats: StringStats, cfg: FamilyConfig, m: int) -> _Candid
     for row in rows:
         a = row[3]
         lg = ones * math.log2(a) + zeros * math.log2(top - a)
-        bl = _floor_log2_guarded(lg, ((a, ones), (top - a, zeros)))
+        bl = _floor_log2_guarded(lg, ens.iid_factors(stats, top, a))
         if bl > best_bl:
             best_bl, best = bl, row
     return _Candidate(desc + m * n - best_bl, desc, best[1], ens.IIDQuantized(n, m, best[3]))
@@ -697,7 +677,7 @@ def _khat_iid_champion(stats: StringStats, cfg: FamilyConfig, m: int) -> _Candid
 def _khat_markov_champion(stats: StringStats, cfg: FamilyConfig, m: int) -> _Candidate:
     """Canonical best order-m Markov candidate."""
     n = stats.n
-    desc = _markov_desc(n, m)
+    desc = ens.markov_desc_len(n, m)
     small = n <= _BIG_N_FLOAT
     table, t10, t11 = _markov_terms(stats, m)
     tmin = table.min()
@@ -729,7 +709,7 @@ def _khat_markov_champion(stats: StringStats, cfg: FamilyConfig, m: int) -> _Can
     for i in np.flatnonzero(np.minimum(v - fl, fl + 1 - v) < _FLOAT_GUARD).tolist():
         a0, a1, ai = int(a0_at[i]) + 1, int(a1_of[i]) + 1, int(ai_at[i]) + 1
         init = ai if stats.first else top - ai
-        bl[i] = 1 + _floor_log2_product(_markov_factors(stats, top, init, a0, a1))
+        bl[i] = 1 + _floor_log2_product(ens.markov_factors(stats, top, init, a0, a1))
     best_bl = int(bl.max())
     tied = near[bl == best_bl].tolist()
     # equal desc within m: ties go to total information H + desc (not bare
@@ -752,10 +732,6 @@ def budget_fits(sigma, T: Fraction) -> bool:
     if isinstance(sigma, float):
         return sigma <= float(T)
     return sigma <= T
-
-
-def _typical_fast(neglogp: float, H: float, delta_f: float) -> bool:
-    return neglogp <= H * (1.0 + delta_f) + ens.TYPICALITY_SLACK
 
 
 def _markov_terms(stats: StringStats, m: int) -> tuple:
@@ -827,7 +803,7 @@ def _markov_confirmed(stats: StringStats, m: int, delta_f: float):
         for i, vi in zip(ib[:ready].tolist(), vb[:ready].tolist()):
             e = _markov_ensemble(n, m, i)
             H = ens.entropy(e)
-            if _typical_fast(vi, H, delta_f):
+            if ens.is_typical(vi, H, delta_f):
                 yield e, H
         if left == 0:
             return
@@ -871,14 +847,14 @@ def _first_typical(terms: tuple, H: np.ndarray, order: np.ndarray, delta_f: floa
 
 def _markov_typical(terms: tuple, H: np.ndarray, js: np.ndarray, delta_f: float) -> np.ndarray:
     """Whether x is typical for the slice-local entries js (entropies H):
-    -log2 p(x) read from the terms and _typical_fast elementwise, the scalar
+    -log2 p(x) read from the terms and ens.is_typical elementwise, the scalar
     test bit for bit."""
     table, t10, t11 = terms
     k = len(t10)
     a0a1, ai = np.divmod(js, k)
     a0, a1 = np.divmod(a0a1, k)
     v = (table[a0, ai] + t10[a1]) + t11[a1]
-    return v <= H[js] * (1.0 + delta_f) + ens.TYPICALITY_SLACK
+    return ens.is_typical(v, H[js], delta_f)
 
 
 def _markov_run(stats: StringStats, m: int, delta_f: float, desc: int) -> Optional[tuple]:
@@ -925,7 +901,7 @@ def _markov_groups(
 
     for m in range(1, cfg.m_max + 1):
         if not constraint or constraint.allows_m(m):
-            desc = _markov_desc(n, m)
+            desc = ens.markov_desc_len(n, m)
             yield desc, partial(hmin, m), partial(run, m, desc)
 
 
@@ -950,7 +926,7 @@ def _frontier(
     )
     tags = [uniform_all]
     if allow("iid"):
-        iid_typical = lambda row: _typical_fast(ones * row[4] + zeros * row[5], row[0], delta_f)
+        iid_typical = lambda row: ens.is_typical(ones * row[4] + zeros * row[5], row[0], delta_f)
         iid_build = lambda row: ens.IIDQuantized(n, row[2], row[3])
         tags.append(
             (desc, hmin, partial(_run_of, rows, iid_typical, iid_build))
@@ -1196,7 +1172,7 @@ def theorem1_sweep(
             stats = string_stats(bits)
             T = khat_value(stats, cfg, "upper") + eps * n
             r_star = r_by_comp[comp]
-            oks += (3 + nat_code_len(n) + rational_code_len(r_star)) + r_star * n <= T
+            oks += ens.typical_desc_len(n, r_star) + r_star * n <= T
             best = _ec_pick(_frontier(bits, stats, delta_f, "upper", None, cfg), T)
             if best is not None:
                 values.append(best.objective)
@@ -1210,7 +1186,7 @@ def theorem1_sweep(
                 fraction_budget_satisfied=Fraction(oks, samples),
                 median_ec_upper=float(statistics.median(values)) if values else None,
                 n_empty=samples - len(values),
-                reference_bits=nat_code_len(n) + rational_code_len(r_ref) + 3,
+                reference_bits=ens.typical_desc_len(n, r_ref),
                 c_scheme=c_scheme,
             )
         )

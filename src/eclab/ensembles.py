@@ -16,12 +16,17 @@ Probabilities are exact rationals. Entropies are exact for the uniform
 tags and evaluated in double precision for the quantized tags (the
 Markov tag by a forward marginal recursion with absolute error below
 1e-9 * n).
+
+Each tag's arithmetic is defined here once, and `complexity` calls it: the
+support test, bit counts and likelihood factors, description lengths, the
+typicality rule and the `tag:key=value` text form.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
@@ -36,6 +41,7 @@ from .codec import (
     is_bits,
     nat_code_len,
     rational_code_len,
+    read_uint,
 )
 from .errors import DecodeError
 from .processes import binary_entropy
@@ -52,13 +58,22 @@ __all__ = [
     "TAG_NAMES",
     "tag_index",
     "support_length",
+    "BitCounts",
+    "bit_counts",
+    "iid_factors",
+    "markov_factors",
     "prob",
     "entropy",
+    "head_len",
+    "typical_desc_len",
+    "iid_desc_len",
+    "markov_desc_len",
     "desc_len",
     "total_info",
     "neg_log2_prob",
     "ceil_neg_log2_prob",
     "is_delta_typical",
+    "is_typical",
     "TYPICALITY_SLACK",
     "serialize",
     "decode_ensemble",
@@ -182,14 +197,9 @@ TAG_NAMES = {
     IIDQuantized: "iid",
     MarkovQuantized: "markov-q",
 }
-_TAG_INDEX = {
-    SingletonRaw: 0,
-    SingletonLZ: 1,
-    UniformAll: 2,
-    UniformTypical: 3,
-    IIDQuantized: 4,
-    MarkovQuantized: 5,
-}
+_TAG_INDEX = {cls: i for i, cls in enumerate(TAG_NAMES)}  # the 3 tag bits
+_KEYS = {cls: tuple(f.name for f in fields(cls)) for cls in TAG_NAMES}
+_TEXT = {cls: ",".join(f"{k}={{0.{k}}}" for k in keys) for cls, keys in _KEYS.items()}
 
 
 def tag_index(e: Ensemble) -> int:
@@ -203,29 +213,70 @@ def support_length(e: Ensemble) -> int:
     return e.n
 
 
-def prob(e: Ensemble, x: str) -> Fraction:
-    """Exact probability E(x); zero off the support (including wrong length)."""
+# --- likelihoods --------------------------------------------------------------
+#
+# x is in the support of E when it is a singleton's own string, or else a
+# '0'/'1' string of length n (for uniform-typ, in T(r, n) too). A dyadic
+# tag's E(x) is A / 2^(m n), A the product of its (base, exp) factors over
+# x's length, first bit, ones and transitions 00, 01, 10, 11:
+BitCounts = namedtuple("BitCounts", "n first ones n00 n01 n10 n11")
+
+
+def bit_counts(x: str) -> BitCounts:
+    """The BitCounts of a nonempty '0'/'1' string, read as one integer."""
+    n = len(x)
+    v = int(x, 2)
+    ones = v.bit_count()
+    if n > 1:
+        mask = (1 << (n - 1)) - 1
+        n11 = ((v >> 1) & v & mask).bit_count()
+        n01 = (~(v >> 1) & v & mask).bit_count()
+        n10 = ((v >> 1) & ~v & mask).bit_count()
+        n00 = (n - 1) - n01 - n10 - n11
+    else:
+        n00 = n01 = n10 = n11 = 0
+    return BitCounts(n, (v >> (n - 1)) & 1, ones, n00, n01, n10, n11)
+
+
+def iid_factors(c, top: int, a: int) -> tuple:
+    """The factors a^ones (top - a)^zeros, top = 2^m, for counts c (any
+    object with the BitCounts fields)."""
+    return ((a, c.ones), (top - a, c.n - c.ones))
+
+
+def markov_factors(c, top: int, init: int, a0: int, a1: int) -> tuple:
+    """The factors of a Markov numerator: the initial-symbol term init once,
+    then the transitions 00, 01, 10, 11, the order neg_log2_prob adds in."""
+    return ((init, 1), (top - a0, c.n00), (a0, c.n01), (a1, c.n10), (top - a1, c.n11))
+
+
+def _in_support(e: Ensemble, x: str) -> bool:
     if isinstance(e, (SingletonRaw, SingletonLZ)):
-        return Fraction(1) if x == e.x else Fraction(0)
+        return x == e.x
     if len(x) != e.n or not is_bits(x):
+        return False
+    return not isinstance(e, UniformTypical) or typical_sets.contains(e._spec(), x)
+
+
+def _factors(e: IIDQuantized | MarkovQuantized, x: str) -> tuple:
+    c = bit_counts(x)
+    top = 1 << e.m
+    if isinstance(e, IIDQuantized):
+        return iid_factors(c, top, e.a)
+    return markov_factors(c, top, e.ai if c.first else top - e.ai, e.a0, e.a1)
+
+
+def prob(e: Ensemble, x: str) -> Fraction:
+    """Exact probability E(x); zero off the support."""
+    if not _in_support(e, x):
         return Fraction(0)
+    if isinstance(e, (SingletonRaw, SingletonLZ)):
+        return Fraction(1)
     if isinstance(e, UniformAll):
         return Fraction(1, 1 << e.n)
     if isinstance(e, UniformTypical):
-        if not typical_sets.contains(e._spec(), x):
-            return Fraction(0)
         return Fraction(1, e._cardinality())
-    top = 1 << e.m
-    if isinstance(e, IIDQuantized):
-        ones = x.count("1")
-        return Fraction(e.a**ones * (top - e.a) ** (e.n - ones), top**e.n)
-    num = e.ai if x[0] == "1" else top - e.ai
-    for prev, cur in zip(x, x[1:]):
-        if prev == "0":
-            num *= e.a0 if cur == "1" else top - e.a0
-        else:
-            num *= top - e.a1 if cur == "1" else e.a1
-    return Fraction(num, top**e.n)
+    return Fraction(math.prod(b**k for b, k in _factors(e, x)), 1 << (e.m * e.n))
 
 
 def entropy(e: Ensemble) -> float:
@@ -319,21 +370,40 @@ def _add_cyclic(total: float, incs: list[float], k: int) -> float:
     return total
 
 
+# --- description lengths ------------------------------------------------------
+
+def head_len(n: int) -> int:
+    """3 tag bits and delta(n): every serialization's head, uniform-all's whole."""
+    return 3 + nat_code_len(n)
+
+
+def typical_desc_len(n: int, r: Fraction) -> int:
+    return head_len(n) + rational_code_len(r)
+
+
+@lru_cache(maxsize=1 << 12)  # complexity reads both for every order of every x
+def iid_desc_len(n: int, m: int) -> int:
+    return head_len(n) + nat_code_len(m) + m
+
+
+@lru_cache(maxsize=1 << 12)
+def markov_desc_len(n: int, m: int) -> int:
+    return head_len(n) + nat_code_len(m) + 3 * m
+
+
 def desc_len(e: Ensemble) -> int:
     """Length in bits of serialize(e): 3 tag bits plus the tag payload."""
-    n = support_length(e)
-    base = 3 + nat_code_len(n)
     if isinstance(e, SingletonRaw):
-        return base + n
+        return head_len(len(e.x)) + len(e.x)
     if isinstance(e, SingletonLZ):
-        return base + lz78.code_len(e.x)
+        return head_len(len(e.x)) + lz78.code_len(e.x)
     if isinstance(e, UniformAll):
-        return base
+        return head_len(e.n)
     if isinstance(e, UniformTypical):
-        return base + rational_code_len(e.r)
+        return typical_desc_len(e.n, e.r)
     if isinstance(e, IIDQuantized):
-        return base + nat_code_len(e.m) + e.m
-    return base + nat_code_len(e.m) + 3 * e.m
+        return iid_desc_len(e.n, e.m)
+    return markov_desc_len(e.n, e.m)
 
 
 def total_info(e: Ensemble) -> float:
@@ -343,95 +413,52 @@ def total_info(e: Ensemble) -> float:
 
 def neg_log2_prob(e: Ensemble, x: str) -> float:
     """-log2 E(x) in double precision; +inf off the support."""
-    if isinstance(e, (SingletonRaw, SingletonLZ)):
-        return 0.0 if x == e.x else math.inf
-    if len(x) != e.n:
+    if not _in_support(e, x):
         return math.inf
+    if isinstance(e, (SingletonRaw, SingletonLZ)):
+        return 0.0
     if isinstance(e, UniformAll):
         return float(e.n)
     if isinstance(e, UniformTypical):
-        if not typical_sets.contains(e._spec(), x):
-            return math.inf
         return math.log2(e._cardinality())
-    m = e.m
-    top = 1 << m
-    if isinstance(e, IIDQuantized):
-        ones = x.count("1")
-        c1 = m - math.log2(e.a)
-        c0 = m - math.log2(top - e.a)
-        return ones * c1 + (e.n - ones) * c0
-    n00, n01, n10, n11 = _transition_counts(x)
-    li = m - math.log2(e.ai if x[0] == "1" else top - e.ai)
-    c00 = m - math.log2(top - e.a0)
-    c01 = m - math.log2(e.a0)
-    c10 = m - math.log2(e.a1)
-    c11 = m - math.log2(top - e.a1)
-    return li + n00 * c00 + n01 * c01 + n10 * c10 + n11 * c11
-
-
-def _transition_counts(x: str) -> tuple[int, int, int, int]:
-    n00 = n01 = n10 = n11 = 0
-    for prev, cur in zip(x, x[1:]):
-        if prev == "0":
-            if cur == "0":
-                n00 += 1
-            else:
-                n01 += 1
-        elif cur == "0":
-            n10 += 1
-        else:
-            n11 += 1
-    return n00, n01, n10, n11
+    total = 0.0
+    for base, exp in _factors(e, x):
+        total = total + exp * (e.m - math.log2(base))
+    return total
 
 
 def ceil_neg_log2_prob(e: Ensemble, x: str) -> int:
-    """ceil(-log2 E(x)) computed exactly in integer arithmetic.
+    """ceil(-log2 E(x)) computed exactly in integer arithmetic; ValueError
+    off the support.
 
     Every tag except uniform-typ has a dyadic probability A / 2^s, for
     which ceil(s - log2 A) == s - A.bit_length() + 1.
     """
-    if isinstance(e, (SingletonRaw, SingletonLZ)):
-        if x != e.x:
-            raise ValueError("x is outside the support")
-        return 0
-    if len(x) != e.n:
+    if not _in_support(e, x):
         raise ValueError("x is outside the support")
+    if isinstance(e, (SingletonRaw, SingletonLZ)):
+        return 0
     if isinstance(e, UniformAll):
         return e.n
     if isinstance(e, UniformTypical):
-        if not typical_sets.contains(e._spec(), x):
-            raise ValueError("x is outside the support")
         return (e._cardinality() - 1).bit_length()
-    m = e.m
-    top = 1 << m
-    if isinstance(e, IIDQuantized):
-        ones = x.count("1")
-        num = e.a**ones * (top - e.a) ** (e.n - ones)
-    else:
-        n00, n01, n10, n11 = _transition_counts(x)
-        num = (
-            (e.ai if x[0] == "1" else top - e.ai)
-            * e.a0**n01
-            * (top - e.a0) ** n00
-            * e.a1**n10
-            * (top - e.a1) ** n11
-        )
-    return m * e.n - num.bit_length() + 1
+    return e.m * e.n - math.prod(b**k for b, k in _factors(e, x)).bit_length() + 1
+
+
+def is_typical(neglogp, H, delta_f: float):
+    """The typicality rule -log2 E(x) <= H(E)(1 + delta), with TYPICALITY_SLACK
+    toward acceptance so that exact-boundary cases (uniform supports) are
+    never lost to rounding; elementwise on numpy arrays."""
+    return neglogp <= H * (1.0 + delta_f) + TYPICALITY_SLACK
 
 
 def is_delta_typical(e: Ensemble, x: str, delta) -> bool:
-    """True iff x is in the support and -log2 E(x) <= H(E)(1 + delta).
-
-    The comparison carries a 1e-9 absolute slack toward acceptance so
-    exact-boundary cases (uniform supports) are never lost to rounding.
-    """
+    """True iff x is in the support and is_typical(-log2 E(x), H(E), delta)."""
     d = float(delta)
     if d < 0:
         raise ValueError("delta must be >= 0")
     v = neg_log2_prob(e, x)
-    if v == math.inf:
-        return False
-    return v <= entropy(e) * (1.0 + d) + TYPICALITY_SLACK
+    return v != math.inf and is_typical(v, entropy(e), d)
 
 
 # --- serialization ---------------------------------------------------------
@@ -463,7 +490,7 @@ def decode_ensemble_prefix(bits: str, start: int = 0) -> tuple[Ensemble, int]:
     """Decode one ensemble starting at `start`; returns (ensemble, consumed)."""
     if len(bits) - start < 3:
         raise DecodeError("truncated ensemble: missing tag")
-    tag = int(bits[start : start + 3], 2)
+    tag = read_uint(bits, start, 3)
     i = start + 3
     n, used = decode_nat(bits, i)
     i += used
@@ -472,7 +499,7 @@ def decode_ensemble_prefix(bits: str, start: int = 0) -> tuple[Ensemble, int]:
         nonlocal i
         if len(bits) - i < width:
             raise DecodeError("truncated ensemble payload")
-        v = int(bits[i : i + width], 2) if width else 0
+        v = read_uint(bits, i, width)
         i += width
         return v
 
@@ -519,18 +546,12 @@ def decode_ensemble(bits: str) -> Ensemble:
 # --- text form --------------------------------------------------------------
 
 def format_ensemble(e: Ensemble, max_inline_x: int = 64) -> tuple[str, str]:
-    """(tag name, parameter text). Long singleton payloads are elided."""
+    """(tag name, parameter text): each field as key=value, in field order.
+    A singleton's text names its length n first; a long x is elided."""
     if isinstance(e, (SingletonRaw, SingletonLZ)):
         n = len(e.x)
-        params = f"n={n},x={e.x}" if n <= max_inline_x else f"n={n}"
-        return TAG_NAMES[type(e)], params
-    if isinstance(e, UniformAll):
-        return TAG_NAMES[type(e)], f"n={e.n}"
-    if isinstance(e, UniformTypical):
-        return TAG_NAMES[type(e)], f"r={e.r},n={e.n}"
-    if isinstance(e, IIDQuantized):
-        return TAG_NAMES[type(e)], f"n={e.n},m={e.m},a={e.a}"
-    return TAG_NAMES[type(e)], f"n={e.n},m={e.m},a0={e.a0},a1={e.a1},ai={e.ai}"
+        return TAG_NAMES[type(e)], f"n={n},x={e.x}" if n <= max_inline_x else f"n={n}"
+    return TAG_NAMES[type(e)], _TEXT[type(e)].format(e)
 
 
 def parse_ensemble_spec(text: str) -> Ensemble:
@@ -541,9 +562,9 @@ def parse_ensemble_spec(text: str) -> Ensemble:
     cls = {name: c for c, name in TAG_NAMES.items()}.get(kind)
     if cls is None:
         raise ValueError(f"unknown ensemble tag {kind!r}")
-    keys = [f.name for f in fields(cls)]
-    if keys == ["x"]:
-        keys = ["n", "x"]  # a singleton's text form names its length too
+    keys = _KEYS[cls]
+    if keys == ("x",):
+        keys = ("n", "x")  # a singleton's text form names its length too
     kv = key_values(pairs(rest.split(",") if rest.strip() else [], kind), kind, keys, keys)
     parse = {"x": lambda v, _what: v, "r": parse_fraction}
     args = {key: parse.get(key, parse_int)(kv[key], f"{kind}: {key}") for key in keys}

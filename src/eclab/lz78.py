@@ -54,7 +54,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .codec import check_bits, decode_nat, encode_nat
+from .codec import check_bits, decode_nat, encode_nat, read_uint
 from .errors import DecodeError
 
 __all__ = [
@@ -283,7 +283,7 @@ def decode_phrases(bits: str, start: int, n: int) -> tuple[str, int]:
         # the scalar step: phrase j alone
         if i + width > end:
             raise DecodeError("truncated phrase stream: index field cut short")
-        parent = int(bits[i : i + width], 2) if width else 0
+        parent = read_uint(bits, i, width)
         i += width
         if parent >= j:
             raise DecodeError(f"phrase index {parent} out of range for phrase {j}")
@@ -296,7 +296,7 @@ def decode_phrases(bits: str, start: int, n: int) -> tuple[str, int]:
             raise DecodeError("phrase overruns the declared length")
         if i >= end:
             raise DecodeError("truncated phrase stream: missing literal bit")
-        s = base + bits[i]
+        s = base + "01"[read_uint(bits, i, 1)]
         i += 1
         strings.append(s)
         produced += len(s)

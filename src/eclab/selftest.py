@@ -219,8 +219,12 @@ def check_lz_roundtrip(n_max: int, lengths: list[int], seed0: int) -> SuiteResul
 
 
 def check_lz_kraft(n_max: int) -> SuiteResult:
-    """The exact Kraft sum of the LZ code over {0,1}^n is <= 1 for n <= n_max."""
-    failures = [f"n={n}" for n in range(1, n_max + 1) if lz78.kraft_sum(n) > 1]
+    """For n <= n_max, the LZ code-length histogram of {0,1}^n counts all 2^n
+    strings and the exact Kraft sum of the LZ code over {0,1}^n is <= 1."""
+    failures = [
+        f"n={n}" for n in range(1, n_max + 1)
+        if sum(lz78.code_length_counts(n).values()) != 1 << n or lz78.kraft_sum(n) > 1
+    ]
     return SuiteResult("lz-kraft", n_max, failures)
 
 

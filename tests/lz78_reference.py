@@ -2,7 +2,8 @@
 
 `parse` builds the (parent index, literal bit or None) tuple of every
 phrase in its own per-bit loop, `phrase_stream` formats the phrases one at
-a time and `decode_phrases` slices and converts one index field per phrase.
+a time and `decode_phrases` slices and converts one index field per phrase,
+rejecting any character other than '0'/'1' in a field or literal it reads.
 The coder's differential tests compare the width-block coder with these,
 string for string and error message for error message.
 """
@@ -55,7 +56,10 @@ def decode_phrases(bits: str, start: int, n: int) -> tuple[str, int]:
         width = (j - 1).bit_length()
         if i + width > end:
             raise DecodeError("truncated phrase stream: index field cut short")
-        parent = int(bits[i : i + width], 2) if width else 0
+        field = bits[i : i + width]
+        if field.strip("01"):
+            raise DecodeError(f"non-binary character in the field at bit {i}")
+        parent = int(field, 2) if width else 0
         i += width
         if parent >= j:
             raise DecodeError(f"phrase index {parent} out of range for phrase {j}")
@@ -69,6 +73,8 @@ def decode_phrases(bits: str, start: int, n: int) -> tuple[str, int]:
             raise DecodeError("phrase overruns the declared length")
         if i >= end:
             raise DecodeError("truncated phrase stream: missing literal bit")
+        if bits[i] not in "01":
+            raise DecodeError(f"non-binary character in the field at bit {i}")
         s = base + bits[i]
         i += 1
         strings.append(s)

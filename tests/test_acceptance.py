@@ -68,12 +68,12 @@ def _random_length_schedule(total: int = 10_000, max_exp: int = 20) -> list[int]
 def test_criterion_2_kraft_and_faithfulness():
     lengths = _random_length_schedule()
     assert len(lengths) == 10_000 and max(lengths) == 1 << 20
-    kraft = check_lz_kraft(16)
+    kraft = check_lz_kraft(64)
     rt = check_lz_roundtrip(16, lengths, 777)
     _report(
         "2 (Kraft + faithful coder)",
         kraft.ok and rt.ok,
-        f"Kraft {'ok' if kraft.ok else 'violated'} for n<=16; {len(rt.failures)} round-trip "
+        f"Kraft {'ok' if kraft.ok else 'violated'} for n<=64; {len(rt.failures)} round-trip "
         f"failures over {rt.cases} strings (exhaustive n<=16 + 10^4 random up to 2^20)",
     )
 

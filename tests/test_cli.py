@@ -280,6 +280,15 @@ def test_output_file(tmp_path, capsys):
     assert path.read_text().startswith("n,sample,seed")
 
 
+def test_unwritable_output_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "no-such-dir" / "x.csv"
+    argv = ["gen", "--model", "bernoulli:p=1/2", "--n", "4", "--seed", "1", "--out", str(path)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: --out: ") and "No such file or directory" in err
+    assert not path.parent.exists()
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(["ec", "--x", "0000", "--delta", "0"], capsys)[0] == 1  # missing Delta/eps
     assert run(["gen", "--model", "nope:p=1", "--n", "4", "--seed", "1"], capsys)[0] == 1

@@ -106,14 +106,18 @@ def test_rational_rejects_non_canonical():
         codec.encode_rational(Fraction(0))
 
 
-def test_pack_unpack_roundtrip():
-    for bits in ("", "1", "0110", "101010101", "1" * 17):
-        packed = codec.pack_bits(bits)
-        assert len(packed) == (len(bits) + 7) // 8
-        assert codec.unpack_bits(packed, len(bits)) == bits
-    assert codec.pack_bits("10000000") == b"\x80"
-    with pytest.raises(ValueError):
-        codec.unpack_bits(b"\x00", 9)
+@pytest.mark.parametrize("bits", ["x", "01\u066100", "2", "01 00", "0_1"])
+def test_decode_nat_reads_only_binary_text(bits):
+    # the delimiter must be '1' and every field '0'/'1' (int(..., 2) alone
+    # would take Unicode digits, '_' and spaces)
+    with pytest.raises(DecodeError):
+        codec.decode_nat(bits)
+
+
+def test_decode_rational_reads_only_binary_text():
+    for bits in ("1x", "1\u0661", "01x001"):
+        with pytest.raises(DecodeError):
+            codec.decode_rational(bits)
 
 
 def test_delta_slack_over_log_terms():

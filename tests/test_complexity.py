@@ -504,7 +504,7 @@ def test_khat_pass_skips_orders_ruled_out_by_entropy(monkeypatch):
         for x, _ in processes.sample_paths(model, n, 3, 2):
             st = C.string_stats(x)
             value, orders = _khat_pass_reference(st, C.DEFAULT_CONFIG, "upper")
-            assert C._markov_desc(n, C.DEFAULT_CONFIG.m_max) < value
+            assert E.markov_desc_len(n, C.DEFAULT_CONFIG.m_max) < value
             evaluated = []
             guarded = C._floor_log2_guarded
             with monkeypatch.context() as mp:
@@ -968,7 +968,7 @@ def test_upper_mode_straggler_order_and_cap(monkeypatch):
                 for i in ref[: C._STRAGGLER_CAP]:
                     e = flat_markov_grid.ensemble(grid, n, sl.start + i)
                     H = E.entropy(e)
-                    if C._typical_fast(float(v[i]), H, delta_f):
+                    if E.is_typical(float(v[i]), H, delta_f):
                         confirmed.append((e, H))
                 assert list(C._markov_confirmed(st, m, delta_f)) == confirmed
 

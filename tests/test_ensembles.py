@@ -105,6 +105,59 @@ def test_typicality():
         E.is_delta_typical(E.UniformAll(4), "1111", -1)
 
 
+@pytest.mark.parametrize("x", ["\u0661\u0660\u0661", "0a1", "0_1", " 01", "01 ", "0\u06611"])
+def test_non_binary_strings_lie_outside_every_support(x):
+    """A length-3 string with a character other than '0'/'1' is off the
+    support of every length-3 ensemble: prob 0, -log2 inf, ceil ValueError,
+    never typical."""
+    for e in all_small_ensembles(3, m_max=2):
+        if len(x) == 3:
+            assert E.prob(e, x) == 0, e
+            assert E.neg_log2_prob(e, x) == math.inf, e
+            assert not E.is_delta_typical(e, x, 0), e
+            with pytest.raises(ValueError, match="outside the support"):
+                E.ceil_neg_log2_prob(e, x)
+    # the reported cases: each was taken as a 0/1 string before
+    assert not E.is_delta_typical(E.IIDQuantized(3, 2, 1), "\u0661\u0660\u0661", 0)
+    assert E.neg_log2_prob(E.MarkovQuantized(3, 2, 1, 2, 3), "0a1") == math.inf
+    with pytest.raises(ValueError, match="outside the support"):
+        E.ceil_neg_log2_prob(E.IIDQuantized(3, 2, 1), "0_1")
+
+
+def _scalar_neg_log2_prob(e, x):
+    """-log2 E(x) of a dyadic tag from per-character counts, added in the
+    order initial term, n00, n01, n10, n11 (i.i.d.: ones, then zeros)."""
+    m, top = e.m, 1 << e.m
+    if isinstance(e, E.IIDQuantized):
+        ones = x.count("1")
+        return ones * (m - math.log2(e.a)) + (len(x) - ones) * (m - math.log2(top - e.a))
+    pairs = [x[i : i + 2] for i in range(len(x) - 1)]
+    n00, n01, n10, n11 = (pairs.count(t) for t in ("00", "01", "10", "11"))
+    li = m - math.log2(e.ai if x[0] == "1" else top - e.ai)
+    return (li + n00 * (m - math.log2(top - e.a0)) + n01 * (m - math.log2(e.a0))
+            + n10 * (m - math.log2(e.a1)) + n11 * (m - math.log2(top - e.a1)))
+
+
+def test_dyadic_likelihoods_share_one_factor_list():
+    """neg_log2_prob is the per-character sum bit for bit, and prob and
+    ceil_neg_log2_prob are the exact product of the same factors."""
+    rng = random.Random(5)
+    xs = ["0", "1", "01", "10", "0110"] + [
+        format(rng.getrandbits(n), f"0{n}b") for n in (7, 33, 200) for _ in range(3)
+    ]
+    for x in xs:
+        n = len(x)
+        es = [E.IIDQuantized(n, 3, a) for a in (1, 4, 7)]
+        es += [E.MarkovQuantized(n, 3, a0, a1, ai) for a0, a1, ai in ((1, 2, 3), (7, 7, 1), (4, 1, 6))]
+        for e in es:
+            v = E.neg_log2_prob(e, x)
+            assert v == _scalar_neg_log2_prob(e, x), (e, x)
+            p = E.prob(e, x)
+            t = E.ceil_neg_log2_prob(e, x)
+            assert Fraction(1, 1 << t) <= p and (t == 0 or Fraction(1, 1 << (t - 1)) > p)
+            assert abs(v + math.log2(p.numerator) - math.log2(p.denominator)) < 1e-9 * n + 1e-9
+
+
 def test_normalization_exact():
     for n in (1, 3, 6):
         for e in all_small_ensembles(n, m_max=2, r_grid=(Fraction(2), Fraction(3, 2))):

@@ -86,7 +86,7 @@ def _ref_walk_ec(stats, delta_f, T, constraint):
         if sigma > T_f:
             continue
         neglogp = li[j] + n00 * c00[j] + n01 * c01[j] + n10 * c10[j] + n11 * c11[j]
-        if C._typical_fast(neglogp, float(H[j]), delta_f):
+        if E.is_typical(neglogp, float(H[j]), delta_f):
             return (desc, desc, sigma, _ensemble(grid, n, j))
     return None
 
@@ -103,7 +103,7 @@ def _ref_walk_coarse(stats, delta_f, constraint):
         if constraint and not constraint.allows_m(ms[j]):
             continue
         neglogp = li[j] + n00 * c00[j] + n01 * c01[j] + n10 * c10[j] + n11 * c11[j]
-        if C._typical_fast(neglogp, float(H[j]), delta_f):
+        if E.is_typical(neglogp, float(H[j]), delta_f):
             return (float(obj_arr[j]), int(desc_arr[j]), float(sig_arr[j]), _ensemble(grid, n, j))
     return None
 

@@ -112,15 +112,17 @@ def test_index_errors_inside_numpy_blocks_match_reference():
 
 
 def test_non_bit_characters_keep_the_reference_behaviour():
+    # every character of the stream is read, so each bad one is a DecodeError
     x = _path(MODELS[2], 1 << 14, 3)
     stream = lz78.phrase_stream(x)
     for k in range(1, 30):
         pos = len(stream) * k // 30
-        for ch in "2x_ ":
+        for ch in "2x_ \u0661":
             bad = stream[:pos] + ch + stream[pos + 1 :]
             args = bad, 0, len(x)
             errors = DecodeError, ValueError
             want = _outcome(ref.decode_phrases, *args, errors=errors)
+            assert want[0] == "DecodeError"
             assert _outcome(lz78.decode_phrases, *args, errors=errors) == want
 
 

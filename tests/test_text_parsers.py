@@ -15,7 +15,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eclab import cli, codec, ensembles as E, processes as P, text as T
+from eclab import cli, codec, ensembles as E, lz78, processes as P, text as T
+from eclab.errors import DecodeError
 from eclab.complexity import Constraint
 
 DETERMINISTIC = settings(derandomize=True, max_examples=400, deadline=None)
@@ -328,6 +329,42 @@ def test_decoders_raise_only_value_error_and_roundtrip(bits, n, r, e):
     code = codec.encode_rational(r)
     assert codec.decode_rational(code) == (r, len(code))
     assert E.decode_ensemble(E.serialize(e)) == e
+
+
+_NON_BIT = st.characters(blacklist_characters="01")
+# long enough for lz78.decode to reach its numpy blocks (phrase 257 on)
+_LONG_BITS = st.builds(
+    lambda n, v: format(v % (1 << n), f"0{n}b"), st.integers(1, 6000), st.integers(0, 1 << 6000)
+)
+
+
+@DETERMINISTIC
+@given(_LONG_BITS, _ensembles(), st.integers(1, 1 << 80), st.integers(0, 1 << 20), _NON_BIT, _STREAMS)
+@example("1", E.UniformAll(1), 4, 2, "\u0661", "01\u066100")
+@example("0", E.UniformAll(1), 1, 1, "x", "1x")
+def test_decoders_reject_every_non_bit_character(x, e, k, pos, ch, text):
+    """One character other than '0'/'1' put anywhere into an lz78 code, an
+    ensemble serialization, a delta code or a rational code is a DecodeError:
+    each decoder reads every character of such a code. And where decode_nat
+    and decode_rational succeed on arbitrary text, what they consumed is the
+    code of the value they return, so '0'/'1' text."""
+    cases = (
+        (lz78.decode, lz78.encode(x)),
+        (E.decode_ensemble, E.serialize(e)),
+        (codec.decode_nat, codec.encode_nat(k)),
+        (codec.decode_rational, codec.encode_rational(Fraction(k, k + 1))),
+    )
+    for decode, code in cases:
+        i = pos % len(code)
+        with pytest.raises(DecodeError):
+            decode(code[:i] + ch + code[i + 1 :])
+    for decode, encode in ((codec.decode_nat, codec.encode_nat),
+                           (codec.decode_rational, codec.encode_rational)):
+        try:
+            value, used = decode(text)
+        except DecodeError:
+            continue
+        assert text[:used] == encode(value)
 
 
 # --- the command line ----------------------------------------------------------
