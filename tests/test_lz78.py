@@ -162,6 +162,12 @@ def test_histogram_matches_walk():
         assert lz78.code_length_counts(n) == dict(walk)
 
 
+def test_histogram_totals_and_kraft_up_to_64():
+    for n in range(1, 65):
+        assert sum(lz78.code_length_counts(n).values()) == 1 << n
+        assert lz78.kraft_sum(n) <= 1
+
+
 def test_import_leaves_recursion_limit_unchanged():
     code = (
         "import sys; before = sys.getrecursionlimit(); "
