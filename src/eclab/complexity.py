@@ -27,6 +27,11 @@ that pass and builds witnesses only for the candidates that reach it: the
 fixed and uniform-typical rows of that value, and a tie-band search in each
 order the pass names.
 
+The last string's stats and khat pass are kept in-process, one entry each:
+a run of queries on one x (ec then coarse_ec, or a sweep over delta and
+Delta) parses and scores it once. One CLI process per command gains nothing
+from this, and the kept entry holds one input string.
+
 Each per-tag formula (counts, likelihood factors, description lengths, the
 typicality rule) is defined in `ensembles`; this module evaluates them in bulk.
 
@@ -242,11 +247,27 @@ class StringStats:
         return (self.n, self.first, self.ones, self.n00, self.n01, self.n10, self.n11, self.lz_len)
 
 
+# the last string parsed and its stats, and the last _khat_pass key and result:
+# each one tuple, replaced whole, so a reader never sees a torn entry
+_last_stats: tuple = (None, None)
+_last_khat: tuple = (None, None)
+
+
 def string_stats(x: str, lz_len: Optional[int] = None) -> StringStats:
+    """x's counts and LZ78 code length; the stats of the last x parsed are
+    kept, so querying one x again parses it once. A given lz_len bypasses
+    that (max_coarse_scan's enumeration, where every x is new)."""
+    global _last_stats
+    if lz_len is not None:
+        check_bits(x, "x")
+        return StringStats(*ens.bit_counts(x), lz_len)
+    last_x, last = _last_stats
+    if x == last_x:
+        return last
     check_bits(x, "x")
-    if lz_len is None:
-        lz_len = lz78._code_len_unchecked(x)  # x was checked just above
-    return StringStats(*ens.bit_counts(x), lz_len)
+    stats = StringStats(*ens.bit_counts(x), lz78._code_len_unchecked(x))
+    _last_stats = (x, stats)
+    return stats
 
 
 # --- scheme constants -------------------------------------------------------
@@ -519,9 +540,10 @@ def khat_value(stats: StringStats, cfg: FamilyConfig = DEFAULT_CONFIG, mode: str
     return _khat_pass(stats, cfg, mode)[0]
 
 
-def _khat_pass(stats: StringStats, cfg: FamilyConfig, mode: str) -> tuple[int, list]:
+def _khat_pass(stats: StringStats, cfg: FamilyConfig, mode: str) -> tuple[int, tuple]:
     """The two-part-code minimum and the (tag, m) of each i.i.d. or Markov
-    order whose closed-form value reaches it, in the pass's order.
+    order whose closed-form value reaches it, in the pass's order. mode is
+    only validated: the result of the last key (stats, family) is kept.
 
     Each order's value is desc + m n - floor(log2 of its largest numerator),
     with the numerator's maximum from a closed-form argmax, in floats whose
@@ -538,8 +560,13 @@ def _khat_pass(stats: StringStats, cfg: FamilyConfig, mode: str) -> tuple[int, l
     order is skipped only when the bound is strictly above the minimum so
     far: an order whose value equals the final minimum is always evaluated,
     so the named orders are those of the unpruned pass."""
+    global _last_khat
     n = stats.n
-    mode = _resolve_mode(mode, n, cfg)
+    _resolve_mode(mode, n, cfg)
+    key = (stats, cfg.grid_id, cfg.m_max, cfg.n_max)  # hashing cfg would hash its grid
+    last_key, last = _last_khat
+    if key == last_key:
+        return last
     # uniform-all and singleton-raw reach head + n, singleton-lz head + lz_len
     best = ens.head_len(n) + min(n, stats.lz_len)
     # the exact log-cardinality term is used whenever it is computable; the
@@ -576,7 +603,9 @@ def _khat_pass(stats: StringStats, cfg: FamilyConfig, mode: str) -> tuple[int, l
             cand = desc_mk + m * n - bl
             values.append((cand, "markov-q", m))
             best = min(best, cand)
-    return best, [(tag, m) for v, tag, m in values if v == best]
+    result = best, tuple((tag, m) for v, tag, m in values if v == best)
+    _last_khat = (key, result)
+    return result
 
 
 # --- candidates and the canonical pick -------------------------------------------

@@ -269,11 +269,13 @@ def decode_phrases(bits: str, start: int, n: int) -> tuple[str, int]:
     j = 1
     while produced < n:
         width = (j - 1).bit_length()
-        if j > _VECTOR_MIN and bits.isascii():
+        if j > _VECTOR_MIN:
             run = min((1 << width) - j + 1, (end - i) // (width + 1))
             if run >= _VECTOR_MIN:
                 if view is None:
-                    view = np.frombuffer(bits.encode("ascii"), dtype=np.uint8)
+                    # one byte per character: a non-ASCII one becomes '?',
+                    # which _decode_run marks bad like any non-'0'/'1' byte
+                    view = np.frombuffer(bits.encode("ascii", "replace"), dtype=np.uint8)
                 done, size = _decode_run(view, i, j, width, run, strings, n - produced)
                 i += done * (width + 1)
                 j += done

@@ -234,7 +234,7 @@ def check_size_bound(n_max: int) -> SuiteResult:
     for n in range(1, n_max + 1):
         for k in range(1, 17):
             spec = typical_sets.TypicalSetSpec(Fraction(k, 8), n)
-            if not typical_sets.size_bound_holds(spec, typical_sets.cardinality(spec)):
+            if not typical_sets.size_bound_holds(spec, typical_sets.cardinality(spec, n_max)):
                 failures.append(f"r={k}/8 n={n}")
     return SuiteResult("typical-size-bound", 16 * n_max, failures)
 

@@ -34,12 +34,12 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_size_bound():
     t0 = time.monotonic()
-    res = check_size_bound(18)
+    res = check_size_bound(64)
     elapsed = time.monotonic() - t0
     _report(
         "1 (size bound |T| <= 2^rn)",
         res.ok and elapsed <= 300,
-        f"{len(res.failures)} violations over {res.cases} (r, n) cells, n<=18 x eighth-grid, "
+        f"{len(res.failures)} violations over {res.cases} (r, n) cells, n<=64 x eighth-grid, "
         f"{elapsed:.1f}s",
     )
 

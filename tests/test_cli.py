@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eclab import cli
+from eclab import cli, complexity
 
 
 def run(argv, capsys):
@@ -205,9 +205,29 @@ def test_khat_parses_x_once(capsys, monkeypatch):
     parsed = []
     unchecked = lz78._code_len_unchecked
     monkeypatch.setattr(lz78, "_code_len_unchecked", lambda x: parsed.append(x) or unchecked(x))
+    monkeypatch.setattr(complexity, "_last_stats", (None, None))  # no string kept yet
     code, out, _ = run(["khat", "--x", "0110100110"], capsys)
     assert code == 0 and parse_csv(out)[0]["lz_len"] == str(unchecked("0110100110"))
     assert parsed == ["0110100110"]
+
+
+def test_ec_then_coarse_ec_parse_one_path_once(capsys, monkeypatch):
+    from eclab import lz78, processes
+
+    model = processes.parse_model_spec("markov:flip=1/10")
+    (x, _), = processes.sample_paths(model, 1 << 15, 11, 1)
+    parsed = []
+    unchecked = lz78._code_len_unchecked
+    monkeypatch.setattr(lz78, "_code_len_unchecked", lambda s: parsed.append(len(s)) or unchecked(s))
+    monkeypatch.setattr(complexity, "_last_stats", (None, None))
+    code, ec_out, _ = run(["ec", "--x", x, "--delta", "0", "--eps", "1/10"], capsys)
+    assert code == 0
+    code, coarse_out, _ = run(["coarse-ec", "--x", x, "--delta", "0"], capsys)
+    assert code == 0
+    assert parsed == [1 << 15]
+    ec_row, coarse_row = parse_csv(ec_out)[0], parse_csv(coarse_out)[0]
+    assert ec_row["lz_len"] == coarse_row["lz_len"] == str(unchecked(x))
+    assert ec_row["khat"] == coarse_row["khat"]
 
 
 def test_lz_encode_trusts_the_parse_it_is_handed(capsys, monkeypatch):

@@ -454,7 +454,7 @@ def _khat_pass_reference(stats, cfg, mode):
         num = ((1 << m) - 1) * scan(m, stats.n01, stats.n00) * scan(m, stats.n10, stats.n11)
         values.append((head + 3 * m - num.bit_length(), "markov-q", m))
     best = min(best, *(v for v, _, _ in values))
-    return best, [(tag, m) for v, tag, m in values if v == best]
+    return best, tuple((tag, m) for v, tag, m in values if v == best)
 
 
 _BENCH_MODELS = (
@@ -508,6 +508,7 @@ def test_khat_pass_skips_orders_ruled_out_by_entropy(monkeypatch):
             evaluated = []
             guarded = C._floor_log2_guarded
             with monkeypatch.context() as mp:
+                mp.setattr(C, "_last_khat", (None, None))  # a kept pass would evaluate nothing
                 spy = lambda lg, f: evaluated.append(lg) or guarded(lg, f)
                 mp.setattr(C, "_floor_log2_guarded", spy)
                 assert C._khat_pass(st, C.DEFAULT_CONFIG, "upper") == (value, orders)
@@ -1016,3 +1017,130 @@ def test_config_echo_text_built_once_per_grid():
     first["r_grid"] = "edited"
     assert cfg.echo()["r_grid"] == "1/2,3/4"
     assert C.DEFAULT_CONFIG.echo()["r_grid"] == ",".join(str(r) for r in C.DEFAULT_CONFIG.r_grid)
+
+
+# --- the kept stats and khat pass ----------------------------------------------
+
+
+def _forget(monkeypatch):
+    """Start from an empty memo, as a fresh process does."""
+    monkeypatch.setattr(C, "_last_stats", (None, None))
+    monkeypatch.setattr(C, "_last_khat", (None, None))
+
+
+def test_memo_tells_apart_strings_with_equal_counts():
+    # equal length and counts, different LZ78 code lengths and khat
+    a, b = "000000101", "000001001"
+    fresh = {x: C.StringStats(*E.bit_counts(x), lz78.code_len(x)) for x in (a, b)}
+    assert fresh[a].key[:-1] == fresh[b].key[:-1] and fresh[a].lz_len != fresh[b].lz_len
+    ref = {x: _khat_pass_reference(fresh[x], C.DEFAULT_CONFIG, "exact") for x in (a, b)}
+    assert ref[a][0] != ref[b][0]
+    for x in (a, b, a, a, b, b, a):
+        st = C.string_stats(x)
+        assert st == fresh[x]
+        assert C._khat_pass(st, C.DEFAULT_CONFIG, "exact") == ref[x]
+        assert C.khat(x)[0] == C.coarse_ec(x, 0).khat == ref[x][0]
+
+
+def test_memo_keeps_each_family_apart(monkeypatch):
+    x = "".join("1" if i % 61 == 0 else "0" for i in range(1000))
+    st = C.string_stats(x)
+    ref = {cfg: _khat_pass_reference(st, cfg, "upper") for cfg in (SMALL_CFG, C.DEFAULT_CONFIG)}
+    assert ref[SMALL_CFG][0] != ref[C.DEFAULT_CONFIG][0]
+    fresh = {}
+    for cfg in ref:
+        _forget(monkeypatch)
+        fresh[cfg] = C.khat(x, cfg)
+    for cfg in (SMALL_CFG, C.DEFAULT_CONFIG, C.DEFAULT_CONFIG, SMALL_CFG):
+        assert C._khat_pass(st, cfg, "upper") == ref[cfg]
+        assert C.khat(x, cfg) == fresh[cfg]
+        assert C.khat_value(st, cfg) == ref[cfg][0]
+
+
+def test_memo_still_validates_mode_and_input():
+    x = "01" * 20  # n = 40 > n_max
+    st = C.string_stats(x)
+    value = C.khat(x)[0]  # auto: upper mode, now kept
+    assert C._last_stats[0] == x and C._last_khat[0][0] == st
+    with pytest.raises(ResourceLimitError):
+        C.khat(x, mode="exact")
+    with pytest.raises(ResourceLimitError):
+        C.khat_value(st, mode="exact")
+    with pytest.raises(ResourceLimitError):
+        C.ec(x, ComplexityQuery(Delta=Fraction(4), mode="exact"))
+    with pytest.raises(ValueError, match="mode must be"):
+        C.khat_value(st, mode="fast")
+    assert C.khat_value(st, mode="upper") == value
+    # a non-0/1 x raises right after a valid one, at any length
+    for bad in ("01" * 19 + "0a", "0120", "", " " + x[1:]):
+        with pytest.raises(ValueError, match="x must"):
+            C.string_stats(bad)
+        with pytest.raises(ValueError, match="x must"):
+            C.khat(bad)
+        assert C.string_stats(x) == st
+
+
+def test_memo_orders_cannot_be_mutated():
+    x = "0110100110010110"
+    st = C.string_stats(x)
+    value, orders = C._khat_pass(st, C.DEFAULT_CONFIG, "exact")
+    assert isinstance(orders, tuple)
+    with pytest.raises(AttributeError):
+        orders.append(("iid", 1))
+    assert C._khat_pass(st, C.DEFAULT_CONFIG, "exact") == _khat_pass_reference(
+        st, C.DEFAULT_CONFIG, "exact"
+    )
+
+
+def test_memo_across_threads():
+    import threading
+
+    model = processes.parse_model_spec("markov:flip=1/10")
+    xs = [x for x, _ in processes.sample_paths(model, 300, 5, 4)]
+    expected = {x: (C.string_stats(x), C.khat_value(C.string_stats(x))) for x in xs}
+    errors = []
+
+    def query(first):
+        # both threads query every string, each a different one at a time
+        order = xs[first:] + xs[:first]
+        for _ in range(300):
+            for x in order:
+                st = C.string_stats(x)
+                got = (st, C.khat_value(st))
+                if got != expected[x]:
+                    errors.append((x, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=query, args=(2 * i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+
+
+def test_check_thm4_scores_each_string_once(monkeypatch):
+    from eclab.selftest import check_thm4
+
+    _forget(monkeypatch)
+    calls = passes = 0
+    original = C._khat_pass
+
+    def spy(stats, cfg, mode):
+        nonlocal calls, passes
+        before = C._last_khat
+        result = original(stats, cfg, mode)
+        calls += 1
+        passes += C._last_khat is not before  # a pass ran and replaced the entry
+        return result
+
+    monkeypatch.setattr(C, "_khat_pass", spy)
+    deltas = [Fraction(0), Fraction(1, 4), Fraction(1)]
+    res = check_thm4(6, deltas, [Fraction(v) for v in range(0, 17, 4)])
+    assert res.ok
+    strings = sum(1 << n for n in range(1, 7))
+    assert passes == strings and calls == strings * len(deltas) * 6

@@ -126,6 +126,48 @@ def test_non_bit_characters_keep_the_reference_behaviour():
             assert _outcome(lz78.decode_phrases, *args, errors=errors) == want
 
 
+def test_non_ascii_characters_anywhere_match_reference():
+    # inserted in the delta head, the first records, a width block, the last
+    # record and after the stream: the same string or the same DecodeError
+    x = _path(MODELS[0], 1 << 14, 5)
+    code = lz78.encode(x)
+    head = len(code) - lz78.code_len(x)
+    spots = {
+        "delta head": 1,
+        "head records": head + lz78._phrase_bits(100) + 2,
+        "width block": head + lz78._phrase_bits(2 * lz78._VECTOR_MIN + 7) + 3,
+        "last record": len(code) - 1,
+        "after the stream": len(code),
+    }
+    assert len(code) - lz78._phrase_bits(lz78._VECTOR_MIN) > 4 * lz78._VECTOR_MIN
+    for ch in ("\u0661", "\ud800"):
+        for where, pos in spots.items():
+            bad = code[:pos] + ch + code[pos:]
+            want = _outcome(ref.decode, bad)
+            assert want[0] == "DecodeError", where
+            assert _outcome(lz78.decode, bad) == want, where
+        bad = code[:-1] + ch  # the last record's literal replaced
+        assert _outcome(lz78.decode, bad) == _outcome(ref.decode, bad)
+
+
+def test_trailing_non_ascii_decodes_at_block_speed():
+    import time
+
+    code = lz78.encode(_path(MODELS[0], 1 << 18, 9))
+    bad = code + "\u0661"
+
+    def best(bits):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            _outcome(lz78.decode, bits)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    assert _outcome(lz78.decode, bad) == ("DecodeError", "trailing data after the phrase stream")
+    assert best(bad) < 3 * best(code)
+
+
 def test_singleton_lz_serialization_roundtrip(paths):
     for x in paths:
         bits = ensembles.serialize(ensembles.SingletonLZ(x))
