@@ -310,11 +310,10 @@ def _cmd_typical(args) -> int:
 
 def _cmd_khat(args) -> int:
     x = _bits_arg(args.x, "--x")
-    stats = complexity.string_stats(x)
-    value, witness = complexity.khat(x, mode=args.mode, stats=stats)
+    value, witness = complexity.khat(x, mode=args.mode)
     report = ComplexityReport(
         n=len(x),
-        lz_len=stats.lz_len,
+        lz_len=complexity.string_stats(x).lz_len,  # the parse khat kept
         khat=value,
         witness=witness,
         mode=complexity._resolve_mode(args.mode, len(x), complexity.DEFAULT_CONFIG),

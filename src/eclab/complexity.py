@@ -52,15 +52,14 @@ out, and stop once D alone does.
 
 Every Markov quantity is read from its order's rows: for order m, -log2 q,
 -log2 (1 - q), h(q) and q over q = a / 2^m, a = 1 .. 2^m - 1, broadcast over
-the (a0, a1, ai) product of that order; no array spans two orders. The
-Markov groups come from one of two sources. Up to n_max, an exact table per
-(n, m), shared by every m_max and built the first time a pick reads that m:
-the run is the first typical entry of the order's total-information order
-and the stretch of equal Sigma after it. Beyond n_max, no whole order is
-visited: each (a0, a1) block gets a lower bound on -log2 p(x) and the range
-of its closed-form entropies, which rule out the blocks that cannot hold a
-typical entry; the rest are expanded in ascending entropy order, and the
-run is the first entry confirmed with the defining recursion.
+the (a0, a1, ai) product of that order; no array spans two orders. One
+Markov search serves every n and visits no whole order: each (a0, a1) block
+gets a lower bound on -log2 p(x) and the range of its closed-form entropies,
+which rule out the blocks that cannot hold a typical entry; the rest are
+expanded in ascending closed-form entropy order, and each entry read is
+confirmed with the defining recursion. Up to n_max the run is every typical
+entry of least Sigma, found near the first one confirmed; beyond n_max it
+is the first one confirmed, within a fixed number of tries per order.
 """
 
 from __future__ import annotations
@@ -107,7 +106,7 @@ __all__ = [
 _FLOAT_GUARD = 1e-6
 _BIG_N_FLOAT = 64  # above this length, the Markov tie band is the top 1e-9 of log2
 _STRAGGLER_CAP = 256  # large-n Markov entries retried per m before giving up on m
-_CLOSED_LENGTHS = 8  # lengths whose closed-form entropies and exact m_max slices are kept
+_CLOSED_LENGTHS = 8  # lengths whose closed-form Markov entropies are kept
 
 
 _R_GRID_IDS: dict[tuple[Fraction, ...], int] = {}
@@ -308,11 +307,9 @@ def coarse_scheme_constant(scan_n_max: int = 16) -> int:
 # axes, so no array spans more than one order.
 
 _ORDER_ROWS: dict[int, tuple] = {}
-_MARKOV_PER_N: dict[tuple[int, int], dict] = {}
 _CLOSED_PER_N: dict[int, dict[int, tuple]] = {}
 _IID_PER_N: dict[tuple[int, int], tuple] = {}
 _UT_PER_N: dict[tuple, list] = {}
-_CAPPED_M = 6  # exact Markov tables of this order and above are kept for _CLOSED_LENGTHS lengths
 
 
 def _order_rows(m: int) -> tuple:
@@ -334,37 +331,11 @@ def _order_rows(m: int) -> tuple:
     return rows
 
 
-def _markov_entropies(n: int, m: int) -> np.ndarray:
-    """H over the order-m entries, in slice order, by the same forward
-    recursion as ensembles.entropy.
-
-    Each step is the scalar step's expressions, in order, into (k, k, k)
-    buffers: q0 and h0 broadcast along a0, q1 and h1 along a1, and the
-    initial marginal and its entropy along ai. Every operation is
-    elementwise, so each entry is the scalar value bit for bit."""
-    _log1, _log0, hof, prob = _order_rows(m)
-    k = len(prob)
-    h0, q0 = hof[:, None, None], prob[:, None, None]
-    h1, stay1 = hof[None, :, None], (1.0 - prob)[None, :, None]
-    p1 = np.broadcast_to(prob, (k, k, k)).copy()
-    total = np.broadcast_to(hof, (k, k, k)).copy()
-    p0, a, b = np.empty_like(p1), np.empty_like(p1), np.empty_like(p1)
-    for _ in range(n - 1):
-        np.subtract(1.0, p1, out=p0)
-        np.multiply(p0, h0, out=a)
-        np.multiply(p1, h1, out=b)
-        np.add(a, b, out=a)
-        np.add(total, a, out=total)
-        np.multiply(p0, q0, out=a)
-        np.multiply(p1, stay1, out=p1)
-        np.add(a, p1, out=p1)
-    return total.ravel()
-
-
 def _closed_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed form of the same chain-rule sum over the order-m entries, for
-    large-n prefiltering, as (a0, a1) blocks of k entries, with each block's
-    minimum and maximum, read-only.
+    """Closed form of the chain-rule entropy sum over the order-m entries, as
+    (a0, a1) blocks of k entries, with each block's minimum and maximum,
+    read-only, within _closed_margin(n) of the defining recursion's values:
+    it orders and prefilters every Markov search.
 
     The stationary mean and the geometric factor depend on (a0, a1) only, so
     they are computed once per block and broadcast along ai. The orders read
@@ -393,33 +364,6 @@ def _closed_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         for arr in cached:
             arr.flags.writeable = False
     return cached
-
-
-def _markov_tables(n: int, m: int) -> dict:
-    """Exact Markov arrays of one length and one order, built on first use:
-    its entropies H, their minimum Hmin, and a slice-local int32 ec_order.
-    Within an order desc is constant and serialization order is the slice's
-    own (a0, a1, ai) order, so ec_order, a stable sort by total information
-    desc + H, replicates the tie-break comparator; _markov_run rebuilds the
-    key with the same float operations. The tables do not depend on the
-    family configuration beyond (n, m), so every m_max shares them. Tables of
-    order _CAPPED_M and above (3 MB each at m = 6) are kept for the
-    _CLOSED_LENGTHS most recently used lengths, smaller ones all stay."""
-    key = (n, m)
-    tables = _MARKOV_PER_N.get(key)
-    if tables is not None:
-        if m >= _CAPPED_M:  # most recently used last
-            _MARKOV_PER_N[key] = _MARKOV_PER_N.pop(key)
-        return tables
-    H = _markov_entropies(n, m)
-    ec_order = np.argsort(H + ens.markov_desc_len(n, m), kind="stable").astype(np.int32)
-    tables = {"H": H, "Hmin": float(H.min()), "ec_order": ec_order}
-    if m >= _CAPPED_M:
-        same_m = [k for k in _MARKOV_PER_N if k[1] == m]
-        if len(same_m) >= _CLOSED_LENGTHS:
-            del _MARKOV_PER_N[same_m[0]]
-    _MARKOV_PER_N[key] = tables
-    return tables
 
 
 def _iid_table(n: int, m: int) -> tuple:
@@ -655,19 +599,14 @@ def _fixed_rows(x: str, stats: StringStats) -> tuple:
 
 
 def khat(
-    x: str,
-    cfg: FamilyConfig = DEFAULT_CONFIG,
-    mode: str = "auto",
-    stats: Optional[StringStats] = None,
+    x: str, cfg: FamilyConfig = DEFAULT_CONFIG, mode: str = "auto"
 ) -> tuple[int, ens.Ensemble]:
     """Two-part-code minimum together with its canonical witness ensemble.
 
     The value is _khat_pass's; witnesses are built only for the candidates
-    that reach it. `stats`, when given, must be string_stats(x); it saves
-    parsing x again.
+    that reach it.
     """
-    if stats is None:
-        stats = string_stats(x)
+    stats = string_stats(x)
     n = stats.n
     value, orders = _khat_pass(stats, cfg, mode)
     finalists = [
@@ -713,7 +652,6 @@ def _khat_markov_champion(stats: StringStats, cfg: FamilyConfig, m: int) -> _Can
     rows = (tmin + t10) + t11  # per a1, the least -log2 p(x): float addition is monotone
     vmin = rows.min()
     lgmax = float(m * n - vmin)  # log2 of the largest numerator
-    H = _markov_tables(n, m)["H"] if small else None
     # equal two-part values mean equal numerator bit lengths, so at small n
     # the tie band is the whole top unit interval (minus one for float safety)
     band = (math.floor(lgmax) - 1 - _FLOAT_GUARD) if small else (lgmax - 1e-9)
@@ -740,14 +678,21 @@ def _khat_markov_champion(stats: StringStats, cfg: FamilyConfig, m: int) -> _Can
         init = ai if stats.first else top - ai
         bl[i] = 1 + _floor_log2_product(ens.markov_factors(stats, top, init, a0, a1))
     best_bl = int(bl.max())
-    tied = near[bl == best_bl].tolist()
-    # equal desc within m: ties go to total information H + desc (not bare
-    # H: adding desc in floats can merge neighboring H values), then to
-    # (a0, a1, ai), which is serialization order within one m and the
-    # order of the slice's indices
-    j = min(tied, key=lambda j: (float(H[j]) + desc if H is not None else 0.0, j))
-    e = _markov_ensemble(n, m, j)
-    sigma = (float(H[j]) if H is not None else ens.entropy(e)) + desc
+    tied = near[bl == best_bl]
+    # equal desc within m: at small n ties go to total information H + desc,
+    # then to (a0, a1, ai), which is serialization order within one m and the
+    # order of the slice's indices; beyond, to (a0, a1, ai) alone
+    if small:
+        Hc = _closed_tables(n, m)[0].ravel()[tied]
+        by_hc = np.lexsort((tied, Hc))
+        entries = (
+            (hc, j, ens.entropy(_markov_ensemble(n, m, j)))
+            for hc, j in zip(Hc[by_hc].tolist(), tied[by_hc].tolist())
+        )
+        sigma, [(_H, e), *_] = _least_sigma(entries, n, m, desc)
+    else:
+        e = _markov_ensemble(n, m, int(tied.min()))
+        sigma = ens.entropy(e) + desc
     return _Candidate(desc + m * n - best_bl + 1, desc, sigma, e)
 
 
@@ -781,14 +726,19 @@ def _markov_ensemble(n: int, m: int, j: int) -> ens.MarkovQuantized:
     return ens.MarkovQuantized(n, m, a0 + 1, a1 + 1, ai + 1)
 
 
-def _markov_confirmed(stats: StringStats, m: int, delta_f: float):
-    """Yield (ensemble, H), in (closed-form H, a0, a1, ai) order, for the
-    large-n order-m Markov entries that x is typical for.
+def _closed_margin(n: int) -> float:
+    """A bound on |closed-form H - H| at length n, far above their rounding."""
+    return 1e-6 + 1e-12 * n
 
-    An entry is kept when its closed-form entropy makes x typical, with a
-    margin for the closed form's rounding. The first _STRAGGLER_CAP kept
-    entries are confirmed: H is rebuilt by the defining recursion and the
-    entry is yielded if x stays typical.
+
+def _markov_confirmed(stats: StringStats, m: int, delta_f: float, cap: float = math.inf):
+    """Yield (closed-form H, slice-local index, H), in (closed-form H, a0,
+    a1, ai) order, for the order-m Markov entries that x is typical for.
+
+    An entry is kept when its closed-form entropy makes x typical, with
+    _closed_margin for the closed form's rounding. The first cap kept
+    entries (all, by default) are confirmed: H is rebuilt by the defining
+    recursion and the entry is yielded if x stays typical.
 
     The slice is the product (a0, a1, ai) with ai fastest, so -log2 p(x) is
     an (a0, ai) table plus two a1 terms (_markov_terms).
@@ -800,7 +750,7 @@ def _markov_confirmed(stats: StringStats, m: int, delta_f: float):
     every block not yet expanded, so no later entry can precede it.
     """
     n = stats.n
-    margin = 1e-6 + 1e-12 * n
+    margin = _closed_margin(n)
     scale = 1.0 + delta_f
     k = (1 << m) - 1
     table, t10, t11 = _markov_terms(stats, m)
@@ -808,7 +758,7 @@ def _markov_confirmed(stats: StringStats, m: int, delta_f: float):
     bound = (table.min(axis=1)[:, None] + t10) + t11  # per (a0, a1) block
     blocks = np.flatnonzero(bound.ravel() <= hi * scale + ens.TYPICALITY_SLACK + margin)
     blocks = blocks[np.argsort(lo[blocks], kind="stable")]
-    left = _STRAGGLER_CAP
+    left = cap
     pend_h = pend_i = pend_v = None  # kept entries not yet confirmed
     done, chunk = 0, 2
     while done < len(blocks):
@@ -829,21 +779,42 @@ def _markov_confirmed(stats: StringStats, m: int, delta_f: float):
         ready = len(hb) if done == len(blocks) else int(np.searchsorted(hb, lo[blocks[done]]))
         ready = min(ready, left)
         left -= ready
-        for i, vi in zip(ib[:ready].tolist(), vb[:ready].tolist()):
-            e = _markov_ensemble(n, m, i)
-            H = ens.entropy(e)
+        for hc, i, vi in zip(hb[:ready].tolist(), ib[:ready].tolist(), vb[:ready].tolist()):
+            H = ens.entropy(_markov_ensemble(n, m, i))
             if ens.is_typical(vi, H, delta_f):
-                yield e, H
+                yield hc, i, H
         if left == 0:
             return
         pend_h, pend_i, pend_v = hb[ready:], ib[ready:], vb[ready:]
 
 
+def _least_sigma(entries: Iterable[tuple], n: int, m: int, desc: int) -> Optional[tuple]:
+    """The run of the order-m entries (closed-form H, slice-local index, H)
+    given in ascending closed-form H, or None for no entries: the least
+    sigma = H + desc, added in floats as a sort by total information adds
+    it, and the entries (H, ensemble) that have it, in serialization order.
+    Each closed-form H is within _closed_margin(n) of H, so reading stops at
+    the first entry whose closed-form H exceeds the first one's by more than
+    twice the margin: it cannot reach the least sigma."""
+    band, last = [], math.inf
+    for hc, j, H in entries:
+        if hc > last:
+            break
+        if not band:
+            last = hc + 2 * _closed_margin(n)
+        band.append((H + desc, j, H))
+    if not band:
+        return None
+    band.sort()
+    sigma = band[0][0]
+    return sigma, [(H, _markov_ensemble(n, m, j)) for s, j, H in band if s == sigma]
+
+
 # --- the frontier and its two picks ---------------------------------------------
 #
-# A group is (desc, hmin, read): hmin, a number or a callable, bounds its
-# entropies from below, and read() gives its run (sigma, members), members
-# as (H, ensemble) in serialization order, or None when none is typical.
+# A group is (desc, hmin, read): hmin bounds its entropies from below, and
+# read() gives its run (sigma, members), members as (H, ensemble) in
+# serialization order, or None when none is typical.
 
 def _run_of(rows: list, typical, build) -> Optional[tuple]:
     """The run of rows (H, sigma, ...) in (sigma, serialization) order: the
@@ -858,80 +829,27 @@ def _run_of(rows: list, typical, build) -> Optional[tuple]:
     return (sigma, members) if members else None
 
 
-def _first_typical(terms: tuple, H: np.ndarray, order: np.ndarray, delta_f: float) -> Optional[int]:
-    """First position k in order whose entry order[k] of an order's slice
-    (entropies H, -log2 p(x) terms of _markov_terms) makes x delta-typical,
-    found in chunks that grow 4x: most scans stop within the first few
-    entries, a few scan a whole slice."""
-    start, chunk = 0, 32
-    while start < len(order):
-        ok = _markov_typical(terms, H, order[start : start + chunk], delta_f)
-        k = int(ok.argmax())
-        if ok[k]:
-            return start + k
-        start += chunk
-        chunk *= 4
-    return None
-
-
-def _markov_typical(terms: tuple, H: np.ndarray, js: np.ndarray, delta_f: float) -> np.ndarray:
-    """Whether x is typical for the slice-local entries js (entropies H):
-    -log2 p(x) read from the terms and ens.is_typical elementwise, the scalar
-    test bit for bit."""
-    table, t10, t11 = terms
-    k = len(t10)
-    a0a1, ai = np.divmod(js, k)
-    a0, a1 = np.divmod(a0a1, k)
-    v = (table[a0, ai] + t10[a1]) + t11[a1]
-    return ens.is_typical(v, H[js], delta_f)
-
-
-def _markov_run(stats: StringStats, m: int, delta_f: float, desc: int) -> Optional[tuple]:
-    """The run of an exact order-m slice: the first typical entry of
-    ec_order and the typical entries of the stretch of equal sigma after it,
-    which ec_order keeps in serialization order."""
-    t = _markov_tables(stats.n, m)
-    H, order = t["H"], t["ec_order"]
-    terms = _markov_terms(stats, m)
-    p = _first_typical(terms, H, order, delta_f)
-    if p is None:
-        return None
-    sigma = H[order[p]] + desc
-    stop, width = p + 1, 4
-    while stop < len(order) and H[order[stop]] + desc == sigma:  # in windows that grow 4x
-        same = H[order[stop : stop + width]] + desc == sigma
-        stop += len(same) if same.all() else int(same.argmin())
-        width *= 4
-    js = order[p:stop][_markov_typical(terms, H, order[p:stop], delta_f)]
-    members = [(float(H[j]), _markov_ensemble(stats.n, m, j)) for j in js.tolist()]
-    return float(sigma), members
-
-
 def _markov_groups(
     stats: StringStats, delta_f: float, constraint: Optional[Constraint], cfg: FamilyConfig
 ):
-    """One group per order m. Up to n_max, hmin and the run come from the
-    exact table of (n, m), built on first use. Beyond n_max, hmin is the
-    slice's least closed-form entropy less the closed form's rounding margin,
-    and the run is the first entry _markov_confirmed yields."""
+    """One group per order m. hmin is n h(2^-m) less _closed_margin: each
+    step of the chain-rule sum adds p0 h(q0) + p1 h(q1) >= h(2^-m), and the
+    first adds h(ai / 2^m) >= h(2^-m), with equality at a0 = a1 = ai = 1.
+    The run comes from _markov_confirmed. Up to n_max it is exhaustive and the
+    run is every typical entry of least sigma (_least_sigma); beyond n_max
+    the run is the first entry confirmed within _STRAGGLER_CAP tries."""
     n = stats.n
-    exact = n <= cfg.n_max
-
-    def hmin(m):
-        if exact:
-            return _markov_tables(n, m)["Hmin"]
-        return float(_closed_tables(n, m)[1].min()) - (1e-6 + 1e-12 * n)
 
     def run(m, desc):
-        if exact:
-            return _markov_run(stats, m, delta_f, desc)
-        e, H = next(_markov_confirmed(stats, m, delta_f), (None, None))
-        return None if e is None else (H + desc, [(H, e)])
+        if n <= cfg.n_max:
+            return _least_sigma(_markov_confirmed(stats, m, delta_f), n, m, desc)
+        _hc, j, H = next(_markov_confirmed(stats, m, delta_f, _STRAGGLER_CAP), (None,) * 3)
+        return None if j is None else (H + desc, [(H, _markov_ensemble(n, m, j))])
 
     for m in range(1, cfg.m_max + 1):
         if not constraint or constraint.allows_m(m):
             desc = ens.markov_desc_len(n, m)
-            yield desc, partial(hmin, m), partial(run, m, desc)
+            yield desc, n * binary_entropy(1 / (1 << m)) - _closed_margin(n), partial(run, m, desc)
 
 
 def _frontier(
@@ -984,7 +902,7 @@ def _runs(groups: Iterable, stop, skip) -> Iterable[tuple]:
     for desc, hmin, read in groups:
         if stop(desc):
             return
-        if not skip(desc, hmin() if callable(hmin) else hmin):
+        if not skip(desc, hmin):
             run = read()
             if run is not None:
                 yield desc, run

@@ -82,15 +82,16 @@ def test_khat_value_agrees_with_witness_path():
 
 def test_khat_with_stats_does_not_revalidate_x(monkeypatch):
     """Fixed-row ensembles are built only when they reach khat, so a long x is
-    not checked again by the singleton constructors."""
+    not checked again by the singleton constructors, and khat after
+    string_stats(x) reads the kept stats instead of checking x again."""
     ((x, _),) = processes.sample_paths(processes.parse_model_spec("markov:flip=1/10"), 1 << 12, 1, 1)
-    stats = C.string_stats(x)
+    C.string_stats(x)
     checked = []
     check_bits = E.check_bits
-    monkeypatch.setattr(
-        E, "check_bits", lambda s, what: (checked.append(len(s)), check_bits(s, what))[1]
-    )
-    C.khat(x, stats=stats)
+    spy = lambda s, what: (checked.append(len(s)), check_bits(s, what))[1]
+    monkeypatch.setattr(E, "check_bits", spy)
+    monkeypatch.setattr(C, "check_bits", spy)
+    C.khat(x)
     assert checked == []
 
 
@@ -115,16 +116,31 @@ def test_coarse_ec_builds_no_losing_singleton(monkeypatch):
 
 
 def test_markov_entropy_tables_match_scalar():
+    """Slice-local indices name the flat grid's entries, and the closed-form
+    entropies lie within 1e-9 n of the defining recursion's."""
     grid = flat_markov_grid.flat_grid(3)
     for n in (1, 2, 5, 9):
         for m, sl in grid.m_slices.items():
-            H = C._markov_entropies(n, m)
+            closed = C._closed_tables(n, m)[0].ravel()
             for j in range(sl.stop - sl.start):
                 e = flat_markov_grid.ensemble(grid, n, sl.start + j)
                 assert C._markov_ensemble(n, m, j) == e
-                assert H[j] == E.entropy(e), (n, m, j)
-            closed = C._closed_tables(n, m)[0].ravel()
-            assert max(abs(closed - H)) < 1e-9 * max(1, n)
+                assert abs(closed[j] - E.entropy(e)) < 1e-9 * max(1, n), (n, m, j)
+
+
+def test_markov_hmin_bounds_every_entropy():
+    """Each Markov group's hmin, n h(2^-m) less the closed form's margin, is
+    at most every entropy of its order and within twice the margin of the
+    least: the defining recursion's over the flat grid up to n = 64, the
+    closed form's slice minimum beyond."""
+    grid = flat_markov_grid.flat_grid(6)
+    for n in (1, 2, 9, 24, 64, 1 << 12, 1 << 15, 1 << 18):
+        groups = C._markov_groups(C.string_stats("0" * n), 0.0, None, C.DEFAULT_CONFIG)
+        H_all = grid.entropies(n) if n <= 64 else None
+        for m, (_desc, hmin, _read) in zip(range(1, 7), groups):
+            H = H_all[grid.m_slices[m]] if n <= 64 else C._closed_tables(n, m)[1]
+            least = float(H.min())
+            assert hmin <= least <= hmin + 2 * C._closed_margin(n), (n, m, hmin, least)
 
 
 _GRID_ARRAYS = (
@@ -194,15 +210,9 @@ def test_order_rows_match_scalar_build():
 
 def test_per_order_tables_match_flat_reference():
     """Every per-order quantity, bit for bit the flat grid's, for m = 1-6:
-    exact entropies (lengths in descending, then ascending order, so no call
-    leaves state behind for the next), closed-form entropies with their
-    (a0, a1) block minima and maxima, and -log2 p(x) gathered from
-    _markov_terms through slice-local indices."""
+    closed-form entropies with their (a0, a1) block minima and maxima, and
+    -log2 p(x) gathered from _markov_terms through slice-local indices."""
     grid = flat_markov_grid.flat_grid(6)
-    for n in (24, 20, 8, 2, 1, 8, 64):
-        H_all = grid.entropies(n)
-        for m, sl in grid.m_slices.items():
-            assert C._markov_entropies(n, m).tobytes() == H_all[sl].tobytes(), (n, m)
     for n in (25, 100, 1000, 1 << 12, 1 << 15, 1 << 18):
         H_all, lo_all, hi_all = grid.closed_tables(n)
         for m, sl in grid.m_slices.items():
@@ -212,67 +222,21 @@ def test_per_order_tables_match_flat_reference():
             assert H.tobytes() == H_all[sl].tobytes(), (n, m)
             bsl = grid.block_slices[m]
             assert lo.tobytes() == lo_all[bsl].tobytes() and hi.tobytes() == hi_all[bsl].tobytes()
-    # seeded strings, and -log2 p(x) against the entropies of their length
-    # in the typicality test
+    # seeded strings
     rng = np.random.default_rng(14)
     xs = ["".join(map(str, rng.integers(0, 2, n))) for n in (1, 2, 9, 24, 24, 64, 100, 4096)]
     xs += ["0" * 20, "1" * 20, "01" * 10, "0011" * 5]
     for x in xs:
         st = C.string_stats(x)
-        n = st.n
-        H_all = grid.entropies(n) if n <= 64 else grid.closed_tables(n)[0]
         for m, sl in grid.m_slices.items():
             want = flat_markov_grid.neglogp(st, grid, sl)
-            table, t10, t11 = terms = C._markov_terms(st, m)
+            table, t10, t11 = C._markov_terms(st, m)
             k = len(t10)
             js = np.arange(k**3)
             a0a1, ai = np.divmod(js, k)
             a0, a1 = np.divmod(a0a1, k)
             got = (table[a0, ai] + t10[a1]) + t11[a1]
             assert got.tobytes() == want.tobytes(), (x, m)
-            for delta_f in (0.0, 0.25, 1.0):
-                ok = want <= H_all[sl] * (1.0 + delta_f) + E.TYPICALITY_SLACK
-                typical = C._markov_typical(terms, H_all[sl], js, delta_f)
-                assert np.array_equal(typical, ok), (x, m, delta_f)
-
-
-def test_markov_orders_match_lexsort():
-    grid = flat_markov_grid.flat_grid(6)
-    for n in (1, 2, 9, 20, 24):
-        H_all = grid.entropies(n)
-        for m, sl in grid.m_slices.items():
-            t = C._markov_tables(n, m)
-            # the tables keep only H; the sort keys are rebuilt here from the flat grid
-            H = t["H"]
-            assert H.tobytes() == H_all[sl].tobytes(), (n, m)
-            desc = 3 + nat_code_len(n) + grid.descbase[sl]
-            sig = H_all[sl] + desc
-            a0, a1, ai = grid.a0[sl], grid.a1[sl], grid.ai[sl]
-            ec_ref = np.lexsort((ai, a1, a0, sig))
-            assert sorted(t) == ["H", "Hmin", "ec_order"]
-            assert t["Hmin"] == float(H_all[sl].min())
-            assert t["ec_order"].dtype == np.int32
-            assert np.array_equal(t["ec_order"], ec_ref), (n, m)
-
-
-def test_markov_table_cache_keeps_few_largest_slices(monkeypatch):
-    """Every order of the lengths 25..36: the order-6 tables of the
-    _CLOSED_LENGTHS most recently used lengths stay, smaller orders all stay,
-    and a read counts as a use. The keys are (n, m), so a family with a
-    smaller m_max reads the same tables."""
-    monkeypatch.setattr(C, "_MARKOV_PER_N", {})
-    assert C._CAPPED_M == 6 and C._CLOSED_LENGTHS == 8
-    for n in range(25, 37):
-        for m in range(1, 7):
-            C._markov_tables(n, m)
-    top = [key[0] for key in C._MARKOV_PER_N if key[1] == 6]
-    assert top == list(range(29, 37))
-    assert sum(key[1] < 6 for key in C._MARKOV_PER_N) == 5 * 12
-    kept = C._markov_tables(29, 6)
-    C._markov_tables(37, 6)
-    top = [key[0] for key in C._MARKOV_PER_N if key[1] == 6]
-    assert top == [*range(31, 37), 29, 37]
-    assert C._markov_tables(29, 6) is kept
 
 
 _FIRST_CALL_PEAK = """
@@ -300,25 +264,6 @@ def test_first_call_builds_no_whole_grid(mode):
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     assert int(out) < 20_000_000, int(out)
-
-
-def test_smaller_m_max_shares_the_exact_tables(monkeypatch):
-    """The exact tables are keyed by (n, m) alone: a query under
-    FamilyConfig(m_max=2) builds tables that the default family then reads
-    as the same objects."""
-    monkeypatch.setattr(C, "_MARKOV_PER_N", {})
-    x = "00000000000000000000000000000000010000100001"
-    cfg = FamilyConfig(m_max=2, n_max=64)
-    query = ComplexityQuery(delta=Fraction(1), Delta=Fraction(8), mode="exact")
-    C.ec(x, query, cfg)
-    C.coarse_ec(x, 1, "exact", cfg)
-    built = dict(C._MARKOV_PER_N)
-    assert {m for _n, m in built} == {1, 2}
-    C.coarse_ec(x, 1, "exact", FamilyConfig(n_max=64))
-    C.ec(x, query, FamilyConfig(n_max=64))
-    for key, tables in built.items():
-        assert C._MARKOV_PER_N[key] is tables
-        assert C._markov_tables(*key) is tables
 
 
 def test_smaller_m_max_shares_the_iid_tables(monkeypatch):
@@ -924,9 +869,9 @@ def test_upper_mode_walks_match_direct_scan_beyond_nmax():
 def test_upper_mode_straggler_order_and_cap(monkeypatch):
     # the large-n walks confirm Markov stragglers in (closed-form H, a0, a1, ai)
     # order; the reference is the tuple-key sort over a whole-slice prefilter.
-    # With the cap lifted and every confirmation passing, _markov_confirmed
-    # yields its complete kept sequence (as slice-local indices, patched in
-    # below); the keys and -log2 p(x) come from the test-side flat grid
+    # Without a cap and with every confirmation passing (no ensemble built,
+    # patched in below), _markov_confirmed yields its complete kept sequence;
+    # the keys and -log2 p(x) come from the test-side flat grid
     cfg = C.DEFAULT_CONFIG
     grid = flat_markov_grid.flat_grid(cfg.m_max)
     cases = []
@@ -956,22 +901,20 @@ def test_upper_mode_straggler_order_and_cap(monkeypatch):
                 typ = v <= Hcf * (1.0 + delta_f) + E.TYPICALITY_SLACK + margin
                 ref = sorted(np.flatnonzero(typ).tolist(), key=lambda i: keys[i])
                 with monkeypatch.context() as mp:
-                    mp.setattr(C, "_STRAGGLER_CAP", grid.size)  # above any slice's count
                     mp.setattr(C, "_markov_ensemble", lambda n, m, j: j)
                     mp.setattr(C.ens, "entropy", lambda j: math.inf)
-                    kept = [j for j, _H in C._markov_confirmed(st, m, delta_f)]
-                assert kept == ref
+                    kept = list(C._markov_confirmed(st, m, delta_f))
+                assert kept == [(Hcf[i], i, math.inf) for i in ref]
                 if n > 1 << 10:
                     continue
                 # with the cap and the defining recursion: the first
                 # _STRAGGLER_CAP kept entries that stay typical
                 confirmed = []
                 for i in ref[: C._STRAGGLER_CAP]:
-                    e = flat_markov_grid.ensemble(grid, n, sl.start + i)
-                    H = E.entropy(e)
+                    H = E.entropy(flat_markov_grid.ensemble(grid, n, sl.start + i))
                     if E.is_typical(float(v[i]), H, delta_f):
-                        confirmed.append((e, H))
-                assert list(C._markov_confirmed(st, m, delta_f)) == confirmed
+                        confirmed.append((Hcf[i], i, H))
+                assert list(C._markov_confirmed(st, m, delta_f, C._STRAGGLER_CAP)) == confirmed
 
     def results():
         out = []

@@ -23,7 +23,7 @@ from eclab.codec import nat_code_len
 from eclab.complexity import Constraint
 
 CFG = C.DEFAULT_CONFIG
-EXACT_CFG = C.FamilyConfig(n_max=64)  # the walk reads the exact tables up to n = 64
+EXACT_CFG = C.FamilyConfig(n_max=64)  # the exhaustive Markov search up to n = 64
 DELTAS = (Fraction(0), Fraction(1, 4), Fraction(1))
 BUDGETS = (Fraction(0), Fraction(1), Fraction(4), Fraction(16))
 EPS = Fraction(1, 8)
@@ -219,7 +219,7 @@ def _check_walks(stats):
                 assert got == want, (stats, delta, T, constraint)
 
 
-def _check_khat(x, stats, monkeypatch):
+def _check_khat(x, stats, monkeypatch, mode="exact"):
     """The least of the per-m champions against the reference at an unlimited
     cut, and khat asking for exactly the orders whose champion reaches khat."""
     champion = C._khat_markov_champion
@@ -233,7 +233,7 @@ def _check_khat(x, stats, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(C, "_khat_markov_champion", spy)
-        value, _witness = C.khat(x, CFG, "exact", stats=stats)
+        value, _witness = C.khat(x, CFG, mode)
     assert seen == [m for m, c in per_m.items() if c.objective == value], (stats, value)
 
 
@@ -267,41 +267,17 @@ def test_khat_champion_ties_past_the_likeliest_entry():
         assert _as_tuple(C._khat_markov_champion(stats, CFG, want[3].m)) == want
 
 
-def test_walks_match_scalar_reference_beyond_nmax():
-    """At n = 32-64 higher orders win the coarse walk, so mmax binds there."""
+def test_walks_match_scalar_reference_beyond_nmax(monkeypatch):
+    """At n = 32-64 higher orders win the coarse walk, so mmax binds there.
+    khat's champions break ties by total information up to n = 64, so they
+    are checked too, in upper mode."""
     bound = 0
-    for _x, stats in _distinct_stats(_seeded_strings("longer", (32, 48, 64))):
+    for x, stats in _distinct_stats(_seeded_strings("longer", (32, 48, 64))):
         _check_walks(stats)
+        _check_khat(x, stats, monkeypatch, "upper")
         free = _markov_coarse(stats, 1.0, None, EXACT_CFG)
         bound += free.ensemble.m > 1
     assert bound > 0
-
-
-def test_first_typical_across_chunk_boundaries():
-    """Windows of an m-slice's ec order starting up to 700 entries before an
-    isolated typical entry, so it lies at every offset through the first
-    three chunks, with the window's stop just past it and at it."""
-    grid = flat_markov_grid.flat_grid(CFG.m_max)
-    isolated = 0
-    for x in ("11011110101011", "001000000100010"):
-        stats = C.string_stats(x)
-        t = _ref_tables(stats.n)
-        for m in (5, 6):
-            sl = grid.m_slices[m]
-            H = t["H"][sl]
-            order = np.lexsort((t["sig"][sl],))  # the slice is in (a0, a1, ai) order
-            v = flat_markov_grid.neglogp(stats, grid, sl.start + order)
-            hits = np.flatnonzero(v <= H[order] + E.TYPICALITY_SLACK)
-            terms = C._markov_terms(stats, m)
-            for prev, hit in zip([-1] + hits.tolist(), hits.tolist()):
-                if hit - prev <= 700:
-                    continue
-                isolated += 1
-                for start in range(hit - 700, hit + 1):
-                    got = C._first_typical(terms, H, order[start : hit + 1], 0.0)
-                    assert order[start + got] == order[hit], (x, m, hit, start)
-                    assert C._first_typical(terms, H, order[start:hit], 0.0) is None
-    assert isolated >= 4
 
 
 def test_walks_match_at_budget_edges():
@@ -344,28 +320,29 @@ def _sigma_tied_pair(h, desc):
 
 
 def test_run_keeps_every_entry_of_the_least_sigma(monkeypatch):
-    """An m-slice table patched so that its first two typical entries tie in
-    sigma but not in 2 desc + H: ec takes the serialization-first entry of
-    the run, coarse_ec the one with the least 2 desc + H."""
+    """The entropies of an m-slice's run, its typical entries of least sigma,
+    patched so that they still tie in sigma but not in 2 desc + H: the
+    serialization-first member gets the larger entropy. ec takes that
+    member, coarse_ec the next one, which has the least 2 desc + H."""
     x, m, delta = "000000000000000000000000000000000000000000100001", 5, Fraction(1)
     stats = C.string_stats(x)
     n = stats.n
     grid = flat_markov_grid.flat_grid(CFG.m_max)
     sl = grid.m_slices[m]
     desc = 3 + nat_code_len(n) + grid.m_desc[m]
-    t = C._markov_tables(n, m)
-    H = t["H"].copy()
+    H = _ref_tables(n)["H"][sl]
     v = flat_markov_grid.neglogp(stats, grid, sl)
-    terms = C._markov_terms(stats, m)
-    first = int(t["ec_order"][C._first_typical(terms, H, t["ec_order"], float(delta))])
+    typical = v <= H * (1.0 + float(delta)) + E.TYPICALITY_SLACK
+    sig = np.where(typical, H + desc, np.inf)
+    run = np.flatnonzero(sig == sig.min()).tolist()
+    assert len(run) >= 2
+    first, later = run[:2]
     lo, hi = _sigma_tied_pair(float(H[first]), desc)
-    typical_at_lo = v[first + 1 :] <= lo * (1.0 + float(delta)) + E.TYPICALITY_SLACK
-    later = first + 1 + int(np.flatnonzero(typical_at_lo)[0])
-    H[first], H[later] = hi, lo
-    order = np.argsort(H + desc, kind="stable").astype(np.int32)
-    assert order[0] == first and order[1] == later  # no entry has a smaller sigma
-    patched = {"H": H, "Hmin": float(H.min()), "ec_order": order}
-    monkeypatch.setitem(C._MARKOV_PER_N, (n, m), patched)
+    assert (v[run] <= lo * (1.0 + float(delta)) + E.TYPICALITY_SLACK).all()
+    assert lo + desc < float(np.delete(sig, run).min())  # no other entry joins the run
+    patched = {_ensemble(grid, n, sl.start + j): (hi if j == first else lo) for j in run}
+    entropy = E.entropy
+    monkeypatch.setattr(E, "entropy", lambda e: patched[e] if e in patched else entropy(e))
     constraint = Constraint(tags=frozenset({"markov-q"}), m_max=m)
     coarse = C.coarse_ec(x, delta, "exact", EXACT_CFG, constraint)
     assert coarse.witness == _ensemble(grid, n, sl.start + later)
@@ -379,11 +356,11 @@ def test_run_keeps_every_entry_of_the_least_sigma(monkeypatch):
 
 def test_exact_ops_at_n20_never_build_the_largest_slice(monkeypatch):
     """khat, ec on delta in {0, 1/4} x Delta in {0, 4, 16} and on eps = 1/8,
-    and coarse-ec, on each string kind at n = 20: the exact tables are built
-    per (n, m) when a walk first reaches m, and no walk reaches m = 6.
-    khat's m = 6 description alone exceeds its cut, and 2 desc at m = 6
-    exceeds the objective of the always-typical m = 1 entry at 1/2."""
-    monkeypatch.setattr(C, "_MARKOV_PER_N", {})
+    and coarse-ec, on each string kind at n = 20: the closed-form tables are
+    built per (n, m) when a search first reaches m, and no search reaches
+    m = 6. khat's m = 6 description alone exceeds its cut, and 2 desc at
+    m = 6 exceeds the objective of the always-typical m = 1 entry at 1/2."""
+    monkeypatch.setattr(C, "_CLOSED_PER_N", {})
     queries = [
         C.ComplexityQuery(delta=Fraction(d), Delta=Fraction(D), mode="exact")
         for d in ("0", "1/4")
@@ -395,5 +372,32 @@ def test_exact_ops_at_n20_never_build_the_largest_slice(monkeypatch):
             for q in queries:
                 C.ec(x, q, CFG)
             C.coarse_ec(x, 0, "exact", CFG)
-    built = {m for (_n, m) in C._MARKOV_PER_N}
+    assert list(C._CLOSED_PER_N) == [20]
+    built = set(C._CLOSED_PER_N[20])
     assert built and max(built) < CFG.m_max, built
+
+
+def test_exact_search_never_reads_the_straggler_cap(monkeypatch):
+    """Up to n_max the Markov search confirms every entry it keeps: with
+    _STRAGGLER_CAP at 0, exact ec and coarse_ec on seeded strings at
+    n = 8-24, over the whole family and over the Markov tag alone, are
+    unchanged for delta in {0, 1/4, 1, 3}."""
+    xs = _seeded_strings("exhaustive", range(8, 25))
+    markov = Constraint(tags=frozenset({"markov-q"}))
+
+    def results():
+        out = []
+        for x in xs:
+            for delta in (Fraction(0), Fraction(1, 4), Fraction(1), Fraction(3)):
+                for constraint in (None, markov):
+                    r = C.coarse_ec(x, delta, "exact", CFG, constraint)
+                    out.append((r.coarse_ec, r.witness))
+                    for D in (Fraction(0), Fraction(4)):
+                        q = C.ComplexityQuery(delta, D, mode="exact", constraint=constraint)
+                        r = C.ec(x, q, CFG)
+                        out.append((r.ec, r.witness))
+        return out
+
+    want = results()
+    monkeypatch.setattr(C, "_STRAGGLER_CAP", 0)
+    assert results() == want

@@ -261,7 +261,7 @@ def test_upper_khat_markov_champion_matches_whole_slice_reference(monkeypatch):
         for n in (1 << 12, 1 << 15, 1 << 18):
             for seed in (_UPPER_SEED, 7):
                 ((x, _),) = processes.sample_paths(spec, n, seed, 1)
-                paths.append((x, complexity.string_stats(x)))
+                paths.append(x)
     guarded, product = complexity._floor_log2_guarded, complexity._floor_log2_product
     inside, bare = [], []
 
@@ -280,7 +280,7 @@ def test_upper_khat_markov_champion_matches_whole_slice_reference(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(complexity, "_floor_log2_guarded", spy_guarded)
         mp.setattr(complexity, "_floor_log2_product", spy_product)
-        got = [complexity.khat(x, stats=st) for x, st in paths]
+        got = [complexity.khat(x) for x in paths]
     assert bare == []
     with monkeypatch.context() as mp:
         # every Markov order khat asks for gets the reference's least champion
@@ -289,7 +289,7 @@ def test_upper_khat_markov_champion_matches_whole_slice_reference(monkeypatch):
             "_khat_markov_champion",
             lambda st, cfg, _m: _whole_slice_khat_champion(st, cfg, math.inf),
         )
-        want = [complexity.khat(x, stats=st) for x, st in paths]
+        want = [complexity.khat(x) for x in paths]
     assert got == want
 
 
