@@ -53,13 +53,18 @@ out, and stop once D alone does.
 Every Markov quantity is read from its order's rows: for order m, -log2 q,
 -log2 (1 - q), h(q) and q over q = a / 2^m, a = 1 .. 2^m - 1, broadcast over
 the (a0, a1, ai) product of that order; no array spans two orders. One
-Markov search serves every n and visits no whole order: each (a0, a1) block
-gets a lower bound on -log2 p(x) and the range of its closed-form entropies,
-which rule out the blocks that cannot hold a typical entry; the rest are
-expanded in ascending closed-form entropy order, and each entry read is
-confirmed with the defining recursion. Up to n_max the run is every typical
-entry of least Sigma, found near the first one confirmed; beyond n_max it
-is the first one confirmed, within a fixed number of tries per order.
+Markov search serves every n and visits no whole order: a block pass gives
+each (a0, a1) block a lower bound on -log2 p(x) from one row minimum, and
+with the range of its closed-form entropies rules out the blocks that
+cannot hold a typical entry. The least closed-form entropy of the rest
+bounds the order's entropies more tightly than its least possible one, so a
+pick can still pass the order over. Otherwise the blocks are expanded in
+ascending closed-form entropy order, and each entry read is confirmed with
+the defining recursion. Up to n_max the run is every typical entry of least
+Sigma, found near the first one confirmed; beyond n_max it is the first one
+confirmed, within a fixed number of tries per order. Each order's block
+pass and run are kept for the last (stats, delta), beside the kept stats
+and khat pass.
 """
 
 from __future__ import annotations
@@ -331,11 +336,12 @@ def _order_rows(m: int) -> tuple:
     return rows
 
 
-def _closed_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _closed_tables(n: int, m: int) -> tuple[np.ndarray, ...]:
     """Closed form of the chain-rule entropy sum over the order-m entries, as
-    (a0, a1) blocks of k entries, with each block's minimum and maximum,
-    read-only, within _closed_margin(n) of the defining recursion's values:
-    it orders and prefilters every Markov search.
+    (a0, a1) blocks of k entries, with each block's minimum and maximum and
+    the block indices in (minimum, index) order, read-only, within
+    _closed_margin(n) of the defining recursion's values: it orders and
+    prefilters every Markov search.
 
     The stationary mean and the geometric factor depend on (a0, a1) only, so
     they are computed once per block and broadcast along ai. The orders read
@@ -360,7 +366,8 @@ def _closed_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         sum_p1 = (n - 1) * pi1 + (prob - pi1) * geo
         H = hof + hof[:, None, None] * ((n - 1) - sum_p1) + hof[None, :, None] * sum_p1
         H = H.reshape(k * k, k)
-        cached = per_m[m] = (H, H.min(axis=1), H.max(axis=1))
+        lo = H.min(axis=1)
+        cached = per_m[m] = (H, lo, H.max(axis=1), np.argsort(lo, kind="stable"))
         for arr in cached:
             arr.flags.writeable = False
     return cached
@@ -731,33 +738,51 @@ def _closed_margin(n: int) -> float:
     return 1e-6 + 1e-12 * n
 
 
-def _markov_confirmed(stats: StringStats, m: int, delta_f: float, cap: float = math.inf):
+def _markov_blocks(stats: StringStats, m: int, delta_f: float) -> np.ndarray:
+    """The order-m block pass: the (a0, a1) blocks that may hold an entry x
+    is typical for, in ascending (least closed-form H, block index) order.
+
+    -log2 p(x) at (a0, a1, ai) is ((li[ai] + n00 c00[a0]) + n01 c01[a0])
+    plus two a1 terms (_markov_terms). Float addition is monotone, so
+    (min(li) + n00 c00[a0]) + n01 c01[a0] is bit for bit the least over ai,
+    and with the a1 terms a lower bound on the whole block: a block is kept
+    when that bound is within its largest typicality threshold, with
+    _closed_margin for the closed form's rounding. No (a0, ai) table is
+    built."""
+    log1, log0 = _order_rows(m)[:2]  # c01, li1, c10 and c00, li0, c11 as functions of a
+    _H, _lo, hi, by_lo = _closed_tables(stats.n, m)
+    row_min = ((log1 if stats.first else log0).min() + stats.n00 * log0) + stats.n01 * log1
+    bound = (row_min[:, None] + stats.n10 * log1) + stats.n11 * log0
+    keep = bound.ravel() <= hi * (1.0 + delta_f) + ens.TYPICALITY_SLACK + _closed_margin(stats.n)
+    return by_lo[keep[by_lo]]
+
+
+def _markov_confirmed(
+    stats: StringStats, m: int, delta_f: float, cap: float = math.inf,
+    blocks: Optional[np.ndarray] = None,
+):
     """Yield (closed-form H, slice-local index, H), in (closed-form H, a0,
     a1, ai) order, for the order-m Markov entries that x is typical for.
 
-    An entry is kept when its closed-form entropy makes x typical, with
-    _closed_margin for the closed form's rounding. The first cap kept
-    entries (all, by default) are confirmed: H is rebuilt by the defining
+    blocks is the order's block pass (_markov_blocks, run here when not
+    given). Its blocks are expanded in that order, in batches that grow 4x:
+    -log2 p(x) is built for each expanded block's k entries only, and an
+    entry is kept when its closed-form entropy makes x typical, with
+    _closed_margin for the closed form's rounding. A kept entry is passed on
+    once its closed-form H lies below the least one of every block not yet
+    expanded, so no later entry can precede it. The first cap entries passed
+    on (all, by default) are confirmed: H is rebuilt by the defining
     recursion and the entry is yielded if x stays typical.
-
-    The slice is the product (a0, a1, ai) with ai fastest, so -log2 p(x) is
-    an (a0, ai) table plus two a1 terms (_markov_terms).
-    Float addition is monotone: a table row's minimum plus the a1 terms is a
-    lower bound on every entry of an (a0, a1) block, and with the block's
-    closed-form H range it rules out whole blocks. The other blocks are
-    expanded in ascending order of their minimum H, in batches that grow
-    4x, and a kept entry is confirmed once its H lies below the minimum H of
-    every block not yet expanded, so no later entry can precede it.
     """
+    if blocks is None:
+        blocks = _markov_blocks(stats, m, delta_f)
     n = stats.n
     margin = _closed_margin(n)
     scale = 1.0 + delta_f
     k = (1 << m) - 1
-    table, t10, t11 = _markov_terms(stats, m)
-    H_blocks, lo, hi = _closed_tables(n, m)
-    bound = (table.min(axis=1)[:, None] + t10) + t11  # per (a0, a1) block
-    blocks = np.flatnonzero(bound.ravel() <= hi * scale + ens.TYPICALITY_SLACK + margin)
-    blocks = blocks[np.argsort(lo[blocks], kind="stable")]
+    log1, log0 = _order_rows(m)[:2]
+    li = log1 if stats.first else log0
+    H_blocks, lo = _closed_tables(n, m)[:2]
     left = cap
     pend_h = pend_i = pend_v = None  # kept entries not yet confirmed
     done, chunk = 0, 2
@@ -766,7 +791,8 @@ def _markov_confirmed(stats: StringStats, m: int, delta_f: float, cap: float = m
         done += len(bs)
         chunk *= 4
         a0, a1 = np.divmod(bs, k)
-        v = (table[a0] + t10[a1, None]) + t11[a1, None]
+        rows = (li + stats.n00 * log0[a0, None]) + stats.n01 * log1[a0, None]
+        v = (rows + stats.n10 * log1[a1, None]) + stats.n11 * log0[a1, None]
         hb = H_blocks[bs]
         keep = v <= hb * scale + ens.TYPICALITY_SLACK + margin
         hb, ib, vb = hb[keep], (bs[:, None] * k + np.arange(k))[keep], v[keep]
@@ -807,16 +833,17 @@ def _least_sigma(entries: Iterable[tuple], n: int, m: int, desc: int) -> Optiona
         return None
     band.sort()
     sigma = band[0][0]
-    return sigma, [(H, _markov_ensemble(n, m, j)) for s, j, H in band if s == sigma]
+    return sigma, tuple((H, _markov_ensemble(n, m, j)) for s, j, H in band if s == sigma)
 
 
 # --- the frontier and its two picks ---------------------------------------------
 #
 # A group is (desc, hmin, read): hmin bounds its entropies from below, and
-# read() gives its run (sigma, members), members as (H, ensemble) in
-# serialization order, or None when none is typical.
+# read(skip) gives its run (sigma, members), members as (H, ensemble) in
+# serialization order, or None when none is typical. A group that finds a
+# tighter bound h on the way returns None, unread, when skip(desc, h) holds.
 
-def _run_of(rows: list, typical, build) -> Optional[tuple]:
+def _run_of(rows: list, typical, build, _skip=None) -> Optional[tuple]:
     """The run of rows (H, sigma, ...) in (sigma, serialization) order: the
     first typical row and the typical rows after it with the same sigma."""
     sigma, members = None, []
@@ -829,27 +856,63 @@ def _run_of(rows: list, typical, build) -> Optional[tuple]:
     return (sigma, members) if members else None
 
 
+# the last (stats, delta, n <= n_max) key and, per Markov order searched
+# under it, (floor, block pass, None) until its run is read and (floor, None,
+# run) after: the key's entry and each order's are tuples, replaced whole
+_last_markov: tuple = (None, None)
+
+
 def _markov_groups(
     stats: StringStats, delta_f: float, constraint: Optional[Constraint], cfg: FamilyConfig
 ):
     """One group per order m. hmin is n h(2^-m) less _closed_margin: each
     step of the chain-rule sum adds p0 h(q0) + p1 h(q1) >= h(2^-m), and the
     first adds h(ai / 2^m) >= h(2^-m), with equality at a0 = a1 = ai = 1.
-    The run comes from _markov_confirmed. Up to n_max it is exhaustive and the
-    run is every typical entry of least sigma (_least_sigma); beyond n_max
-    the run is the first entry confirmed within _STRAGGLER_CAP tries."""
-    n = stats.n
 
-    def run(m, desc):
-        if n <= cfg.n_max:
-            return _least_sigma(_markov_confirmed(stats, m, delta_f), n, m, desc)
-        _hc, j, H = next(_markov_confirmed(stats, m, delta_f, _STRAGGLER_CAP), (None,) * 3)
-        return None if j is None else (H + desc, [(H, _markov_ensemble(n, m, j))])
+    Reading a group runs its order's block pass (_markov_blocks). The least
+    closed-form H of the kept blocks less _closed_margin (infinite with no
+    block kept, never below hmin) bounds every entry it can confirm, and the
+    group is passed over when skip holds for that floor. Otherwise the run
+    comes from _markov_confirmed over those blocks. Up to n_max it is
+    exhaustive and the run is every typical entry of least sigma
+    (_least_sigma); beyond n_max the run is the first entry confirmed within
+    _STRAGGLER_CAP tries. Each order's block pass and run are kept under the
+    last (stats, delta, n <= n_max) key, so the queries of one x and delta
+    (ec then coarse_ec, a sweep over Delta) search each order once."""
+    global _last_markov
+    n = stats.n
+    exhaustive = n <= cfg.n_max
+    key = (stats, delta_f, exhaustive)
+    last_key, orders = _last_markov
+    if key != last_key:
+        orders = {}
+        _last_markov = (key, orders)
+
+    def read(m, desc, hmin, skip):
+        floor, blocks, run = orders.get(m, (None, None, None))
+        if floor is None:
+            blocks = _markov_blocks(stats, m, delta_f)
+            floor = math.inf
+            if len(blocks):
+                floor = max(hmin, float(_closed_tables(n, m)[1][blocks[0]]) - _closed_margin(n))
+            orders[m] = (floor, blocks, None)
+        if skip(desc, floor):
+            return None
+        if blocks is not None:
+            if exhaustive:
+                run = _least_sigma(_markov_confirmed(stats, m, delta_f, blocks=blocks), n, m, desc)
+            else:
+                confirmed = _markov_confirmed(stats, m, delta_f, _STRAGGLER_CAP, blocks)
+                _hc, j, H = next(confirmed, (None,) * 3)
+                run = None if j is None else (H + desc, ((H, _markov_ensemble(n, m, j)),))
+            orders[m] = (floor, None, run)
+        return run
 
     for m in range(1, cfg.m_max + 1):
         if not constraint or constraint.allows_m(m):
             desc = ens.markov_desc_len(n, m)
-            yield desc, n * binary_entropy(1 / (1 << m)) - _closed_margin(n), partial(run, m, desc)
+            hmin = n * binary_entropy(1 / (1 << m)) - _closed_margin(n)
+            yield desc, hmin, partial(read, m, desc, hmin)
 
 
 def _frontier(
@@ -898,12 +961,13 @@ def _frontier(
 def _runs(groups: Iterable, stop, skip) -> Iterable[tuple]:
     """(desc, run) of each group read, in ascending desc: reading ends at the
     first desc for which stop(desc) holds, and a group for which
-    skip(desc, hmin) holds, or whose run is None, is passed over."""
+    skip(desc, hmin) holds, or whose read(skip) is None, is passed over: a
+    Markov group reads nothing more once skip holds for its tighter floor."""
     for desc, hmin, read in groups:
         if stop(desc):
             return
         if not skip(desc, hmin):
-            run = read()
+            run = read(skip)
             if run is not None:
                 yield desc, run
 

@@ -230,6 +230,39 @@ def test_ec_then_coarse_ec_parse_one_path_once(capsys, monkeypatch):
     assert ec_row["khat"] == coarse_row["khat"]
 
 
+def test_ec_then_coarse_ec_search_each_markov_order_once(capsys, monkeypatch):
+    from eclab import processes
+
+    model = processes.parse_model_spec("markov:flip=1/10")
+    (x, _), = processes.sample_paths(model, 1 << 12, 11, 1)
+    argvs = (
+        ["ec", "--x", x, "--delta", "0", "--eps", "1/10"],
+        ["coarse-ec", "--x", x, "--delta", "0"],
+    )
+    passes, confirms = [], []
+    blocks, confirmed = complexity._markov_blocks, complexity._markov_confirmed
+    monkeypatch.setattr(
+        complexity, "_markov_blocks", lambda st, m, d: passes.append(m) or blocks(st, m, d)
+    )
+    monkeypatch.setattr(
+        complexity, "_markov_confirmed",
+        lambda st, m, *args: confirms.append(m) or confirmed(st, m, *args),
+    )
+    alone = []
+    for argv in argvs:  # each query from an empty memo
+        monkeypatch.setattr(complexity, "_last_markov", (None, None))
+        assert run(argv, capsys)[0] == 0
+        alone.append(set(passes))
+        passes.clear()
+    assert alone[0] & alone[1]  # both queries read some order
+    monkeypatch.setattr(complexity, "_last_markov", (None, None))
+    confirms.clear()
+    for argv in argvs:
+        assert run(argv, capsys)[0] == 0
+    assert sorted(passes) == sorted(alone[0] | alone[1])
+    assert len(confirms) == len(set(confirms))
+
+
 def test_lz_encode_trusts_the_parse_it_is_handed(capsys, monkeypatch):
     from eclab import lz78
 

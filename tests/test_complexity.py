@@ -143,6 +143,38 @@ def test_markov_hmin_bounds_every_entropy():
             assert hmin <= least <= hmin + 2 * C._closed_margin(n), (n, m, hmin, least)
 
 
+def test_markov_floor_bounds_every_confirmed_entropy():
+    """Each Markov group's tighter floor, which a pick reads once the group
+    passes its hmin, is never below hmin and at most every entropy its search
+    confirms among the first 32 entries it tries (the least closed-form
+    entropies, which a run reads first): over the distinct stats of all
+    strings with n <= 10 and seeded paths of four models at n = 2^10 - 2^15,
+    for delta in {0, 1/4, 1}."""
+    cfg = C.DEFAULT_CONFIG
+    xs = [x for n in range(1, 11) for x in all_strings(n)]
+    for spec in ("markov:flip=1/10", "markov:flip=1/3", "bernoulli:p=3/10", "bernoulli:p=1/2"):
+        model = processes.parse_model_spec(spec)
+        for n in (1 << 10, 1 << 12, 1 << 15):
+            xs += [x for x, _ in processes.sample_paths(model, n, 3, 1)]
+    seen, tighter = set(), 0
+    for x in xs:
+        st = C.string_stats(x)
+        if st.key in seen:
+            continue
+        seen.add(st.key)
+        for delta_f in (0.0, 0.25, 1.0):
+            groups = C._markov_groups(st, delta_f, None, cfg)
+            for m, (_desc, hmin, read) in zip(range(1, 7), groups):
+                floors = []
+                assert read(lambda _desc, h: floors.append(h) or True) is None  # floor only
+                (floor,) = floors
+                assert floor >= hmin, (x, delta_f, m)
+                for _hc, _j, H in C._markov_confirmed(st, m, delta_f, 32):
+                    assert H >= floor, (x, delta_f, m, H, floor)
+                tighter += floor > hmin
+    assert tighter > 0
+
+
 _GRID_ARRAYS = (
     "m", "a0", "a1", "ai", "descbase", "c01", "c00", "c10", "c11",
     "li1", "li0", "h0", "h1", "hinit", "q0", "q1", "pinit",
@@ -217,7 +249,7 @@ def test_per_order_tables_match_flat_reference():
         H_all, lo_all, hi_all = grid.closed_tables(n)
         for m, sl in grid.m_slices.items():
             k = (1 << m) - 1
-            H, lo, hi = C._closed_tables(n, m)
+            H, lo, hi, _by_lo = C._closed_tables(n, m)
             assert H.shape == (k * k, k)
             assert H.tobytes() == H_all[sl].tobytes(), (n, m)
             bsl = grid.block_slices[m]
@@ -313,12 +345,15 @@ def test_closed_cache_bounded_with_block_ranges(monkeypatch):
     for n in lengths:
         for m in range(1, 7):
             k = (1 << m) - 1
-            H, lo, hi = C._closed_tables(n, m)
+            H, lo, hi, by_lo = C._closed_tables(n, m)
             assert C._closed_tables(n, m)[0] is H
             assert not lo.flags.writeable and not hi.flags.writeable
+            assert not by_lo.flags.writeable
             assert H.shape == (k * k, k)
             assert np.array_equal(lo, H.min(axis=1))
             assert np.array_equal(hi, H.max(axis=1))
+            # the blocks in (least closed-form H, block index) order
+            assert np.array_equal(by_lo, np.lexsort((np.arange(k * k), lo)))
     assert list(C._CLOSED_PER_N) == lengths[-8:] and C._CLOSED_LENGTHS == 8
     # the most recently used lengths stay, and a repeat returns the same array
     H = C._closed_tables(lengths[-1], 6)[0]
@@ -962,13 +997,14 @@ def test_config_echo_text_built_once_per_grid():
     assert C.DEFAULT_CONFIG.echo()["r_grid"] == ",".join(str(r) for r in C.DEFAULT_CONFIG.r_grid)
 
 
-# --- the kept stats and khat pass ----------------------------------------------
+# --- the kept stats, khat pass and Markov searches ---------------------------
 
 
 def _forget(monkeypatch):
     """Start from an empty memo, as a fresh process does."""
     monkeypatch.setattr(C, "_last_stats", (None, None))
     monkeypatch.setattr(C, "_last_khat", (None, None))
+    monkeypatch.setattr(C, "_last_markov", (None, None))
 
 
 def test_memo_tells_apart_strings_with_equal_counts():
@@ -1087,3 +1123,140 @@ def test_check_thm4_scores_each_string_once(monkeypatch):
     assert res.ok
     strings = sum(1 << n for n in range(1, 7))
     assert passes == strings and calls == strings * len(deltas) * 6
+
+
+def _spy_block_passes(monkeypatch, record):
+    """Call record(stats, delta_f, m) on each Markov block pass."""
+    original = C._markov_blocks
+
+    def spy(stats, m, delta_f):
+        record(stats, delta_f, m)
+        return original(stats, m, delta_f)
+
+    monkeypatch.setattr(C, "_markov_blocks", spy)
+
+
+def test_delta_sweep_searches_each_markov_order_once(monkeypatch):
+    """check_thm4's sweep (per x and delta, coarse_ec then ec for each Delta)
+    over the Markov tag alone, on every x with n <= 7: each (x, delta, m)
+    block pass and confirm loop runs once, and every value equals one
+    computed from an empty memo. (check_thm4 itself reads no Markov run at
+    n <= 10: uniform-all, typical for every x, has the least desc.)"""
+    from collections import Counter
+
+    markov = Constraint(tags=frozenset({"markov-q"}))
+    deltas = [Fraction(0), Fraction(1, 4), Fraction(1)]
+    Deltas = [Fraction(v) for v in range(0, 33, 8)]
+
+    def sweep(forget):
+        out = []
+        for x in (x for n in range(1, 8) for x in all_strings(n)):
+            for d in deltas:
+                cell[0] = (x, d)
+                forget()
+                out.append(C.coarse_ec(x, d, "exact", constraint=markov).coarse_ec)
+                for D in Deltas:
+                    forget()
+                    query = ComplexityQuery(delta=d, Delta=D, mode="exact", constraint=markov)
+                    out.append(C.ec(x, query).ec)
+        return out
+
+    cell, passes, confirms = [None], Counter(), Counter()
+    want = sweep(lambda: _forget(monkeypatch))
+    confirmed = C._markov_confirmed
+
+    def confirmed_spy(stats, m, *args, **kwargs):
+        confirms[cell[0], m] += 1
+        return confirmed(stats, m, *args, **kwargs)
+
+    monkeypatch.setattr(C, "_markov_confirmed", confirmed_spy)
+    _spy_block_passes(monkeypatch, lambda st, d, m: passes.update([(cell[0], m)]))
+    assert sweep(lambda: None) == want
+    assert passes and set(passes.values()) == {1}
+    assert confirms and set(confirms.values()) == {1}
+
+
+def test_markov_memo_recomputes_for_a_new_key(monkeypatch):
+    """Another delta, an n_max on the other side of n or another string
+    searches again, and every value equals a fresh process's."""
+    x, y = "0001" * 10, "0010" * 10  # n = 40: capped at n_max = 24, exhaustive at 64
+    wide = FamilyConfig(n_max=64)
+    markov = Constraint(tags=frozenset({"markov-q"}))
+
+    def query(s, delta, cfg):
+        rep = C.coarse_ec(s, delta, "upper", cfg, markov)
+        q = ComplexityQuery(delta=delta, Delta=Fraction(4), mode="upper", constraint=markov)
+        ec = C.ec(s, q, cfg)
+        return rep.coarse_ec, rep.witness, ec.ec, ec.witness
+
+    steps = [
+        (x, Fraction(0), C.DEFAULT_CONFIG, True),
+        (x, Fraction(0), SMALL_CFG, False),  # same n <= n_max: kept
+        (x, Fraction(1, 4), C.DEFAULT_CONFIG, True),
+        (x, Fraction(1, 4), wide, True),
+        (y, Fraction(1, 4), wide, True),
+        (y, Fraction(1, 4), wide, False),
+        (x, Fraction(0), C.DEFAULT_CONFIG, True),
+    ]
+    fresh = {}
+    for s, delta, cfg, _new in steps:
+        _forget(monkeypatch)
+        fresh[s, delta, cfg] = query(s, delta, cfg)
+    _forget(monkeypatch)
+    passes = []
+    _spy_block_passes(monkeypatch, lambda st, d, m: passes.append(m))
+    for s, delta, cfg, new in steps:
+        before = len(passes)
+        assert query(s, delta, cfg) == fresh[s, delta, cfg], (s, delta, cfg)
+        assert (len(passes) > before) == new, (s, delta, cfg)
+        assert C._last_markov[0] == (C.string_stats(s), float(delta), 40 <= cfg.n_max)
+
+
+def test_markov_memo_never_keeps_a_bad_string():
+    x = "0110100110010110"
+    C.coarse_ec(x, 0)
+    kept = C._last_markov
+    assert kept[0][0] == C.string_stats(x)
+    q = ComplexityQuery(delta=Fraction(0), Delta=Fraction(4))
+    for bad in ("0120", "", "0110100110010112", " " + x[1:]):
+        with pytest.raises(ValueError, match="x must"):
+            C.coarse_ec(bad, 0)
+        with pytest.raises(ValueError, match="x must"):
+            C.ec(bad, q)
+        assert C._last_markov is kept
+
+
+def test_markov_memo_across_threads():
+    import threading
+
+    model = processes.parse_model_spec("markov:flip=1/10")
+    xs = [x for x, _ in processes.sample_paths(model, 300, 6, 3)]
+    deltas = (Fraction(0), Fraction(1, 4))
+    q = {d: ComplexityQuery(delta=d, eps=Fraction(1, 10), mode="auto") for d in deltas}
+
+    def values(x, d):
+        ec, coarse = C.ec(x, q[d]), C.coarse_ec(x, d, "auto")
+        return ec.ec, ec.witness, coarse.coarse_ec, coarse.witness
+
+    expected = {(x, d): values(x, d) for x in xs for d in deltas}
+    errors = []
+
+    def query(first):
+        cells = list(expected)
+        for _ in range(40):
+            for x, d in cells[first:] + cells[:first]:
+                got = values(x, d)
+                if got != expected[x, d]:
+                    errors.append((x, d, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=query, args=(3 * i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []

@@ -354,6 +354,34 @@ def test_run_keeps_every_entry_of_the_least_sigma(monkeypatch):
     assert (rep.ec, rep.witness) == (desc, _ensemble(grid, n, sl.start + first))
 
 
+def test_run_leads_with_its_serialization_first_member():
+    """Runs whose serialization-first member is not the entry the search
+    confirms first, at the same sigma: a rule that took the first confirmed
+    entry would lead with a later-serialized one. The runs are read through
+    the Markov group, as the picks read them."""
+    cases = (
+        ("10", 2, (Fraction(1),), (1, 1, 3)),
+        ("000", 3, DELTAS, (1, 1, 1)),
+        ("0000", 2, DELTAS, (1, 1, 1)),
+        ("0001", 2, DELTAS, (1, 1, 1)),
+    )
+    for x, m, deltas, want in cases:
+        stats = C.string_stats(x)
+        n = stats.n
+        desc = E.markov_desc_len(n, m)
+        for delta in deltas:
+            _hc, j, H = next(C._markov_confirmed(stats, m, float(delta)))
+            first = C._markov_ensemble(n, m, j)
+            groups = C._markov_groups(stats, float(delta), Constraint(m_max=m), CFG)
+            *_, (_desc, _hmin, read) = groups
+            sigma, members = read(lambda _desc, _h: False)
+            assert sigma == H + desc, (x, delta)
+            lead = members[0][1]
+            assert lead == E.MarkovQuantized(n, m, *want), (x, delta, lead)
+            assert first in [e for _H, e in members] and first != lead
+            assert E.serialize(lead) < E.serialize(first)
+
+
 def test_exact_ops_at_n20_never_build_the_largest_slice(monkeypatch):
     """khat, ec on delta in {0, 1/4} x Delta in {0, 4, 16} and on eps = 1/8,
     and coarse-ec, on each string kind at n = 20: the closed-form tables are
