@@ -25,7 +25,7 @@ integers near an integer, and an order whose empirical-entropy lower bound
 is already above the minimum so far is skipped. `khat` takes its value from
 that pass and builds witnesses only for the candidates that reach it: the
 fixed and uniform-typical rows of that value, and a tie-band search in each
-order the pass names.
+order the pass names, over the blocks that can reach the band.
 
 The last string's stats and khat pass are kept in-process, one entry each:
 a run of queries on one x (ec then coarse_ec, or a sweep over delta and
@@ -37,7 +37,10 @@ typicality rule) is defined in `ensembles`; this module evaluates them in bulk.
 
 Ties among minimizers break on (objective, description length, total
 information Sigma = H + D, lexicographic serialization); results are
-deterministic and agree bit for bit with a direct scan of the family.
+deterministic and agree bit for bit with a direct scan of the family at
+every n, khat included, with one exception: the Markov run beyond n_max is
+still the first entry confirmed, not the serialization-first of least
+Sigma (an open item in ROADMAP.md).
 
 Both objectives are monotone in (D, Sigma), so among the typical
 candidates of one tag and one description length only those with the
@@ -52,9 +55,10 @@ out, and stop once D alone does.
 
 Every Markov quantity is read from its order's rows: for order m, -log2 q,
 -log2 (1 - q), h(q) and q over q = a / 2^m, a = 1 .. 2^m - 1, broadcast over
-the (a0, a1, ai) product of that order; no array spans two orders. One
-Markov search serves every n and visits no whole order: a block pass gives
-each (a0, a1) block a lower bound on -log2 p(x) from one row minimum, and
+the (a0, a1, ai) product of that order; no array spans two orders, and
+-log2 p(x) is one broadcast sum (_neg_log2_p). One Markov search serves
+every n and visits no whole order: a block pass gives each (a0, a1) block
+a lower bound on -log2 p(x), the sum at its least first-symbol term, and
 with the range of its closed-form entropies rules out the blocks that
 cannot hold a typical entry. The least closed-form entropy of the rest
 bounds the order's entropies more tightly than its least possible one, so a
@@ -106,10 +110,10 @@ __all__ = [
 ]
 
 # a float log2 this close to an integer is rechecked exactly: _floor_log2_guarded
-# and the Markov tie band then take the floor from the integer factors
-# (_floor_log2_product), with powers of two as shifts
+# and khat's Markov champion then take the floor from the integer factors
+# (_floor_log2_product), with powers of two as shifts; the champion's tie band
+# also reaches this far below the integer under the top one
 _FLOAT_GUARD = 1e-6
-_BIG_N_FLOAT = 64  # above this length, the Markov tie band is the top 1e-9 of log2
 _STRAGGLER_CAP = 256  # large-n Markov entries retried per m before giving up on m
 _CLOSED_LENGTHS = 8  # lengths whose closed-form Markov entropies are kept
 
@@ -257,14 +261,10 @@ _last_stats: tuple = (None, None)
 _last_khat: tuple = (None, None)
 
 
-def string_stats(x: str, lz_len: Optional[int] = None) -> StringStats:
+def string_stats(x: str) -> StringStats:
     """x's counts and LZ78 code length; the stats of the last x parsed are
-    kept, so querying one x again parses it once. A given lz_len bypasses
-    that (max_coarse_scan's enumeration, where every x is new)."""
+    kept, so querying one x again parses it once."""
     global _last_stats
-    if lz_len is not None:
-        check_bits(x, "x")
-        return StringStats(*ens.bit_counts(x), lz_len)
     last_x, last = _last_stats
     if x == last_x:
         return last
@@ -627,11 +627,11 @@ def khat(
                 finalists.append(_Candidate(value, desc, sig, ens.UniformTypical(r, n)))
     for tag, m in orders:
         champion = _khat_iid_champion if tag == "iid" else _khat_markov_champion
-        finalists.append(champion(stats, cfg, m))
+        finalists.append(champion(stats, m))
     return value, _pick_canonical(finalists).ensemble
 
 
-def _khat_iid_champion(stats: StringStats, cfg: FamilyConfig, m: int) -> _Candidate:
+def _khat_iid_champion(stats: StringStats, m: int) -> _Candidate:
     """Canonical best order-m i.i.d. candidate. Order m's rows are in
     (Sigma, a) order, the comparator's order within one desc, so the first
     row with the largest numerator bit length wins."""
@@ -649,57 +649,48 @@ def _khat_iid_champion(stats: StringStats, cfg: FamilyConfig, m: int) -> _Candid
     return _Candidate(desc + m * n - best_bl, desc, best[1], ens.IIDQuantized(n, m, best[3]))
 
 
-def _khat_markov_champion(stats: StringStats, cfg: FamilyConfig, m: int) -> _Candidate:
-    """Canonical best order-m Markov candidate."""
+def _khat_markov_champion(stats: StringStats, m: int) -> _Candidate:
+    """Canonical best order-m Markov candidate.
+
+    Equal two-part values mean equal numerator bit lengths, so the tie band
+    is the whole top unit interval of log2 of the numerator, widened by one
+    unit and _FLOAT_GUARD for float safety. It is read off the (a0, a1)
+    blocks whose least -log2 p(x) (_block_bounds) can reach it, and its
+    entries with the largest bit length are ranked by (H + desc, a0, a1, ai)
+    (_least_sigma)."""
     n = stats.n
     desc = ens.markov_desc_len(n, m)
-    small = n <= _BIG_N_FLOAT
-    table, t10, t11 = _markov_terms(stats, m)
-    tmin = table.min()
-    rows = (tmin + t10) + t11  # per a1, the least -log2 p(x): float addition is monotone
-    vmin = rows.min()
+    k = (1 << m) - 1
+    bound = _block_bounds(stats, m)
+    vmin = bound.min()  # float addition is monotone: the least -log2 p(x)
     lgmax = float(m * n - vmin)  # log2 of the largest numerator
-    # equal two-part values mean equal numerator bit lengths, so at small n
-    # the tie band is the whole top unit interval (minus one for float safety)
-    band = (math.floor(lgmax) - 1 - _FLOAT_GUARD) if small else (lgmax - 1e-9)
-    # a band entry's -log2 p(x), and so its table entry and a1 row, lie at most
-    # lgmax - band (plus a few roundings) above their minima; lg is bit for bit
-    # the whole slice's
-    slack = lgmax - band + 1e-6 + 1e-12 * n
-    k = len(t10)
-    pairs = np.flatnonzero(table.ravel() <= tmin + slack)  # a0 * k + ai
-    a1s = np.flatnonzero(rows <= vmin + slack)
-    lg = m * n - ((table.ravel()[pairs] + t10[a1s, None]) + t11[a1s, None])
-    a1_at, pair_at = np.nonzero(lg >= band)
-    a0_at, ai_at = np.divmod(pairs[pair_at], k)
-    a1_of = a1s[a1_at]
-    near = (a0_at * k + a1_of) * k + ai_at  # slice-local indices
+    band = math.floor(lgmax) - 1 - _FLOAT_GUARD
+    # a band entry's -log2 p(x), and so its block's bound, lie at most
+    # lgmax - band (plus a few roundings) above vmin
+    bs = np.flatnonzero(bound <= vmin + (lgmax - band + 1e-6 + 1e-12 * n))
+    a0s, a1s = np.divmod(bs, k)
+    lg = m * n - _neg_log2_p(stats, m, a0s[:, None], a1s[:, None], _first_terms(stats, m))
+    b_at, ai_at = np.nonzero(lg >= band)
+    near = bs[b_at] * k + ai_at  # slice-local indices
     # bit length of each entry's numerator, whose float log2 is v: the float
     # floor, and the exact one for the entries within _FLOAT_GUARD of an integer
-    v = lg[a1_at, pair_at]
+    v = lg[b_at, ai_at]
     fl = np.floor(v)
     bl = fl.astype(np.int64) + 1
     top = 1 << m
     for i in np.flatnonzero(np.minimum(v - fl, fl + 1 - v) < _FLOAT_GUARD).tolist():
-        a0, a1, ai = int(a0_at[i]) + 1, int(a1_of[i]) + 1, int(ai_at[i]) + 1
+        a0, a1, ai = int(a0s[b_at[i]]) + 1, int(a1s[b_at[i]]) + 1, int(ai_at[i]) + 1
         init = ai if stats.first else top - ai
         bl[i] = 1 + _floor_log2_product(ens.markov_factors(stats, top, init, a0, a1))
     best_bl = int(bl.max())
     tied = near[bl == best_bl]
-    # equal desc within m: at small n ties go to total information H + desc,
-    # then to (a0, a1, ai), which is serialization order within one m and the
-    # order of the slice's indices; beyond, to (a0, a1, ai) alone
-    if small:
-        Hc = _closed_tables(n, m)[0].ravel()[tied]
-        by_hc = np.lexsort((tied, Hc))
-        entries = (
-            (hc, j, ens.entropy(_markov_ensemble(n, m, j)))
-            for hc, j in zip(Hc[by_hc].tolist(), tied[by_hc].tolist())
-        )
-        sigma, [(_H, e), *_] = _least_sigma(entries, n, m, desc)
-    else:
-        e = _markov_ensemble(n, m, int(tied.min()))
-        sigma = ens.entropy(e) + desc
+    Hc = _closed_tables(n, m)[0].ravel()[tied]
+    by_hc = np.lexsort((tied, Hc))
+    entries = (
+        (hc, j, ens.entropy(_markov_ensemble(n, m, j)))
+        for hc, j in zip(Hc[by_hc].tolist(), tied[by_hc].tolist())
+    )
+    sigma, [(_H, e), *_] = _least_sigma(entries, n, m, desc)
     return _Candidate(desc + m * n - best_bl + 1, desc, sigma, e)
 
 
@@ -715,14 +706,28 @@ def budget_fits(sigma, T: Fraction) -> bool:
     return sigma <= T
 
 
-def _markov_terms(stats: StringStats, m: int) -> tuple:
-    """-log2 p(x) over the order-m entries as an (a0, ai) table and two a1
-    terms, indexed by a - 1: entry (a0, a1, ai) is (table[a0, ai] + t10[a1])
-    + t11[a1], the sum li + n00 c00 + n01 c01 + n10 c10 + n11 c11 of
-    ensembles.neg_log2_prob added in its order from the same rows."""
-    log1, log0 = _order_rows(m)[:2]  # c01, li1, c10 and c00, li0, c11 as functions of a
-    table = ((log1 if stats.first else log0) + stats.n00 * log0[:, None]) + stats.n01 * log1[:, None]
-    return table, stats.n10 * log1, stats.n11 * log0
+def _neg_log2_p(stats: StringStats, m: int, a0, a1, li) -> np.ndarray:
+    """-log2 p(x) at order-m entries, broadcast over a0, a1 (indices a - 1
+    into the order's rows) and li, the first symbol's term: the sum
+    li + n00 c00 + n01 c01 + n10 c10 + n11 c11 of ensembles.neg_log2_prob,
+    added in its order from the same rows."""
+    log1, log0 = _order_rows(m)[:2]  # c01, c10 and c00, c11 as functions of a
+    return (
+        ((li + stats.n00 * log0[a0]) + stats.n01 * log1[a0]) + stats.n10 * log1[a1]
+    ) + stats.n11 * log0[a1]
+
+
+def _first_terms(stats: StringStats, m: int) -> np.ndarray:
+    """li over ai: -log2 of ai / 2^m if x starts with 1, else of 1 - ai / 2^m."""
+    return _order_rows(m)[0 if stats.first else 1]
+
+
+def _block_bounds(stats: StringStats, m: int) -> np.ndarray:
+    """Each order-m (a0, a1) block's least -log2 p(x), in block index order.
+    Float addition is monotone, so the sum with li at its minimum is bit for
+    bit the least over ai; its k x k outer form builds no (a0, ai) table."""
+    ks = np.arange((1 << m) - 1)
+    return _neg_log2_p(stats, m, ks[:, None], ks, _first_terms(stats, m).min()).ravel()
 
 
 def _markov_ensemble(n: int, m: int, j: int) -> ens.MarkovQuantized:
@@ -742,18 +747,12 @@ def _markov_blocks(stats: StringStats, m: int, delta_f: float) -> np.ndarray:
     """The order-m block pass: the (a0, a1) blocks that may hold an entry x
     is typical for, in ascending (least closed-form H, block index) order.
 
-    -log2 p(x) at (a0, a1, ai) is ((li[ai] + n00 c00[a0]) + n01 c01[a0])
-    plus two a1 terms (_markov_terms). Float addition is monotone, so
-    (min(li) + n00 c00[a0]) + n01 c01[a0] is bit for bit the least over ai,
-    and with the a1 terms a lower bound on the whole block: a block is kept
-    when that bound is within its largest typicality threshold, with
-    _closed_margin for the closed form's rounding. No (a0, ai) table is
-    built."""
-    log1, log0 = _order_rows(m)[:2]  # c01, li1, c10 and c00, li0, c11 as functions of a
+    A block is kept when its least -log2 p(x) (_block_bounds) is within its
+    largest typicality threshold, with _closed_margin for the closed form's
+    rounding."""
     _H, _lo, hi, by_lo = _closed_tables(stats.n, m)
-    row_min = ((log1 if stats.first else log0).min() + stats.n00 * log0) + stats.n01 * log1
-    bound = (row_min[:, None] + stats.n10 * log1) + stats.n11 * log0
-    keep = bound.ravel() <= hi * (1.0 + delta_f) + ens.TYPICALITY_SLACK + _closed_margin(stats.n)
+    threshold = hi * (1.0 + delta_f) + ens.TYPICALITY_SLACK + _closed_margin(stats.n)
+    keep = _block_bounds(stats, m) <= threshold
     return by_lo[keep[by_lo]]
 
 
@@ -780,8 +779,7 @@ def _markov_confirmed(
     margin = _closed_margin(n)
     scale = 1.0 + delta_f
     k = (1 << m) - 1
-    log1, log0 = _order_rows(m)[:2]
-    li = log1 if stats.first else log0
+    li = _first_terms(stats, m)
     H_blocks, lo = _closed_tables(n, m)[:2]
     left = cap
     pend_h = pend_i = pend_v = None  # kept entries not yet confirmed
@@ -791,8 +789,7 @@ def _markov_confirmed(
         done += len(bs)
         chunk *= 4
         a0, a1 = np.divmod(bs, k)
-        rows = (li + stats.n00 * log0[a0, None]) + stats.n01 * log1[a0, None]
-        v = (rows + stats.n10 * log1[a1, None]) + stats.n11 * log0[a1, None]
+        v = _neg_log2_p(stats, m, a0[:, None], a1[:, None], li)
         hb = H_blocks[bs]
         keep = v <= hb * scale + ens.TYPICALITY_SLACK + margin
         hb, ib, vb = hb[keep], (bs[:, None] * k + np.arange(k))[keep], v[keep]
@@ -1095,7 +1092,7 @@ def max_coarse_scan(n: int, delta, cfg: FamilyConfig = DEFAULT_CONFIG) -> ScanRe
     best_x = None
     value_cache: dict[tuple, float] = {}
     for x, lz_len in lz78.iter_with_code_len(n):
-        stats = string_stats(x, lz_len)
+        stats = StringStats(*ens.bit_counts(x), lz_len)  # every x is new: no kept stats
         key = stats.key
         val = value_cache.get(key)
         if val is None:

@@ -48,9 +48,6 @@ _API = [
     ("block_prob", lambda x: processes.block_prob(processes.Bernoulli(Fraction(1, 2)), x),
      "block must be nonempty", f"block must {_NOT_01} only"),
     ("string_stats", complexity.string_stats, "x must be nonempty", f"x must {_NOT_01} only"),
-    # the caller-supplied LZ length skips the parse, not the check
-    ("string_stats lz_len", lambda x: complexity.string_stats(x, 5), "x must be nonempty",
-     f"x must {_NOT_01} only"),
 ]
 
 

@@ -53,7 +53,7 @@ def _ref_iid_champion(x: str, m: int) -> tuple:
 
 def test_khat_value_agrees_with_witness_path():
     cases = [(x, SMALL_CFG, "exact") for n in (1, 2, 4, 6, 8) for x in all_strings(n)]
-    # seeded paths past _BIG_N_FLOAT = 64, the Markov tie band's switch, in upper mode
+    # seeded paths at n = 65 to 2^12, in upper mode
     for spec in ("markov:flip=1/10", "bernoulli:p=3/10", "bernoulli:p=1/10"):
         model = processes.parse_model_spec(spec)
         for n in (65, 128, 1 << 12):
@@ -70,7 +70,7 @@ def test_khat_value_agrees_with_witness_path():
         # reaches it never holds a tie, since the even one of two tied
         # parameters is a parameter of the order below with a shorter desc
         for m in range(1, cfg.m_max + 1):
-            c = C._khat_iid_champion(st, cfg, m)
+            c = C._khat_iid_champion(st, m)
             assert (c.objective, c.desc, c.sigma, c.ensemble) == _ref_iid_champion(x, m)
         if isinstance(witness, E.UniformTypical) and len(x) > cfg.n_max:
             continue  # khat's term there is the surrogate ceil(r n)
@@ -242,8 +242,9 @@ def test_order_rows_match_scalar_build():
 
 def test_per_order_tables_match_flat_reference():
     """Every per-order quantity, bit for bit the flat grid's, for m = 1-6:
-    closed-form entropies with their (a0, a1) block minima and maxima, and
-    -log2 p(x) gathered from _markov_terms through slice-local indices."""
+    closed-form entropies with their (a0, a1) block minima and maxima,
+    -log2 p(x) from _neg_log2_p at the (a0, a1, ai) of each slice-local
+    index, and each block's least -log2 p(x) from _block_bounds."""
     grid = flat_markov_grid.flat_grid(6)
     for n in (25, 100, 1000, 1 << 12, 1 << 15, 1 << 18):
         H_all, lo_all, hi_all = grid.closed_tables(n)
@@ -262,13 +263,13 @@ def test_per_order_tables_match_flat_reference():
         st = C.string_stats(x)
         for m, sl in grid.m_slices.items():
             want = flat_markov_grid.neglogp(st, grid, sl)
-            table, t10, t11 = C._markov_terms(st, m)
-            k = len(t10)
-            js = np.arange(k**3)
-            a0a1, ai = np.divmod(js, k)
+            k = (1 << m) - 1
+            a0a1, ai = np.divmod(np.arange(k**3), k)
             a0, a1 = np.divmod(a0a1, k)
-            got = (table[a0, ai] + t10[a1]) + t11[a1]
+            got = C._neg_log2_p(st, m, a0, a1, C._first_terms(st, m)[ai])
             assert got.tobytes() == want.tobytes(), (x, m)
+            bounds = C._block_bounds(st, m)
+            assert bounds.tobytes() == want.reshape(k * k, k).min(axis=1).tobytes(), (x, m)
 
 
 _FIRST_CALL_PEAK = """
@@ -1140,8 +1141,10 @@ def test_delta_sweep_searches_each_markov_order_once(monkeypatch):
     """check_thm4's sweep (per x and delta, coarse_ec then ec for each Delta)
     over the Markov tag alone, on every x with n <= 7: each (x, delta, m)
     block pass and confirm loop runs once, and every value equals one
-    computed from an empty memo. (check_thm4 itself reads no Markov run at
-    n <= 10: uniform-all, typical for every x, has the least desc.)"""
+    computed from an empty memo. Those values also hold check_thm4's
+    Theorem 4 and anti-monotonicity cases over Markov candidates alone:
+    check_thm4 itself reads no Markov run at n <= 10, since uniform-all,
+    typical for every x, has the least desc."""
     from collections import Counter
 
     markov = Constraint(tags=frozenset({"markov-q"}))
@@ -1149,20 +1152,36 @@ def test_delta_sweep_searches_each_markov_order_once(monkeypatch):
     Deltas = [Fraction(v) for v in range(0, 33, 8)]
 
     def sweep(forget):
-        out = []
+        out = {}
         for x in (x for n in range(1, 8) for x in all_strings(n)):
             for d in deltas:
                 cell[0] = (x, d)
                 forget()
-                out.append(C.coarse_ec(x, d, "exact", constraint=markov).coarse_ec)
+                coarse = C.coarse_ec(x, d, "exact", constraint=markov).coarse_ec
+                ecs = []
                 for D in Deltas:
                     forget()
                     query = ComplexityQuery(delta=d, Delta=D, mode="exact", constraint=markov)
-                    out.append(C.ec(x, query).ec)
+                    ecs.append(C.ec(x, query).ec)
+                out[x, d] = (coarse, ecs)
         return out
 
     cell, passes, confirms = [None], Counter(), Counter()
     want = sweep(lambda: _forget(monkeypatch))
+    found = 0
+    for (x, d), (coarse, ecs) in want.items():
+        for D, prev, value in zip(Deltas, [None, *ecs], ecs):
+            if value is None:
+                assert prev is None, (x, d, D)  # a nonempty domain stays nonempty
+                continue
+            found += 1
+            assert coarse <= float(D) + value + 1e-12, (x, d, D)  # Theorem 4
+            assert prev is None or value <= prev, (x, d, D)  # nonincreasing in Delta
+        if d != deltas[0]:
+            tighter = want[x, deltas[deltas.index(d) - 1]][1]
+            for D, a, b in zip(Deltas, tighter, ecs):
+                assert a is None or b is None or b <= a, (x, d, D)  # nonincreasing in delta
+    assert found
     confirmed = C._markov_confirmed
 
     def confirmed_spy(stats, m, *args, **kwargs):

@@ -108,27 +108,24 @@ def _ref_walk_coarse(stats, delta_f, constraint):
     return None
 
 
-def _ref_khat_champion(stats, best_cut):
-    """The champion search without the desc-only skip."""
+def _ref_khat_champions(stats) -> dict:
+    """Each order's champion: the exact numerator bit length of every entry
+    in the top unit interval of its float log2 (widened as the code widens
+    it), the least value, and its ties ranked by (H + desc, a0, a1, ai)."""
     n = stats.n
     grid = flat_markov_grid.flat_grid(CFG.m_max)
     base = 3 + nat_code_len(n)
     H = _ref_tables(n)["H"]
-    best = None
+    out = {}
     for m in range(1, CFG.m_max + 1):
         desc = base + nat_code_len(m) + 3 * m
         sl = grid.m_slices[m]
         lg = m * n - flat_markov_grid.neglogp(stats, grid, sl)
-        lgmax = float(lg.max())
-        cand_value = desc + m * n - math.floor(lgmax) - 1
-        if cand_value - 1 > best_cut and (best is None or cand_value - 1 > best[0]):
-            continue
-        band = math.floor(lgmax) - 1 - C._FLOAT_GUARD
-        near = np.flatnonzero(lg >= band)
+        band = math.floor(float(lg.max())) - 1 - C._FLOAT_GUARD
         best_bl = -1
         tied = []
         top = 1 << m
-        for idx in near.tolist():
+        for idx in np.flatnonzero(lg >= band).tolist():
             j = sl.start + idx
             num = (
                 (int(grid.ai[j]) if stats.first else top - int(grid.ai[j]))
@@ -142,21 +139,19 @@ def _ref_khat_champion(stats, best_cut):
                 best_bl, tied = bl, [j]
             elif bl == best_bl:
                 tied.append(j)
-        value = desc + m * n - best_bl + 1
         tied.sort(
             key=lambda j: (float(H[j]) + desc, int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j]))
         )
         j = tied[0]
-        params = (m, int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j]))
-        cand = (value, desc, float(H[j]) + desc, params)
-        if best is None or (cand[0], cand[1], cand[2], cand[3][1:]) < (
-            best[0], best[1], best[2], best[3][1:],
-        ):
-            best = cand
-    if best is None:
-        return None
-    value, desc, sigma, params = best
-    return value, desc, sigma, E.MarkovQuantized(n, *params)
+        value = desc + m * n - best_bl + 1
+        out[m] = (value, desc, float(H[j]) + desc, _ensemble(grid, n, j))
+    return out
+
+
+def _ref_least(champions: dict):
+    """The least of the per-order champions by (value, desc, sigma, a0, a1,
+    ai): orders differ in desc, so (a0, a1, ai) ranks one order's entries."""
+    return min(champions.values(), key=lambda c: (*c[:3], c[3].a0, c[3].a1, c[3].ai))
 
 
 def _as_tuple(c):
@@ -220,16 +215,18 @@ def _check_walks(stats):
 
 
 def _check_khat(x, stats, monkeypatch, mode="exact"):
-    """The least of the per-m champions against the reference at an unlimited
-    cut, and khat asking for exactly the orders whose champion reaches khat."""
+    """Each order's champion and the least of them against the reference,
+    and khat asking for exactly the orders whose champion reaches khat."""
     champion = C._khat_markov_champion
-    per_m = {m: champion(stats, CFG, m) for m in range(1, CFG.m_max + 1)}
-    assert _as_tuple(C._pick_canonical(per_m.values())) == _ref_khat_champion(stats, 10**6)
+    per_m = {m: champion(stats, m) for m in range(1, CFG.m_max + 1)}
+    want = _ref_khat_champions(stats)
+    assert {m: _as_tuple(c) for m, c in per_m.items()} == want, stats
+    assert _as_tuple(C._pick_canonical(per_m.values())) == _ref_least(want)
     seen = []
 
-    def spy(st, cfg, m):
+    def spy(st, m):
         seen.append(m)
-        return champion(st, cfg, m)
+        return champion(st, m)
 
     with monkeypatch.context() as mp:
         mp.setattr(C, "_khat_markov_champion", spy)
@@ -258,19 +255,18 @@ def test_khat_champion_ties_past_the_likeliest_entry():
     grid = flat_markov_grid.flat_grid(CFG.m_max)
     for x in ("0011111111111111111", "000000110000000000001"):
         stats = C.string_stats(x)
-        want = _ref_khat_champion(stats, 10**6)
+        want = _ref_least(_ref_khat_champions(stats))
         sl = grid.m_slices[want[3].m]
         v = flat_markov_grid.neglogp(stats, grid, sl)
         k = (1 << want[3].m) - 1
         j = ((want[3].a0 - 1) * k + want[3].a1 - 1) * k + want[3].ai - 1
         assert v[j] > v.min()
-        assert _as_tuple(C._khat_markov_champion(stats, CFG, want[3].m)) == want
+        assert _as_tuple(C._khat_markov_champion(stats, want[3].m)) == want
 
 
 def test_walks_match_scalar_reference_beyond_nmax(monkeypatch):
     """At n = 32-64 higher orders win the coarse walk, so mmax binds there.
-    khat's champions break ties by total information up to n = 64, so they
-    are checked too, in upper mode."""
+    khat's champions are checked too, in upper mode."""
     bound = 0
     for x, stats in _distinct_stats(_seeded_strings("longer", (32, 48, 64))):
         _check_walks(stats)
@@ -278,6 +274,15 @@ def test_walks_match_scalar_reference_beyond_nmax(monkeypatch):
         free = _markov_coarse(stats, 1.0, None, EXACT_CFG)
         bound += free.ensemble.m > 1
     assert bound > 0
+
+
+def test_khat_champion_of_every_order_beyond_n64(monkeypatch):
+    """Each order's khat champion on seeded strings at n = 100 and 1000, in
+    upper mode: the same tie band and ranking as at small n, where a rule
+    that kept only the top 1e-9 of log2 and took the least (a0, a1, ai)
+    would pick another entry in some orders."""
+    for x, stats in _distinct_stats(_seeded_strings("per-order", (100, 1000))):
+        _check_khat(x, stats, monkeypatch, "upper")
 
 
 def test_walks_match_at_budget_edges():

@@ -214,8 +214,10 @@ def test_golden_upper_argv_take_the_power_of_two_recheck(monkeypatch, capsys):
 
 
 def _whole_slice_khat_champion(stats, cfg, best_cut):
-    """khat's Markov champion beyond n = 64 as computed before: lg over each
-    whole m-slice, and the exact bit length of every numerator in the band."""
+    """khat's Markov champion as a direct scan: lg over each whole m-slice,
+    the exact bit length of every numerator in the top unit interval of lg
+    (widened as the code widens it), and ties ranked by the documented rule
+    (H + desc, a0, a1, ai)."""
     C = complexity
     n = stats.n
     grid = flat_markov_grid.flat_grid(cfg.m_max)
@@ -230,7 +232,8 @@ def _whole_slice_khat_champion(stats, cfg, best_cut):
         if desc + m * n - math.floor(lgmax) - 2 > cut:
             continue
         best_bl, tied, top = -1, [], 1 << m
-        for j in (sl.start + np.flatnonzero(lg >= lgmax - 1e-9)).tolist():
+        band = math.floor(lgmax) - 1 - C._FLOAT_GUARD
+        for j in (sl.start + np.flatnonzero(lg >= band)).tolist():
             a0, a1, ai = int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j])
             num = (
                 (ai if stats.first else top - ai)
@@ -241,17 +244,17 @@ def _whole_slice_khat_champion(stats, cfg, best_cut):
                 best_bl, tied = num.bit_length(), [j]
             elif num.bit_length() == best_bl:
                 tied.append(j)
-        j = min(tied, key=lambda j: (int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j])))
-        e = flat_markov_grid.ensemble(grid, n, j)
+        es = [flat_markov_grid.ensemble(grid, n, j) for j in tied]
+        e = min(es, key=lambda e: (ensembles.entropy(e) + desc, e.a0, e.a1, e.ai))
         cand = C._Candidate(desc + m * n - best_bl + 1, desc, ensembles.entropy(e) + desc, e)
         best = C._pick_canonical((best, cand))
     return best
 
 
 def test_upper_khat_markov_champion_matches_whole_slice_reference(monkeypatch):
-    """Beyond the float bound, khat's Markov champion evaluates -log2 p(x)
-    only where the band can lie and reads each numerator's bit length from
-    its guarded float log2, so no exact product is taken outside the guard's
+    """khat's Markov champion evaluates -log2 p(x) only in the blocks that
+    can reach the band and reads each numerator's bit length from its
+    guarded float log2, so no exact product is taken outside the guard's
     rechecks. Same value and witness as the whole-slice, exact-product
     reference on the paths of the upper argv above and on seeded paths of
     both models at n = 2^12, 2^15 and 2^18."""
@@ -287,7 +290,7 @@ def test_upper_khat_markov_champion_matches_whole_slice_reference(monkeypatch):
         mp.setattr(
             complexity,
             "_khat_markov_champion",
-            lambda st, cfg, _m: _whole_slice_khat_champion(st, cfg, math.inf),
+            lambda st, _m: _whole_slice_khat_champion(st, complexity.DEFAULT_CONFIG, math.inf),
         )
         want = [complexity.khat(x) for x in paths]
     assert got == want
