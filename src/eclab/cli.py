@@ -287,13 +287,20 @@ def _cmd_typical(args) -> int:
             raise UsageError("typical: --model requires --samples and --seed")
     rows = []
     for n in ns:
-        for r in rs:
+        probs = None
+        for i, r in enumerate(rs):
             spec = typical_sets.TypicalSetSpec(r, n)
             if model is None:
                 value = typical_sets.cardinality(spec)
                 method = "exact"
             else:
-                value = typical_sets.empirical_prob(spec, model, args.samples, args.seed)
+                if probs is None:  # every rate of this n from one draw and one parse per path
+                    probs = (
+                        [typical_sets.empirical_prob(spec, model, args.samples, args.seed)]
+                        if len(rs) == 1
+                        else typical_sets.empirical_probs(rs, n, model, args.samples, args.seed)
+                    )
+                value = probs[i]
                 method = "monte-carlo"
             rows.append(
                 {

@@ -27,14 +27,26 @@ __all__ = [
 ]
 
 
+# Long strings are read in slices of this many characters: a whole 2^18-bit
+# string would take a fresh 256 KB buffer per encode or translate, which the
+# allocator maps and unmaps on every call, while a slice's buffer reuses
+# heap pages.
+_SLICE = 1 << 15
+
+
 def is_bits(x: str) -> bool:
     """True when every character of x is ASCII '0' or '1' (so also for "").
 
-    Equal to `x.count("0") + x.count("1") == len(x)`, at C speed: isascii()
-    goes first, so a lone surrogate or any other non-ASCII text is rejected
-    before it can reach encode().
+    Equal to `x.count("0") + x.count("1") == len(x)`, at C speed, one slice
+    at a time: isascii() goes first, so a lone surrogate or any other
+    non-ASCII text is rejected before it can reach encode().
     """
-    return x.isascii() and not x.encode("ascii").translate(None, b"01")
+    if not x.isascii():
+        return False
+    for start in range(0, len(x), _SLICE):
+        if x[start : start + _SLICE].encode("ascii").translate(None, b"01"):
+            return False
+    return True
 
 
 def check_bits(x: str, what: str) -> None:

@@ -48,19 +48,24 @@ least Sigma, the group's run, can win either. `ec` and `coarse_ec` read
 one frontier that does not depend on the budget: per tag, its groups in
 ascending D (each fixed row on its own, the uniform-typical rows by D, one
 i.i.d. and one Markov group per m), each with its least entropy, known
-without a scan, and its run, computed when read. `ec` takes each tag's
-first run within the budget and `coarse_ec` the least 2 D + H of the runs
-it reads; both skip, unread, a group whose least entropy already rules it
-out, and stop once D alone does.
+without a scan, a Markov group's tighter floor, from its block pass, and
+its run, computed when read. `ec` takes each tag's first run within the
+budget, in ascending D, and stops once D alone rules a group out.
+`coarse_ec` takes the least 2 D + H, reading each tag's groups best-first
+by 2 D plus the best bound known, and stops once that bound rules the rest
+out. Both skip, unread, a group whose bounds already rule it out.
 
 Every Markov quantity is read from its order's rows: for order m, -log2 q,
--log2 (1 - q), h(q) and q over q = a / 2^m, a = 1 .. 2^m - 1, broadcast over
-the (a0, a1, ai) product of that order; no array spans two orders, and
--log2 p(x) is one broadcast sum (_neg_log2_p). One Markov search serves
-every n and visits no whole order: a block pass gives each (a0, a1) block
-a lower bound on -log2 p(x), the sum at its least first-symbol term, and
-with the range of its closed-form entropies rules out the blocks that
-cannot hold a typical entry. The least closed-form entropy of the rest
+-log2 (1 - q), h(q) and q over q = a / 2^m, a = 1 .. 2^m - 1, indexed at
+the (a0, a1, ai) entries a search reads; no array spans two orders or holds
+a whole order, and -log2 p(x) is one broadcast sum (_neg_log2_p). The
+closed-form entropies are kept per (a0, a1) block only (_closed_tables,
+k^2 numbers per array at k = 2^m - 1) and computed for the entries a
+search expands (_closed_H). One Markov search serves every n and visits no
+whole order: a block pass gives each (a0, a1) block a lower bound on
+-log2 p(x), the sum at its least first-symbol term, and with the range of
+its closed-form entropies rules out the blocks that cannot hold a typical
+entry. The least closed-form entropy of the rest
 bounds the order's entropies more tightly than its least possible one, so a
 pick can still pass the order over. Otherwise the blocks are expanded in
 ascending closed-form entropy order, and each entry read is confirmed with
@@ -73,6 +78,7 @@ and khat pass.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -115,7 +121,8 @@ __all__ = [
 # also reaches this far below the integer under the top one
 _FLOAT_GUARD = 1e-6
 _STRAGGLER_CAP = 256  # large-n Markov entries retried per m before giving up on m
-_CLOSED_LENGTHS = 8  # lengths whose closed-form Markov entropies are kept
+_CLOSED_LENGTHS = 8  # lengths whose closed-form Markov block tables are kept
+_CLOSED_CHUNK = 64  # blocks per chunk when the closed-form block minima and maxima are built
 
 
 _R_GRID_IDS: dict[tuple[Fraction, ...], int] = {}
@@ -308,8 +315,9 @@ def coarse_scheme_constant(scan_n_max: int = 16) -> int:
 # The order-m Markov entries are the product (a0, a1, ai) of a = 1 .. 2^m - 1
 # with ai fastest, k = 2^m - 1 values per axis: entry (a0, a1, ai) has the
 # slice-local index ((a0 - 1) k + a1 - 1) k + ai - 1. Every per-entry quantity
-# is computed over that product from the order's rows, broadcast along the
-# axes, so no array spans more than one order.
+# is computed at the entries read from the order's rows, broadcast along the
+# axes, so no array spans more than one order, and none kept holds more than
+# one number per (a0, a1) block.
 
 _ORDER_ROWS: dict[int, tuple] = {}
 _CLOSED_PER_N: dict[int, dict[int, tuple]] = {}
@@ -337,16 +345,18 @@ def _order_rows(m: int) -> tuple:
 
 
 def _closed_tables(n: int, m: int) -> tuple[np.ndarray, ...]:
-    """Closed form of the chain-rule entropy sum over the order-m entries, as
-    (a0, a1) blocks of k entries, with each block's minimum and maximum and
-    the block indices in (minimum, index) order, read-only, within
-    _closed_margin(n) of the defining recursion's values: it orders and
-    prefilters every Markov search.
+    """Per-(a0, a1)-block data of the closed form of the chain-rule entropy
+    sum over the order-m entries: the stationary mean pi1 and the geometric
+    factor of each block, each block's least and largest closed-form H, and
+    the block indices in (least, index) order, read-only. The closed form
+    lies within _closed_margin(n) of the defining recursion's values: it
+    orders and prefilters every Markov search, and _closed_H gives it at the
+    entries a search expands.
 
-    The stationary mean and the geometric factor depend on (a0, a1) only, so
-    they are computed once per block and broadcast along ai. The orders read
-    at the _CLOSED_LENGTHS most recently used lengths are kept (2 MB per
-    length at m = 6)."""
+    Every array has one entry per block, k^2 in all: the minima and maxima
+    are taken over ai a fixed chunk of blocks at a time, so no k^3 array is
+    built. The orders read at the _CLOSED_LENGTHS most recently used lengths
+    are kept (160 KB per length at m = 6)."""
     per_m = _CLOSED_PER_N.pop(n, None)
     if per_m is None:
         per_m = {}
@@ -355,22 +365,37 @@ def _closed_tables(n: int, m: int) -> tuple[np.ndarray, ...]:
     _CLOSED_PER_N[n] = per_m  # most recently used last
     cached = per_m.get(m)
     if cached is None:
-        _log1, _log0, hof, prob = _order_rows(m)
+        prob = _order_rows(m)[3]
         k = len(prob)
         q0, q1 = prob[:, None], prob[None, :]
         pi1 = q0 / (q0 + q1)
         lam = 1.0 - q0 - q1
         with np.errstate(divide="ignore", invalid="ignore"):
             geo = np.where(lam == 1.0, float(n - 1), (1.0 - lam ** (n - 1)) / (1.0 - lam))
-        pi1, geo = pi1[:, :, None], geo[:, :, None]
-        sum_p1 = (n - 1) * pi1 + (prob - pi1) * geo
-        H = hof + hof[:, None, None] * ((n - 1) - sum_p1) + hof[None, :, None] * sum_p1
-        H = H.reshape(k * k, k)
-        lo = H.min(axis=1)
-        cached = per_m[m] = (H, lo, H.max(axis=1), np.argsort(lo, kind="stable"))
+        factors = (pi1.ravel(), geo.ravel())
+        lo, hi = np.empty(k * k), np.empty(k * k)
+        ai = np.arange(k)
+        for start in range(0, k * k, _CLOSED_CHUNK):
+            stop = min(start + _CLOSED_CHUNK, k * k)
+            H = _closed_H(n, m, factors, np.arange(start, stop)[:, None], ai)
+            lo[start:stop], hi[start:stop] = H.min(axis=1), H.max(axis=1)
+        cached = per_m[m] = (*factors, lo, hi, np.argsort(lo, kind="stable"))
         for arr in cached:
             arr.flags.writeable = False
     return cached
+
+
+def _closed_H(n: int, m: int, tables: tuple, b, ai) -> np.ndarray:
+    """The closed-form H of the order-m entries (block b = (a0 - 1) k + a1 -
+    1, ai - 1), broadcast over b and ai, from the block factors that lead
+    tables (_closed_tables). Each entry is one chain of float operations on
+    its own block's factors and its own rows, so any subset of entries gets
+    the bits of the whole product."""
+    hof, prob = _order_rows(m)[2:]
+    k = len(prob)
+    pi1, geo = tables[0][b], tables[1][b]
+    sum_p1 = (n - 1) * pi1 + (prob[ai] - pi1) * geo
+    return hof[ai] + hof[b // k] * ((n - 1) - sum_p1) + hof[b % k] * sum_p1
 
 
 def _iid_table(n: int, m: int) -> tuple:
@@ -684,7 +709,7 @@ def _khat_markov_champion(stats: StringStats, m: int) -> _Candidate:
         bl[i] = 1 + _floor_log2_product(ens.markov_factors(stats, top, init, a0, a1))
     best_bl = int(bl.max())
     tied = near[bl == best_bl]
-    Hc = _closed_tables(n, m)[0].ravel()[tied]
+    Hc = _closed_H(n, m, _closed_tables(n, m), tied // k, tied % k)
     by_hc = np.lexsort((tied, Hc))
     entries = (
         (hc, j, ens.entropy(_markov_ensemble(n, m, j)))
@@ -750,7 +775,7 @@ def _markov_blocks(stats: StringStats, m: int, delta_f: float) -> np.ndarray:
     A block is kept when its least -log2 p(x) (_block_bounds) is within its
     largest typicality threshold, with _closed_margin for the closed form's
     rounding."""
-    _H, _lo, hi, by_lo = _closed_tables(stats.n, m)
+    hi, by_lo = _closed_tables(stats.n, m)[3:]
     threshold = hi * (1.0 + delta_f) + ens.TYPICALITY_SLACK + _closed_margin(stats.n)
     keep = _block_bounds(stats, m) <= threshold
     return by_lo[keep[by_lo]]
@@ -780,7 +805,8 @@ def _markov_confirmed(
     scale = 1.0 + delta_f
     k = (1 << m) - 1
     li = _first_terms(stats, m)
-    H_blocks, lo = _closed_tables(n, m)[:2]
+    tables = _closed_tables(n, m)
+    lo, ks = tables[2], np.arange(k)
     left = cap
     pend_h = pend_i = pend_v = None  # kept entries not yet confirmed
     done, chunk = 0, 2
@@ -790,9 +816,9 @@ def _markov_confirmed(
         chunk *= 4
         a0, a1 = np.divmod(bs, k)
         v = _neg_log2_p(stats, m, a0[:, None], a1[:, None], li)
-        hb = H_blocks[bs]
+        hb = _closed_H(n, m, tables, bs[:, None], ks)
         keep = v <= hb * scale + ens.TYPICALITY_SLACK + margin
-        hb, ib, vb = hb[keep], (bs[:, None] * k + np.arange(k))[keep], v[keep]
+        hb, ib, vb = hb[keep], (bs[:, None] * k + ks)[keep], v[keep]
         if pend_h is not None:
             hb = np.concatenate((pend_h, hb))
             ib = np.concatenate((pend_i, ib))
@@ -835,12 +861,13 @@ def _least_sigma(entries: Iterable[tuple], n: int, m: int, desc: int) -> Optiona
 
 # --- the frontier and its two picks ---------------------------------------------
 #
-# A group is (desc, hmin, read): hmin bounds its entropies from below, and
-# read(skip) gives its run (sigma, members), members as (H, ensemble) in
-# serialization order, or None when none is typical. A group that finds a
-# tighter bound h on the way returns None, unread, when skip(desc, h) holds.
+# A group is (desc, hmin, floor, read): hmin bounds its entropies from below,
+# floor() gives a bound at least as tight (a Markov group runs its block pass
+# for it; floor is None where hmin is the best bound known without a scan),
+# and read() gives its run (sigma, members), members as (H, ensemble) in
+# serialization order, or None when none is typical.
 
-def _run_of(rows: list, typical, build, _skip=None) -> Optional[tuple]:
+def _run_of(rows: list, typical, build) -> Optional[tuple]:
     """The run of rows (H, sigma, ...) in (sigma, serialization) order: the
     first typical row and the typical rows after it with the same sigma."""
     sigma, members = None, []
@@ -866,11 +893,10 @@ def _markov_groups(
     step of the chain-rule sum adds p0 h(q0) + p1 h(q1) >= h(2^-m), and the
     first adds h(ai / 2^m) >= h(2^-m), with equality at a0 = a1 = ai = 1.
 
-    Reading a group runs its order's block pass (_markov_blocks). The least
+    The floor runs its order's block pass (_markov_blocks): the least
     closed-form H of the kept blocks less _closed_margin (infinite with no
-    block kept, never below hmin) bounds every entry it can confirm, and the
-    group is passed over when skip holds for that floor. Otherwise the run
-    comes from _markov_confirmed over those blocks. Up to n_max it is
+    block kept, never below hmin) bounds every entry it can confirm. Reading
+    the group runs _markov_confirmed over those blocks. Up to n_max it is
     exhaustive and the run is every typical entry of least sigma
     (_least_sigma); beyond n_max the run is the first entry confirmed within
     _STRAGGLER_CAP tries. Each order's block pass and run are kept under the
@@ -885,16 +911,18 @@ def _markov_groups(
         orders = {}
         _last_markov = (key, orders)
 
-    def read(m, desc, hmin, skip):
-        floor, blocks, run = orders.get(m, (None, None, None))
-        if floor is None:
+    def floor(m, hmin):
+        if m not in orders:
             blocks = _markov_blocks(stats, m, delta_f)
-            floor = math.inf
+            least = math.inf
             if len(blocks):
-                floor = max(hmin, float(_closed_tables(n, m)[1][blocks[0]]) - _closed_margin(n))
-            orders[m] = (floor, blocks, None)
-        if skip(desc, floor):
-            return None
+                least = max(hmin, float(_closed_tables(n, m)[2][blocks[0]]) - _closed_margin(n))
+            orders[m] = (least, blocks, None)
+        return orders[m][0]
+
+    def read(m, desc, hmin):
+        floor(m, hmin)  # the block pass, on first use
+        least, blocks, run = orders[m]
         if blocks is not None:
             if exhaustive:
                 run = _least_sigma(_markov_confirmed(stats, m, delta_f, blocks=blocks), n, m, desc)
@@ -902,14 +930,14 @@ def _markov_groups(
                 confirmed = _markov_confirmed(stats, m, delta_f, _STRAGGLER_CAP, blocks)
                 _hc, j, H = next(confirmed, (None,) * 3)
                 run = None if j is None else (H + desc, ((H, _markov_ensemble(n, m, j)),))
-            orders[m] = (floor, None, run)
+            orders[m] = (least, None, run)
         return run
 
     for m in range(1, cfg.m_max + 1):
         if not constraint or constraint.allows_m(m):
             desc = ens.markov_desc_len(n, m)
             hmin = n * binary_entropy(1 / (1 << m)) - _closed_margin(n)
-            yield desc, hmin, partial(read, m, desc, hmin)
+            yield desc, hmin, partial(floor, m, hmin), partial(read, m, desc, hmin)
 
 
 def _frontier(
@@ -927,7 +955,7 @@ def _frontier(
     fixed_typical = lambda _row: True  # -log2 p(x) = H for a fixed row
     fixed_build = lambda row: row[2](row[3])
     uniform_all, *singletons = (
-        [(desc, H, partial(_run_of, [(H, H + desc, cls, arg)], fixed_typical, fixed_build))]
+        [(desc, H, None, partial(_run_of, [(H, H + desc, cls, arg)], fixed_typical, fixed_build))]
         if allow(ens.TAG_NAMES[cls]) else []
         for desc, H, cls, arg in _fixed_rows(x, stats)
     )
@@ -936,7 +964,7 @@ def _frontier(
         iid_typical = lambda row: ens.is_typical(ones * row[4] + zeros * row[5], row[0], delta_f)
         iid_build = lambda row: ens.IIDQuantized(n, row[2], row[3])
         tags.append(
-            (desc, hmin, partial(_run_of, rows, iid_typical, iid_build))
+            (desc, hmin, None, partial(_run_of, rows, iid_typical, iid_build))
             for m in range(1, cfg.m_max + 1)
             if not constraint or constraint.allows_m(m)
             for desc, hmin, rows in (_iid_table(n, m),)
@@ -949,7 +977,7 @@ def _frontier(
         # the surrogate H = r n of a member exceeds lz_len
         least = 0 if mode == "exact" else stats.lz_len
         tags.append(
-            (desc, max(hmin, least), partial(_run_of, rows, ut_member, ut_build))
+            (desc, max(hmin, least), None, partial(_run_of, rows, ut_member, ut_build))
             for desc, hmin, rows in _ut_tables(cfg, n, mode == "exact")
         )
     return tags + singletons
@@ -957,14 +985,14 @@ def _frontier(
 
 def _runs(groups: Iterable, stop, skip) -> Iterable[tuple]:
     """(desc, run) of each group read, in ascending desc: reading ends at the
-    first desc for which stop(desc) holds, and a group for which
-    skip(desc, hmin) holds, or whose read(skip) is None, is passed over: a
-    Markov group reads nothing more once skip holds for its tighter floor."""
-    for desc, hmin, read in groups:
+    first desc for which stop(desc) holds, and a group for which skip(desc,
+    h) holds for its hmin, or then for its floor, or whose run is None, is
+    passed over."""
+    for desc, hmin, floor, read in groups:
         if stop(desc):
             return
-        if not skip(desc, hmin):
-            run = read(skip)
+        if not skip(desc, hmin) and (floor is None or not skip(desc, floor())):
+            run = read()
             if run is not None:
                 yield desc, run
 
@@ -993,16 +1021,36 @@ def _coarse_pick(frontier: list) -> Optional[_Candidate]:
     Within one desc, 2 desc + H never falls as sigma rises, so a run holds
     its group's best: the least (2 desc + H, serialization) member, as its
     members share sigma but not always 2 desc + H. A tag's champion is its
-    least objective, the earliest on ties (later groups have larger desc)."""
+    least (objective, desc).
+
+    Each tag's groups are taken best-first, by (2 desc + the best bound
+    known, desc): a group is first keyed by its hmin; when it comes up, a
+    group with a floor is keyed again by that, and a group that comes up
+    with its best bound has its run read. Taking ends once the least key
+    exceeds the bound so far, which every later objective then exceeds too.
+    So a Markov order's block pass runs only when its hmin may beat the
+    bound, and its run is searched only when its floor may."""
     bound = math.inf
     champions = []
     for groups in frontier:
+        heap = []
+        for desc, hmin, floor, read in groups:
+            if 2 * desc > bound:
+                break
+            heap.append((2 * desc + hmin, desc, floor, read))
+        heapq.heapify(heap)  # desc differs within a tag: keys never tie
         champion = None
-        for desc, (sigma, members) in _runs(
-            groups, lambda d: 2 * d > bound, lambda d, h: 2 * d + h > bound
-        ):
+        while heap and heap[0][0] <= bound:
+            _least, desc, floor, read = heapq.heappop(heap)
+            if floor is not None:
+                heapq.heappush(heap, (2 * desc + floor(), desc, None, read))
+                continue
+            run = read()
+            if run is None:
+                continue
+            sigma, members = run
             H, e = min(members, key=lambda member: 2 * desc + member[0])
-            if champion is None or 2 * desc + H < champion.objective:
+            if champion is None or (2 * desc + H, desc) < (champion.objective, champion.desc):
                 champion = _Candidate(2 * desc + H, desc, sigma, e)
                 bound = min(bound, champion.objective)
         champions.append(champion)

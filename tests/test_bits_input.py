@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from eclab import cli, complexity, ensembles as E, lz78, processes
+from eclab import cli, codec, complexity, ensembles as E, lz78, processes
 from eclab.codec import is_bits
 
 
@@ -98,3 +98,34 @@ def test_valid_strings_pass_every_entry_point(x, capsys):
     assert cli.main(["lz", "--x", x]) == 0
     assert cli.main(["khat", "--x", x]) == 0
     capsys.readouterr()
+
+
+def _slice_cases() -> list[str]:
+    """Strings around the slice length of is_bits: a bad character at the
+    first or last index of a slice, lengths at exact slice multiples and one
+    either side, non-ASCII text and the empty string."""
+    s = codec._SLICE
+    good = ["0" * s, "1" * s, "01" * s, "10" * (s // 2) + "1", "0" * (2 * s - 1), "1" * (3 * s)]
+    cases = ["", "0", "1"] + good
+    for length in (s, s + 1, 2 * s, 3 * s):
+        for i in (0, s - 1, s, 2 * s - 1, 2 * s, length - 1):
+            if i < length:
+                for bad in ("2", " ", "é", "\udc80", "１"):
+                    x = ["01"[j % 2] for j in range(length)]
+                    x[i] = bad
+                    cases.append("".join(x))
+    return cases
+
+
+def test_is_bits_by_slices_equals_count_predicate():
+    for x in _slice_cases():
+        assert is_bits(x) == _counted(x), (len(x), x.strip("01")[:3])
+
+
+def test_check_bits_by_slices_equals_whole_string_rule():
+    for x in _slice_cases():
+        if x and _counted(x):
+            codec.check_bits(x, "x")
+        else:
+            with pytest.raises(ValueError, match="nonempty" if not x else _NOT_01):
+                codec.check_bits(x, "x")

@@ -115,13 +115,20 @@ def test_coarse_ec_builds_no_losing_singleton(monkeypatch):
     assert checked == []
 
 
+def _closed_rows(n: int, m: int) -> np.ndarray:
+    """Every order-m closed-form entropy, as the (a0, a1) blocks' rows of k
+    entries, read through the row helper."""
+    k = (1 << m) - 1
+    return C._closed_H(n, m, C._closed_tables(n, m), np.arange(k * k)[:, None], np.arange(k))
+
+
 def test_markov_entropy_tables_match_scalar():
     """Slice-local indices name the flat grid's entries, and the closed-form
     entropies lie within 1e-9 n of the defining recursion's."""
     grid = flat_markov_grid.flat_grid(3)
     for n in (1, 2, 5, 9):
         for m, sl in grid.m_slices.items():
-            closed = C._closed_tables(n, m)[0].ravel()
+            closed = _closed_rows(n, m).ravel()
             for j in range(sl.stop - sl.start):
                 e = flat_markov_grid.ensemble(grid, n, sl.start + j)
                 assert C._markov_ensemble(n, m, j) == e
@@ -137,8 +144,8 @@ def test_markov_hmin_bounds_every_entropy():
     for n in (1, 2, 9, 24, 64, 1 << 12, 1 << 15, 1 << 18):
         groups = C._markov_groups(C.string_stats("0" * n), 0.0, None, C.DEFAULT_CONFIG)
         H_all = grid.entropies(n) if n <= 64 else None
-        for m, (_desc, hmin, _read) in zip(range(1, 7), groups):
-            H = H_all[grid.m_slices[m]] if n <= 64 else C._closed_tables(n, m)[1]
+        for m, (_desc, hmin, _floor, _read) in zip(range(1, 7), groups):
+            H = H_all[grid.m_slices[m]] if n <= 64 else C._closed_tables(n, m)[2]
             least = float(H.min())
             assert hmin <= least <= hmin + 2 * C._closed_margin(n), (n, m, hmin, least)
 
@@ -164,10 +171,8 @@ def test_markov_floor_bounds_every_confirmed_entropy():
         seen.add(st.key)
         for delta_f in (0.0, 0.25, 1.0):
             groups = C._markov_groups(st, delta_f, None, cfg)
-            for m, (_desc, hmin, read) in zip(range(1, 7), groups):
-                floors = []
-                assert read(lambda _desc, h: floors.append(h) or True) is None  # floor only
-                (floor,) = floors
+            for m, (_desc, hmin, floor_of, _read) in zip(range(1, 7), groups):
+                floor = floor_of()
                 assert floor >= hmin, (x, delta_f, m)
                 for _hc, _j, H in C._markov_confirmed(st, m, delta_f, 32):
                     assert H >= floor, (x, delta_f, m, H, floor)
@@ -250,7 +255,8 @@ def test_per_order_tables_match_flat_reference():
         H_all, lo_all, hi_all = grid.closed_tables(n)
         for m, sl in grid.m_slices.items():
             k = (1 << m) - 1
-            H, lo, hi, _by_lo = C._closed_tables(n, m)
+            lo, hi = C._closed_tables(n, m)[2:4]
+            H = _closed_rows(n, m)
             assert H.shape == (k * k, k)
             assert H.tobytes() == H_all[sl].tobytes(), (n, m)
             bsl = grid.block_slices[m]
@@ -333,11 +339,11 @@ def test_closed_entropies_cached_read_only():
     for n in (1, 2, 25, 100, 1 << 12, 1 << 15, 1 << 18, 1 << 20):
         whole = _closed_whole_grid(grid, n)
         for m, sl in grid.m_slices.items():
-            H = C._closed_tables(n, m)[0]
-            assert C._closed_tables(n, m)[0] is H
-            assert not H.flags.writeable
+            tables = C._closed_tables(n, m)
+            assert C._closed_tables(n, m) is tables
+            assert not any(arr.flags.writeable for arr in tables)
             # per-(a0, a1) factors broadcast over ai: the same bytes
-            assert H.tobytes() == whole[sl].tobytes(), (n, m)
+            assert _closed_rows(n, m).tobytes() == whole[sl].tobytes(), (n, m)
 
 
 def test_closed_cache_bounded_with_block_ranges(monkeypatch):
@@ -346,20 +352,22 @@ def test_closed_cache_bounded_with_block_ranges(monkeypatch):
     for n in lengths:
         for m in range(1, 7):
             k = (1 << m) - 1
-            H, lo, hi, by_lo = C._closed_tables(n, m)
-            assert C._closed_tables(n, m)[0] is H
+            tables = C._closed_tables(n, m)
+            lo, hi, by_lo = tables[2:]
+            assert C._closed_tables(n, m) is tables
             assert not lo.flags.writeable and not hi.flags.writeable
             assert not by_lo.flags.writeable
+            H = _closed_rows(n, m)
             assert H.shape == (k * k, k)
             assert np.array_equal(lo, H.min(axis=1))
             assert np.array_equal(hi, H.max(axis=1))
             # the blocks in (least closed-form H, block index) order
             assert np.array_equal(by_lo, np.lexsort((np.arange(k * k), lo)))
     assert list(C._CLOSED_PER_N) == lengths[-8:] and C._CLOSED_LENGTHS == 8
-    # the most recently used lengths stay, and a repeat returns the same array
-    H = C._closed_tables(lengths[-1], 6)[0]
-    assert C._closed_tables(lengths[-1], 6)[0] is H
-    assert C._closed_tables(lengths[-8], 3)[0] is C._closed_tables(lengths[-8], 3)[0]
+    # the most recently used lengths stay, and a repeat returns the same arrays
+    tables = C._closed_tables(lengths[-1], 6)
+    assert C._closed_tables(lengths[-1], 6) is tables
+    assert C._closed_tables(lengths[-8], 3) is C._closed_tables(lengths[-8], 3)
     assert lengths[0] not in C._CLOSED_PER_N
     assert list(C._CLOSED_PER_N)[-1] == lengths[-8]
 
@@ -1279,3 +1287,133 @@ def test_markov_memo_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert errors == []
+
+
+def _read_every_group(frontier) -> "C._Candidate | None":
+    """The coarse_ec pick with nothing skipped: every group of every tag is
+    read, each run gives its least (2 desc + H, serialization) member, and
+    the canonical pick ranks them all."""
+    cands = []
+    for groups in frontier:
+        for desc, _hmin, _floor, read in groups:
+            run = read()
+            if run is not None:
+                sigma, members = run
+                H, e = min(members, key=lambda member: 2 * desc + member[0])
+                cands.append(C._Candidate(2 * desc + H, desc, sigma, e))
+    return C._pick_canonical(cands)
+
+
+def _desc_order_pick(frontier) -> "C._Candidate | None":
+    """The coarse_ec pick reading each tag's groups in ascending desc: a
+    group is passed over when 2 desc + its hmin, or then its floor, exceeds
+    the least objective so far, and reading stops once 2 desc does."""
+    bound = math.inf
+    champions = []
+    for groups in frontier:
+        champion = None
+        for desc, (sigma, members) in C._runs(
+            groups, lambda d: 2 * d > bound, lambda d, h: 2 * d + h > bound
+        ):
+            H, e = min(members, key=lambda member: 2 * desc + member[0])
+            if champion is None or 2 * desc + H < champion.objective:
+                champion = C._Candidate(2 * desc + H, desc, sigma, e)
+                bound = min(bound, champion.objective)
+        champions.append(champion)
+    return C._pick_canonical(champions)
+
+
+def _pick_tuple(c):
+    return None if c is None else (c.objective, c.desc, c.sigma, c.ensemble)
+
+
+_MARKOV_ONLY = Constraint(tags=frozenset({"markov-q"}))
+
+
+def _best_first_cases():
+    """(x, mode) for every x with n <= 9, and seeded paths of three models
+    at n = 100, 1000 and 4096."""
+    cases = [(x, "exact") for n in range(1, 10) for x in all_strings(n)]
+    for spec in ("markov:flip=1/10", "markov:flip=1/3", "bernoulli:p=3/10"):
+        model = processes.parse_model_spec(spec)
+        for n in (100, 1000, 4096):
+            cases += [(x, "auto") for x, _ in processes.sample_paths(model, n, 9, 2)]
+    return cases
+
+
+def test_coarse_pick_best_first_equals_reading_every_group():
+    """coarse_ec, which reads each tag's groups best-first, equals the pick
+    that reads every group of every tag, for every x with n <= 9 and seeded
+    paths at n = 100 - 4096, delta in {0, 1/4, 1}, with and without a
+    Markov-only constraint."""
+    cfg = C.DEFAULT_CONFIG
+    for x, mode in _best_first_cases():
+        st = C.string_stats(x)
+        for delta in (Fraction(0), Fraction(1, 4), Fraction(1)):
+            for constraint in (None, _MARKOV_ONLY):
+                rep = C.coarse_ec(x, delta, mode, cfg, constraint)
+                mode_r = C._resolve_mode(mode, st.n, cfg)
+                ref = _read_every_group(C._frontier(x, st, float(delta), mode_r, constraint, cfg))
+                case = (x if len(x) < 16 else len(x), delta, constraint is not None)
+                if ref is None:
+                    assert rep.ec_empty and rep.witness is None, case
+                else:
+                    assert rep.coarse_ec == float(ref.objective) - rep.khat, case
+                    assert rep.witness == ref.ensemble, case
+
+
+def test_coarse_pick_reads_no_more_markov_runs_than_desc_order(monkeypatch):
+    """From an empty memo, the best-first pick searches no more Markov runs
+    than the ascending-desc pick and gives the same champion, and on the
+    seeded paths it searches fewer in all."""
+    cfg = C.DEFAULT_CONFIG
+    searched = []
+    confirmed = C._markov_confirmed
+    monkeypatch.setattr(
+        C, "_markov_confirmed", lambda *a, **k: searched.append(a[1]) or confirmed(*a, **k)
+    )
+    totals = {"paths": [0, 0], "short": [0, 0]}
+    for x, mode in _best_first_cases()[::7]:
+        st = C.string_stats(x)
+        mode_r = C._resolve_mode(mode, st.n, cfg)
+        for delta_f in (0.0, 0.25, 1.0):
+            for constraint in (None, _MARKOV_ONLY):
+                counts = []
+                picks = []
+                for pick in (C._coarse_pick, _desc_order_pick):
+                    monkeypatch.setattr(C, "_last_markov", (None, None))
+                    searched.clear()
+                    picks.append(_pick_tuple(pick(C._frontier(x, st, delta_f, mode_r, constraint, cfg))))
+                    counts.append(len(searched))
+                assert picks[0] == picks[1], (x, delta_f, constraint)
+                assert counts[0] <= counts[1], (x, delta_f, constraint, counts)
+                kind = totals["short" if mode == "exact" else "paths"]
+                kind[0] += counts[0]
+                kind[1] += counts[1]
+    assert totals["paths"][0] < totals["paths"][1], totals
+
+
+def test_cached_markov_tables_are_per_block(monkeypatch):
+    """After ec, coarse_ec and khat queries at 12 lengths, every array kept
+    per (n, m) has one entry per (a0, a1) block, k^2 in all, never the k^3
+    entries of the whole order, and at most _CLOSED_LENGTHS lengths are
+    kept."""
+    monkeypatch.setattr(C, "_CLOSED_PER_N", {})
+    model = processes.parse_model_spec("markov:flip=1/3")
+    lengths = [30 + 97 * i for i in range(12)]
+    seen = set()
+    for n in lengths:
+        (x, _), = processes.sample_paths(model, n, 4, 1)
+        C.khat(x)
+        for constraint in (None, _MARKOV_ONLY):
+            C.coarse_ec(x, 1, "auto", constraint=constraint)
+            q = ComplexityQuery(delta=Fraction(1), Delta=Fraction(8), mode="auto", constraint=constraint)
+            C.ec(x, q)
+        C._markov_blocks(C.string_stats(x), 6, 1.0)  # the largest order at every length
+        for per_m in C._CLOSED_PER_N.values():
+            for m, tables in per_m.items():
+                k = (1 << m) - 1
+                seen.add(m)
+                assert all(arr.shape == (k * k,) for arr in tables), (n, m)
+    assert seen == set(range(1, 7)), seen
+    assert len(C._CLOSED_PER_N) == C._CLOSED_LENGTHS

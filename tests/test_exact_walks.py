@@ -378,8 +378,8 @@ def test_run_leads_with_its_serialization_first_member():
             _hc, j, H = next(C._markov_confirmed(stats, m, float(delta)))
             first = C._markov_ensemble(n, m, j)
             groups = C._markov_groups(stats, float(delta), Constraint(m_max=m), CFG)
-            *_, (_desc, _hmin, read) = groups
-            sigma, members = read(lambda _desc, _h: False)
+            *_, (_desc, _hmin, _floor, read) = groups
+            sigma, members = read()
             assert sigma == H + desc, (x, delta)
             lead = members[0][1]
             assert lead == E.MarkovQuantized(n, m, *want), (x, delta, lead)

@@ -178,3 +178,21 @@ def test_import_leaves_recursion_limit_unchanged():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "True"
+
+
+def test_code_len_by_slices_matches_reference():
+    """The code-length walk reads long strings one slice at a time, resuming
+    from the trie and node the last slice left: at lengths around slice
+    multiples, with phrases that run across a slice boundary, it equals the
+    phrase-at-a-time reference."""
+    import lz78_reference as ref
+
+    s = codec._SLICE
+    model = processes.parse_model_spec("markov:flip=1/10")
+    paths = [x for x, _ in processes.sample_paths(model, 3 * s + 1, 7, 2)]
+    xs = [p[:length] for p in paths for length in (s - 1, s, s + 1, 2 * s, 2 * s + 1, 3 * s + 1)]
+    xs += ["0" * (2 * s), "0" * (2 * s + 1), "1" * s + "0" * s, "01" * s]
+    for x in xs:
+        want = len(ref.phrase_stream(x))
+        assert lz78.code_len(x) == want, len(x)
+        assert lz78._code_len_unchecked(x) == want, len(x)
