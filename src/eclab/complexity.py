@@ -1037,7 +1037,8 @@ def _coarse_pick(frontier: list) -> Optional[_Candidate]:
         for desc, hmin, floor, read in groups:
             if 2 * desc > bound:
                 break
-            heap.append((2 * desc + hmin, desc, floor, read))
+            if 2 * desc + hmin <= bound:
+                heap.append((2 * desc + hmin, desc, floor, read))
         heapq.heapify(heap)  # desc differs within a tag: keys never tie
         champion = None
         while heap and heap[0][0] <= bound:

@@ -150,9 +150,12 @@ def _code_len_unchecked(x: str) -> int:
     The walk reads x one slice at a time (codec._SLICE), each from the trie
     and node the last one left."""
     kids = [0, 0]  # as in parse
-    node = 0
-    for start in range(0, len(x), _SLICE):
-        node = _walk(kids, node, x[start : start + _SLICE].encode().translate(_BITS))
+    if len(x) <= _SLICE:  # one slice, without the loop's cost on short strings
+        node = _walk(kids, 0, x.encode().translate(_BITS))
+    else:
+        node = 0
+        for start in range(0, len(x), _SLICE):
+            node = _walk(kids, node, x[start : start + _SLICE].encode().translate(_BITS))
     c = (len(kids) >> 1) - 1
     return _phrase_bits(c) + (c.bit_length() if node else 0)
 

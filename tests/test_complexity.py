@@ -1328,33 +1328,41 @@ def _pick_tuple(c):
 
 
 _MARKOV_ONLY = Constraint(tags=frozenset({"markov-q"}))
+_UT_ONLY = Constraint(tags=frozenset({"uniform-typ"}))
 
 
 def _best_first_cases():
-    """(x, mode) for every x with n <= 9, and seeded paths of three models
-    at n = 100, 1000 and 4096."""
-    cases = [(x, "exact") for n in range(1, 10) for x in all_strings(n)]
+    """(x, mode, constraints) for every x with n <= 9 and seeded paths of
+    three models at n = 100, 1000 and 4096, with and without a Markov-only
+    constraint, and for seeded strings at n = 128 with the uniform-typical
+    tag alone, whose groups can tie on 2 desc + r n in upper mode."""
+    both = (None, _MARKOV_ONLY)
+    cases = [(x, "exact", both) for n in range(1, 10) for x in all_strings(n)]
     for spec in ("markov:flip=1/10", "markov:flip=1/3", "bernoulli:p=3/10"):
         model = processes.parse_model_spec(spec)
         for n in (100, 1000, 4096):
-            cases += [(x, "auto") for x, _ in processes.sample_paths(model, n, 9, 2)]
+            cases += [(x, "auto", both) for x, _ in processes.sample_paths(model, n, 9, 2)]
+    rng = np.random.default_rng(24)
+    for p in (0.05, 0.2, 0.5):
+        for _ in range(15):
+            x = "".join("1" if u < p else "0" for u in rng.random(128))
+            cases.append((x, "auto", (_UT_ONLY,)))
     return cases
 
 
 def test_coarse_pick_best_first_equals_reading_every_group():
     """coarse_ec, which reads each tag's groups best-first, equals the pick
-    that reads every group of every tag, for every x with n <= 9 and seeded
-    paths at n = 100 - 4096, delta in {0, 1/4, 1}, with and without a
-    Markov-only constraint."""
+    that reads every group of every tag, for delta in {0, 1/4, 1}, on the
+    cases of _best_first_cases."""
     cfg = C.DEFAULT_CONFIG
-    for x, mode in _best_first_cases():
+    for x, mode, constraints in _best_first_cases():
         st = C.string_stats(x)
         for delta in (Fraction(0), Fraction(1, 4), Fraction(1)):
-            for constraint in (None, _MARKOV_ONLY):
+            for constraint in constraints:
                 rep = C.coarse_ec(x, delta, mode, cfg, constraint)
                 mode_r = C._resolve_mode(mode, st.n, cfg)
                 ref = _read_every_group(C._frontier(x, st, float(delta), mode_r, constraint, cfg))
-                case = (x if len(x) < 16 else len(x), delta, constraint is not None)
+                case = (x if len(x) < 16 else len(x), delta, constraint)
                 if ref is None:
                     assert rep.ec_empty and rep.witness is None, case
                 else:
@@ -1373,17 +1381,18 @@ def test_coarse_pick_reads_no_more_markov_runs_than_desc_order(monkeypatch):
         C, "_markov_confirmed", lambda *a, **k: searched.append(a[1]) or confirmed(*a, **k)
     )
     totals = {"paths": [0, 0], "short": [0, 0]}
-    for x, mode in _best_first_cases()[::7]:
+    for x, mode, constraints in _best_first_cases()[::7]:
         st = C.string_stats(x)
         mode_r = C._resolve_mode(mode, st.n, cfg)
         for delta_f in (0.0, 0.25, 1.0):
-            for constraint in (None, _MARKOV_ONLY):
+            for constraint in constraints:
                 counts = []
                 picks = []
                 for pick in (C._coarse_pick, _desc_order_pick):
                     monkeypatch.setattr(C, "_last_markov", (None, None))
                     searched.clear()
-                    picks.append(_pick_tuple(pick(C._frontier(x, st, delta_f, mode_r, constraint, cfg))))
+                    frontier = C._frontier(x, st, delta_f, mode_r, constraint, cfg)
+                    picks.append(_pick_tuple(pick(frontier)))
                     counts.append(len(searched))
                 assert picks[0] == picks[1], (x, delta_f, constraint)
                 assert counts[0] <= counts[1], (x, delta_f, constraint, counts)
