@@ -60,16 +60,16 @@ Every Markov quantity is read from its order's rows: for order m, -log2 q,
 the (a0, a1, ai) entries a search reads; no array spans two orders or holds
 a whole order, and -log2 p(x) is one broadcast sum (_neg_log2_p). The
 closed-form entropies are kept per (a0, a1) block only (_closed_tables,
-k^2 numbers per array at k = 2^m - 1) and computed for the entries a
-search expands (_closed_H). One Markov search serves every n and visits no
-whole order: a block pass gives each (a0, a1) block a lower bound on
--log2 p(x), the sum at its least first-symbol term, and with the range of
-its closed-form entropies rules out the blocks that cannot hold a typical
-entry. The least closed-form entropy of the rest
-bounds the order's entropies more tightly than its least possible one, so a
-pick can still pass the order over. Otherwise the blocks are expanded in
-ascending closed-form entropy order, and each entry read is confirmed with
-the defining recursion. Up to n_max the run is every typical entry of least
+k^2 numbers per array at k = 2^m - 1, about 160 KB per length at m = 6)
+and computed for the entries a search expands (_closed_H). One Markov
+search serves every n and visits no whole order: a block pass gives each
+(a0, a1) block a lower bound on -log2 p(x), the sum at its least
+first-symbol term, and with the range of its closed-form entropies rules
+out the blocks that cannot hold a typical entry. The least closed-form
+entropy of the rest bounds the order's entropies more tightly than its
+least possible one, so a pick can still pass the order over. Otherwise the
+blocks are expanded in ascending closed-form entropy order, and each entry
+read is confirmed with the defining recursion. Up to n_max the run is every typical entry of least
 Sigma, found near the first one confirmed; beyond n_max it is the first one
 confirmed, within a fixed number of tries per order. Each order's block
 pass and run are kept for the last (stats, delta), beside the kept stats
@@ -121,7 +121,7 @@ __all__ = [
 # also reaches this far below the integer under the top one
 _FLOAT_GUARD = 1e-6
 _STRAGGLER_CAP = 256  # large-n Markov entries retried per m before giving up on m
-_CLOSED_LENGTHS = 8  # lengths whose closed-form Markov block tables are kept
+_CLOSED_LENGTHS = 8  # lengths whose closed-form Markov block tables are kept, 160 KB each
 _CLOSED_CHUNK = 64  # blocks per chunk when the closed-form block minima and maxima are built
 
 
