@@ -287,20 +287,13 @@ def _cmd_typical(args) -> int:
             raise UsageError("typical: --model requires --samples and --seed")
     rows = []
     for n in ns:
-        probs = None
-        for i, r in enumerate(rs):
+        for r in rs:
             spec = typical_sets.TypicalSetSpec(r, n)
             if model is None:
                 value = typical_sets.cardinality(spec)
                 method = "exact"
             else:
-                if probs is None:  # every rate of this n from one draw and one parse per path
-                    probs = (
-                        [typical_sets.empirical_prob(spec, model, args.samples, args.seed)]
-                        if len(rs) == 1
-                        else typical_sets.empirical_probs(rs, n, model, args.samples, args.seed)
-                    )
-                value = probs[i]
+                value = typical_sets.empirical_prob(spec, model, args.samples, args.seed)
                 method = "monte-carlo"
             rows.append(
                 {

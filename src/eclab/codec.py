@@ -43,8 +43,6 @@ def is_bits(x: str) -> bool:
     """
     if not x.isascii():
         return False
-    if len(x) <= _SLICE:  # one slice, without the loop's cost on short strings
-        return not x.encode("ascii").translate(None, b"01")
     for start in range(0, len(x), _SLICE):
         if x[start : start + _SLICE].encode("ascii").translate(None, b"01"):
             return False

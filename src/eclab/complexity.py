@@ -82,7 +82,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Iterable, Optional
 
 import numpy as np
@@ -768,6 +768,12 @@ def _closed_margin(n: int) -> float:
     return 1e-6 + 1e-12 * n
 
 
+@lru_cache(maxsize=1 << 12)
+def _markov_hmin(n: int, m: int) -> float:
+    """The hmin of the order-m Markov group at length n (_markov_groups)."""
+    return n * binary_entropy(1 / (1 << m)) - _closed_margin(n)
+
+
 def _markov_blocks(stats: StringStats, m: int, delta_f: float) -> np.ndarray:
     """The order-m block pass: the (a0, a1) blocks that may hold an entry x
     is typical for, in ascending (least closed-form H, block index) order.
@@ -936,7 +942,7 @@ def _markov_groups(
     for m in range(1, cfg.m_max + 1):
         if not constraint or constraint.allows_m(m):
             desc = ens.markov_desc_len(n, m)
-            hmin = n * binary_entropy(1 / (1 << m)) - _closed_margin(n)
+            hmin = _markov_hmin(n, m)
             yield desc, hmin, partial(floor, m, hmin), partial(read, m, desc, hmin)
 
 

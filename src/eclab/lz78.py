@@ -149,13 +149,9 @@ def _code_len_unchecked(x: str) -> int:
     """code_len for an x its caller has already checked to be nonempty 0/1.
     The walk reads x one slice at a time (codec._SLICE), each from the trie
     and node the last one left."""
-    kids = [0, 0]  # as in parse
-    if len(x) <= _SLICE:  # one slice, without the loop's cost on short strings
-        node = _walk(kids, 0, x.encode().translate(_BITS))
-    else:
-        node = 0
-        for start in range(0, len(x), _SLICE):
-            node = _walk(kids, node, x[start : start + _SLICE].encode().translate(_BITS))
+    kids, node = [0, 0], 0  # as in parse
+    for start in range(0, len(x), _SLICE):
+        node = _walk(kids, node, x[start : start + _SLICE].encode().translate(_BITS))
     c = (len(kids) >> 1) - 1
     return _phrase_bits(c) + (c.bit_length() if node else 0)
 
@@ -181,24 +177,16 @@ _MIN_CHUNK = 256  # and no chunk is shorter than 1/_MIN_CHUNK of x
 
 def _code_len_below(x: str, bound: int, den: int) -> bool:
     """code_len(x) * den < bound for an x its caller has already checked,
-    stopping the parse once the answer is known to be False."""
-    length = _code_len_capped(x, bound, den)
-    return length is not None and length * den < bound
-
-
-def _code_len_capped(x: str, bound: int, den: int) -> int | None:
-    """code_len(x) for an x its caller has already checked, or None once the
-    complete phrases so far cost at least bound / den bits, which makes
-    code_len(x) * den >= bound without parsing the rest.
+    stopping the parse once the answer is known to be False.
 
     The parse is online: the complete phrases of a prefix are the first
     phrases of the whole parse, so after each chunk the c complete phrases
     so far already cost S(c) bits, S increases with c, and code_len(x) >=
-    S(c). The walk stops once c reaches the least count `stop` with
-    S(stop) * den >= bound. Each next chunk is sized for the stop - c
-    phrases still missing at the bits per phrase seen so far; phrases
-    lengthen as the trie deepens, so it tends to end just short of the
-    crossing, and the walk overshoots it by little."""
+    S(c). Once c reaches the least count `stop` with S(stop) * den >= bound
+    the answer is False without parsing the rest. Each next chunk is sized
+    for the stop - c phrases still missing at the bits per phrase seen so
+    far; phrases lengthen as the trie deepens, so it tends to end just short
+    of the crossing, and the walk overshoots it by little."""
     data = x.encode().translate(_BITS)
     n = len(data)
     # c <= n, so stop = n + 1 stands for "never"
@@ -211,9 +199,9 @@ def _code_len_capped(x: str, bound: int, den: int) -> int | None:
         pos += step
         c = (len(kids) >> 1) - 1
         if c >= stop:
-            return None
+            return False
         step = max(-(-n // _MIN_CHUNK), (stop - c) * pos // c)
-    return _phrase_bits(c) + (c.bit_length() if node else 0)
+    return (_phrase_bits(c) + (c.bit_length() if node else 0)) * den < bound
 
 
 def _phrase_bits(c: int) -> int:

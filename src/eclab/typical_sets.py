@@ -5,9 +5,7 @@ arithmetic (code_len * den < num * n for r = num/den), so there is no
 floating-point boundary ambiguity. `contains` and the Monte Carlo
 `empirical_prob` stop the LZ78 parse as soon as the complete phrases so
 far already cost at least r*n bits (lz78._code_len_below); the answer is
-the same as from the full code length. `empirical_probs` serves several
-rates from one draw of the paths and one parse of each, stopped at the
-largest rate's bound. Exhaustive enumeration is
+the same as from the full code length. Exhaustive enumeration is
 bounded by ``n_max`` (default 24); cardinalities come from the shared
 code-length histogram and never materialize the set.
 """
@@ -30,7 +28,6 @@ __all__ = [
     "enumerate_set",
     "cardinality",
     "empirical_prob",
-    "empirical_probs",
     "size_bound_holds",
 ]
 
@@ -109,30 +106,8 @@ def empirical_prob(
     seed: int,
 ) -> Fraction:
     """Fraction of `samples` seeded paths that land in T(r, n)."""
-    return empirical_probs([spec.r], spec.n, model, samples, seed)[0]
-
-
-def empirical_probs(
-    rs: list[Fraction],
-    n: int,
-    model: ProcessModel,
-    samples: int,
-    seed: int,
-) -> list[Fraction]:
-    """empirical_prob of T(r, n) for each r of rs, from one draw of the
-    paths and one parse of each path.
-
-    A path is parsed only as far as the largest rate needs: a non-member of
-    that set is a non-member of every set with a smaller rate, and
-    otherwise the path's full code length decides each rate."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rs = [Fraction(r) for r in rs]
-    top = max(rs)
-    hits = [0] * len(rs)
-    for bits, _ in sample_paths(model, n, seed, samples):  # sampled: length n, 0/1
-        length = lz78._code_len_capped(bits, top.numerator * n, top.denominator)
-        if length is not None:
-            for i, r in enumerate(rs):
-                hits[i] += length * r.denominator < r.numerator * n
-    return [Fraction(h, samples) for h in hits]
+    paths = sample_paths(model, spec.n, seed, samples)
+    hits = sum(1 for bits, _ in paths if _member(spec, bits))  # sampled: length n, 0/1
+    return Fraction(hits, samples)

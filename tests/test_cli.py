@@ -230,16 +230,9 @@ def test_ec_then_coarse_ec_parse_one_path_once(capsys, monkeypatch):
     assert ec_row["khat"] == coarse_row["khat"]
 
 
-def test_ec_then_coarse_ec_search_each_markov_order_once(capsys, monkeypatch):
-    from eclab import processes
-
-    model = processes.parse_model_spec("markov:flip=1/10")
-    (x, _), = processes.sample_paths(model, 1 << 12, 11, 1)
-    # a budget under which ec reads Markov orders that coarse-ec reads too
-    argvs = (
-        ["ec", "--x", x, "--delta", "0", "--Delta", "4"],
-        ["coarse-ec", "--x", x, "--delta", "0"],
-    )
+def _markov_searches(argvs, capsys, monkeypatch):
+    """The Markov orders whose block pass each query runs from an empty memo,
+    then the block passes and searches of the queries run in turn."""
     passes, confirms = [], []
     blocks, confirmed = complexity._markov_blocks, complexity._markov_confirmed
     monkeypatch.setattr(
@@ -255,11 +248,44 @@ def test_ec_then_coarse_ec_search_each_markov_order_once(capsys, monkeypatch):
         assert run(argv, capsys)[0] == 0
         alone.append(set(passes))
         passes.clear()
-    assert alone[0] & alone[1]  # both queries read some order
     monkeypatch.setattr(complexity, "_last_markov", (None, None))
     confirms.clear()
     for argv in argvs:
         assert run(argv, capsys)[0] == 0
+    return alone, passes, confirms
+
+
+def _flip_path(n):
+    from eclab import processes
+
+    model = processes.parse_model_spec("markov:flip=1/10")
+    (x, _), = processes.sample_paths(model, n, 11, 1)
+    return x
+
+
+def test_ec_then_coarse_ec_search_each_markov_order_once(capsys, monkeypatch):
+    # the benchmark's op pair on an upper_large path: ec --eps reads the block
+    # pass of order 3 only, which best-first coarse-ec passes over
+    x = _flip_path(1 << 12)
+    argvs = (
+        ["ec", "--x", x, "--delta", "0", "--eps", "1/10"],
+        ["coarse-ec", "--x", x, "--delta", "0"],
+    )
+    alone, passes, confirms = _markov_searches(argvs, capsys, monkeypatch)
+    assert alone[0] == {3} and not alone[0] & alone[1]
+    assert sorted(passes) == sorted(alone[0] | alone[1])
+    assert len(confirms) == len(set(confirms))
+
+
+def test_ec_then_coarse_ec_share_markov_searches(capsys, monkeypatch):
+    # a budget under which ec reads Markov orders that coarse-ec reads too
+    x = _flip_path(1 << 12)
+    argvs = (
+        ["ec", "--x", x, "--delta", "0", "--Delta", "4"],
+        ["coarse-ec", "--x", x, "--delta", "0"],
+    )
+    alone, passes, confirms = _markov_searches(argvs, capsys, monkeypatch)
+    assert alone[0] & alone[1]
     assert sorted(passes) == sorted(alone[0] | alone[1])
     assert len(confirms) == len(set(confirms))
 
@@ -532,33 +558,3 @@ def test_lz_command_loads_neither_selftest_nor_statistics():
     # the spans of the benchmark's tracer look the last five up in sys.modules
     assert out.splitlines()[-1] == "False False True True True True True"
 
-
-def test_typical_several_rates_sample_and_parse_each_path_once(capsys, monkeypatch):
-    """typical with several rates draws each n's paths once and parses each
-    path once, to the largest rate's stop, for all rates; every row is the
-    one the same rate alone gives, with rates out of order, repeated, and
-    on both sides of the paths' code lengths."""
-    from eclab import lz78, typical_sets
-
-    rates = "1/2,1,3/4,1/2,7/8"
-    common = ["--n-list", "4096,8192", "--model", "markov:flip=1/10", "--samples", "6",
-              "--seed", "5"]
-    alone = []
-    for r in rates.split(","):
-        code, out, _ = run(["typical", "--r-list", r, *common], capsys)
-        assert code == 0
-        alone.append(parse_csv(out))
-    draws, parses = [], []
-    sample_paths, capped = typical_sets.sample_paths, lz78._code_len_capped
-    monkeypatch.setattr(
-        typical_sets, "sample_paths", lambda *a: draws.append(a) or sample_paths(*a)
-    )
-    monkeypatch.setattr(lz78, "_code_len_capped", lambda *a: parses.append(a) or capped(*a))
-    code, out, _ = run(["typical", "--r-list", rates, *common], capsys)
-    assert code == 0
-    assert len(draws) == 2 and len(parses) == 2 * 6
-    rows = parse_csv(out)
-    # rows run over n, then over the rates in the order given
-    assert rows == [alone[i][j] for j in range(2) for i in range(len(alone))]
-    values = {row["cardinality_or_estimate"] for row in rows}
-    assert len(values) > 1, values  # the rates do not all agree
