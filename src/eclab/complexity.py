@@ -69,11 +69,11 @@ out the blocks that cannot hold a typical entry. The least closed-form
 entropy of the rest bounds the order's entropies more tightly than its
 least possible one, so a pick can still pass the order over. Otherwise the
 blocks are expanded in ascending closed-form entropy order, and each entry
-read is confirmed with the defining recursion. Up to n_max the run is every typical entry of least
-Sigma, found near the first one confirmed; beyond n_max it is the first one
-confirmed, within a fixed number of tries per order. Each order's block
-pass and run are kept for the last (stats, delta), beside the kept stats
-and khat pass.
+read is confirmed with the defining recursion. Up to n_max the run is
+every typical entry of least Sigma, found near the first one confirmed;
+beyond n_max it is the first one confirmed, within a fixed number of tries
+per order. Each order's block pass and run are kept for the last (stats,
+delta), beside the kept stats and khat pass.
 """
 
 from __future__ import annotations
