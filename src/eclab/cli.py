@@ -90,8 +90,6 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 

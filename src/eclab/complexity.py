@@ -72,8 +72,8 @@ blocks are expanded in ascending closed-form entropy order, and each entry
 read is confirmed with the defining recursion. Up to n_max the run is
 every typical entry of least Sigma, found near the first one confirmed;
 beyond n_max it is the first one confirmed, within a fixed number of tries
-per order. Each order's block pass and run are kept for the last (stats,
-delta), beside the kept stats and khat pass.
+per order. One query runs each order's block pass and search at most once;
+nothing of them outlives the query.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from typing import Iterable, Optional
 
 import numpy as np
@@ -319,29 +319,32 @@ def coarse_scheme_constant(scan_n_max: int = 16) -> int:
 # axes, so no array spans more than one order, and none kept holds more than
 # one number per (a0, a1) block.
 
-_ORDER_ROWS: dict[int, tuple] = {}
-_CLOSED_PER_N: dict[int, dict[int, tuple]] = {}
-_IID_PER_N: dict[tuple[int, int], tuple] = {}
+# keyed by cfg.grid_id: hashing a FamilyConfig would hash its r_grid
 _UT_PER_N: dict[tuple, list] = {}
 
 
+@cache
 def _order_rows(m: int) -> tuple:
     """-log2 q, -log2 (1 - q), h(q) and q for q = a / 2^m, a = 1 .. 2^m - 1.
 
     The rows come from scalar math calls, so table-based likelihoods and
     entropies are bit-identical to the scalar ones in ensembles.neg_log2_prob
     and ensembles.entropy."""
-    rows = _ORDER_ROWS.get(m)
-    if rows is None:
-        top = 1 << m
-        a = range(1, top)
-        rows = _ORDER_ROWS[m] = (
-            np.array([m - math.log2(v) for v in a]),
-            np.array([m - math.log2(top - v) for v in a]),
-            np.array([binary_entropy(v / top) for v in a]),
-            np.array([v / top for v in a]),
-        )
-    return rows
+    top = 1 << m
+    a = range(1, top)
+    return (
+        np.array([m - math.log2(v) for v in a]),
+        np.array([m - math.log2(top - v) for v in a]),
+        np.array([binary_entropy(v / top) for v in a]),
+        np.array([v / top for v in a]),
+    )
+
+
+@lru_cache(maxsize=_CLOSED_LENGTHS)
+def _closed_per_n(n: int) -> dict[int, tuple]:
+    """The closed-form tables built at length n so far, per order: the
+    _CLOSED_LENGTHS most recently used lengths are kept."""
+    return {}
 
 
 def _closed_tables(n: int, m: int) -> tuple[np.ndarray, ...]:
@@ -357,12 +360,7 @@ def _closed_tables(n: int, m: int) -> tuple[np.ndarray, ...]:
     are taken over ai a fixed chunk of blocks at a time, so no k^3 array is
     built. The orders read at the _CLOSED_LENGTHS most recently used lengths
     are kept (160 KB per length at m = 6)."""
-    per_m = _CLOSED_PER_N.pop(n, None)
-    if per_m is None:
-        per_m = {}
-        if len(_CLOSED_PER_N) >= _CLOSED_LENGTHS:
-            del _CLOSED_PER_N[next(iter(_CLOSED_PER_N))]
-    _CLOSED_PER_N[n] = per_m  # most recently used last
+    per_m = _closed_per_n(n)
     cached = per_m.get(m)
     if cached is None:
         prob = _order_rows(m)[3]
@@ -398,23 +396,20 @@ def _closed_H(n: int, m: int, tables: tuple, b, ai) -> np.ndarray:
     return hof[ai] + hof[b // k] * ((n - 1) - sum_p1) + hof[b % k] * sum_p1
 
 
+@cache
 def _iid_table(n: int, m: int) -> tuple:
     """The i.i.d. candidates of one length and one order: (desc, hmin, rows)
     with rows (H, sigma, m, a, -log2 q, -log2 (1 - q)) for q = a / 2^m, in
     (sigma, a) order, the comparator's order within one desc. Keyed (n, m),
     as the Markov tables are, so every m_max shares them."""
-    key = (n, m)
-    group = _IID_PER_N.get(key)
-    if group is None:
-        desc = ens.iid_desc_len(n, m)
-        log1, log0, hof, _q = (row.tolist() for row in _order_rows(m))
-        rows = [
-            (n * h, n * h + desc, m, a, c1, c0)
-            for a, h, c1, c0 in zip(range(1, 1 << m), hof, log1, log0)
-        ]
-        rows.sort(key=lambda t: t[1])  # stable: a ascending within equal sigma
-        group = _IID_PER_N[key] = (desc, min(t[0] for t in rows), rows)
-    return group
+    desc = ens.iid_desc_len(n, m)
+    log1, log0, hof, _q = (row.tolist() for row in _order_rows(m))
+    rows = [
+        (n * h, n * h + desc, m, a, c1, c0)
+        for a, h, c1, c0 in zip(range(1, 1 << m), hof, log1, log0)
+    ]
+    rows.sort(key=lambda t: t[1])  # stable: a ascending within equal sigma
+    return desc, min(t[0] for t in rows), rows
 
 
 def _ut_tables(cfg: FamilyConfig, n: int, exact: bool) -> list:
@@ -886,12 +881,6 @@ def _run_of(rows: list, typical, build) -> Optional[tuple]:
     return (sigma, members) if members else None
 
 
-# the last (stats, delta, n <= n_max) key and, per Markov order searched
-# under it, (floor, block pass, None) until its run is read and (floor, None,
-# run) after: the key's entry and each order's are tuples, replaced whole
-_last_markov: tuple = (None, None)
-
-
 def _markov_groups(
     stats: StringStats, delta_f: float, constraint: Optional[Constraint], cfg: FamilyConfig
 ):
@@ -905,45 +894,37 @@ def _markov_groups(
     the group runs _markov_confirmed over those blocks. Up to n_max it is
     exhaustive and the run is every typical entry of least sigma
     (_least_sigma); beyond n_max the run is the first entry confirmed within
-    _STRAGGLER_CAP tries. Each order's block pass and run are kept under the
-    last (stats, delta, n <= n_max) key, so the queries of one x and delta
-    (ec then coarse_ec, a sweep over Delta) search each order once."""
-    global _last_markov
+    _STRAGGLER_CAP tries. A group's floor and read share its block pass, and
+    a pick reads each group at most once, so one query runs each order's
+    block pass and search at most once; nothing of them outlives the query."""
     n = stats.n
     exhaustive = n <= cfg.n_max
-    key = (stats, delta_f, exhaustive)
-    last_key, orders = _last_markov
-    if key != last_key:
-        orders = {}
-        _last_markov = (key, orders)
+    passes = {}  # each order's block pass, shared by its floor and read
+
+    def blocks(m):
+        kept = passes.get(m)
+        if kept is None:
+            kept = passes[m] = _markov_blocks(stats, m, delta_f)
+        return kept
 
     def floor(m, hmin):
-        if m not in orders:
-            blocks = _markov_blocks(stats, m, delta_f)
-            least = math.inf
-            if len(blocks):
-                least = max(hmin, float(_closed_tables(n, m)[2][blocks[0]]) - _closed_margin(n))
-            orders[m] = (least, blocks, None)
-        return orders[m][0]
+        kept = blocks(m)
+        if not len(kept):
+            return math.inf
+        return max(hmin, float(_closed_tables(n, m)[2][kept[0]]) - _closed_margin(n))
 
-    def read(m, desc, hmin):
-        floor(m, hmin)  # the block pass, on first use
-        least, blocks, run = orders[m]
-        if blocks is not None:
-            if exhaustive:
-                run = _least_sigma(_markov_confirmed(stats, m, delta_f, blocks=blocks), n, m, desc)
-            else:
-                confirmed = _markov_confirmed(stats, m, delta_f, _STRAGGLER_CAP, blocks)
-                _hc, j, H = next(confirmed, (None,) * 3)
-                run = None if j is None else (H + desc, ((H, _markov_ensemble(n, m, j)),))
-            orders[m] = (least, None, run)
-        return run
+    def read(m, desc):
+        if exhaustive:
+            return _least_sigma(_markov_confirmed(stats, m, delta_f, blocks=blocks(m)), n, m, desc)
+        confirmed = _markov_confirmed(stats, m, delta_f, _STRAGGLER_CAP, blocks(m))
+        _hc, j, H = next(confirmed, (None,) * 3)
+        return None if j is None else (H + desc, ((H, _markov_ensemble(n, m, j)),))
 
     for m in range(1, cfg.m_max + 1):
         if not constraint or constraint.allows_m(m):
             desc = ens.markov_desc_len(n, m)
             hmin = _markov_hmin(n, m)
-            yield desc, hmin, partial(floor, m, hmin), partial(read, m, desc, hmin)
+            yield desc, hmin, partial(floor, m, hmin), partial(read, m, desc)
 
 
 def _frontier(

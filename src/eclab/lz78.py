@@ -49,6 +49,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, repeat
 from typing import Iterator, Sequence
 
@@ -368,9 +369,6 @@ def decode(bits: str) -> str:
 # terms are taken once and doubled. A k-node trie has path length at least
 # k, so only k <= n matters; the cost is polynomial in n.
 
-_HIST_CACHE: dict[int, dict[int, int]] = {}
-
-
 def _low(p: list[int]) -> int:
     """Index of the first nonzero coefficient (len(p) for the zero polynomial)."""
     for i, v in enumerate(p):
@@ -398,16 +396,14 @@ def _coeff(a: list[int], b: list[int], n: int) -> int:
     return sum(a[i] * b[n - i] for i in range(n + 1) if a[i] and b[n - i])
 
 
+@cache
 def code_length_counts(n: int) -> dict[int, int]:
     """Histogram {code_len: count} over all strings of length n (cached).
 
     Keys are in increasing order; the counts sum to 2^n.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
-    cached = _HIST_CACHE.get(n)
-    if cached is not None:
-        return cached
+        raise ValueError("n must be >= 1")  # raised again on each call: never cached
     G: list[list[int]] = [[1] + [0] * n]
     P: list[list[int]] = [[0] * (n + 1)]
     for k in range(1, n + 1):
@@ -432,9 +428,7 @@ def code_length_counts(n: int) -> dict[int, int]:
         if partial:
             t = s + c.bit_length()
             hist[t] = hist.get(t, 0) + partial
-    hist = dict(sorted(hist.items()))
-    _HIST_CACHE[n] = hist
-    return hist
+    return dict(sorted(hist.items()))
 
 
 def iter_with_code_len(n: int) -> Iterator[tuple[str, int]]:

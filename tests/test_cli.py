@@ -231,28 +231,21 @@ def test_ec_then_coarse_ec_parse_one_path_once(capsys, monkeypatch):
 
 
 def _markov_searches(argvs, capsys, monkeypatch):
-    """The Markov orders whose block pass each query runs from an empty memo,
-    then the block passes and searches of the queries run in turn."""
-    passes, confirms = [], []
+    """Per query, run in turn: the Markov orders whose block pass it runs
+    and the orders it searches, in call order."""
+    calls = []
     blocks, confirmed = complexity._markov_blocks, complexity._markov_confirmed
     monkeypatch.setattr(
-        complexity, "_markov_blocks", lambda st, m, d: passes.append(m) or blocks(st, m, d)
+        complexity, "_markov_blocks", lambda st, m, d: calls[-1][0].append(m) or blocks(st, m, d)
     )
     monkeypatch.setattr(
         complexity, "_markov_confirmed",
-        lambda st, m, *args: confirms.append(m) or confirmed(st, m, *args),
+        lambda st, m, *args: calls[-1][1].append(m) or confirmed(st, m, *args),
     )
-    alone = []
-    for argv in argvs:  # each query from an empty memo
-        monkeypatch.setattr(complexity, "_last_markov", (None, None))
-        assert run(argv, capsys)[0] == 0
-        alone.append(set(passes))
-        passes.clear()
-    monkeypatch.setattr(complexity, "_last_markov", (None, None))
-    confirms.clear()
     for argv in argvs:
+        calls.append(([], []))
         assert run(argv, capsys)[0] == 0
-    return alone, passes, confirms
+    return calls
 
 
 def _flip_path(n):
@@ -271,23 +264,12 @@ def test_ec_then_coarse_ec_search_each_markov_order_once(capsys, monkeypatch):
         ["ec", "--x", x, "--delta", "0", "--eps", "1/10"],
         ["coarse-ec", "--x", x, "--delta", "0"],
     )
-    alone, passes, confirms = _markov_searches(argvs, capsys, monkeypatch)
-    assert alone[0] == {3} and not alone[0] & alone[1]
-    assert sorted(passes) == sorted(alone[0] | alone[1])
-    assert len(confirms) == len(set(confirms))
-
-
-def test_ec_then_coarse_ec_share_markov_searches(capsys, monkeypatch):
-    # a budget under which ec reads Markov orders that coarse-ec reads too
-    x = _flip_path(1 << 12)
-    argvs = (
-        ["ec", "--x", x, "--delta", "0", "--Delta", "4"],
-        ["coarse-ec", "--x", x, "--delta", "0"],
+    (ec_passes, ec_searches), (coarse_passes, coarse_searches) = _markov_searches(
+        argvs, capsys, monkeypatch
     )
-    alone, passes, confirms = _markov_searches(argvs, capsys, monkeypatch)
-    assert alone[0] & alone[1]
-    assert sorted(passes) == sorted(alone[0] | alone[1])
-    assert len(confirms) == len(set(confirms))
+    assert ec_passes == [3]
+    passes, searches = ec_passes + coarse_passes, ec_searches + coarse_searches
+    assert len(passes) == len(set(passes)) and len(searches) == len(set(searches))
 
 
 def test_lz_encode_trusts_the_parse_it_is_handed(capsys, monkeypatch):

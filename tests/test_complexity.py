@@ -294,32 +294,37 @@ print(tracemalloc.get_traced_memory()[1])
 @pytest.mark.parametrize("mode", ["upper", "exact"])
 def test_first_call_builds_no_whole_grid(mode):
     """In a fresh interpreter, the first coarse_ec call (upper mode on a 2^12
-    Markov path, exact mode on a 16-bit string) allocates under 20 MB at its
-    peak: only the tables of the orders it reads, never all orders at once."""
+    Markov path, exact mode on a 16-bit string) allocates under 2 MB at its
+    peak: only the per-block tables of the orders it reads, never a k^3 table
+    of one order (2.1 MB at m = 6) or all orders at once."""
     src = os.path.dirname(os.path.dirname(C.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
         [sys.executable, "-c", _FIRST_CALL_PEAK, mode],
         env=env, capture_output=True, text=True, check=True,
     ).stdout
-    assert int(out) < 20_000_000, int(out)
+    assert int(out) < 2_000_000, int(out)
 
 
 def test_smaller_m_max_shares_the_iid_tables(monkeypatch):
     """The i.i.d. tables are keyed (n, m) as well: FamilyConfig(m_max=2)
     builds rows of orders 1 and 2 only, and the default family reads the
     same objects."""
-    monkeypatch.setattr(C, "_IID_PER_N", {})
+    built = []
+    original = C._iid_table
+    monkeypatch.setattr(C, "_iid_table", lambda n, m: built.append((n, m)) or original(n, m))
+    original.cache_clear()
     x = "0010000111011000"
     C.coarse_ec(x, 0, "exact", FamilyConfig(m_max=2))
-    built = dict(C._IID_PER_N)
     assert built and set(built) <= {(16, 1), (16, 2)}
+    kept = {key: original(*key) for key in set(built)}
+    assert original.cache_info().currsize == len(kept)
+    built.clear()
     C.coarse_ec(x, 0, "exact")
     C.khat(x, mode="exact")
-    assert set(C._IID_PER_N) <= {(16, m) for m in range(1, 7)}
-    for key, group in built.items():
-        assert C._IID_PER_N[key] is group
-        assert C._iid_table(*key) is group
+    assert set(built) <= {(16, m) for m in range(1, 7)}
+    for key, group in kept.items():
+        assert original(*key) is group
 
 
 def _closed_whole_grid(grid, n):
@@ -346,8 +351,8 @@ def test_closed_entropies_cached_read_only():
             assert _closed_rows(n, m).tobytes() == whole[sl].tobytes(), (n, m)
 
 
-def test_closed_cache_bounded_with_block_ranges(monkeypatch):
-    monkeypatch.setattr(C, "_CLOSED_PER_N", {})
+def test_closed_cache_bounded_with_block_ranges():
+    C._closed_per_n.cache_clear()
     lengths = [1000 + 7 * i for i in range(12)]
     for n in lengths:
         for m in range(1, 7):
@@ -363,13 +368,22 @@ def test_closed_cache_bounded_with_block_ranges(monkeypatch):
             assert np.array_equal(hi, H.max(axis=1))
             # the blocks in (least closed-form H, block index) order
             assert np.array_equal(by_lo, np.lexsort((np.arange(k * k), lo)))
-    assert list(C._CLOSED_PER_N) == lengths[-8:] and C._CLOSED_LENGTHS == 8
+    info = C._closed_per_n.cache_info()
+    assert info.currsize == info.maxsize == C._CLOSED_LENGTHS == 8
     # the most recently used lengths stay, and a repeat returns the same arrays
     tables = C._closed_tables(lengths[-1], 6)
     assert C._closed_tables(lengths[-1], 6) is tables
     assert C._closed_tables(lengths[-8], 3) is C._closed_tables(lengths[-8], 3)
-    assert lengths[0] not in C._CLOSED_PER_N
-    assert list(C._CLOSED_PER_N)[-1] == lengths[-8]
+    assert C._closed_per_n.cache_info().misses == info.misses
+    # lengths[-8], just read, is now the most recently used and lengths[-7]
+    # the least: a new length evicts lengths[-7] and keeps lengths[-8]
+    assert C._closed_per_n(lengths[0]) == {}  # evicted: built afresh
+    kept = C._closed_per_n.cache_info()
+    assert kept.misses == info.misses + 1 and kept.currsize == 8
+    assert 3 in C._closed_per_n(lengths[-8])
+    assert C._closed_per_n.cache_info().misses == kept.misses
+    assert C._closed_per_n(lengths[-7]) == {}
+    assert C._closed_per_n.cache_info().misses == kept.misses + 1
 
 
 @functools.cache
@@ -1006,14 +1020,13 @@ def test_config_echo_text_built_once_per_grid():
     assert C.DEFAULT_CONFIG.echo()["r_grid"] == ",".join(str(r) for r in C.DEFAULT_CONFIG.r_grid)
 
 
-# --- the kept stats, khat pass and Markov searches ---------------------------
+# --- the kept stats and khat pass ----------------------------------------------
 
 
 def _forget(monkeypatch):
     """Start from an empty memo, as a fresh process does."""
     monkeypatch.setattr(C, "_last_stats", (None, None))
     monkeypatch.setattr(C, "_last_khat", (None, None))
-    monkeypatch.setattr(C, "_last_markov", (None, None))
 
 
 def test_memo_tells_apart_strings_with_equal_counts():
@@ -1147,9 +1160,9 @@ def _spy_block_passes(monkeypatch, record):
 
 def test_delta_sweep_searches_each_markov_order_once(monkeypatch):
     """check_thm4's sweep (per x and delta, coarse_ec then ec for each Delta)
-    over the Markov tag alone, on every x with n <= 7: each (x, delta, m)
-    block pass and confirm loop runs once, and every value equals one
-    computed from an empty memo. Those values also hold check_thm4's
+    over the Markov tag alone, on every x with n <= 7: each query runs each
+    order's block pass and confirm loop at most once, and every value equals
+    one computed from an empty memo. Those values also hold check_thm4's
     Theorem 4 and anti-monotonicity cases over Markov candidates alone:
     check_thm4 itself reads no Markov run at n <= 10, since uniform-all,
     typical for every x, has the least desc."""
@@ -1163,11 +1176,12 @@ def test_delta_sweep_searches_each_markov_order_once(monkeypatch):
         out = {}
         for x in (x for n in range(1, 8) for x in all_strings(n)):
             for d in deltas:
-                cell[0] = (x, d)
+                cell[0] = (x, d, None)  # the query being run
                 forget()
                 coarse = C.coarse_ec(x, d, "exact", constraint=markov).coarse_ec
                 ecs = []
                 for D in Deltas:
+                    cell[0] = (x, d, D)
                     forget()
                     query = ComplexityQuery(delta=d, Delta=D, mode="exact", constraint=markov)
                     ecs.append(C.ec(x, query).ec)
@@ -1203,57 +1217,7 @@ def test_delta_sweep_searches_each_markov_order_once(monkeypatch):
     assert confirms and set(confirms.values()) == {1}
 
 
-def test_markov_memo_recomputes_for_a_new_key(monkeypatch):
-    """Another delta, an n_max on the other side of n or another string
-    searches again, and every value equals a fresh process's."""
-    x, y = "0001" * 10, "0010" * 10  # n = 40: capped at n_max = 24, exhaustive at 64
-    wide = FamilyConfig(n_max=64)
-    markov = Constraint(tags=frozenset({"markov-q"}))
-
-    def query(s, delta, cfg):
-        rep = C.coarse_ec(s, delta, "upper", cfg, markov)
-        q = ComplexityQuery(delta=delta, Delta=Fraction(4), mode="upper", constraint=markov)
-        ec = C.ec(s, q, cfg)
-        return rep.coarse_ec, rep.witness, ec.ec, ec.witness
-
-    steps = [
-        (x, Fraction(0), C.DEFAULT_CONFIG, True),
-        (x, Fraction(0), SMALL_CFG, False),  # same n <= n_max: kept
-        (x, Fraction(1, 4), C.DEFAULT_CONFIG, True),
-        (x, Fraction(1, 4), wide, True),
-        (y, Fraction(1, 4), wide, True),
-        (y, Fraction(1, 4), wide, False),
-        (x, Fraction(0), C.DEFAULT_CONFIG, True),
-    ]
-    fresh = {}
-    for s, delta, cfg, _new in steps:
-        _forget(monkeypatch)
-        fresh[s, delta, cfg] = query(s, delta, cfg)
-    _forget(monkeypatch)
-    passes = []
-    _spy_block_passes(monkeypatch, lambda st, d, m: passes.append(m))
-    for s, delta, cfg, new in steps:
-        before = len(passes)
-        assert query(s, delta, cfg) == fresh[s, delta, cfg], (s, delta, cfg)
-        assert (len(passes) > before) == new, (s, delta, cfg)
-        assert C._last_markov[0] == (C.string_stats(s), float(delta), 40 <= cfg.n_max)
-
-
-def test_markov_memo_never_keeps_a_bad_string():
-    x = "0110100110010110"
-    C.coarse_ec(x, 0)
-    kept = C._last_markov
-    assert kept[0][0] == C.string_stats(x)
-    q = ComplexityQuery(delta=Fraction(0), Delta=Fraction(4))
-    for bad in ("0120", "", "0110100110010112", " " + x[1:]):
-        with pytest.raises(ValueError, match="x must"):
-            C.coarse_ec(bad, 0)
-        with pytest.raises(ValueError, match="x must"):
-            C.ec(bad, q)
-        assert C._last_markov is kept
-
-
-def test_markov_memo_across_threads():
+def test_ec_and_coarse_ec_agree_across_threads():
     import threading
 
     model = processes.parse_model_spec("markov:flip=1/10")
@@ -1371,7 +1335,7 @@ def test_coarse_pick_best_first_equals_reading_every_group():
 
 
 def test_coarse_pick_reads_no_more_markov_runs_than_desc_order(monkeypatch):
-    """From an empty memo, the best-first pick searches no more Markov runs
+    """The best-first pick searches no more Markov runs
     than the ascending-desc pick and gives the same champion, and on the
     seeded paths it searches fewer in all."""
     cfg = C.DEFAULT_CONFIG
@@ -1389,7 +1353,6 @@ def test_coarse_pick_reads_no_more_markov_runs_than_desc_order(monkeypatch):
                 counts = []
                 picks = []
                 for pick in (C._coarse_pick, _desc_order_pick):
-                    monkeypatch.setattr(C, "_last_markov", (None, None))
                     searched.clear()
                     frontier = C._frontier(x, st, delta_f, mode_r, constraint, cfg)
                     picks.append(_pick_tuple(pick(frontier)))
@@ -1402,12 +1365,12 @@ def test_coarse_pick_reads_no_more_markov_runs_than_desc_order(monkeypatch):
     assert totals["paths"][0] < totals["paths"][1], totals
 
 
-def test_cached_markov_tables_are_per_block(monkeypatch):
+def test_cached_markov_tables_are_per_block():
     """After ec, coarse_ec and khat queries at 12 lengths, every array kept
     per (n, m) has one entry per (a0, a1) block, k^2 in all, never the k^3
     entries of the whole order, and at most _CLOSED_LENGTHS lengths are
     kept."""
-    monkeypatch.setattr(C, "_CLOSED_PER_N", {})
+    C._closed_per_n.cache_clear()
     model = processes.parse_model_spec("markov:flip=1/3")
     lengths = [30 + 97 * i for i in range(12)]
     seen = set()
@@ -1419,10 +1382,10 @@ def test_cached_markov_tables_are_per_block(monkeypatch):
             q = ComplexityQuery(delta=Fraction(1), Delta=Fraction(8), mode="auto", constraint=constraint)
             C.ec(x, q)
         C._markov_blocks(C.string_stats(x), 6, 1.0)  # the largest order at every length
-        for per_m in C._CLOSED_PER_N.values():
-            for m, tables in per_m.items():
-                k = (1 << m) - 1
-                seen.add(m)
-                assert all(arr.shape == (k * k,) for arr in tables), (n, m)
+        # every table is built at the length being queried: check them all
+        for m, tables in C._closed_per_n(n).items():
+            k = (1 << m) - 1
+            seen.add(m)
+            assert all(arr.shape == (k * k,) for arr in tables), (n, m)
     assert seen == set(range(1, 7)), seen
-    assert len(C._CLOSED_PER_N) == C._CLOSED_LENGTHS
+    assert C._closed_per_n.cache_info().currsize == C._CLOSED_LENGTHS

@@ -38,7 +38,8 @@ CONSTRAINTS = (
 @functools.lru_cache(maxsize=1)
 def _grid_lists() -> dict:
     grid = flat_markov_grid.flat_grid(CFG.m_max)
-    lists = {k: getattr(grid, k).tolist() for k in ("m", "c00", "c01", "c10", "c11")}
+    keys = ("m", "a0", "a1", "ai", "c00", "c01", "c10", "c11")
+    lists = {k: getattr(grid, k).tolist() for k in keys}
     lists["li"] = (grid.li0.tolist(), grid.li1.tolist())
     return lists
 
@@ -115,36 +116,34 @@ def _ref_khat_champions(stats) -> dict:
     n = stats.n
     grid = flat_markov_grid.flat_grid(CFG.m_max)
     base = 3 + nat_code_len(n)
-    H = _ref_tables(n)["H"]
+    H = _ref_tables(n)["lists"]["H"]
+    g = _grid_lists()
+    a0s, a1s, ais = g["a0"], g["a1"], g["ai"]
     out = {}
     for m in range(1, CFG.m_max + 1):
         desc = base + nat_code_len(m) + 3 * m
         sl = grid.m_slices[m]
         lg = m * n - flat_markov_grid.neglogp(stats, grid, sl)
         band = math.floor(float(lg.max())) - 1 - C._FLOAT_GUARD
+        top = 1 << m
+        # an entry's numerator is init[ai] * from0[a0] * from1[a1]: the first
+        # symbol's factor and each state's a^flips (top - a)^stays, every
+        # power raised once per stats
+        init = [0] + [a if stats.first else top - a for a in range(1, top)]
+        from0 = [0] + [a**stats.n01 * (top - a) ** stats.n00 for a in range(1, top)]
+        from1 = [0] + [a**stats.n10 * (top - a) ** stats.n11 for a in range(1, top)]
         best_bl = -1
         tied = []
-        top = 1 << m
         for idx in np.flatnonzero(lg >= band).tolist():
             j = sl.start + idx
-            num = (
-                (int(grid.ai[j]) if stats.first else top - int(grid.ai[j]))
-                * int(grid.a0[j]) ** stats.n01
-                * (top - int(grid.a0[j])) ** stats.n00
-                * int(grid.a1[j]) ** stats.n10
-                * (top - int(grid.a1[j])) ** stats.n11
-            )
-            bl = num.bit_length()
+            bl = (init[ais[j]] * from0[a0s[j]] * from1[a1s[j]]).bit_length()
             if bl > best_bl:
                 best_bl, tied = bl, [j]
             elif bl == best_bl:
                 tied.append(j)
-        tied.sort(
-            key=lambda j: (float(H[j]) + desc, int(grid.a0[j]), int(grid.a1[j]), int(grid.ai[j]))
-        )
-        j = tied[0]
+        j = min(tied, key=lambda j: (H[j] + desc, a0s[j], a1s[j], ais[j]))
         value = desc + m * n - best_bl + 1
-        out[m] = (value, desc, float(H[j]) + desc, _ensemble(grid, n, j))
+        out[m] = (value, desc, H[j] + desc, _ensemble(grid, n, j))
     return out
 
 
@@ -387,13 +386,13 @@ def test_run_leads_with_its_serialization_first_member():
             assert E.serialize(lead) < E.serialize(first)
 
 
-def test_exact_ops_at_n20_never_build_the_largest_slice(monkeypatch):
+def test_exact_ops_at_n20_never_build_the_largest_slice():
     """khat, ec on delta in {0, 1/4} x Delta in {0, 4, 16} and on eps = 1/8,
     and coarse-ec, on each string kind at n = 20: the closed-form tables are
     built per (n, m) when a search first reaches m, and no search reaches
     m = 6. khat's m = 6 description alone exceeds its cut, and 2 desc at
     m = 6 exceeds the objective of the always-typical m = 1 entry at 1/2."""
-    monkeypatch.setattr(C, "_CLOSED_PER_N", {})
+    C._closed_per_n.cache_clear()
     queries = [
         C.ComplexityQuery(delta=Fraction(d), Delta=Fraction(D), mode="exact")
         for d in ("0", "1/4")
@@ -405,8 +404,8 @@ def test_exact_ops_at_n20_never_build_the_largest_slice(monkeypatch):
             for q in queries:
                 C.ec(x, q, CFG)
             C.coarse_ec(x, 0, "exact", CFG)
-    assert list(C._CLOSED_PER_N) == [20]
-    built = set(C._CLOSED_PER_N[20])
+    assert C._closed_per_n.cache_info().currsize == 1  # n = 20 only
+    built = set(C._closed_per_n(20))
     assert built and max(built) < CFG.m_max, built
 
 
