@@ -4,8 +4,8 @@ Every stochastic subcommand requires an explicit --seed; identical argv
 produce byte-identical output. --threads is accepted and ignored, so older
 argv stay valid. Exit codes:
 0 success, 1 usage error or failed selftest, 2 domain/decode error,
-3 resource-bound error. Rationals cross the boundary as "a/b" text and
-strings as ASCII '0'/'1'.
+3 resource-bound error or out of memory. Rationals cross the boundary as
+"a/b" text and strings as ASCII '0'/'1'.
 """
 
 from __future__ import annotations
@@ -452,6 +452,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # the backstop for a size no bound caught before allocating
+        print(f"resource limit: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 3
     except (DecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,10 +3,12 @@ import csv
 import hashlib
 import io
 import json
+import os
 import string
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -540,3 +542,30 @@ def test_lz_command_loads_neither_selftest_nor_statistics():
     # the spans of the benchmark's tracer look the last five up in sys.modules
     assert out.splitlines()[-1] == "False False True True True True True"
 
+
+
+# Runs cli.main under a 2 GiB address-space cap, so a request for more
+# memory fails in the child instead of being allocated.
+_CAPPED = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+    "from eclab import cli; sys.exit(cli.main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--model", "bernoulli:p=1/2", "--n", "100000000000", "--seed", "1"],
+        ["typical", "--r-list", "3/4", "--n-list", "100000000000", "--model", "bernoulli:p=1/2",
+         "--samples", "1", "--seed", "1"],
+    ],
+)
+def test_out_of_memory_exits_3_without_a_traceback(argv):
+    pytest.importorskip("resource")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _CAPPED, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("resource limit: out of memory")
+    assert "Traceback" not in proc.stderr
