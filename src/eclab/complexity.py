@@ -1212,7 +1212,8 @@ def theorem1_sweep(
     rows: list[SweepRow] = []
     for idx_n, n in enumerate(n_list):
         oks, values = 0, []
-        for bits, comp in sample_paths(model, n, seed + idx_n, samples):
+        for i in range(samples):  # one path held at a time
+            ((bits, comp),) = sample_paths(model, n, seed + idx_n, 1, i)
             stats = string_stats(bits)
             T = khat_value(stats, cfg, "upper") + eps * n
             r_star = r_by_comp[comp]

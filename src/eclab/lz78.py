@@ -35,9 +35,9 @@ on whether a partial phrase follows, `code_len` counts c off the walk and
 adds the bits up once at the end. The parse is online: the complete phrases
 of a prefix are the first phrases of the whole parse. So `_code_len_below`,
 the exact test code_len(x) * den < bound behind typical-set membership,
-walks x in chunks, each from the state the last one left, and answers False
-as soon as the complete phrases so far cost too many bits; a non-member is
-rarely parsed to the end.
+gives the walk a stop count and the walk returns at the phrase whose bits
+reach the bound: the answer is False then, and a non-member is rarely
+parsed to the end.
 
 `parse` reads the phrases off the walk's trie. Phrase j was stored at
 offset 2j in the slot 2 * parent + bit, and that slot number is its record:
@@ -169,13 +169,16 @@ def code_len(x: str) -> int:
     return _code_len_unchecked(x)
 
 
-def _code_len_unchecked(x: str) -> int:
-    """code_len for an x its caller has already checked to be nonempty 0/1.
-    The walk reads x one slice at a time (codec._SLICE), each from the trie
-    and node the last one left."""
+def _code_len_unchecked(x: str, stop: int | None = None) -> int:
+    """code_len for an x its caller has already checked to be nonempty 0/1,
+    or S(stop) once the parse holds `stop` complete phrases. The walk reads x
+    one slice at a time (codec._SLICE), each from the trie and node the last
+    one left."""
     trie, node = _new_trie(len(x)), 0
     for start in range(0, len(x), _SLICE):
-        node = _walk(trie, node, x[start : start + _SLICE].encode())
+        node = _walk(trie, node, x[start : start + _SLICE].encode(), stop)
+        if trie[-1] == stop:
+            break
     return _trie_code_len(trie, node)
 
 
@@ -214,20 +217,25 @@ def _new_trie(n: int):
 _OUT_OF_RANGE = "LZ78 walk out of range: more phrases than the trie was sized for, or a node outside it"
 
 
-def _walk(trie, node: int, bits: bytes) -> int:
+def _walk(trie, node: int, bits: bytes, stop: int | None = None) -> int:
     """Advance the code-length parse over `bits` ('0'/'1' bytes, already
     checked) from `trie` and current node `node`; `trie` fills in place, and
-    the node reached is returned. A trie whose count is 0 is empty whatever
-    its slots hold: the walk clears the root's slots then, and each new
-    node's as it stores it, so a trie is reused by setting its count to 0.
-    The kernel runs the loop below in C, reading a bit as its byte & 1."""
+    the node reached is returned: 0 once a new phrase brings the count of
+    complete phrases to `stop` (by default the trie's capacity, which it
+    never reaches). A trie whose count is 0 is empty whatever its slots
+    hold: the walk clears the root's slots then, and each new node's as it
+    stores it, so a trie is reused by setting its count to 0. The kernel
+    runs the loop below in C, reading a bit as its byte & 1."""
     cap = len(trie) - 1
+    if stop is None:
+        stop = cap
     if type(trie) is not list:
-        node = _kernel()(trie, cap, node, bits, len(bits))
+        node = _kernel()(trie, cap, node, bits, len(bits), stop)
         if node < 0:
             raise RuntimeError(_OUT_OF_RANGE)
         return node
     size = 2 * trie[cap] + 2  # slots in use
+    end = 2 * stop + 2  # slots in use at `stop` complete phrases
     if size == 2:
         trie[0] = trie[1] = 0
     # The child's slot is indexed again only when a phrase ends, which keeps
@@ -240,6 +248,8 @@ def _walk(trie, node: int, bits: bytes) -> int:
             trie[size] = trie[size + 1] = 0
             size += 2
             node = 0
+            if size == end:
+                break
         else:
             raise RuntimeError(_OUT_OF_RANGE)
     trie[cap] = (size >> 1) - 1
@@ -254,9 +264,10 @@ _KERNEL_SOURCE = r"""
 #include <stdint.h>
 
 int64_t lz78_walk(int32_t *kids, int64_t cap, int64_t node,
-                  const unsigned char *bits, int64_t n)
+                  const unsigned char *bits, int64_t n, int64_t stop)
 {
     int64_t size = 2 * (int64_t)kids[cap] + 2;
+    int64_t end = 2 * stop + 2;
     if (node < 0 || node >= size || size > cap)
         return -1;
     if (size == 2)
@@ -270,6 +281,8 @@ int64_t lz78_walk(int32_t *kids, int64_t cap, int64_t node,
             kids[size] = kids[size + 1] = 0;
             size += 2;
             node = 0;
+            if (size == end)
+                break;
         } else {
             return -1;
         }
@@ -306,7 +319,7 @@ def _load_kernel(cache_dir: Path, cc: str | None):
         return None
     walk.restype = ctypes.c_int64
     walk.argtypes = (ctypes.POINTER(ctypes.c_int32), ctypes.c_int64, ctypes.c_int64,
-                     ctypes.c_char_p, ctypes.c_int64)
+                     ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64)
     return walk
 
 
@@ -331,38 +344,19 @@ def _compile(command: list[str], path: Path) -> None:
             os.unlink(tmp)
 
 
-_FIRST_CHUNK = 16  # the membership walk's first chunk is 1/_FIRST_CHUNK of x
-_MIN_CHUNK = 256  # and no chunk is shorter than 1/_MIN_CHUNK of x
-_MIN_STEP = 256  # nor than _MIN_STEP bits, about what the kernel walks in one call's cost
-
-
 def _code_len_below(x: str, bound: int, den: int) -> bool:
     """code_len(x) * den < bound for an x its caller has already checked,
     stopping the parse once the answer is known to be False.
 
     The parse is online: the complete phrases of a prefix are the first
-    phrases of the whole parse, so after each chunk the c complete phrases
-    so far already cost S(c) bits, S increases with c, and code_len(x) >=
-    S(c). Once c reaches the least count `stop` with S(stop) * den >= bound
-    the answer is False without parsing the rest. Each next chunk is sized
-    for the stop - c phrases still missing at the bits per phrase seen so
-    far; phrases lengthen as the trie deepens, so it tends to end just short
-    of the crossing, and the walk overshoots it by little."""
-    data = x.encode()
-    n = len(data)
+    phrases of the whole parse, so once the walk holds c complete phrases
+    they already cost S(c) bits, S increases with c, and code_len(x) >=
+    S(c). The walk stops at the least count `stop` with S(stop) * den >=
+    bound, and the S(stop) bits it then returns answer False as the whole
+    code length would."""
     # c <= n, so stop = n + 1 stands for "never"
-    stop = bisect_left(range(n + 1), True, key=lambda c: _phrase_bits(c) * den >= bound)
-    trie = _new_trie(n)
-    node = pos = 0
-    step = max(-(-n // _FIRST_CHUNK), _MIN_STEP)
-    while pos < n:
-        node = _walk(trie, node, data[pos : pos + step])
-        pos += step
-        c = trie[-1]
-        if c >= stop:
-            return False
-        step = max(-(-n // _MIN_CHUNK), _MIN_STEP, (stop - c) * pos // c)
-    return _trie_code_len(trie, node) * den < bound
+    stop = bisect_left(range(len(x) + 1), True, key=lambda c: _phrase_bits(c) * den >= bound)
+    return _code_len_unchecked(x, stop) * den < bound
 
 
 def _phrase_bits(c: int) -> int:

@@ -325,14 +325,15 @@ def _sample_one(model: ProcessModel, path_seed: int, n: int) -> tuple[str, int]:
 
 
 def sample_paths(
-    model: ProcessModel, n: int, seed: int, count: int
+    model: ProcessModel, n: int, seed: int, count: int, first: int = 0
 ) -> list[tuple[str, int]]:
-    """`count` independent length-n paths; each is (bits, component index)."""
+    """`count` independent length-n paths, paths first .. first + count - 1
+    of the run with master seed `seed`; each is (bits, component index)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
-    return [_sample_one(model, _path_seed(seed, i), n) for i in range(count)]
+    return [_sample_one(model, _path_seed(seed, i), n) for i in range(first, first + count)]
 
 
 def sample(model: ProcessModel, n: int, seed: int) -> str:

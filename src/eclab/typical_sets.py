@@ -105,9 +105,12 @@ def empirical_prob(
     samples: int,
     seed: int,
 ) -> Fraction:
-    """Fraction of `samples` seeded paths that land in T(r, n)."""
+    """Fraction of `samples` seeded paths that land in T(r, n). Each path is
+    drawn and tested in turn, so one is held at a time."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    paths = sample_paths(model, spec.n, seed, samples)
-    hits = sum(1 for bits, _ in paths if _member(spec, bits))  # sampled: length n, 0/1
+    hits = 0
+    for i in range(samples):
+        ((bits, _),) = sample_paths(model, spec.n, seed, 1, i)
+        hits += _member(spec, bits)  # sampled: length n, 0/1
     return Fraction(hits, samples)

@@ -558,6 +558,9 @@ _CAPPED = (
         ["gen", "--model", "bernoulli:p=1/2", "--n", "100000000000", "--seed", "1"],
         ["typical", "--r-list", "3/4", "--n-list", "100000000000", "--model", "bernoulli:p=1/2",
          "--samples", "1", "--seed", "1"],
+        ["sweep-theorem1", "--model", "bernoulli:p=1/2", "--eps", "1/8", "--n-list", "100000000000",
+         "--samples", "1", "--seed", "1"],
+        ["gen", "--model", "markov:flip=1/10", "--n", "100000000000", "--seed", "1"],
     ],
 )
 def test_out_of_memory_exits_3_without_a_traceback(argv):

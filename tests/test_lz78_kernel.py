@@ -35,29 +35,40 @@ def _compiler_exists() -> bool:
     return bool(cc) and shutil.which(cc.split()[0]) is not None
 
 
-def _walk_both(x: str, cuts=()):
+def _walk_both(x: str, cuts=(), stop=None):
     """Walk x in the chunks that end at `cuts` (and at len(x)) on a kernel
-    trie and on a list trie of the same size: each trie with the nodes the
-    chunks ended at."""
+    trie and on a list trie of the same size, each chunk with `stop` and no
+    chunk after the one that brings the count to it: each trie with the
+    nodes the chunks ended at."""
     kernel_trie = lz78._new_trie(len(x))
     assert type(kernel_trie) is not list
     out = []
     for trie in (kernel_trie, [0] * len(kernel_trie)):
         node, start, nodes = 0, 0, []
         for end in [*sorted(min(c, len(x)) for c in cuts), len(x)]:
-            node = lz78._walk(trie, node, x[start:end].encode())
+            node = lz78._walk(trie, node, x[start:end].encode(), stop)
             nodes.append(node)
             start = end
+            if trie[-1] == stop:
+                break
         out.append((trie, nodes))
     return out
 
 
-def _check_walks(x: str, cuts=()) -> None:
-    """The kernel and the Python walk leave the same slots and nodes, and
-    the records read off either are the reference parse."""
-    (k_trie, k_nodes), (p_trie, p_nodes) = _walk_both(x, cuts)
+def _check_walks(x: str, cuts=(), stop=None) -> None:
+    """The kernel and the Python walk leave the same slots and nodes, with
+    min(stop, the full parse's) complete phrases, and the records read off
+    either are the reference parse, or its first `stop` phrases."""
+    (k_trie, k_nodes), (p_trie, p_nodes) = _walk_both(x, cuts, stop)
     assert list(k_trie) == p_trie and k_nodes == p_nodes
     want = ref.parse(x)
+    full = len(want) - (want[-1][1] is None)
+    if stop is not None and stop <= full:
+        assert p_trie[-1] == stop and p_nodes[-1] == 0
+        for trie in (k_trie, p_trie):
+            assert lz78.LZParse(lz78._records(trie), 0).phrases == want[:stop]
+        return
+    assert p_trie[-1] == full
     for trie in (k_trie, p_trie):
         assert lz78.LZParse(lz78._records(trie), k_nodes[-1] >> 1).phrases == want
     p = lz78.parse(x)
@@ -74,13 +85,17 @@ def _biased(n: int, seed: int, p: float) -> str:
 @given(
     st.builds(_biased, st.integers(1, 4096), st.integers(0, 1 << 32), st.sampled_from([0.5, 0.2, 0.02])),
     st.lists(st.integers(0, 4096), max_size=6),
+    st.none() | st.integers(1, 600),
 )
-@example("0" * 4096, [])
-@example("1" * 4096, [100, 101])
-@example("01" * 2048, [4095])
-@example("0", [0])
-def test_kernel_matches_python_walk_and_reference(kernel, x, cuts):
-    _check_walks(x, cuts)
+@example("0" * 4096, [], None)
+@example("1" * 4096, [100, 101], 50)
+@example("01" * 2048, [4095], None)
+@example("0", [0], 1)
+@example("0110", [], 3)
+def test_kernel_matches_python_walk_and_reference(kernel, x, cuts, stop):
+    """With a stop drawn as well: the walks stop at the phrase that brings
+    the count to it, also at the last bit, or walk the whole string."""
+    _check_walks(x, cuts, stop)
 
 
 @pytest.mark.parametrize("model", LZ_MASS_MODELS)
@@ -102,7 +117,7 @@ def test_code_len_below_straddles_the_crossing(kernel, model, monkeypatch):
     with the Python walk, at bounds one below, at and one above the code
     length and the bits of the first half's complete phrases."""
     cases = []
-    for k in (12, 16):
+    for k in (12, 16, 18):  # 2^18 carries the crossing across codec._SLICE slices
         x = processes.sample(processes.parse_model_spec(model), 1 << k, 5)
         L, half = lz78.code_len(x), lz78._phrase_bits(lz78.parse(x[: len(x) // 2]).complete_count)
         for den in (1, 3):
@@ -182,6 +197,17 @@ def test_kernel_is_in_use_where_a_compiler_exists(tmp_path):
     assert lz78._load_kernel(tmp_path, sysconfig.get_config_var("CC")) is not None
     (built,) = tmp_path.iterdir()
     assert built.name.startswith("lz78_walk-") and len(built.stem) == len("lz78_walk-") + 64
+
+
+def test_kernel_source_compiles_without_warnings(kernel):
+    """The kernel is strict C99 with no warning under -Wall -Wextra
+    -pedantic: the build itself discards the compiler's output, so a warning
+    in an edited kernel would otherwise go unseen."""
+    cc = sysconfig.get_config_var("CC").split()
+    flags = ["-Wall", "-Wextra", "-Werror", "-pedantic", "-std=c99", "-fsyntax-only", "-x", "c", "-"]
+    proc = subprocess.run([*cc, *flags], input=lz78._KERNEL_SOURCE, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
 
 def test_unbuildable_kernel_loads_as_none(tmp_path):

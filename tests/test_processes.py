@@ -22,6 +22,9 @@ def test_sampling_is_deterministic():
     assert P.sample(m, 200, 7) != P.sample(m, 200, 8)
     mix = P.Mixture(((Fraction(1, 2), bern(0)), (Fraction(1, 2), bern(1))))
     assert P.sample_paths(mix, 10, 3, 5) == P.sample_paths(mix, 10, 3, 5)
+    # paths first .. first + count - 1 of the same run, one at a time or in a block
+    assert [P.sample_paths(mix, 10, 3, 1, i)[0] for i in range(5)] == P.sample_paths(mix, 10, 3, 5)
+    assert P.sample_paths(m, 50, 3, 2, 3) == P.sample_paths(m, 50, 3, 5)[3:]
 
 
 def _flip_rule(m: P.Markov, path_seed: int, n: int) -> str:

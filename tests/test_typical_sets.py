@@ -93,6 +93,25 @@ def test_empirical_prob_degenerate():
     assert T.empirical_prob(spec("1/4", 4096), processes.Bernoulli(Fraction(1, 2)), 100, 1) == 0
 
 
+def test_empirical_prob_holds_one_path_at_a_time():
+    """Each sampled path is drawn, tested and dropped before the next: the
+    traced peak with 64 paths of 2^16 bits stays within twice that with 2
+    (it grew with the count while every path was drawn first)."""
+    import tracemalloc
+
+    model, s = processes.parse_model_spec("bernoulli:p=3/10"), spec("3/4", 1 << 16)
+    T.empirical_prob(s, model, 2, 1)  # load what a first call loads before tracing
+    peaks = []
+    for samples in (2, 64):
+        tracemalloc.start()
+        try:
+            T.empirical_prob(s, model, samples, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks
+
+
 def test_empirical_prob_single_sample():
     v = T.empirical_prob(spec(1, 64), processes.Bernoulli(Fraction(1, 2)), 1, 9)
     assert v in (0, 1)
@@ -143,13 +162,15 @@ def test_empirical_prob_matches_code_len(model):
 
 @pytest.fixture
 def walked(monkeypatch):
-    """The lengths of the slices the membership test walks, in call order."""
-    seen: list[int] = []
+    """Every walk the membership test makes, in call order: (trie, bits
+    handed to the walk, stop, node reached)."""
+    seen: list[tuple] = []
     walk = lz78._walk
 
-    def spy(kids, node, bits):
-        seen.append(len(bits))
-        return walk(kids, node, bits)
+    def spy(trie, node, bits, stop=None):
+        node = walk(trie, node, bits, stop)
+        seen.append((trie, len(bits), stop, node))
+        return node
 
     monkeypatch.setattr(lz78, "_walk", spy)
     return seen
@@ -167,22 +188,35 @@ def _complete_counts(x: str) -> list[int]:
     return counts
 
 
-def _check_walk(x: str, counts: list[int], r: Fraction, walked: list[int]) -> list[int]:
-    """contains(x) agrees with code_len, and the walk ends at the first chunk
-    end at or after the crossing: the least P with S(counts[P]) * den >= r n.
-    Returns the chunk ends."""
+def _walked_to(x: str, counts: list[int], r: Fraction, walks: list[tuple]) -> int:
+    """The walks of one membership test of x stop at the crossing, the least
+    P with S(counts[P]) * den >= r n: at node 0, holding exactly the
+    counts[P] = stop complete phrases of x[:P], with no walk after the one
+    that reached it. With no crossing they walk the whole string. Returns
+    the bits parsed: P or n."""
     n = len(x)
     bound, den = r.numerator * n, r.denominator
     crossing = next((P for P, c in enumerate(counts) if lz78._phrase_bits(c) * den >= bound), None)
+    tries, lengths, stops, nodes = zip(*walks)
+    trie, stop = tries[0], stops[0]
+    assert all(t is trie for t in tries) and set(stops) == {stop}
+    if crossing is None:
+        assert sum(lengths) == n and trie[-1] < stop
+        return n
+    assert nodes[-1] == 0 and trie[-1] == stop == counts[crossing], (crossing, stop, trie[-1])
+    assert lz78.LZParse(lz78._records(trie), 0).reconstruct() == x[:crossing]
+    assert sum(lengths[:-1]) < crossing <= sum(lengths)
+    return crossing
+
+
+def _check_walk(x: str, counts: list[int], r: Fraction, walked: list[tuple]) -> int:
+    """contains(x) agrees with code_len, and its walk stops at the crossing
+    (see _walked_to). Returns the bits parsed."""
+    n = len(x)
     want = _reference(r, n, lz78.code_len(x))
     walked.clear()
     assert T.contains(spec(r, n), x) == want, r
-    ends = list(accumulate(walked))
-    if crossing is None:
-        assert ends[-1] == n
-    else:
-        assert crossing <= ends[-1] and (len(ends) == 1 or ends[-2] < crossing), (crossing, ends)
-    return ends
+    return _walked_to(x, counts, r, walked)
 
 
 @pytest.mark.parametrize(
@@ -197,22 +231,21 @@ def _check_walk(x: str, counts: list[int], r: Fraction, walked: list[int]) -> li
 def test_membership_exits_in_first_middle_and_last_chunk(model, n, seed, walked):
     """With r n = S(c) for the complete phrases c of a prefix, the bound is
     crossed at the end of that prefix's last complete phrase: the answer is
-    False, and the walk stops at the end of the chunk holding the crossing.
-    Rates from the first 1/32, the first half and the whole string put the
-    crossing in the first chunk, a middle one and the last one; at r n =
-    code_len(x) and one bit above it the answer needs the whole parse."""
+    False, and the walk stops at that phrase. Rates from the first 1/32, the
+    first half and the whole string put the crossing early, in the middle
+    and at the very end; at r n = code_len(x) and one bit above it the
+    answer needs the whole parse."""
     x = processes.sample(processes.parse_model_spec(model), n, seed)
     counts = _complete_counts(x)
     rate = lambda P: Fraction(lz78._phrase_bits(counts[P]), n)
-    assert len(_check_walk(x, counts, rate(n // 32), walked)) == 1
-    ends = _check_walk(x, counts, rate(n // 2), walked)
-    assert len(ends) > 1 and ends[-1] < n
+    assert _check_walk(x, counts, rate(n // 32), walked) <= n // 32
+    assert n // 32 < _check_walk(x, counts, rate(n // 2), walked) <= n // 2
     # the longest prefix that ends on a phrase boundary crosses at its very end
     m = max(P for P in range(n + 1) if counts[P] > counts[P - 1])
-    assert _check_walk(x[:m], counts[: m + 1], Fraction(lz78._phrase_bits(counts[m]), m), walked)[-1] == m
+    assert _check_walk(x[:m], counts[: m + 1], Fraction(lz78._phrase_bits(counts[m]), m), walked) == m
     L = lz78.code_len(x)
     for r, want in ((Fraction(L, n), False), (Fraction(L + 1, n), True)):
-        assert _check_walk(x, counts, r, walked)[-1] == n
+        assert _check_walk(x, counts, r, walked) == n
         assert T.contains(spec(r, n), x) == want
 
 
@@ -231,19 +264,26 @@ def test_membership_of_strings_ending_in_a_partial_phrase(walked):
         S, L = lz78._phrase_bits(p.complete_count), lz78.code_len(x[:n])
         assert L == S + p.complete_count.bit_length()
         for num in (S, S + 1, L - 1, L, L + 1):
-            ends = _check_walk(x[:n], counts[: n + 1], Fraction(num, n), walked)
+            parsed = _check_walk(x[:n], counts[: n + 1], Fraction(num, n), walked)
             if num > S:
-                assert ends[-1] == n
+                assert parsed == n
     assert cases > 0
 
 
 def test_non_member_walk_stops_before_the_end(walked):
-    """A fair-coin path is far above rate 1/2: its parse stops after the
-    first chunk, in contains and in every path empirical_prob draws."""
-    n = 1 << 14
-    model = processes.Bernoulli(Fraction(1, 2))
-    assert not T.contains(spec("1/2", n), processes.sample(model, n, 5))
-    assert 0 < sum(walked) < n
+    """A fair-coin path is far above rate 1/2: its parse stops at the
+    crossing phrase, well before the end, in contains and in every path
+    empirical_prob draws."""
+    n, r = 1 << 14, Fraction(1, 2)
+    model = processes.Bernoulli(r)
+    x = processes.sample(model, n, 5)
+    assert 0 < _check_walk(x, _complete_counts(x), r, walked) < n
     walked.clear()
-    assert T.empirical_prob(spec("1/2", n), model, 4, 5) == 0
-    assert 0 < sum(walked) < 4 * n // 2
+    assert T.empirical_prob(spec(r, n), model, 4, 5) == 0
+    by_trie: dict[int, list[tuple]] = {}
+    for walk in walked:
+        by_trie.setdefault(id(walk[0]), []).append(walk)
+    paths = [bits for bits, _ in processes.sample_paths(model, n, 5, 4)]
+    assert len(by_trie) == len(paths)
+    parsed = [_walked_to(y, _complete_counts(y), r, walks) for y, walks in zip(paths, by_trie.values())]
+    assert 0 < sum(parsed) < 4 * n // 2
