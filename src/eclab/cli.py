@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from . import complexity, ensembles as ens, lz78, processes, typical_sets
 from .codec import is_bits, nat_code_len
@@ -93,24 +95,34 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit(rows: list[dict], columns: list[str], args, extra: dict | None = None) -> None:
+def _emit(rows: Iterable[dict], columns: list[str], args) -> None:
+    """Write rows as CSV or as json.dumps({"rows": [...]}, indent=2) + "\n",
+    one row at a time, so rows drawn one at a time are held one at a time.
+    The first row is built before --out is opened."""
     if args.format == "json":
-        doc = {"rows": [{c: _json_cell(r.get(c)) for c in columns} for r in rows]}
-        if extra:
-            doc.update(extra)
-        text = json.dumps(doc, indent=2) + "\n"
+        # encoded cells hold no newline: each line of a row's dump is indented 4 more
+        cells = ({c: _json_cell(r.get(c)) for c in columns} for r in rows)
+        lines = (json.dumps(d, indent=2).replace("\n", "\n    ") for d in cells)
+        head, sep, tail = '{\n  "rows": [\n    ', ",\n    ", "\n  ]\n}\n"
     else:
-        lines = [_csv_line(columns)]
-        lines += (_csv_line([_cell(r.get(c)) for c in columns]) for r in rows)
-        text = "".join(lines)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as f:
-                f.write(text)
-        except OSError as exc:
-            raise UsageError(f"--out: {exc}")
-    else:
-        sys.stdout.write(text)
+        lines = (_csv_line([_cell(r.get(c)) for c in columns]) for r in rows)
+        head, sep, tail = _csv_line(columns), "", ""
+    first = head + next(lines, "")
+
+    def write(f):
+        f.write(first)
+        for line in lines:
+            f.write(sep + line)
+        f.write(tail)
+
+    if not args.out:
+        write(sys.stdout)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as f:
+            write(f)
+    except OSError as exc:
+        raise UsageError(f"--out: {exc}")
 
 
 def _csv_line(cells: list[str]) -> str:
@@ -240,11 +252,16 @@ def _load_model(args) -> processes.ProcessModel:
 
 def _cmd_gen(args) -> int:
     model = _load_model(args)
-    paths = processes.sample_paths(model, args.n, args.seed, args.count)
-    rows = [
+    # one path drawn and written at a time; min(count, 1) passes a count below
+    # 1 on for sample_paths to reject
+    paths = itertools.chain(
+        processes.sample_paths(model, args.n, args.seed, min(args.count, 1)),
+        (processes.sample_paths(model, args.n, args.seed, 1, i)[0] for i in range(1, args.count)),
+    )
+    rows = (
         {"sample": i, "seed": args.seed, "n": args.n, "component": comp, "bits": bits}
         for i, (bits, comp) in enumerate(paths)
-    ]
+    )
     _emit(rows, ["sample", "seed", "n", "component", "bits"], args)
     return 0
 

@@ -27,10 +27,11 @@ that pass and builds witnesses only for the candidates that reach it: the
 fixed and uniform-typical rows of that value, and a tie-band search in each
 order the pass names, over the blocks that can reach the band.
 
-The last string's stats and khat pass are kept in-process, one entry each:
-a run of queries on one x (ec then coarse_ec, or a sweep over delta and
-Delta) parses and scores it once. One CLI process per command gains nothing
-from this, and the kept entry holds one input string.
+Every table and memo kept is a bounded functools cache, except _order_rows,
+keyed by m alone: the last string's stats and khat pass, one entry each, so
+a run of queries on one x (ec then coarse_ec, a sweep over delta and Delta)
+parses and scores it once; the i.i.d. and uniform-typical tables of the last
+64 lengths; the closed-form Markov block tables of the last 48 (n, m).
 
 Each per-tag formula (counts, likelihood factors, description lengths, the
 typicality rule) is defined in `ensembles`; this module evaluates them in bulk.
@@ -121,7 +122,8 @@ __all__ = [
 # also reaches this far below the integer under the top one
 _FLOAT_GUARD = 1e-6
 _STRAGGLER_CAP = 256  # large-n Markov entries retried per m before giving up on m
-_CLOSED_LENGTHS = 8  # lengths whose closed-form Markov block tables are kept, 160 KB each
+_LENGTHS = 64  # lengths whose i.i.d. and uniform-typical tables are kept, about 50 KB each
+_CLOSED_TABLES = 8 * 6  # (n, m) closed-form Markov tables kept: 8 lengths, 160 KB each at m = 6
 _CLOSED_CHUNK = 64  # blocks per chunk when the closed-form block minima and maxima are built
 
 
@@ -136,9 +138,9 @@ class FamilyConfig:
     r_grid: tuple[Fraction, ...] = typical_sets.DEFAULT_R_GRID
     m_max: int = 6
     n_max: int = typical_sets.DEFAULT_N_MAX
-    # a small int naming r_grid, assigned once per instance, so the table
-    # caches do not hash the grid's Fractions and reports do not format them
-    # on every call
+    # a small int naming r_grid, assigned once per instance, so a config
+    # hashes (as a key of the table caches) without hashing the grid's
+    # Fractions and reports do not format them on every call
     grid_id: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -146,6 +148,9 @@ class FamilyConfig:
             _R_GRID_IDS[self.r_grid] = len(_R_GRID_TEXTS)
             _R_GRID_TEXTS.append(",".join(str(r) for r in self.r_grid))
         object.__setattr__(self, "grid_id", _R_GRID_IDS[self.r_grid])
+
+    def __hash__(self):
+        return hash((self.grid_id, self.m_max, self.n_max))  # equal grids share grid_id
 
     def echo(self) -> dict:
         return {
@@ -262,23 +267,12 @@ class StringStats:
         return (self.n, self.first, self.ones, self.n00, self.n01, self.n10, self.n11, self.lz_len)
 
 
-# the last string parsed and its stats, and the last _khat_pass key and result:
-# each one tuple, replaced whole, so a reader never sees a torn entry
-_last_stats: tuple = (None, None)
-_last_khat: tuple = (None, None)
-
-
+@lru_cache(maxsize=1)
 def string_stats(x: str) -> StringStats:
     """x's counts and LZ78 code length; the stats of the last x parsed are
     kept, so querying one x again parses it once."""
-    global _last_stats
-    last_x, last = _last_stats
-    if x == last_x:
-        return last
     check_bits(x, "x")
-    stats = StringStats(*ens.bit_counts(x), lz78._code_len_unchecked(x))
-    _last_stats = (x, stats)
-    return stats
+    return StringStats(*ens.bit_counts(x), lz78._code_len_unchecked(x))
 
 
 # --- scheme constants -------------------------------------------------------
@@ -319,9 +313,6 @@ def coarse_scheme_constant(scan_n_max: int = 16) -> int:
 # axes, so no array spans more than one order, and none kept holds more than
 # one number per (a0, a1) block.
 
-# keyed by cfg.grid_id: hashing a FamilyConfig would hash its r_grid
-_UT_PER_N: dict[tuple, list] = {}
-
 
 @cache
 def _order_rows(m: int) -> tuple:
@@ -340,13 +331,7 @@ def _order_rows(m: int) -> tuple:
     )
 
 
-@lru_cache(maxsize=_CLOSED_LENGTHS)
-def _closed_per_n(n: int) -> dict[int, tuple]:
-    """The closed-form tables built at length n so far, per order: the
-    _CLOSED_LENGTHS most recently used lengths are kept."""
-    return {}
-
-
+@lru_cache(maxsize=_CLOSED_TABLES)
 def _closed_tables(n: int, m: int) -> tuple[np.ndarray, ...]:
     """Per-(a0, a1)-block data of the closed form of the chain-rule entropy
     sum over the order-m entries: the stationary mean pi1 and the geometric
@@ -358,29 +343,26 @@ def _closed_tables(n: int, m: int) -> tuple[np.ndarray, ...]:
 
     Every array has one entry per block, k^2 in all: the minima and maxima
     are taken over ai a fixed chunk of blocks at a time, so no k^3 array is
-    built. The orders read at the _CLOSED_LENGTHS most recently used lengths
-    are kept (160 KB per length at m = 6)."""
-    per_m = _closed_per_n(n)
-    cached = per_m.get(m)
-    if cached is None:
-        prob = _order_rows(m)[3]
-        k = len(prob)
-        q0, q1 = prob[:, None], prob[None, :]
-        pi1 = q0 / (q0 + q1)
-        lam = 1.0 - q0 - q1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            geo = np.where(lam == 1.0, float(n - 1), (1.0 - lam ** (n - 1)) / (1.0 - lam))
-        factors = (pi1.ravel(), geo.ravel())
-        lo, hi = np.empty(k * k), np.empty(k * k)
-        ai = np.arange(k)
-        for start in range(0, k * k, _CLOSED_CHUNK):
-            stop = min(start + _CLOSED_CHUNK, k * k)
-            H = _closed_H(n, m, factors, np.arange(start, stop)[:, None], ai)
-            lo[start:stop], hi[start:stop] = H.min(axis=1), H.max(axis=1)
-        cached = per_m[m] = (*factors, lo, hi, np.argsort(lo, kind="stable"))
-        for arr in cached:
-            arr.flags.writeable = False
-    return cached
+    built. The _CLOSED_TABLES most recently used (n, m) are kept (160 KB
+    each at m = 6)."""
+    prob = _order_rows(m)[3]
+    k = len(prob)
+    q0, q1 = prob[:, None], prob[None, :]
+    pi1 = q0 / (q0 + q1)
+    lam = 1.0 - q0 - q1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        geo = np.where(lam == 1.0, float(n - 1), (1.0 - lam ** (n - 1)) / (1.0 - lam))
+    factors = (pi1.ravel(), geo.ravel())
+    lo, hi = np.empty(k * k), np.empty(k * k)
+    ai = np.arange(k)
+    for start in range(0, k * k, _CLOSED_CHUNK):
+        stop = min(start + _CLOSED_CHUNK, k * k)
+        H = _closed_H(n, m, factors, np.arange(start, stop)[:, None], ai)
+        lo[start:stop], hi[start:stop] = H.min(axis=1), H.max(axis=1)
+    tables = (*factors, lo, hi, np.argsort(lo, kind="stable"))
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
 
 
 def _closed_H(n: int, m: int, tables: tuple, b, ai) -> np.ndarray:
@@ -396,12 +378,13 @@ def _closed_H(n: int, m: int, tables: tuple, b, ai) -> np.ndarray:
     return hof[ai] + hof[b // k] * ((n - 1) - sum_p1) + hof[b % k] * sum_p1
 
 
-@cache
+@lru_cache(maxsize=6 * _LENGTHS)
 def _iid_table(n: int, m: int) -> tuple:
     """The i.i.d. candidates of one length and one order: (desc, hmin, rows)
     with rows (H, sigma, m, a, -log2 q, -log2 (1 - q)) for q = a / 2^m, in
     (sigma, a) order, the comparator's order within one desc. Keyed (n, m),
-    as the Markov tables are, so every m_max shares them."""
+    as the Markov tables are, so every m_max shares them; orders 1 .. 6 of
+    the last _LENGTHS lengths are kept."""
     desc = ens.iid_desc_len(n, m)
     log1, log0, hof, _q = (row.tolist() for row in _order_rows(m))
     rows = [
@@ -412,17 +395,14 @@ def _iid_table(n: int, m: int) -> tuple:
     return desc, min(t[0] for t in rows), rows
 
 
+@lru_cache(maxsize=_LENGTHS)
 def _ut_tables(cfg: FamilyConfig, n: int, exact: bool) -> list:
     """Uniform-typical candidates of one length, one group per desc: (desc,
     hmin, rows) with rows (H, sigma, r, lim, term) in (sigma, serialization)
     order. x is in T(r, n), so typical for it, exactly when lz_len < lim =
     ceil(r n). Exact mode has rows for nonempty sets only, H = log2 |T(r,n)|
     and khat term bitlen(|T| - 1); beyond it H is the surrogate r n and the
-    term ceil(r n)."""
-    key = (cfg.grid_id, cfg.n_max, n, exact)
-    groups = _UT_PER_N.get(key)
-    if groups is not None:
-        return groups
+    term ceil(r n). The last _LENGTHS (cfg, n, exact) are kept."""
     by_desc: dict[int, list] = {}
     for r in cfg.r_grid:
         desc = ens.typical_desc_len(n, r)
@@ -435,7 +415,7 @@ def _ut_tables(cfg: FamilyConfig, n: int, exact: bool) -> list:
         else:
             H, term = r * n, lim
         by_desc.setdefault(desc, []).append((H, H + desc, r, lim, term, encode_rational(r)))
-    groups = _UT_PER_N[key] = []
+    groups = []
     for desc in sorted(by_desc):
         rows = sorted(by_desc[desc], key=lambda t: (t[1], t[5]))
         groups.append((desc, min(t[0] for t in rows), [t[:5] for t in rows]))
@@ -513,8 +493,16 @@ def khat_value(stats: StringStats, cfg: FamilyConfig = DEFAULT_CONFIG, mode: str
 
 def _khat_pass(stats: StringStats, cfg: FamilyConfig, mode: str) -> tuple[int, tuple]:
     """The two-part-code minimum and the (tag, m) of each i.i.d. or Markov
-    order whose closed-form value reaches it, in the pass's order. mode is
-    only validated: the result of the last key (stats, family) is kept.
+    order whose closed-form value reaches it, in the pass's order: mode is
+    only validated, and _khat_scores runs the pass."""
+    _resolve_mode(mode, stats.n, cfg)
+    return _khat_scores(stats, cfg)
+
+
+@lru_cache(maxsize=1)
+def _khat_scores(stats: StringStats, cfg: FamilyConfig) -> tuple[int, tuple]:
+    """The pass of _khat_pass; the result of the last (stats, family) is
+    kept.
 
     Each order's value is desc + m n - floor(log2 of its largest numerator),
     with the numerator's maximum from a closed-form argmax, in floats whose
@@ -531,13 +519,7 @@ def _khat_pass(stats: StringStats, cfg: FamilyConfig, mode: str) -> tuple[int, t
     order is skipped only when the bound is strictly above the minimum so
     far: an order whose value equals the final minimum is always evaluated,
     so the named orders are those of the unpruned pass."""
-    global _last_khat
     n = stats.n
-    _resolve_mode(mode, n, cfg)
-    key = (stats, cfg.grid_id, cfg.m_max, cfg.n_max)  # hashing cfg would hash its grid
-    last_key, last = _last_khat
-    if key == last_key:
-        return last
     # uniform-all and singleton-raw reach head + n, singleton-lz head + lz_len
     best = ens.head_len(n) + min(n, stats.lz_len)
     # the exact log-cardinality term is used whenever it is computable; the
@@ -574,9 +556,7 @@ def _khat_pass(stats: StringStats, cfg: FamilyConfig, mode: str) -> tuple[int, t
             cand = desc_mk + m * n - bl
             values.append((cand, "markov-q", m))
             best = min(best, cand)
-    result = best, tuple((tag, m) for v, tag, m in values if v == best)
-    _last_khat = (key, result)
-    return result
+    return best, tuple((tag, m) for v, tag, m in values if v == best)
 
 
 # --- candidates and the canonical pick -------------------------------------------

@@ -7,6 +7,7 @@ import os
 import string
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -80,6 +81,31 @@ def test_gen_output_pinned(capsys):
         code, out, _ = run(argv, capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (model, seed)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_gen_holds_one_path_at_a_time(fmt, tmp_path, capsys):
+    """gen draws and writes its paths one at a time: the traced peak of 64
+    paths of 2^16 bits stays within twice that of 2 paths (holding all 64
+    would add 4 MB), and --out gets the bytes stdout gets."""
+    argv = ["gen", "--model", "bernoulli:p=3/10", "--n", str(1 << 16), "--seed", "1",
+            "--format", fmt]
+    peaks = {}
+    for count in (2, 64):
+        out = tmp_path / f"{count}.{fmt}"
+        tracemalloc.start()
+        try:
+            assert cli.main(argv + ["--count", str(count), "--out", str(out)]) == 0
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[64] <= 2 * peaks[2], peaks
+    code, stdout, _ = run(argv + ["--count", "64"], capsys)
+    assert code == 0 and out.read_text(encoding="utf-8") == stdout
+    if fmt == "json":  # streamed row by row, as json.dumps writes the whole document
+        assert json.dumps(json.loads(stdout), indent=2) + "\n" == stdout
+    else:
+        assert len(parse_csv(stdout)) == 64
 
 
 def test_certain_flips_do_not_overflow(capsys):
@@ -207,7 +233,7 @@ def test_khat_parses_x_once(capsys, monkeypatch):
     parsed = []
     unchecked = lz78._code_len_unchecked
     monkeypatch.setattr(lz78, "_code_len_unchecked", lambda x: parsed.append(x) or unchecked(x))
-    monkeypatch.setattr(complexity, "_last_stats", (None, None))  # no string kept yet
+    complexity.string_stats.cache_clear()  # no string kept yet
     code, out, _ = run(["khat", "--x", "0110100110"], capsys)
     assert code == 0 and parse_csv(out)[0]["lz_len"] == str(unchecked("0110100110"))
     assert parsed == ["0110100110"]
@@ -221,7 +247,7 @@ def test_ec_then_coarse_ec_parse_one_path_once(capsys, monkeypatch):
     parsed = []
     unchecked = lz78._code_len_unchecked
     monkeypatch.setattr(lz78, "_code_len_unchecked", lambda s: parsed.append(len(s)) or unchecked(s))
-    monkeypatch.setattr(complexity, "_last_stats", (None, None))
+    complexity.string_stats.cache_clear()
     code, ec_out, _ = run(["ec", "--x", x, "--delta", "0", "--eps", "1/10"], capsys)
     assert code == 0
     code, coarse_out, _ = run(["coarse-ec", "--x", x, "--delta", "0"], capsys)
@@ -536,8 +562,10 @@ def test_lz_command_loads_neither_selftest_nor_statistics():
         "'eclab.lz78', 'eclab.processes', 'eclab.typical_sets'); "
         "print(*(m in sys.modules for m in mods))"
     )
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     # the spans of the benchmark's tracer look the last five up in sys.modules
     assert out.splitlines()[-1] == "False False True True True True True"

@@ -352,7 +352,7 @@ def test_closed_entropies_cached_read_only():
 
 
 def test_closed_cache_bounded_with_block_ranges():
-    C._closed_per_n.cache_clear()
+    C._closed_tables.cache_clear()
     lengths = [1000 + 7 * i for i in range(12)]
     for n in lengths:
         for m in range(1, 7):
@@ -368,22 +368,25 @@ def test_closed_cache_bounded_with_block_ranges():
             assert np.array_equal(hi, H.max(axis=1))
             # the blocks in (least closed-form H, block index) order
             assert np.array_equal(by_lo, np.lexsort((np.arange(k * k), lo)))
-    info = C._closed_per_n.cache_info()
-    assert info.currsize == info.maxsize == C._CLOSED_LENGTHS == 8
-    # the most recently used lengths stay, and a repeat returns the same arrays
+    info = C._closed_tables.cache_info()
+    assert info.currsize == info.maxsize == C._CLOSED_TABLES == 8 * 6
+    # the most recently used (n, m) stay: the last 8 lengths, every order,
+    # and a repeat returns the same arrays
     tables = C._closed_tables(lengths[-1], 6)
     assert C._closed_tables(lengths[-1], 6) is tables
-    assert C._closed_tables(lengths[-8], 3) is C._closed_tables(lengths[-8], 3)
-    assert C._closed_per_n.cache_info().misses == info.misses
-    # lengths[-8], just read, is now the most recently used and lengths[-7]
-    # the least: a new length evicts lengths[-7] and keeps lengths[-8]
-    assert C._closed_per_n(lengths[0]) == {}  # evicted: built afresh
-    kept = C._closed_per_n.cache_info()
-    assert kept.misses == info.misses + 1 and kept.currsize == 8
-    assert 3 in C._closed_per_n(lengths[-8])
-    assert C._closed_per_n.cache_info().misses == kept.misses
-    assert C._closed_per_n(lengths[-7]) == {}
-    assert C._closed_per_n.cache_info().misses == kept.misses + 1
+    third = C._closed_tables(lengths[-8], 3)
+    assert C._closed_tables(lengths[-8], 3) is third
+    assert C._closed_tables.cache_info().misses == info.misses
+    # (lengths[-8], 3), just read, is now the most recently used and
+    # (lengths[-8], 1) the least: a new key evicts (lengths[-8], 1) and keeps
+    # (lengths[-8], 3)
+    C._closed_tables(lengths[0], 6)  # evicted: built afresh
+    kept = C._closed_tables.cache_info()
+    assert kept.misses == info.misses + 1 and kept.currsize == 8 * 6
+    assert C._closed_tables(lengths[-8], 3) is third
+    assert C._closed_tables.cache_info().misses == kept.misses
+    C._closed_tables(lengths[-8], 1)
+    assert C._closed_tables.cache_info().misses == kept.misses + 1
 
 
 @functools.cache
@@ -511,7 +514,7 @@ def test_khat_pass_skips_orders_ruled_out_by_entropy(monkeypatch):
             evaluated = []
             guarded = C._floor_log2_guarded
             with monkeypatch.context() as mp:
-                mp.setattr(C, "_last_khat", (None, None))  # a kept pass would evaluate nothing
+                C._khat_scores.cache_clear()  # a kept pass would evaluate nothing
                 spy = lambda lg, f: evaluated.append(lg) or guarded(lg, f)
                 mp.setattr(C, "_floor_log2_guarded", spy)
                 assert C._khat_pass(st, C.DEFAULT_CONFIG, "upper") == (value, orders)
@@ -1023,10 +1026,17 @@ def test_config_echo_text_built_once_per_grid():
 # --- the kept stats and khat pass ----------------------------------------------
 
 
-def _forget(monkeypatch):
+def _forget():
     """Start from an empty memo, as a fresh process does."""
-    monkeypatch.setattr(C, "_last_stats", (None, None))
-    monkeypatch.setattr(C, "_last_khat", (None, None))
+    C.string_stats.cache_clear()
+    C._khat_scores.cache_clear()
+
+
+def _kept(fn, *args):
+    """Whether fn(*args) is read from fn's cache: the call adds one hit."""
+    hits = fn.cache_info().hits
+    fn(*args)
+    return fn.cache_info().hits == hits + 1
 
 
 def test_memo_tells_apart_strings_with_equal_counts():
@@ -1043,14 +1053,14 @@ def test_memo_tells_apart_strings_with_equal_counts():
         assert C.khat(x)[0] == C.coarse_ec(x, 0).khat == ref[x][0]
 
 
-def test_memo_keeps_each_family_apart(monkeypatch):
+def test_memo_keeps_each_family_apart():
     x = "".join("1" if i % 61 == 0 else "0" for i in range(1000))
     st = C.string_stats(x)
     ref = {cfg: _khat_pass_reference(st, cfg, "upper") for cfg in (SMALL_CFG, C.DEFAULT_CONFIG)}
     assert ref[SMALL_CFG][0] != ref[C.DEFAULT_CONFIG][0]
     fresh = {}
     for cfg in ref:
-        _forget(monkeypatch)
+        _forget()
         fresh[cfg] = C.khat(x, cfg)
     for cfg in (SMALL_CFG, C.DEFAULT_CONFIG, C.DEFAULT_CONFIG, SMALL_CFG):
         assert C._khat_pass(st, cfg, "upper") == ref[cfg]
@@ -1062,7 +1072,7 @@ def test_memo_still_validates_mode_and_input():
     x = "01" * 20  # n = 40 > n_max
     st = C.string_stats(x)
     value = C.khat(x)[0]  # auto: upper mode, now kept
-    assert C._last_stats[0] == x and C._last_khat[0][0] == st
+    assert _kept(C.string_stats, x) and _kept(C._khat_scores, st, C.DEFAULT_CONFIG)
     with pytest.raises(ResourceLimitError):
         C.khat(x, mode="exact")
     with pytest.raises(ResourceLimitError):
@@ -1127,23 +1137,21 @@ def test_memo_across_threads():
 def test_check_thm4_scores_each_string_once(monkeypatch):
     from eclab.selftest import check_thm4
 
-    _forget(monkeypatch)
-    calls = passes = 0
+    _forget()
+    calls = 0
     original = C._khat_pass
 
     def spy(stats, cfg, mode):
-        nonlocal calls, passes
-        before = C._last_khat
-        result = original(stats, cfg, mode)
+        nonlocal calls
         calls += 1
-        passes += C._last_khat is not before  # a pass ran and replaced the entry
-        return result
+        return original(stats, cfg, mode)
 
     monkeypatch.setattr(C, "_khat_pass", spy)
     deltas = [Fraction(0), Fraction(1, 4), Fraction(1)]
     res = check_thm4(6, deltas, [Fraction(v) for v in range(0, 17, 4)])
     assert res.ok
     strings = sum(1 << n for n in range(1, 7))
+    passes = C._khat_scores.cache_info().misses  # each miss runs one pass
     assert passes == strings and calls == strings * len(deltas) * 6
 
 
@@ -1189,7 +1197,7 @@ def test_delta_sweep_searches_each_markov_order_once(monkeypatch):
         return out
 
     cell, passes, confirms = [None], Counter(), Counter()
-    want = sweep(lambda: _forget(monkeypatch))
+    want = sweep(_forget)
     found = 0
     for (x, d), (coarse, ecs) in want.items():
         for D, prev, value in zip(Deltas, [None, *ecs], ecs):
@@ -1365,15 +1373,22 @@ def test_coarse_pick_reads_no_more_markov_runs_than_desc_order(monkeypatch):
     assert totals["paths"][0] < totals["paths"][1], totals
 
 
-def test_cached_markov_tables_are_per_block():
+def test_cached_markov_tables_are_per_block(monkeypatch):
     """After ec, coarse_ec and khat queries at 12 lengths, every array kept
     per (n, m) has one entry per (a0, a1) block, k^2 in all, never the k^3
-    entries of the whole order, and at most _CLOSED_LENGTHS lengths are
+    entries of the whole order, and at most _CLOSED_TABLES (n, m) are
     kept."""
-    C._closed_per_n.cache_clear()
+    original = C._closed_tables
+    original.cache_clear()
+    built = {}  # every table is read where it is built: check them all
+
+    def spy(n, m):
+        tables = built[n, m] = original(n, m)
+        return tables
+
+    monkeypatch.setattr(C, "_closed_tables", spy)
     model = processes.parse_model_spec("markov:flip=1/3")
     lengths = [30 + 97 * i for i in range(12)]
-    seen = set()
     for n in lengths:
         (x, _), = processes.sample_paths(model, n, 4, 1)
         C.khat(x)
@@ -1382,10 +1397,9 @@ def test_cached_markov_tables_are_per_block():
             q = ComplexityQuery(delta=Fraction(1), Delta=Fraction(8), mode="auto", constraint=constraint)
             C.ec(x, q)
         C._markov_blocks(C.string_stats(x), 6, 1.0)  # the largest order at every length
-        # every table is built at the length being queried: check them all
-        for m, tables in C._closed_per_n(n).items():
-            k = (1 << m) - 1
-            seen.add(m)
-            assert all(arr.shape == (k * k,) for arr in tables), (n, m)
-    assert seen == set(range(1, 7)), seen
-    assert C._closed_per_n.cache_info().currsize == C._CLOSED_LENGTHS
+    for (n, m), tables in built.items():
+        k = (1 << m) - 1
+        assert all(arr.shape == (k * k,) for arr in tables), (n, m)
+    assert {m for _n, m in built} == set(range(1, 7)), built.keys()
+    assert {n for n, _m in built} == set(lengths)
+    assert original.cache_info().currsize == min(len(built), C._CLOSED_TABLES)

@@ -386,13 +386,16 @@ def test_run_leads_with_its_serialization_first_member():
             assert E.serialize(lead) < E.serialize(first)
 
 
-def test_exact_ops_at_n20_never_build_the_largest_slice():
+def test_exact_ops_at_n20_never_build_the_largest_slice(monkeypatch):
     """khat, ec on delta in {0, 1/4} x Delta in {0, 4, 16} and on eps = 1/8,
     and coarse-ec, on each string kind at n = 20: the closed-form tables are
     built per (n, m) when a search first reaches m, and no search reaches
     m = 6. khat's m = 6 description alone exceeds its cut, and 2 desc at
     m = 6 exceeds the objective of the always-typical m = 1 entry at 1/2."""
-    C._closed_per_n.cache_clear()
+    original = C._closed_tables
+    original.cache_clear()
+    built = set()
+    monkeypatch.setattr(C, "_closed_tables", lambda n, m: built.add((n, m)) or original(n, m))
     queries = [
         C.ComplexityQuery(delta=Fraction(d), Delta=Fraction(D), mode="exact")
         for d in ("0", "1/4")
@@ -404,9 +407,9 @@ def test_exact_ops_at_n20_never_build_the_largest_slice():
             for q in queries:
                 C.ec(x, q, CFG)
             C.coarse_ec(x, 0, "exact", CFG)
-    assert C._closed_per_n.cache_info().currsize == 1  # n = 20 only
-    built = set(C._closed_per_n(20))
-    assert built and max(built) < CFG.m_max, built
+    assert built and {n for n, _m in built} == {20}, built  # n = 20 only
+    assert original.cache_info().currsize == len(built)
+    assert max(m for _n, m in built) < CFG.m_max, built
 
 
 def test_exact_search_never_reads_the_straggler_cap(monkeypatch):

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -174,8 +175,10 @@ def test_import_leaves_recursion_limit_unchanged():
         "import eclab, eclab.cli, eclab.selftest; "
         "print(before == sys.getrecursionlimit())"
     )
+    src = os.path.dirname(os.path.dirname(lz78.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "True"
 
