@@ -22,13 +22,11 @@ phrases, where C(n) = max{c : sum_{j<=c} floor(log2(j + 1)) <= n} is the
 most distinct nonempty phrases n bits can hold (73,725 at n = 2^20), and
 one last slot that counts the complete phrases so far.
 
-The walk's loop runs in a small C kernel (`_KERNEL_SOURCE`): 4-5 ns per
-bit on 2^20-bit paths, against 40-55 ns for the same loop in Python (2-core
-x86 VM, Python 3.11), and about 1 us more per call for ctypes. It is
-compiled with sysconfig's CC on first use into this package's
-`__pycache__`, under a name that carries the SHA-256 of source, compiler
-and flags, and loaded with ctypes. When it cannot be built or loaded, the
-Python loop serves, on a list, and nothing is printed.
+The walk's loop runs in C (`kernel.lz78_walk`): 4-5 ns per bit on
+2^20-bit paths, against 40-55 ns for the same loop in Python (2-core x86 VM,
+Python 3.11), and about 1 us more per call for ctypes. When the kernel
+cannot be built or loaded, the Python loop serves, on a list, and nothing
+is printed.
 
 Since the code length depends only on the number c of complete phrases and
 on whether a partial phrase follows, `code_len` counts c off the walk and
@@ -59,26 +57,18 @@ from __future__ import annotations
 
 import ctypes
 import math
-import os
-import sysconfig
-import tempfile
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, repeat
-from pathlib import Path
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import kernel
 from .codec import _SLICE, check_bits, decode_nat, encode_nat, read_uint
 from .errors import DecodeError, ResourceLimitError
-
-try:  # CPython's own SHA-256 loads in 0.2 ms; hashlib first loads OpenSSL, 7 ms
-    from _sha256 import sha256
-except ImportError:
-    from hashlib import sha256
 
 __all__ = [
     "LZParse",
@@ -209,7 +199,7 @@ def _new_trie(n: int):
     cap = 2 * _max_phrases(n) + 2
     if cap >= 1 << 31:
         raise ResourceLimitError(f"an LZ78 parse of {n} bits needs {cap} trie slots, over 2^31 - 1")
-    if _kernel() is None:
+    if kernel.load() is None:
         return [0] * (cap + 1)
     return (ctypes.c_int32 * (cap + 1))()
 
@@ -230,7 +220,7 @@ def _walk(trie, node: int, bits: bytes, stop: int | None = None) -> int:
     if stop is None:
         stop = cap
     if type(trie) is not list:
-        node = _kernel()(trie, cap, node, bits, len(bits), stop)
+        node = kernel.load().lz78_walk(trie, cap, node, bits, len(bits), stop)
         if node < 0:
             raise RuntimeError(_OUT_OF_RANGE)
         return node
@@ -254,94 +244,6 @@ def _walk(trie, node: int, bits: bytes, stop: int | None = None) -> int:
             raise RuntimeError(_OUT_OF_RANGE)
     trie[cap] = (size >> 1) - 1
     return node
-
-
-# The loop of _walk over an int32 trie: kids[0 .. cap) are its slots and
-# kids[cap] counts its complete phrases. Returns the node reached, or -1 when
-# the node or the count lies outside the trie or a new phrase would not fit,
-# before any slot out of range is read or written.
-_KERNEL_SOURCE = r"""
-#include <stdint.h>
-
-int64_t lz78_walk(int32_t *kids, int64_t cap, int64_t node,
-                  const unsigned char *bits, int64_t n, int64_t stop)
-{
-    int64_t size = 2 * (int64_t)kids[cap] + 2;
-    int64_t end = 2 * stop + 2;
-    if (node < 0 || node >= size || size > cap)
-        return -1;
-    if (size == 2)
-        kids[0] = kids[1] = 0;
-    for (int64_t i = 0; i < n; i++) {
-        int32_t *slot = kids + node + (bits[i] & 1);
-        if (*slot) {
-            node = *slot;
-        } else if (size < cap) {
-            *slot = (int32_t)size;
-            kids[size] = kids[size + 1] = 0;
-            size += 2;
-            node = 0;
-            if (size == end)
-                break;
-        } else {
-            return -1;
-        }
-    }
-    kids[cap] = (int32_t)(size / 2 - 1);
-    return node;
-}
-"""
-_KERNEL_FLAGS = ("-O2", "-shared", "-fPIC")
-_KERNEL_DIR = Path(__file__).with_name("__pycache__")
-
-
-@cache
-def _kernel():
-    """The compiled walk, built on the first call in a checkout; None when
-    it cannot be built or loaded."""
-    return _load_kernel(_KERNEL_DIR, sysconfig.get_config_var("CC"))
-
-
-def _load_kernel(cache_dir: Path, cc: str | None):
-    """The kernel's function from `cache_dir`, compiled there with the
-    compiler command `cc` first unless an earlier build left it; None on any
-    failure, printing nothing."""
-    if not cc:
-        return None
-    command = [*cc.split(), *_KERNEL_FLAGS]
-    tag = sha256("\0".join([_KERNEL_SOURCE, *command]).encode()).hexdigest()
-    path = cache_dir / f"lz78_walk-{tag}{sysconfig.get_config_var('SHLIB_SUFFIX') or '.so'}"
-    try:
-        if not path.exists():
-            _compile(command, path)
-        walk = ctypes.CDLL(str(path)).lz78_walk
-    except OSError:  # no cache directory, no compiler, a failed build, a library that does not load
-        return None
-    walk.restype = ctypes.c_int64
-    walk.argtypes = (ctypes.POINTER(ctypes.c_int32), ctypes.c_int64, ctypes.c_int64,
-                     ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64)
-    return walk
-
-
-def _compile(command: list[str], path: Path) -> None:
-    """Compile the kernel into a temporary file beside `path`, then move it
-    there: a concurrent build replaces it with the same library. A failed
-    build leaves no file; the compiler's output is discarded."""
-    import subprocess  # only a build needs it
-
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
-    os.close(fd)
-    try:
-        done = subprocess.run([*command, "-x", "c", "-", "-o", tmp], input=_KERNEL_SOURCE.encode(),
-                              capture_output=True, timeout=120)
-        if done.returncode == 0:
-            os.replace(tmp, path)
-    except subprocess.TimeoutExpired:
-        pass
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 def _code_len_below(x: str, bound: int, den: int) -> bool:

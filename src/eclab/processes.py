@@ -9,21 +9,27 @@ k-th output of a generator with seed s is mix64(s + k*GAMMA). Sample
 path i of a run with master seed s uses the per-path seed
 mix64(s + (i+1)*GAMMA), so paths are independent of evaluation order
 and safe to generate in parallel. A uniform u in [0, 2^64) realizes an
-event of probability p via u < floor(p * 2^64). The sampler draws a path
-in blocks of _BLOCK outputs, each computed in place in one reused buffer,
-and writes the path's bits straight into its output; since output k
-depends on (s, k) alone, the path equals the whole-path computation.
+event of probability p via u < floor(p * 2^64).
 
 Markov transitions use the flip rule: given the previous symbol b, the
-next symbol is b XOR [u < flip_prob(b)]. With f0 = [u < a01] and
-f1 = [u < a10], each step maps the previous state through a function on
-{0, 1}: a reset to f0 when f0 != f1, a negation when both fire, the
-identity when neither does. The state at step j is therefore the value of
-the last reset at or before j (the initial symbol counts as one) XOR the
-parity of the negations since, which the sampler computes per block with
-a cumulative XOR and a gather. Two values carry from block to block: the
-parity of the negations so far and the value after the last reset, so
-the blocks compose to the step-by-step rule. Symmetric chains never reset.
+next symbol is b XOR [u < flip_prob(b)], and the initial symbol is
+[u < pi1] on the path's first output.
+
+The compiled kernel (`kernel.splitmix_bits`) draws a path: it computes
+output k, tests its event and writes the bit, one step at a time, straight
+into the path's bytes. When the kernel cannot be built or loaded, a numpy
+block sampler (`_sample_blocks`) serves, with the same paths. It computes
+the outputs in blocks of _BLOCK, each in place in one reused buffer; since
+output k depends on (s, k) alone, the blocks give the whole path's outputs.
+For a chain, with f0 = [u < a01] and f1 = [u < a10], each step maps the
+previous state through a function on {0, 1}: a reset to f0 when f0 != f1,
+a negation when both fire, the identity when neither does. The state at
+step j is therefore the value of the last reset at or before j (the
+initial symbol counts as one) XOR the parity of the negations since, which
+the block sampler computes per block with a cumulative XOR and a gather.
+Two values carry from block to block: the parity of the negations so far
+and the value after the last reset, so the blocks compose to the
+step-by-step rule. Symmetric chains never reset.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from typing import Iterable, Iterator, Union
 
 import numpy as np
 
+from . import kernel
 from .codec import check_bits
 from .text import document_lines, key_values, pairs, parse_fraction
 
@@ -93,14 +100,6 @@ def _blocks(seed: int, count: int) -> Iterator[tuple[int, np.ndarray]]:
             if mult is not None:
                 np.multiply(z, mult, out=z)
         yield start, z
-
-
-def _stream(seed: int, count: int) -> np.ndarray:
-    """Outputs 1..count of SplitMix64 with the given seed, as uint64."""
-    out = np.empty(count, dtype=np.uint64)
-    for start, u in _blocks(seed, count):
-        out[start : start + len(u)] = u
-    return out
 
 
 def _path_seed(seed: int, index: int) -> int:
@@ -271,6 +270,34 @@ def components(model: ProcessModel) -> list[tuple[Fraction, ProcessModel]]:
 
 
 def _sample_ergodic(model: Union[Bernoulli, Markov], path_seed: int, n: int) -> str:
+    """The path of seed `path_seed`, drawn by the kernel when it is loaded,
+    else by the numpy block sampler."""
+    if kernel.load() is None:
+        return _sample_blocks(model, path_seed, n)
+    return _sample_kernel(model, path_seed, n)
+
+
+def _sample_kernel(model: Union[Bernoulli, Markov], path_seed: int, n: int) -> str:
+    """The path by the kernel's splitmix_bits. Each threshold goes as its low
+    64 bits, with a flag for p = 1, whose threshold 2^64 is the only one out
+    of range: bit 0 of `always` for below0, bit 1 for below1, bit 2 for the
+    initial symbol's."""
+    out = np.empty(n, dtype=np.uint8)  # allocated here, so an n too large raises MemoryError
+    if isinstance(model, Bernoulli):
+        t0 = t1 = first = _threshold(model.p)
+        chain = 0
+    else:
+        t0, t1, first = _threshold(model.a01), _threshold(model.a10), _threshold(model.pi1)
+        chain = 1
+    always = (t0 >> 64) | (t1 >> 64) << 1 | (first >> 64) << 2
+    if kernel.load().splitmix_bits(out.ctypes.data, n, path_seed, chain,
+                         t0 & _MASK64, t1 & _MASK64, first & _MASK64, always):
+        raise RuntimeError(f"splitmix_bits refused a path of {n} bits")
+    return str(out.data, "ascii")
+
+
+def _sample_blocks(model: Union[Bernoulli, Markov], path_seed: int, n: int) -> str:
+    """The path by numpy, block by block."""
     out = np.empty(n, dtype=np.uint8)
     bits = out.view(bool)
     if isinstance(model, Bernoulli):
@@ -313,11 +340,11 @@ def _markov_states(model: Markov, path_seed: int, bits: np.ndarray) -> None:
 def _sample_one(model: ProcessModel, path_seed: int, n: int) -> tuple[str, int]:
     """One path plus the index of the ergodic component that produced it."""
     if isinstance(model, Mixture):
-        u0 = _stream(path_seed, 1)
+        u0 = mix64(path_seed + _GAMMA)  # output 1 of the path's generator
         cum = Fraction(0)
         for idx, (w, comp) in enumerate(model.parts):
             cum += w
-            if _events(u0, cum)[0]:  # the weights sum to 1, so the last part always hits
+            if u0 < _threshold(cum):  # the weights sum to 1, so the last part always hits
                 break
         child_seed = mix64(path_seed + 2 * _GAMMA)
         return _sample_ergodic(comp, child_seed, n), idx

@@ -13,7 +13,7 @@ from eclab import complexity as C, processes
 # the caches with no maxsize, each with why its keys stay few
 _UNBOUNDED = {
     "eclab.complexity._order_rows": "keyed by the Markov order m alone: m_max entries",
-    "eclab.lz78._kernel": "takes no argument: one compiled walk per process",
+    "eclab.kernel.load": "takes no argument: one compiled kernel per process",
     "eclab.cli._build_parser": "takes no argument: one parser set per process",
     "eclab.lz78.code_length_counts": (
         "keyed by n, read at n <= n_max for exact cardinalities and by the selftest's "

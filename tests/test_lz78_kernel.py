@@ -1,6 +1,6 @@
 """The compiled LZ78 trie walk against the Python walk and the
-phrase-at-a-time reference, the trie's size C(n), and the Python walk that
-serves when the kernel cannot be built."""
+phrase-at-a-time reference, the trie's size C(n), and the kernel's build:
+the Python walk and the numpy sampler that serve when it cannot be built."""
 
 import os
 import random
@@ -16,6 +16,7 @@ import lz78_reference as ref
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import eclab.kernel
 from eclab import lz78, processes
 from eclab.errors import ResourceLimitError
 
@@ -26,8 +27,8 @@ LZ_MASS_MODELS = ("markov:flip=1/10", "markov:a01=1/5,a10=3/5", "bernoulli:p=3/1
 
 @pytest.fixture(scope="module")
 def kernel():
-    if lz78._kernel() is None:
-        pytest.skip("the walk kernel cannot be built here")
+    if eclab.kernel.load() is None:
+        pytest.skip("the kernel cannot be built here")
 
 
 def _compiler_exists() -> bool:
@@ -125,7 +126,7 @@ def test_code_len_below_straddles_the_crossing(kernel, model, monkeypatch):
                 cases += [(x, at * den + d, den, L * den < at * den + d) for d in (-1, 0, 1)]
     for walk in ("kernel", "python"):
         if walk == "python":
-            monkeypatch.setattr(lz78, "_kernel", lambda: None)
+            monkeypatch.setattr(eclab.kernel, "load", lambda: None)
         for x, bound, den, want in cases:
             assert lz78._code_len_below(x, bound, den) == want, (walk, len(x), bound, den)
 
@@ -185,27 +186,29 @@ def test_trie_of_2_31_slots_is_a_resource_limit():
 # --- build and fallback ----------------------------------------------------------
 
 
-def test_kernel_is_in_use_where_a_compiler_exists(tmp_path):
-    """Where sysconfig's CC runs, the kernel serves, so a silent fallback to
-    the Python walk cannot pass as a kernel run; a cold build leaves the
-    library alone in its cache directory, named by the SHA-256 of source,
-    compiler and flags."""
+def test_kernel_is_in_use_where_a_compiler_exists(tmp_path, monkeypatch):
+    """Where sysconfig's CC runs, the kernel serves the walk and the
+    sampler, so a silent fallback to the Python walk or the numpy sampler
+    cannot pass as a kernel run; a cold build leaves the library alone in its
+    cache directory, named by the SHA-256 of source, compiler and flags."""
     if not _compiler_exists():
         pytest.skip("no C compiler")
-    assert lz78._kernel() is not None
+    assert eclab.kernel.load() is not None
     assert type(lz78._new_trie(16)) is not list
-    assert lz78._load_kernel(tmp_path, sysconfig.get_config_var("CC")) is not None
+    monkeypatch.setattr(processes, "_sample_blocks", lambda *a: pytest.fail("the numpy sampler ran"))
+    processes.sample(processes.parse_model_spec("markov:flip=1/10"), 100, 1)
+    assert eclab.kernel._load(tmp_path, sysconfig.get_config_var("CC")) is not None
     (built,) = tmp_path.iterdir()
-    assert built.name.startswith("lz78_walk-") and len(built.stem) == len("lz78_walk-") + 64
+    assert built.name.startswith("kernel-") and len(built.stem) == len("kernel-") + 64
 
 
 def test_kernel_source_compiles_without_warnings(kernel):
-    """The kernel is strict C99 with no warning under -Wall -Wextra
-    -pedantic: the build itself discards the compiler's output, so a warning
-    in an edited kernel would otherwise go unseen."""
+    """The kernel's one source is strict C99 with no warning under -Wall
+    -Wextra -pedantic: the build itself discards the compiler's output, so a
+    warning in an edited kernel would otherwise go unseen."""
     cc = sysconfig.get_config_var("CC").split()
     flags = ["-Wall", "-Wextra", "-Werror", "-pedantic", "-std=c99", "-fsyntax-only", "-x", "c", "-"]
-    proc = subprocess.run([*cc, *flags], input=lz78._KERNEL_SOURCE, capture_output=True, text=True,
+    proc = subprocess.run([*cc, *flags], input=eclab.kernel._SOURCE, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
@@ -214,28 +217,37 @@ def test_unbuildable_kernel_loads_as_none(tmp_path):
     """No compiler, a compiler that fails and a cache directory that cannot
     be made each give None, and leave no file behind."""
     cc = sysconfig.get_config_var("CC") or "cc"
-    assert lz78._load_kernel(tmp_path, str(tmp_path / "no-such-cc")) is None
+    assert eclab.kernel._load(tmp_path, str(tmp_path / "no-such-cc")) is None
     if shutil.which("false"):
-        assert lz78._load_kernel(tmp_path, "false") is None
+        assert eclab.kernel._load(tmp_path, "false") is None
     assert list(tmp_path.iterdir()) == []
     blocker = tmp_path / "file"
     blocker.write_text("")
-    assert lz78._load_kernel(blocker / "cache", cc) is None
-    assert lz78._load_kernel(tmp_path, None) is None
+    assert eclab.kernel._load(blocker / "cache", cc) is None
+    assert eclab.kernel._load(tmp_path, None) is None
 
 
 # Runs each argv group (split at "--") through cli.main after breaking the
 # build the way argv[1] names, prints every stdout and the exit codes, and
-# exits 99 unless the kernel is loaded exactly when the build was left alone.
+# exits 99 unless the kernel is loaded exactly when the build was left alone
+# and every path was drawn by the kernel then, by the numpy sampler else.
 _CLI_RUNNER = """
 import sys, sysconfig
 from pathlib import Path
-from eclab import cli, lz78
+from eclab import cli, kernel, processes
 how, arg, rest = sys.argv[1], sys.argv[2], sys.argv[3:]
 if how == "cache":
-    lz78._KERNEL_DIR = Path(arg)
+    kernel._DIR = Path(arg)
 elif how == "cc":
     sysconfig.get_config_vars()["CC"] = arg
+drawn = set()
+def spy(name, draw):
+    def counted(*args):
+        drawn.add(name)
+        return draw(*args)
+    return counted
+processes._sample_kernel = spy("kernel", processes._sample_kernel)
+processes._sample_blocks = spy("numpy", processes._sample_blocks)
 codes, argv = [], []
 for word in rest + ["--"]:
     if word != "--":
@@ -244,13 +256,15 @@ for word in rest + ["--"]:
     codes.append(cli.main(argv))
     argv = []
 print("exit codes:", *codes)
-sys.exit(99 if (lz78._kernel() is None) != (how != "kernel") else 0)
+loaded = kernel.load() is not None
+sys.exit(99 if loaded != (how == "kernel") or drawn != {"kernel" if loaded else "numpy"} else 0)
 """
 
 
 def test_cli_stdout_is_the_same_without_the_kernel(tmp_path):
-    """With no compiler or an unwritable cache the Python walk serves: every
-    stdout is byte-identical to the kernel's and stderr stays empty."""
+    """With no compiler or an unwritable cache the Python walk and the numpy
+    sampler serve: every stdout is byte-identical to the kernel's, and stderr
+    holds only the scheme constant that sweep-theorem1 prints."""
     model = processes.parse_model_spec("markov:flip=1/10")
     x = processes.sample(model, 1 << 13, 4)
     argv = [
@@ -261,7 +275,12 @@ def test_cli_stdout_is_the_same_without_the_kernel(tmp_path):
         "typical", "--r-list", "1/2,3/4,1", "--n-list", "4096", "--model", "markov:flip=1/10",
         "--samples", "6", "--seed", "3", "--",
         "typical", "--r-list", "1/2,1", "--n-list", "10", "--",
-        "scan-max-coarse", "--n", "8", "--delta", "0",
+        "scan-max-coarse", "--n", "8", "--delta", "0", "--",
+        "gen", "--model", "markov:a01=1/5,a10=3/5", "--n", "16385", "--seed", "7", "--count", "3", "--",
+        "gen", "--model", "mixture:1/3*markov:a01=1,a10=1/4+2/3*bernoulli:p=1/10", "--n", "300",
+        "--seed", "2", "--count", "8", "--format", "json", "--",
+        "sweep-theorem1", "--model", "markov:flip=1/10", "--eps", "1/8", "--n-list", "256,4096",
+        "--samples", "3", "--seed", "5",
     ]
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -272,8 +291,8 @@ def test_cli_stdout_is_the_same_without_the_kernel(tmp_path):
             continue
         proc = subprocess.run([sys.executable, "-c", _CLI_RUNNER, how, arg, *argv], env=env,
                               capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0 and proc.stderr == "", (how, proc.returncode, proc.stderr)
-        assert proc.stdout.endswith("exit codes: 0 0 0 0 0 0 0\n")
+        assert proc.returncode == 0 and proc.stderr == "C_scheme = 27 bits\n", (how, proc.returncode, proc.stderr)
+        assert proc.stdout.endswith("exit codes: 0 0 0 0 0 0 0 0 0 0\n")
         runs[how] = proc.stdout
     assert len(set(runs.values())) == 1
     assert list(tmp_path.iterdir()) == [blocker]

@@ -1,9 +1,12 @@
+import ctypes
 import hashlib
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from eclab import kernel
 from eclab import processes as P
 
 
@@ -27,11 +30,23 @@ def test_sampling_is_deterministic():
     assert P.sample_paths(m, 50, 3, 2, 3) == P.sample_paths(m, 50, 3, 5)[3:]
 
 
+def _block_stream(seed: int, n: int) -> np.ndarray:
+    """Outputs 1..n of SplitMix64 with the given seed, from the numpy
+    sampler's blocks, each copied out before the next overwrites it."""
+    return np.concatenate([u.copy() for _, u in P._blocks(seed, n)])
+
+
+def _samplers() -> list:
+    """The path samplers to check: the numpy block sampler, and the
+    kernel's when it is loaded."""
+    return [P._sample_blocks] + ([P._sample_kernel] if kernel.load() is not None else [])
+
+
 def _flip_rule(m: P.Markov, path_seed: int, n: int) -> str:
     """The scalar flip rule, one step at a time: the sampler's reference."""
-    from eclab.processes import _stream, _threshold
+    from eclab.processes import _threshold
 
-    u = _stream(path_seed, n).tolist()
+    u = _block_stream(path_seed, n).tolist()
     state = int(u[0] < _threshold(m.pi1))
     bits = [state]
     for j in range(1, n):
@@ -51,17 +66,16 @@ _BLOCK_LENGTHS = (P._BLOCK - 1, P._BLOCK + 1, 2 * P._BLOCK + 3)
 
 
 def test_stream_matches_scalar_mix64():
-    from eclab.processes import _stream
-
     for seed in (0, 1, 12345, 1 << 63, (1 << 63) + 977, (1 << 64) - 1):
         for n in (1, 5, *_BLOCK_LENGTHS):
-            assert _stream(seed, n).tolist() == _scalar_stream(seed, n), (seed, n)
+            assert _block_stream(seed, n).tolist() == _scalar_stream(seed, n), (seed, n)
 
 
 def test_bernoulli_matches_scalar_rule():
     # bit k is [u_k < floor(p * 2^64)] on the scalar stream; for p = 1 the
-    # threshold 2^64 exceeds every u, so the reference needs no special case
-    from eclab.processes import _path_seed, _sample_ergodic, _threshold
+    # threshold 2^64 exceeds every u, so the reference needs no special case;
+    # the numpy sampler and the kernel's each
+    from eclab.processes import _path_seed, _threshold
 
     F = Fraction
     for p in (F(0), F(1), F(3, 10), F(1, 2), F(1, 3), F(1, 2**20), F(2**20 - 1, 2**20)):
@@ -70,14 +84,15 @@ def test_bernoulli_matches_scalar_rule():
                 ps = _path_seed(seed, 0)
                 t = _threshold(p)
                 want = "".join("1" if u < t else "0" for u in _scalar_stream(ps, n))
-                assert _sample_ergodic(P.Bernoulli(p), ps, n) == want, (p, n, seed)
+                for draw in _samplers():
+                    assert draw(P.Bernoulli(p), ps, n) == want, (p, n, seed)
 
 
 def test_symmetric_markov_matches_generic_rule():
     # the blocked reset/negation composition must equal the stated flip rule
     # for every chain, symmetric or not, including flip probabilities of 1,
-    # on paths that cross block boundaries
-    from eclab.processes import _GAMMA, _path_seed, _sample_ergodic, _stream, _threshold
+    # on paths that cross block boundaries; the numpy sampler and the kernel's each
+    from eclab.processes import _GAMMA, _path_seed, _threshold
 
     F = Fraction
     chains = [
@@ -96,12 +111,14 @@ def test_symmetric_markov_matches_generic_rule():
         for n in (1, 2, 3, 64, 4097, *_BLOCK_LENGTHS):
             for seed in range(5 if n < P._BLOCK else 2):
                 ps = _path_seed(seed, 0)
-                assert _sample_ergodic(m, ps, n) == _flip_rule(m, ps, n), (a01, a10, n, seed)
+                want = _flip_rule(m, ps, n)
+                for draw in _samplers():
+                    assert draw(m, ps, n) == want, (a01, a10, n, seed)
     parts = ((F(1, 3), P.Markov(F(1, 5), F(3, 5))), (F(2, 3), P.Markov(F(1), F(1, 4))))
     paths = P.sample_paths(P.Mixture(parts), 4097, 11, 16)
     for i, (bits, comp) in enumerate(paths):
         ps = _path_seed(11, i)
-        assert comp == (0 if int(_stream(ps, 1)[0]) < _threshold(F(1, 3)) else 1)
+        assert comp == (0 if _scalar_stream(ps, 1)[0] < _threshold(F(1, 3)) else 1)
         assert bits == _flip_rule(parts[comp][1], P.mix64(ps + 2 * _GAMMA), 4097)
     assert {comp for _, comp in paths} == {0, 1}
 
@@ -125,6 +142,59 @@ def test_sample_paths_pinned_digest(spec):
     for bits, comp in P.sample_paths(P.parse_model_spec(spec), 1 << 18, 2024, 3):
         h.update(f"{comp}:{bits}\n".encode())
     assert h.hexdigest() == _PINNED_PATHS[spec]
+
+
+@pytest.fixture
+def kernel_lib():
+    lib = kernel.load()
+    if lib is None:
+        pytest.skip("the kernel cannot be built here")
+    return lib
+
+
+_DIFF_MODELS = (
+    "bernoulli:p=0",
+    "bernoulli:p=1/2",
+    "bernoulli:p=3/10",
+    "bernoulli:p=1",
+    "markov:a01=1,a10=1/3",
+    "markov:a01=2/7,a10=1",
+    "markov:flip=1",
+    "markov:a01=1/5,a10=3/5",
+    "markov:a01=1/100,a10=99/100",
+    "mixture:1/3*markov:a01=1/5,a10=3/5+2/3*bernoulli:p=1/10",
+)
+_DIFF_LENGTHS = (1, 2, P._BLOCK - 1, P._BLOCK, P._BLOCK + 1, 1 << 18)
+_DIFF_SEEDS = (0, 1, (1 << 63) + 7, (1 << 64) - 1)
+
+
+@pytest.mark.parametrize("spec", _DIFF_MODELS)
+def test_kernel_sampler_matches_numpy_sampler(kernel_lib, spec, monkeypatch):
+    """Byte for byte: each component's path for each seed taken as the path
+    seed, and paths 3 and 4 of sample_paths for each master seed, drawn by
+    the kernel and then with the kernel unloaded, by the numpy sampler."""
+    model = P.parse_model_spec(spec)
+    for n in _DIFF_LENGTHS:
+        for seed in _DIFF_SEEDS:
+            for _, comp in P.components(model):
+                want = P._sample_blocks(comp, seed, n)
+                assert P._sample_kernel(comp, seed, n) == want, (n, seed)
+    runs = {}
+    for side in ("kernel", "numpy"):
+        if side == "numpy":
+            monkeypatch.setattr(kernel, "load", lambda: None)
+        runs[side] = [P.sample_paths(model, n, seed, 2, 3) for n in _DIFF_LENGTHS for seed in _DIFF_SEEDS]
+    assert runs["kernel"] == runs["numpy"]
+
+
+def test_kernel_sampler_rejects_a_negative_length(kernel_lib):
+    """n < 0 gives -1 before a byte is written; n = 0 writes nothing."""
+    buf = bytearray(b"x" * 8)
+    out = (ctypes.c_char * 8).from_buffer(buf)
+    for chain in (0, 1):
+        assert kernel_lib.splitmix_bits(out, -1, 5, chain, 1 << 62, 1 << 62, 1 << 62, 0) == -1
+        assert kernel_lib.splitmix_bits(out, 0, 5, chain, 1 << 62, 1 << 62, 1 << 62, 7) == 0
+    assert buf == b"x" * 8
 
 
 def test_entropy_rates():
