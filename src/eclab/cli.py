@@ -332,7 +332,6 @@ def _cmd_khat(args) -> int:
         khat=value,
         witness=witness,
         mode=complexity._resolve_mode(args.mode, len(x), complexity.DEFAULT_CONFIG),
-        config=complexity.DEFAULT_CONFIG.echo(),
     )
     _emit([_report_row(report, "khat")], REPORT_COLUMNS, args)
     return 0
@@ -473,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:  # the backstop for a size no bound caught before allocating
         print(f"resource limit: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 3
-    except (DecodeError, ValueError) as exc:
+    except (DecodeError, ValueError, OverflowError) as exc:  # Overflow: a rational past float range
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

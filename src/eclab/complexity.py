@@ -125,6 +125,7 @@ _STRAGGLER_CAP = 256  # large-n Markov entries retried per m before giving up on
 _LENGTHS = 64  # lengths whose i.i.d. and uniform-typical tables are kept, about 50 KB each
 _CLOSED_TABLES = 8 * 6  # (n, m) closed-form Markov tables kept: 8 lengths, 160 KB each at m = 6
 _CLOSED_CHUNK = 64  # blocks per chunk when the closed-form block minima and maxima are built
+_SCAN_N_MAX = 16  # the longest n of the exhaustive coarse_ec scan and of coarse_scheme_constant
 
 
 _R_GRID_IDS: dict[tuple[Fraction, ...], int] = {}
@@ -262,10 +263,6 @@ class StringStats:
     n11: int
     lz_len: int
 
-    @property
-    def key(self) -> tuple:
-        return (self.n, self.first, self.ones, self.n00, self.n01, self.n10, self.n11, self.lz_len)
-
 
 @lru_cache(maxsize=1)
 def string_stats(x: str) -> StringStats:
@@ -287,8 +284,8 @@ def sweep_scheme_constant(cfg: FamilyConfig = DEFAULT_CONFIG) -> int:
     return 6 + max(rational_code_len(r) for r in cfg.r_grid)
 
 
-def coarse_scheme_constant(scan_n_max: int = 16) -> int:
-    """Constant c with max_x coarse_ec(x) <= n/2 + log2 n + c for n <= scan_n_max.
+def coarse_scheme_constant() -> int:
+    """Constant c with max_x coarse_ec(x) <= n/2 + log2 n + c for n <= _SCAN_N_MAX.
 
     Every khat is at least 3 + |delta(n)| (each description starts with
     the tag and delta(n)), and 3 + |delta(n)| >= n/2 holds up to n = 24,
@@ -296,7 +293,7 @@ def coarse_scheme_constant(scan_n_max: int = 16) -> int:
     coarse_ec <= 2(3 + |delta(n)|) + n - khat <= n/2 + (2(3 + |delta(n)|) - log2 n).
     """
     best = 0
-    for n in range(1, scan_n_max + 1):
+    for n in range(1, _SCAN_N_MAX + 1):
         base = ens.head_len(n)
         assert 2 * base >= n, "derivation requires 3 + |delta(n)| >= n/2"
         bound = 2 * base - math.log2(n) if n > 1 else 2 * base
@@ -487,22 +484,17 @@ def _resolve_mode(mode: str, n: int, cfg: FamilyConfig) -> str:
 
 
 def khat_value(stats: StringStats, cfg: FamilyConfig = DEFAULT_CONFIG, mode: str = "auto") -> int:
-    """The two-part-code minimum from sufficient statistics alone (no witness)."""
-    return _khat_pass(stats, cfg, mode)[0]
-
-
-def _khat_pass(stats: StringStats, cfg: FamilyConfig, mode: str) -> tuple[int, tuple]:
-    """The two-part-code minimum and the (tag, m) of each i.i.d. or Markov
-    order whose closed-form value reaches it, in the pass's order: mode is
-    only validated, and _khat_scores runs the pass."""
+    """The two-part-code minimum from sufficient statistics alone (no witness);
+    mode is only validated, as both modes see the same khat."""
     _resolve_mode(mode, stats.n, cfg)
-    return _khat_scores(stats, cfg)
+    return _khat_scores(stats, cfg)[0]
 
 
 @lru_cache(maxsize=1)
 def _khat_scores(stats: StringStats, cfg: FamilyConfig) -> tuple[int, tuple]:
-    """The pass of _khat_pass; the result of the last (stats, family) is
-    kept.
+    """The two-part-code minimum and the (tag, m) of each i.i.d. or Markov
+    order whose closed-form value reaches it, in the pass's order; the
+    result of the last (stats, family) is kept.
 
     Each order's value is desc + m n - floor(log2 of its largest numerator),
     with the numerator's maximum from a closed-form argmax, in floats whose
@@ -610,12 +602,14 @@ def khat(
 ) -> tuple[int, ens.Ensemble]:
     """Two-part-code minimum together with its canonical witness ensemble.
 
-    The value is _khat_pass's; witnesses are built only for the candidates
-    that reach it.
+    The value is khat_value's, and the orders that reach it are read from
+    the same kept pass; witnesses are built only for the candidates that
+    reach it.
     """
     stats = string_stats(x)
     n = stats.n
-    value, orders = _khat_pass(stats, cfg, mode)
+    value = khat_value(stats, cfg, mode)
+    orders = _khat_scores(stats, cfg)[1]
     finalists = [
         _Candidate(value, desc, H + desc, cls(arg))
         for desc, H, cls, arg in _fixed_rows(x, stats)
@@ -950,34 +944,30 @@ def _frontier(
     return tags + singletons
 
 
-def _runs(groups: Iterable, stop, skip) -> Iterable[tuple]:
-    """(desc, run) of each group read, in ascending desc: reading ends at the
-    first desc for which stop(desc) holds, and a group for which skip(desc,
-    h) holds for its hmin, or then for its floor, or whose run is None, is
-    passed over."""
-    for desc, hmin, floor, read in groups:
-        if stop(desc):
-            return
-        if not skip(desc, hmin) and (floor is None or not skip(desc, floor())):
-            run = read()
-            if run is not None:
-                yield desc, run
-
-
 def _ec_pick(frontier: list, T: Fraction) -> Optional[_Candidate]:
     """The least desc over typical candidates with sigma <= T.
 
-    A run's sigma is the least of its group's typical candidates, so a tag's
-    champion is the serialization-first member of its first run within T."""
+    Each tag's groups are read in ascending desc, up to the first whose desc
+    exceeds the limit. A group whose desc + hmin, or then desc + floor(), is
+    over T is passed over unread, as is one whose run is None. A run's sigma
+    is the least of its group's typical candidates, so a tag's champion is
+    the serialization-first member of its first run within T, and its desc
+    becomes the limit: a later tag's group above it cannot win."""
     limit = math.floor(T)  # desc is an int: desc > T exactly when desc > floor(T)
     champions = []
     for groups in frontier:
-        for desc, (sigma, members) in _runs(
-            groups, lambda d: d > limit, lambda d, h: not budget_fits(d + h, T)
-        ):
-            if budget_fits(sigma, T):
+        for desc, hmin, floor, read in groups:
+            if desc > limit:
+                break
+            if not budget_fits(desc + hmin, T) or (
+                floor is not None and not budget_fits(desc + floor(), T)
+            ):
+                continue
+            run = read()
+            if run is not None and budget_fits(run[0], T):
+                sigma, members = run
                 champions.append(_Candidate(desc, desc, sigma, members[0][1]))
-                limit = desc  # a later tag's group above it cannot win
+                limit = desc
                 break
     return _pick_canonical(champions)
 
@@ -1098,24 +1088,23 @@ class ScanResult:
 
 def max_coarse_scan(n: int, delta, cfg: FamilyConfig = DEFAULT_CONFIG) -> ScanResult:
     """Exhaustive exact coarse_ec over {0,1}^n: max, lex-first argmax, histogram."""
-    if n > 16:
-        raise ResourceLimitError(f"max_coarse_scan requires n <= 16, got {n}")
+    if n > _SCAN_N_MAX:
+        raise ResourceLimitError(f"max_coarse_scan requires n <= {_SCAN_N_MAX}, got {n}")
     delta_f = float(delta)
     if delta_f < 0:
         raise ValueError("delta must be >= 0")
     hist: dict[float, int] = {}
     best_val = -math.inf
     best_x = None
-    value_cache: dict[tuple, float] = {}
+    value_cache: dict[StringStats, float] = {}
     for x, lz_len in lz78.iter_with_code_len(n):
         stats = StringStats(*ens.bit_counts(x), lz_len)  # every x is new: no kept stats
-        key = stats.key
-        val = value_cache.get(key)
+        val = value_cache.get(stats)
         if val is None:
             khv = khat_value(stats, cfg, "exact")
             best = _coarse_pick(_frontier(x, stats, delta_f, "exact", None, cfg))
             val = float(best.objective) - khv
-            value_cache[key] = val
+            value_cache[stats] = val
         hist[val] = hist.get(val, 0) + 1
         if val > best_val:
             best_val = val

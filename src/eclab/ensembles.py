@@ -83,6 +83,7 @@ __all__ = [
 ]
 
 TYPICALITY_SLACK = 1e-9  # absolute slack toward acceptance in the typicality test
+_MAX_INLINE_X = 64  # the longest singleton x that format_ensemble writes out
 
 
 @dataclass(frozen=True)
@@ -545,12 +546,12 @@ def decode_ensemble(bits: str) -> Ensemble:
 
 # --- text form --------------------------------------------------------------
 
-def format_ensemble(e: Ensemble, max_inline_x: int = 64) -> tuple[str, str]:
+def format_ensemble(e: Ensemble) -> tuple[str, str]:
     """(tag name, parameter text): each field as key=value, in field order.
     A singleton's text names its length n first; a long x is elided."""
     if isinstance(e, (SingletonRaw, SingletonLZ)):
         n = len(e.x)
-        return TAG_NAMES[type(e)], f"n={n},x={e.x}" if n <= max_inline_x else f"n={n}"
+        return TAG_NAMES[type(e)], f"n={n},x={e.x}" if n <= _MAX_INLINE_X else f"n={n}"
     return TAG_NAMES[type(e)], _TEXT[type(e)].format(e)
 
 

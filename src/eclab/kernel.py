@@ -131,7 +131,7 @@ def _load(cache_dir: Path, cc: str | None):
     walk, bits = lib.lz78_walk, lib.splitmix_bits
     i64, u64 = ctypes.c_int64, ctypes.c_uint64
     walk.restype = bits.restype = i64
-    walk.argtypes = (ctypes.POINTER(ctypes.c_int32), i64, i64, ctypes.c_char_p, i64, i64)
+    walk.argtypes = (ctypes.c_void_p, i64, i64, ctypes.c_char_p, i64, i64)
     bits.argtypes = (ctypes.c_void_p, i64, u64, i64, u64, u64, u64, i64)
     return lib
 

@@ -55,8 +55,8 @@ decoding the whole stream one phrase at a time.
 
 from __future__ import annotations
 
-import ctypes
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -193,15 +193,16 @@ def _max_phrases(n: int) -> int:
 def _new_trie(n: int):
     """An empty trie for a walk over n bits in all: 2 (C(n) + 1) zero slots,
     room for the root and every phrase n bits can hold, and one last slot
-    for the count of complete phrases. A ctypes int32 array when the kernel
-    is loaded, which passes to it as is (an ndarray's `ctypes.data` alone
-    takes 1.5 us, more than a 16-bit walk), else a list."""
+    for the count of complete phrases. An int32 `array` when the kernel is
+    loaded, which passes to it by its address, else a list. One multiply
+    allocates the array; a ctypes array type per size would stay cached for
+    the life of the process."""
     cap = 2 * _max_phrases(n) + 2
     if cap >= 1 << 31:
         raise ResourceLimitError(f"an LZ78 parse of {n} bits needs {cap} trie slots, over 2^31 - 1")
     if kernel.load() is None:
         return [0] * (cap + 1)
-    return (ctypes.c_int32 * (cap + 1))()
+    return array("i", [0]) * (cap + 1)
 
 
 _OUT_OF_RANGE = "LZ78 walk out of range: more phrases than the trie was sized for, or a node outside it"
@@ -220,7 +221,7 @@ def _walk(trie, node: int, bits: bytes, stop: int | None = None) -> int:
     if stop is None:
         stop = cap
     if type(trie) is not list:
-        node = kernel.load().lz78_walk(trie, cap, node, bits, len(bits), stop)
+        node = kernel.load().lz78_walk(trie.buffer_info()[0], cap, node, bits, len(bits), stop)
         if node < 0:
             raise RuntimeError(_OUT_OF_RANGE)
         return node

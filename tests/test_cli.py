@@ -123,6 +123,29 @@ def test_certain_flips_do_not_overflow(capsys):
     assert code == 0 and parse_csv(out)[0]["n"] == "64"
 
 
+_HUGE = "1" + "0" * 400  # 10^400: a rational past float range
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ec", "--x", "0110", "--delta", "0", "--Delta", _HUGE],
+        ["ec", "--x", "0110", "--delta", _HUGE, "--Delta", "1"],
+        ["ec", "--x", "0110", "--delta", "0", "--eps", _HUGE],
+        ["coarse-ec", "--x", "0110", "--delta", _HUGE],
+        ["sweep-theorem1", "--model", "bernoulli:p=1/2", "--n-list", "16", "--samples", "1",
+         "--seed", "1", "--eps", _HUGE],
+        ["sweep-theorem1", "--model", "bernoulli:p=1/2", "--n-list", "16", "--samples", "1",
+         "--seed", "1", "--eps", "1/10", "--delta", _HUGE],
+        ["scan-max-coarse", "--n", "4", "--delta", _HUGE],
+    ],
+)
+def test_huge_rationals_are_errors_not_tracebacks(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_lz_roundtrip_via_cli(capsys):
     code, out, _ = run(["lz", "--x", "1011010100010", "--emit-bits"], capsys)
     assert code == 0

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -166,9 +167,9 @@ def test_markov_floor_bounds_every_confirmed_entropy():
     seen, tighter = set(), 0
     for x in xs:
         st = C.string_stats(x)
-        if st.key in seen:
+        if st in seen:
             continue
-        seen.add(st.key)
+        seen.add(st)
         for delta_f in (0.0, 0.25, 1.0):
             groups = C._markov_groups(st, delta_f, None, cfg)
             for m, (_desc, hmin, floor_of, _read) in zip(range(1, 7), groups):
@@ -435,6 +436,12 @@ def test_best_factor_argmax_matches_scan():
         assert C._best_factor_log(m, e1, n - e1) == _best_factor_log_scan(m, e1, n - e1)
 
 
+def _khat_pass(stats, cfg, mode):
+    """khat's value, read through khat_value, and the orders that reach it,
+    from the same kept pass."""
+    return C.khat_value(stats, cfg, mode), C._khat_scores(stats, cfg)[1]
+
+
 def _khat_pass_reference(stats, cfg, mode):
     """khat's value and named orders with every order evaluated, each
     numerator's maximum from a scan over every parameter in exact integers."""
@@ -485,11 +492,11 @@ def test_pruned_khat_pass_matches_unpruned_scan():
     for n in range(1, 17):
         for x in all_strings(n):
             st = C.string_stats(x)
-            if st.key not in seen:
-                seen.add(st.key)
+            if st not in seen:
+                seen.add(st)
                 ref = _khat_pass_reference(st, C.DEFAULT_CONFIG, "exact")
                 for mode in ("exact", "upper"):
-                    assert C._khat_pass(st, C.DEFAULT_CONFIG, mode) == ref, (x, mode)
+                    assert _khat_pass(st, C.DEFAULT_CONFIG, mode) == ref, (x, mode)
     # seeded paths of the bench models and sparse strings, in upper mode
     xs = list(_SPARSE)
     for spec in _BENCH_MODELS:
@@ -499,7 +506,7 @@ def test_pruned_khat_pass_matches_unpruned_scan():
     for x in xs:
         st = C.string_stats(x)
         for cfg in (C.DEFAULT_CONFIG, SMALL_CFG):
-            assert C._khat_pass(st, cfg, "upper") == _khat_pass_reference(st, cfg, "upper"), st.key
+            assert _khat_pass(st, cfg, "upper") == _khat_pass_reference(st, cfg, "upper"), st
 
 
 def test_khat_pass_skips_orders_ruled_out_by_entropy(monkeypatch):
@@ -517,7 +524,7 @@ def test_khat_pass_skips_orders_ruled_out_by_entropy(monkeypatch):
                 C._khat_scores.cache_clear()  # a kept pass would evaluate nothing
                 spy = lambda lg, f: evaluated.append(lg) or guarded(lg, f)
                 mp.setattr(C, "_floor_log2_guarded", spy)
-                assert C._khat_pass(st, C.DEFAULT_CONFIG, "upper") == (value, orders)
+                assert _khat_pass(st, C.DEFAULT_CONFIG, "upper") == (value, orders)
             assert len(orders) <= len(evaluated) < 2 * C.DEFAULT_CONFIG.m_max, (n, len(evaluated))
 
 
@@ -1043,13 +1050,13 @@ def test_memo_tells_apart_strings_with_equal_counts():
     # equal length and counts, different LZ78 code lengths and khat
     a, b = "000000101", "000001001"
     fresh = {x: C.StringStats(*E.bit_counts(x), lz78.code_len(x)) for x in (a, b)}
-    assert fresh[a].key[:-1] == fresh[b].key[:-1] and fresh[a].lz_len != fresh[b].lz_len
+    assert astuple(fresh[a])[:-1] == astuple(fresh[b])[:-1] and fresh[a].lz_len != fresh[b].lz_len
     ref = {x: _khat_pass_reference(fresh[x], C.DEFAULT_CONFIG, "exact") for x in (a, b)}
     assert ref[a][0] != ref[b][0]
     for x in (a, b, a, a, b, b, a):
         st = C.string_stats(x)
         assert st == fresh[x]
-        assert C._khat_pass(st, C.DEFAULT_CONFIG, "exact") == ref[x]
+        assert _khat_pass(st, C.DEFAULT_CONFIG, "exact") == ref[x]
         assert C.khat(x)[0] == C.coarse_ec(x, 0).khat == ref[x][0]
 
 
@@ -1063,7 +1070,7 @@ def test_memo_keeps_each_family_apart():
         _forget()
         fresh[cfg] = C.khat(x, cfg)
     for cfg in (SMALL_CFG, C.DEFAULT_CONFIG, C.DEFAULT_CONFIG, SMALL_CFG):
-        assert C._khat_pass(st, cfg, "upper") == ref[cfg]
+        assert _khat_pass(st, cfg, "upper") == ref[cfg]
         assert C.khat(x, cfg) == fresh[cfg]
         assert C.khat_value(st, cfg) == ref[cfg][0]
 
@@ -1094,11 +1101,11 @@ def test_memo_still_validates_mode_and_input():
 def test_memo_orders_cannot_be_mutated():
     x = "0110100110010110"
     st = C.string_stats(x)
-    value, orders = C._khat_pass(st, C.DEFAULT_CONFIG, "exact")
+    value, orders = _khat_pass(st, C.DEFAULT_CONFIG, "exact")
     assert isinstance(orders, tuple)
     with pytest.raises(AttributeError):
         orders.append(("iid", 1))
-    assert C._khat_pass(st, C.DEFAULT_CONFIG, "exact") == _khat_pass_reference(
+    assert _khat_pass(st, C.DEFAULT_CONFIG, "exact") == _khat_pass_reference(
         st, C.DEFAULT_CONFIG, "exact"
     )
 
@@ -1139,14 +1146,14 @@ def test_check_thm4_scores_each_string_once(monkeypatch):
 
     _forget()
     calls = 0
-    original = C._khat_pass
+    original = C.khat_value
 
     def spy(stats, cfg, mode):
         nonlocal calls
         calls += 1
         return original(stats, cfg, mode)
 
-    monkeypatch.setattr(C, "_khat_pass", spy)
+    monkeypatch.setattr(C, "khat_value", spy)
     deltas = [Fraction(0), Fraction(1, 4), Fraction(1)]
     res = check_thm4(6, deltas, [Fraction(v) for v in range(0, 17, 4)])
     assert res.ok
@@ -1284,9 +1291,15 @@ def _desc_order_pick(frontier) -> "C._Candidate | None":
     champions = []
     for groups in frontier:
         champion = None
-        for desc, (sigma, members) in C._runs(
-            groups, lambda d: 2 * d > bound, lambda d, h: 2 * d + h > bound
-        ):
+        for desc, hmin, floor, read in groups:
+            if 2 * desc > bound:
+                break
+            if 2 * desc + hmin > bound or (floor is not None and 2 * desc + floor() > bound):
+                continue
+            run = read()
+            if run is None:
+                continue
+            sigma, members = run
             H, e = min(members, key=lambda member: 2 * desc + member[0])
             if champion is None or 2 * desc + H < champion.objective:
                 champion = C._Candidate(2 * desc + H, desc, sigma, e)

@@ -13,6 +13,7 @@ definitions and the per-order tables against the flat grid.
 import functools
 import math
 import random
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -81,10 +82,10 @@ def _ref_walk_ec(stats, delta_f, T, constraint):
         desc = desc_arr[j]
         if desc > T_floor:
             return None
-        if constraint and not constraint.allows_m(ms[j]):
-            continue
         sigma = sig_arr[j]
-        if sigma > T_f:
+        if sigma > T_f:  # before the constraint: most entries are over budget
+            continue
+        if constraint and not constraint.allows_m(ms[j]):
             continue
         neglogp = li[j] + n00 * c00[j] + n01 * c01[j] + n10 * c10[j] + n11 * c11[j]
         if E.is_typical(neglogp, float(H[j]), delta_f):
@@ -194,8 +195,8 @@ def _distinct_stats(xs):
     seen = {}
     for x in xs:
         st = C.string_stats(x)
-        seen.setdefault(st.key, (x, st))
-    return sorted(seen.values(), key=lambda p: p[1].key)
+        seen.setdefault(st, (x, st))
+    return sorted(seen.values(), key=lambda p: astuple(p[1]))
 
 
 def _check_walks(stats):

@@ -2,6 +2,7 @@
 phrase-at-a-time reference, the trie's size C(n), and the kernel's build:
 the Python walk and the numpy sampler that serve when it cannot be built."""
 
+import ctypes
 import os
 import random
 import shutil
@@ -176,6 +177,14 @@ def test_reused_trie_walks_like_a_fresh_one(kernel):
             trie[-1] = 0
             node = lz78._walk(trie, 0, y.encode())
             assert lz78.LZParse(lz78._records(trie), node >> 1).phrases == ref.parse(y)
+
+
+def test_kernel_tries_share_one_type(kernel):
+    """A kernel trie of any size is an int32 array of one type, so making
+    tries of many sizes makes no new type for each."""
+    trie = lz78._new_trie(100)
+    assert type(trie) is type(lz78._new_trie(5000))
+    assert trie.itemsize == ctypes.sizeof(ctypes.c_int32)
 
 
 def test_trie_of_2_31_slots_is_a_resource_limit():

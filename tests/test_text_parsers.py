@@ -374,7 +374,8 @@ def test_decoders_reject_every_non_bit_character(x, e, k, pos, ch, text):
 # order; or word soup. --out is left out, since it writes files, and the
 # values keep each command small (n <= 30, at most 30 samples)
 _INTS = (["1", "3", "8", "30"], ["0", "-1", "1_0", "١", "x"])
-_RATIONALS = (["0", "1/4", "1", "4"], ["-1", "1/0", "0.5", "x", ""])
+_HUGE = "1" + "0" * 400  # past float range
+_RATIONALS = (["0", "1/4", "1", "4"], ["-1", "1/0", "0.5", "x", "", _HUGE])
 _VALUES = {  # flag: (valid values, invalid values)
     "--model": (["bernoulli:p=1/2", "markov:flip=1/10", "markov:a01=1/5,a10=3/5",
                  "mixture:1/2*bernoulli:p=1/10+1/2*bernoulli:p=1/2", "variant=bernoulli\np=1/3"],
@@ -434,6 +435,7 @@ _ARGV = _command_argv() | st.lists(_WORDS, max_size=12)
 @example(["ec", "--x", "01" * 20, "--delta", "0", "--Delta", "1", "--mode", "exact"])
 @example(["typical", "--r-list", "1/2", "--n-list", "30"])
 @example(["gen", "--config", "no-such-file"])
+@example(["ec", "--x", "0110", "--delta", "0", "--Delta", _HUGE])
 def test_cli_exit_codes_and_streams(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
